@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,11 +55,10 @@ from .linalg import (
     signed_fraction,
 )
 from .model import DiagonalModel, DiagonalPowers
-from .oracle import ScaledSpectrum, match_scaled, product_spectrum, spread_digits
+from .oracle import ScaledSpectrum, match_scaled, product_spectrum
 from .scenario import InstanceSpec, check_L_conditions
 
 DEFAULT_MARGIN_FACTOR = 0.05
-ORACLE_DIGIT_BUDGET = 30_000.0
 _ORACLE_MATCH_TOL = 1e-6
 
 
@@ -399,7 +396,7 @@ class HitRecord:
     spectrum: ScaledSpectrum
     min_gap: float
     oracle_checked: bool
-    oracle_mismatch: Optional[float] = None
+    oracle_mismatch: float
 
 
 @dataclass(eq=False)
@@ -457,21 +454,17 @@ def _examine(n: int, instance: InstanceSpec, cascade: ParameterCascade,
                   else "limits or domination violated")
         return None, row, (n, f"{reason} (min_gap {min_gap:.3g})")
 
-    oracle_checked = False
-    mismatch = None
-    if spread_digits(model, N) <= ORACLE_DIGIT_BUDGET:
-        reference = product_spectrum(instance.L_n(n), model, N)
-        mismatch = match_scaled(spec, reference)
-        oracle_checked = True
-        ref_ok, ref_gap = reference.real_simple(gap_tol)
-        if mismatch > _ORACLE_MATCH_TOL or not ref_ok:
-            row[-1] = 0
-            return None, row, (
-                n,
-                f"oracle disagrees (mismatch {mismatch:.3g}, gap {ref_gap:.3g})",
-            )
+    reference = product_spectrum(instance.L_n(n), model, N)
+    mismatch = match_scaled(spec, reference)
+    ref_ok, ref_gap = reference.real_simple(gap_tol)
+    if mismatch > _ORACLE_MATCH_TOL or not ref_ok:
+        row[-1] = 0
+        return None, row, (
+            n,
+            f"oracle disagrees (mismatch {mismatch:.3g}, gap {ref_gap:.3g})",
+        )
     hit = HitRecord(n=n, exponent=N, phases=phases, spectrum=spec,
-                    min_gap=min_gap, oracle_checked=oracle_checked,
+                    min_gap=min_gap, oracle_checked=True,
                     oracle_mismatch=mismatch)
     return hit, row, None
 
@@ -484,8 +477,8 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
 
     A vectorized limit-phase prefilter keeps only exponents whose rotation
     phases (predicted from the limit polar angles) fall inside the
-    real-simple windows; survivors are decomposed exactly and confirmed
-    against the dense oracle when the modulus spread allows it.  Raises
+    real-simple windows; survivors are decomposed exactly and every hit is
+    confirmed against the independent oracle.  Raises
     SearchExhausted (with the near misses) when fewer than ``count`` hits
     exist below ``n_max``.
     """
@@ -512,29 +505,17 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     near_misses = []
     rows = []
     examined = 0
-    workers = max(1, int(os.environ.get("SPECTRAL_CASCADE_THREADS", "1") or "1"))
     try:
-        chunk = max(4 * workers, 4)
-        for start in range(0, len(candidates), chunk):
-            batch = [int(x) for x in candidates[start : start + chunk]]
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(
-                        pool.map(lambda n: _examine(n, instance, cascade, gap_tol), batch)
-                    )
-            else:
-                outcomes = (_examine(n, instance, cascade, gap_tol) for n in batch)
-            for hit, row, miss in outcomes:
-                examined += 1
-                rows.append(row)
-                if miss is not None:
-                    near_misses.append(miss)
-                if hit is not None:
-                    hits.append(hit)
+        for n in candidates:
+            hit, row, miss = _examine(int(n), instance, cascade, gap_tol)
+            examined += 1
+            rows.append(row)
+            if miss is not None:
+                near_misses.append(miss)
+            if hit is not None:
+                hits.append(hit)
                 if len(hits) >= count:
                     break
-            if len(hits) >= count:
-                break
     finally:
         if csv_path is not None:
             with open(csv_path, "w", newline="") as fh:

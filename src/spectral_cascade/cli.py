@@ -23,6 +23,7 @@ from .cascade import (
 )
 from .errors import ConditionFailure, SpectralCascadeError, VerificationFailure
 from .graph_transform import invariant_pair
+from .linalg import PHASE_EXPONENT_LIMIT
 from .scenario import check_L_conditions, generate_instance
 from .verify import verify_artifact
 
@@ -41,6 +42,16 @@ def _parse_structure(text: str):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad structure {text!r}; expected e.g. 1,2,2")
+
+
+def _exponent(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if abs(value) >= PHASE_EXPONENT_LIMIT:
+        raise argparse.ArgumentTypeError(f"{value} is not below 2**26, the exact phase range")
+    return value
 
 
 def _load_instance(path: str):
@@ -108,6 +119,11 @@ def _cmd_cascade(args) -> int:
 
 def _run_search(args, prove: bool) -> int:
     spec = _load_instance(args.instance)
+    top = spec.a * args.n_max + spec.b
+    if top >= PHASE_EXPONENT_LIMIT:
+        print(f"error: largest exponent a*n_max+b = {top} is not below 2**26, "
+              "the exact phase range", file=sys.stderr)
+        return USAGE_EXIT
     if prove:
         report = prove_instance(spec, eps0=args.eps0, count=args.count,
                                 n_max=args.n_max, csv_path=args.csv)
@@ -127,7 +143,7 @@ def _run_search(args, prove: bool) -> int:
         print(f"report written to {args.out}")
     for h in search.hits:
         print(f"  n={h.n} exponent={h.exponent} min_gap={h.min_gap:.3g} "
-              f"oracle={'yes' if h.oracle_checked else 'skipped'}")
+              f"oracle_mismatch={h.oracle_mismatch:.3g}")
     return 0
 
 
@@ -168,7 +184,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_exponent, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
@@ -176,7 +192,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_exponent, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cascade)
 
@@ -189,7 +205,7 @@ def build_parser() -> _Parser:
         p.add_argument("--instance", required=True)
         p.add_argument("--eps0", type=float, default=1e-3)
         p.add_argument("--count", type=int, default=3)
-        p.add_argument("--n-max", type=int, default=100_000)
+        p.add_argument("--n-max", type=_exponent, default=100_000)
         p.add_argument("--csv", default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=lambda args, prove=prove: _run_search(args, prove))

@@ -24,6 +24,7 @@ from .errors import (
 DEFAULT_GAP_TOL = 1e-9
 SINGULAR_SCALE_TOL = 1e-14
 CONDITION_CAP = 1e12
+PHASE_EXPONENT_LIMIT = 2 ** 26  # phase_mod1's exact range
 _OVERFLOW_NORM = 1e300
 
 
@@ -306,9 +307,13 @@ def phase_mod1(theta: float, n, offset: float = 0.0) -> np.ndarray:
     """(n * theta + offset) mod 1 with compensated reduction.
 
     ``n`` may be a scalar or an integer array; exact for |n| < 2**26 up to
-    ~1e-11 absolute error, as required for scans up to n ~ 1e5.
+    ~1e-11 absolute error, as required for scans up to n ~ 1e5.  Raises
+    ValueError for any |n| >= PHASE_EXPONENT_LIMIT.
     """
     n = np.asarray(n, dtype=float)
+    top = abs(float(n)) if n.ndim == 0 else float(np.abs(n).max(initial=0.0))
+    if top >= PHASE_EXPONENT_LIMIT:
+        raise ValueError(f"phase_mod1 is exact only for |n| < 2**26, got {top:.0f}")
     hi = math.floor(theta * 2.0 ** 26) / 2.0 ** 26
     lo = theta - hi
     return ((n * hi) % 1.0 + n * lo + offset % 1.0) % 1.0

@@ -4,21 +4,17 @@ Each artifact kind is checked from scratch: instances against the
 genericity and independence conditions, split certificates against
 recomputed residuals and rederived constants, decomposition results and
 subsequence reports by rerunning the decomposition and comparing against
-the dense oracle where the modulus spread allows.
+the independent oracle at every exponent.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from . import serialize
-from .cascade import ORACLE_DIGIT_BUDGET, cascade_decompose, choose_parameters
+from .cascade import cascade_decompose, choose_parameters
 from .errors import SpectralCascadeError, VerificationFailure
 from .graph_transform import derive_constants, verify_certificate
 from .linalg import op_norm
-from .oracle import ScaledSpectrum, match_scaled, product_spectrum, spread_digits
+from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
 
 _MATCH_TOL = 1e-8
@@ -79,11 +75,9 @@ def _verify_cascade_result(obj) -> dict:
         _fail("limit-drift flag does not recompute")
     if bool(obj["domination_ok"]) != result.domination_ok:
         _fail("domination flag does not recompute")
-    oracle_mismatch = None
-    if spread_digits(spec.model, n) <= ORACLE_DIGIT_BUDGET:
-        oracle_mismatch = match_scaled(result.spectrum, product_spectrum(spec.L_n(k), spec.model, n))
-        if oracle_mismatch > _ORACLE_TOL:
-            _fail(f"decomposed spectrum disagrees with the oracle ({oracle_mismatch:.3g})")
+    oracle_mismatch = match_scaled(result.spectrum, product_spectrum(spec.L_n(k), spec.model, n))
+    if oracle_mismatch > _ORACLE_TOL:
+        _fail(f"decomposed spectrum disagrees with the oracle ({oracle_mismatch:.3g})")
     return {"kind": obj["kind"], "passed": True, "oracle_mismatch": oracle_mismatch}
 
 
@@ -111,10 +105,9 @@ def _verify_prove_report(obj) -> dict:
         mism = match_scaled(result.spectrum, serialize.spectrum_from_json(hit["spectrum"]))
         if mism > _MATCH_TOL:
             _fail(f"hit n={n}: stored spectrum mismatch {mism:.3g}")
-        if spread_digits(spec.model, N) <= ORACLE_DIGIT_BUDGET:
-            om = match_scaled(result.spectrum, product_spectrum(spec.L_n(n), spec.model, N))
-            if om > _ORACLE_TOL:
-                _fail(f"hit n={n}: oracle mismatch {om:.3g}")
+        om = match_scaled(result.spectrum, product_spectrum(spec.L_n(n), spec.model, N))
+        if om > _ORACLE_TOL:
+            _fail(f"hit n={n}: oracle mismatch {om:.3g}")
         checked.append(N)
     return {"kind": obj["kind"], "passed": True, "exponents": checked}
 

@@ -83,3 +83,19 @@ def test_usage_errors_exit_64(tmp_path):
     assert run(["bogus"]) == 64
     assert run(["cascade", "--instance", "missing.json"]) == 64  # missing --n/--out
     assert run(["gen", "--structure", "1,x", "--out", tmp_path / "i.json"]) == 64
+
+
+def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
+    out = tmp_path / "out.json"
+    limit = 2 ** 26
+    assert run(["cascade", "--instance", instance_file, "--n", limit, "--out", out]) == 64
+    assert run(["split", "--instance", instance_file, "--n", limit, "--out", out]) == 64
+    assert run(["find-n", "--instance", instance_file, "--n-max", limit,
+                "--out", out]) == 64
+    # a * n_max + b reaches the limit although n_max alone stays below it
+    progression = tmp_path / "ab.json"
+    assert run(["gen", "--structure", "1,2", "--seed", "5", "--a", "2", "--b", "1",
+                "--out", progression]) == 0
+    assert run(["prove", "--instance", progression, "--n-max", limit // 2,
+                "--out", out]) == 64
+    assert not out.exists()

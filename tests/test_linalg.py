@@ -161,3 +161,13 @@ def test_phase_mod1_vectorized_offset():
     theta = 0.3125  # exactly representable
     out = phase_mod1(theta, np.array([0, 1, 2, 3]), offset=0.5)
     np.testing.assert_allclose(out, [0.5, 0.8125, 0.125, 0.4375], atol=1e-15)
+
+
+def test_phase_mod1_rejects_exponents_beyond_exact_range():
+    theta = math.sqrt(2) % 1.0
+    last = 2 ** 26 - 1
+    got = float(phase_mod1(theta, last))
+    assert abs(got - float(last * Fraction(theta) % 1)) < 1e-10
+    for n in (2 ** 26, -(2 ** 26), np.array([1, 2 ** 26 + 5])):
+        with pytest.raises(ValueError):
+            phase_mod1(theta, n)
