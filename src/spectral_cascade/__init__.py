@@ -13,8 +13,6 @@ from .cascade import (
     cascade_decompose,
     choose_parameters,
     find_subsequence,
-    certified_split,
-    polar_forms,
     prove_instance,
     rotation_phase,
 )
@@ -66,10 +64,8 @@ __all__ = [
     "find_subsequence",
     "generate_instance",
     "invariant_pair",
-    "certified_split",
     "match_scaled",
     "perturb_to_generic",
-    "polar_forms",
     "product_spectrum",
     "prove_instance",
     "random_model_T",

@@ -8,7 +8,7 @@ top-left i_j x i_j block and a bottom-right kappa_{j+1} x kappa_{j+1} block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +62,6 @@ def _require_square(J: np.ndarray, size: int, what: str) -> None:
         raise ValueError(f"{what}: expected {size}x{size}, got {J.shape}")
 
 
-def project_A(J: np.ndarray, structure: BlockStructure, j: int) -> np.ndarray:
-    """Top-left i_j x i_j block of a kappa_j x kappa_j matrix."""
-    if not 1 <= j <= structure.m:
-        raise ValueError(f"level {j} out of range 1..{structure.m}")
-    _require_square(J, structure.kappa_at(j), "project_A")
-    i = structure.sizes[j - 1]
-    return np.array(J[:i, :i], copy=True)
-
-
 def project_D(J: np.ndarray, structure: BlockStructure, j: int) -> np.ndarray:
     """Bottom-right kappa_{j+1} x kappa_{j+1} block of a kappa_j matrix."""
     if not 1 <= j <= structure.m - 1:
@@ -101,23 +92,6 @@ def split_blocks(J: np.ndarray, k1: int):
     C = np.array(J[k1:, :k1], copy=True)
     D = np.array(J[k1:, k1:], copy=True)
     return A, B, C, D
-
-
-def off_diag_B(J: np.ndarray, k1: int) -> np.ndarray:
-    """Top-right k1 x k2 block."""
-    return split_blocks(J, k1)[1]
-
-
-def off_diag_C(J: np.ndarray, k1: int) -> np.ndarray:
-    """Bottom-left k2 x k1 block."""
-    return split_blocks(J, k1)[2]
-
-
-def assemble(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_blocks`."""
-    top = np.hstack([A, B])
-    bottom = np.hstack([C, D])
-    return np.vstack([top, bottom])
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

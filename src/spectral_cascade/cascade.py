@@ -20,13 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockStructure, d_chain, split_blocks
+from .blocks import BlockStructure, d_chain
 from .errors import (
-    CertificateFailure,
     ConditionError,
     ConditionFailure,
     DegeneratePolar,
@@ -41,8 +40,8 @@ from .graph_transform import (
     SplitProblem,
     TransformConstants,
     derive_constants,
-    solve_eta,
-    solve_xi,
+    dominated_split,
+    solve_xi,  # unused here; bench/tests checks that the tracer wraps this second binding
 )
 from .linalg import (
     eigenvalues,
@@ -130,69 +129,6 @@ class CascadeResult:
     @property
     def drifts(self) -> list:
         return [lv.drift for lv in self.levels]
-
-
-@dataclass(eq=False)
-class CertifiedSplit:
-    X: np.ndarray
-    Y: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
-    checks: dict
-
-
-def _split_once(problem: SplitProblem, J: np.ndarray, n: int, delta: float):
-    """Apply one split: (X, Y, xi, eta) with closeness checks, no big powers."""
-    xi = solve_xi(problem, J, n)
-    eta = solve_eta(problem, J, n)
-    A, B, _, _ = split_blocks(J, problem.k1)
-    Ji = invert(J)
-    _, _, Ci, Di = split_blocks(Ji, problem.k1)
-    X = A + B @ problem.powers.dvn_u_avmn(xi, n)
-    core = Ci @ eta + Di  # Y^{-1}
-    Y = invert(core)
-
-    A0, _, _, _ = split_blocks(problem.J0, problem.k1)
-    _, _, _, D0i = split_blocks(invert(problem.J0), problem.k1)
-    x_drift = op_norm(X - A0)
-    y_drift = op_norm(core - D0i)
-    if x_drift >= delta:
-        raise CertificateFailure(
-            f"top block drifts {x_drift:.3g} >= delta {delta:.3g}", item=3
-        )
-    if y_drift >= delta:
-        raise CertificateFailure(
-            f"inverse bottom block drifts {y_drift:.3g} >= delta {delta:.3g}", item=4
-        )
-    return X, Y, xi, eta, {"x_drift": x_drift, "y_drift": y_drift}
-
-
-def certified_split(problem: SplitProblem, J: np.ndarray, n: int,
-                  constants: Optional[TransformConstants] = None,
-                  check_domination: bool = True) -> CertifiedSplit:
-    """Single-level split: spectrum(J V^n) = spectrum(X A(V)^n) + spectrum(Y D(V)^n).
-
-    X stays delta-close to A(J0) and Y^{-1} to D(J0^{-1}); when requested,
-    the two halves are also checked to be strictly separated in modulus.
-    """
-    if constants is None:
-        constants = derive_constants(problem)
-    J = np.asarray(J, dtype=float)
-    dist = op_norm(J - problem.J0)
-    if dist >= constants.beta:
-        raise CertificateFailure(
-            f"||J - J0|| = {dist:.3g} outside the beta ball {constants.beta:.3g}"
-        )
-    X, Y, xi, eta, checks = _split_once(problem, J, n, problem.delta)
-    checks["beta_distance"] = dist
-    if check_domination:
-        top = np.abs(eigenvalues(X @ problem.powers.avn(n)))
-        bottom = np.abs(eigenvalues(Y @ problem.powers.dvn(n)))
-        margin = float(top.min() - bottom.max())
-        checks["domination_margin"] = margin
-        if margin <= 0:
-            raise CertificateFailure("split halves fail strict modulus domination")
-    return CertifiedSplit(X=X, Y=Y, xi=xi, eta=eta, checks=checks)
 
 
 def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
@@ -313,6 +249,15 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
                      polar=polar, eps_hat=eps_hat)
 
 
+def _stage_split(stage: CascadeStage, J: np.ndarray, n: int):
+    """One stage of the chain: the top block X and the remainder Y fed onward."""
+    try:
+        cert, _ = dominated_split(stage.problem, J, n)
+        return cert.X, invert(cert.Y_inv)
+    except (NumericError, ConditionError) as exc:
+        raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc) from exc
+
+
 def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
                       cascade: ParameterCascade) -> CascadeResult:
     """Run the full chain at one (L_k, n); certify limits and domination."""
@@ -333,12 +278,8 @@ def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
                 f"stage {stage.j}: exponent {n} below threshold {stage.constants.n0}",
                 stage=stage.j,
             )
-        try:
-            X, Y, _, _, _ = _split_once(stage.problem, current, n, stage.delta)
-        except (NumericError, ConditionError) as exc:
-            raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc) from exc
+        X, current = _stage_split(stage, current, n)
         levels.append(_level_data(stage.j, X, n, model, stage.limit))
-        current = Y
     m = cascade.m
     levels.append(_level_data(m, current, n, model, cascade.limits[m - 1]))
 
@@ -358,20 +299,8 @@ def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> n
         raise ValueError(f"stage {j} out of range 1..{len(cascade.stages)}")
     current = np.asarray(L_k, dtype=float)
     for stage in cascade.stages[: j - 1]:
-        try:
-            _, current, _, _, _ = _split_once(stage.problem, current, n, stage.delta)
-        except (NumericError, ConditionError) as exc:
-            raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc) from exc
+        _, current = _stage_split(stage, current, n)
     return current
-
-
-def polar_forms(result: CascadeResult) -> dict:
-    """Per-rotation-level polar data (P, alpha) or the direct-route marker."""
-    out = {}
-    for lv in result.levels:
-        if lv.X.shape == (2, 2):
-            out[lv.j] = {"det": lv.det, "polar": lv.polar, "eps_hat": lv.eps_hat}
-    return out
 
 
 def rotation_phase(model: DiagonalModel, result: CascadeResult, j: int) -> float:

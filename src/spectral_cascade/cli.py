@@ -11,13 +11,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialize
 from .cascade import (
     cascade_decompose,
     choose_parameters,
-    find_subsequence,
     prove_instance,
     stage_input,
 )
@@ -90,6 +87,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_split(args) -> int:
     spec = _load_instance(args.instance)
+    levels = spec.model.structure.m - 1
+    if not 1 <= args.level <= levels:
+        print(f"error: --level {args.level} is not a split level 1..{levels} "
+              "of this instance", file=sys.stderr)
+        return USAGE_EXIT
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
     stage = cascade.stages[args.level - 1]
     J = stage_input(spec.L_n(args.k), args.n, cascade, args.level)
@@ -117,31 +119,19 @@ def _cmd_cascade(args) -> int:
     return 0
 
 
-def _run_search(args, prove: bool) -> int:
+def _cmd_search(args) -> int:
     spec = _load_instance(args.instance)
     top = spec.a * args.n_max + spec.b
     if top >= PHASE_EXPONENT_LIMIT:
         print(f"error: largest exponent a*n_max+b = {top} is not below 2**26, "
               "the exact phase range", file=sys.stderr)
         return USAGE_EXIT
-    if prove:
-        report = prove_instance(spec, eps0=args.eps0, count=args.count,
-                                n_max=args.n_max, csv_path=args.csv)
-        payload = serialize.prove_report_to_json(report, args.eps0)
-        search = report.search
-    else:
-        cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
-        search = find_subsequence(spec, cascade, count=args.count,
-                                  n_max=args.n_max, csv_path=args.csv)
-        from .cascade import ProveReport
-
-        payload = serialize.prove_report_to_json(
-            ProveReport(instance=spec, cascade=cascade, search=search), args.eps0
-        )
+    report = prove_instance(spec, eps0=args.eps0, count=args.count,
+                            n_max=args.n_max, csv_path=args.csv)
     if args.out:
-        serialize.save_artifact(args.out, payload)
+        serialize.save_artifact(args.out, serialize.prove_report_to_json(report, args.eps0))
         print(f"report written to {args.out}")
-    for h in search.hits:
+    for h in report.search.hits:
         print(f"  n={h.n} exponent={h.exponent} min_gap={h.min_gap:.3g} "
               f"oracle_mismatch={h.oracle_mismatch:.3g}")
     return 0
@@ -196,19 +186,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cascade)
 
-    for name, prove in (("find-n", False), ("prove", True)):
-        p = sub.add_parser(
-            name,
-            help=("search real-simple exponents" if not prove
-                  else "parameters plus search, end to end"),
-        )
+    for name, text in (("find-n", "search real-simple exponents"),
+                       ("prove", "parameters plus search, end to end")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--instance", required=True)
         p.add_argument("--eps0", type=float, default=1e-3)
         p.add_argument("--count", type=int, default=3)
         p.add_argument("--n-max", type=_exponent, default=100_000)
         p.add_argument("--csv", default=None)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=lambda args, prove=prove: _run_search(args, prove))
+        p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="independently revalidate an artifact")
     p.add_argument("--artifact", required=True)

@@ -21,7 +21,6 @@ from .errors import (
     SingularMatrix,
 )
 
-DEFAULT_GAP_TOL = 1e-9
 SINGULAR_SCALE_TOL = 1e-14
 CONDITION_CAP = 1e12
 PHASE_EXPONENT_LIMIT = 2 ** 26  # phase_mod1's exact range
@@ -180,34 +179,6 @@ def eigenvalues_charpoly(J: np.ndarray) -> np.ndarray:
     if J.shape != (d, d) or d > 4:
         raise ValueError(f"charpoly eigensolver limited to square dim <= 4, got {J.shape}")
     return _poly_roots(_charpoly_coeffs(J))
-
-
-def spectrum_is_real_simple(values: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL):
-    """Check all-real eigenvalues with pairwise distinct absolute values.
-
-    Returns ``(ok, min_gap)`` where ``min_gap`` is the minimal relative
-    modulus gap between consecutive sorted moduli (infinity for dim 1).
-    """
-    values = np.asarray(values, dtype=complex)
-    mods = np.abs(values)
-    scale = np.maximum(mods, 1e-300)
-    if np.any(np.abs(values.imag) > gap_tol * scale):
-        return False, 0.0
-    order = np.argsort(mods)[::-1]
-    sorted_mods = mods[order]
-    min_gap = math.inf
-    ok = True
-    for i in range(len(sorted_mods) - 1):
-        gap = (sorted_mods[i] - sorted_mods[i + 1]) / max(sorted_mods[i], 1e-300)
-        min_gap = min(min_gap, gap)
-        if gap <= gap_tol:
-            ok = False
-    return ok, min_gap
-
-
-def has_real_simple_spectrum(J: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL):
-    """Real-and-simple test for a matrix; returns (ok, min relative gap)."""
-    return spectrum_is_real_simple(eigenvalues(J), gap_tol)
 
 
 def sqrtm_spd_2x2(S: np.ndarray) -> np.ndarray:

@@ -144,7 +144,7 @@ class DiagonalModel:
 
 
 class DiagonalPowers:
-    """Power hooks for a dominated split whose V is a diagonal model.
+    """Sandwich products for a dominated split whose V is a diagonal model.
 
     The split is i_1 | (d - i_1) of ``model``; A(V) is the first block and
     D(V) the tail.  The sandwich products D(V)^n u A(V)^{-n} and
@@ -161,30 +161,6 @@ class DiagonalPowers:
         self.tail_model = model.tail(2)
         # log-modulus per tail coordinate, relative to the head modulus
         self._rel = self.tail_model.coordinate_log_moduli() - math.log(self.head.modulus)
-
-    def vn(self, n: int) -> np.ndarray:
-        return self.model.power(n)
-
-    def avn(self, n: int) -> np.ndarray:
-        return self.head.power(n)
-
-    def av_mn(self, n: int) -> np.ndarray:
-        head = self.head
-        if isinstance(head, ScalarBlock):
-            return ScalarBlock(1.0 / head.value).power(n)
-        return RotationBlock(1.0 / head.modulus, (-head.theta) % 1.0).power(n)
-
-    def dvn(self, n: int) -> np.ndarray:
-        return self.tail_model.power(n)
-
-    def dv_mn(self, n: int) -> np.ndarray:
-        inv_blocks = []
-        for blk in self.tail_model.diag_blocks:
-            if isinstance(blk, ScalarBlock):
-                inv_blocks.append(ScalarBlock(1.0 / blk.value).power(n))
-            else:
-                inv_blocks.append(RotationBlock(1.0 / blk.modulus, (-blk.theta) % 1.0).power(n))
-        return block_diag(*inv_blocks)
 
     def _rotate_tail(self, u: np.ndarray, n: int, axis: int) -> np.ndarray:
         """Apply the unit-modulus part of the tail power along rows or cols."""

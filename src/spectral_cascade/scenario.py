@@ -10,7 +10,7 @@ perturbation sequence L_n -> L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,8 +80,6 @@ class InstanceSpec:
     law: PerturbationLaw
     a: int
     b: int
-    ell0: int = 1  # period bookkeeping only
-    N0: int = 1
 
     def __post_init__(self):
         self.L = np.asarray(self.L, dtype=float)
@@ -318,13 +316,6 @@ def check_nonresonance(values, K: int, tol_log: float = 1e-9):
             f"resonance at k={witness} with margin {margin:.3g}", witness=witness
         )
     return margin, witness
-
-
-def make_sequence_Ln(spec: InstanceSpec, n: int) -> np.ndarray:
-    """Deterministic member L_n of the converging perturbation sequence."""
-    if n < 0:
-        raise ValueError("sequence index must be non-negative")
-    return spec.L_n(n)
 
 
 def generate_instance(structure, seed: int = 0, *, ratio: float = 1.35,

@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .blocks import BlockStructure
-from .cascade import CascadeResult, ProveReport, ParameterCascade
+from .cascade import CascadeResult, ProveReport
 from .graph_transform import SplitCertificate, SplitProblem, TransformConstants
-from .model import DiagonalModel, RotationBlock, ScalarBlock
+from .model import DiagonalModel, DiagonalPowers, RotationBlock, ScalarBlock
 from .oracle import ScaledSpectrum
 from .scenario import InstanceSpec, PerturbationLaw
 
@@ -25,6 +25,7 @@ KIND_INSTANCE = "instance"
 KIND_SPLIT_CERT = "split-certificate"
 KIND_CASCADE = "cascade-result"
 KIND_PROVE = "prove-report"
+SPLIT_CERT_FORMAT = 2
 
 _LN10 = math.log(10.0)
 
@@ -111,21 +112,22 @@ def spectrum_from_json(obj) -> ScaledSpectrum:
 
 
 def certificate_to_json(cert: SplitCertificate, problem: SplitProblem) -> dict:
+    """Format 2: the stage's diagonal model stands in for V."""
+    if not isinstance(problem.powers, DiagonalPowers):
+        raise ValueError("split certificates need a V given by a diagonal model")
     return {
         "kind": KIND_SPLIT_CERT,
+        "format": SPLIT_CERT_FORMAT,
+        "model": model_to_json(problem.powers.model),
+        "J0": matrix_to_json(problem.J0),
+        "k1": problem.k1,
+        "delta": problem.delta,
         "n": cert.n,
-        "problem": {
-            "V": matrix_to_json(problem.V),
-            "J0": matrix_to_json(problem.J0),
-            "k1": problem.k1,
-            "k2": problem.k2,
-            "delta": problem.delta,
-        },
         "J": matrix_to_json(cert.J),
         "xi": matrix_to_json(cert.xi),
-        "eta": matrix_to_json(cert.eta),
-        "phi": matrix_to_json(cert.phi),
-        "psi": matrix_to_json(cert.psi),
+        "eta_hat": matrix_to_json(cert.eta_hat),
+        "X": matrix_to_json(cert.X),
+        "Y_inv": matrix_to_json(cert.Y_inv),
         "constants": dataclasses.asdict(cert.constants),
         "residuals": {k: float(v) for k, v in cert.residuals.items()},
         "bounds": {k: float(v) for k, v in cert.bounds.items()},
@@ -133,23 +135,29 @@ def certificate_to_json(cert: SplitCertificate, problem: SplitProblem) -> dict:
 
 
 def certificate_from_json(obj):
-    p = obj["problem"]
+    if obj.get("format") != SPLIT_CERT_FORMAT:
+        raise ValueError(f"split-certificate format {obj.get('format')!r} is not "
+                         f"{SPLIT_CERT_FORMAT}")
+    model = model_from_json(obj["model"])
+    k1 = int(obj["k1"])
+    if k1 != model.structure.sizes[0]:
+        raise ValueError(f"k1 = {k1} does not split off the model's first block")
     problem = SplitProblem(
-        V=matrix_from_json(p["V"]),
-        J0=matrix_from_json(p["J0"]),
-        k1=int(p["k1"]),
-        k2=int(p["k2"]),
-        delta=float(p["delta"]),
+        V=model.matrix(),
+        J0=matrix_from_json(obj["J0"]),
+        k1=k1,
+        k2=model.d - k1,
+        delta=float(obj["delta"]),
+        powers=DiagonalPowers(model),
     )
-    constants = TransformConstants(**obj["constants"])
     cert = SplitCertificate(
         n=int(obj["n"]),
         J=matrix_from_json(obj["J"]),
         xi=matrix_from_json(obj["xi"]),
-        eta=matrix_from_json(obj["eta"]),
-        phi=matrix_from_json(obj["phi"]),
-        psi=matrix_from_json(obj["psi"]),
-        constants=constants,
+        eta_hat=matrix_from_json(obj["eta_hat"]),
+        X=matrix_from_json(obj["X"]),
+        Y_inv=matrix_from_json(obj["Y_inv"]),
+        constants=TransformConstants(**obj["constants"]),
         residuals=dict(obj["residuals"]),
         bounds=dict(obj["bounds"]),
     )
@@ -196,9 +204,7 @@ def prove_report_to_json(report: ProveReport, eps0: float) -> dict:
                 "min_gap": float(h.min_gap),
                 "spectrum": spectrum_to_json(h.spectrum),
                 "oracle_checked": bool(h.oracle_checked),
-                "oracle_mismatch": (
-                    None if h.oracle_mismatch is None else float(h.oracle_mismatch)
-                ),
+                "oracle_mismatch": float(h.oracle_mismatch),
             }
         )
     return {

@@ -9,8 +9,6 @@ from spectral_cascade.cascade import (
     cascade_decompose,
     choose_parameters,
     find_subsequence,
-    certified_split,
-    polar_forms,
     prove_instance,
     rotation_phase,
     stage_input,
@@ -22,6 +20,7 @@ from spectral_cascade.errors import (
     SearchExhausted,
     StageFailure,
 )
+from spectral_cascade.graph_transform import dominated_split
 from spectral_cascade.linalg import op_norm, signed_fraction
 from spectral_cascade.oracle import match_scaled, product_spectrum
 
@@ -78,11 +77,11 @@ def test_certified_split_halves_carry_spectrum(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     stage = casc.stages[0]
     n = casc.n0 + 1
-    res = certified_split(stage.problem, spec.L, n, stage.constants)
-    assert res.checks["x_drift"] < stage.delta
-    assert res.checks["domination_margin"] > 0
-    top = np.linalg.eigvals(res.X @ stage.problem.powers.avn(n))
-    bottom = np.linalg.eigvals(res.Y @ stage.problem.powers.dvn(n))
+    cert, _ = dominated_split(stage.problem, spec.L, n)
+    assert op_norm(cert.X - stage.problem.A0) < stage.delta
+    top = np.linalg.eigvals(cert.X @ spec.model.block(1).power(n))
+    bottom = np.linalg.eigvals(np.linalg.inv(cert.Y_inv) @ spec.model.tail(2).power(n))
+    assert np.abs(top).min() > np.abs(bottom).max()
     full = np.linalg.eigvals(spec.L @ spec.model.power(n))
     got = np.sort_complex(np.concatenate([top, bottom]))
     np.testing.assert_allclose(got, np.sort_complex(full), rtol=1e-8, atol=1e-12)
@@ -90,9 +89,9 @@ def test_certified_split_halves_carry_spectrum(demo_instance, demo_cascade):
 
 def test_certified_split_rejects_far_J(demo_instance, demo_cascade):
     stage = demo_cascade.stages[0]
-    with pytest.raises(CertificateFailure):
-        certified_split(stage.problem, demo_instance.L + 0.5, demo_cascade.n0 + 1,
-                      stage.constants)
+    with pytest.raises(CertificateFailure) as exc:
+        dominated_split(stage.problem, demo_instance.L + 0.5, demo_cascade.n0 + 1)
+    assert exc.value.item in (3, 4)
 
 
 def test_stage_input_chains(demo_instance, demo_cascade):
@@ -108,18 +107,17 @@ def test_polar_forms_and_rotation_phase(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     n = casc.n0 + 3
     res = cascade_decompose(spec.L, n, spec.model, casc)
-    forms = polar_forms(res)
-    assert set(forms) == {2, 3}
-    for j, info in forms.items():
-        assert info["det"] > 0
-        P, alpha = info["polar"]
+    rotation_levels = [lv for lv in res.levels if lv.X.shape == (2, 2)]
+    assert [lv.j for lv in rotation_levels] == [2, 3]
+    for level in rotation_levels:
+        assert level.det > 0
+        P, alpha = level.polar
         np.testing.assert_allclose(P, P.T, atol=1e-12)
-        phase = rotation_phase(spec.model, res, j)
+        phase = rotation_phase(spec.model, res, level.j)
         assert -0.5 <= phase < 0.5
         # the phase decides realness of that level's unit-part spectrum
-        level = next(lv for lv in res.levels if lv.j == j)
         is_real = np.abs(level.spectrum.unit.imag).max() < 1e-9
-        assert is_real == (abs(phase) < info["eps_hat"])
+        assert is_real == (abs(phase) < level.eps_hat)
 
 
 def test_find_subsequence_hits_verify(demo_instance, demo_cascade, tmp_path):

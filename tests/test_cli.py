@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -83,6 +84,13 @@ def test_usage_errors_exit_64(tmp_path):
     assert run(["bogus"]) == 64
     assert run(["cascade", "--instance", "missing.json"]) == 64  # missing --n/--out
     assert run(["gen", "--structure", "1,x", "--out", tmp_path / "i.json"]) == 64
+    # a (1,2,2) instance has two split levels
+    inst = tmp_path / "inst122.json"
+    assert run(["gen", "--structure", "1,2,2", "--seed", "3", "--out", inst]) == 0
+    for level in (0, -1, 3):
+        assert run(["split", "--instance", inst, "--level", level, "--k", "21",
+                    "--n", "100", "--out", tmp_path / "cert.json"]) == 64
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
@@ -99,3 +107,51 @@ def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
     assert run(["prove", "--instance", progression, "--n-max", limit // 2,
                 "--out", out]) == 64
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def seed3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seed3") / "inst.json"
+    assert run(["gen", "--structure", "1,2,2", "--seed", "3", "--out", path]) == 0
+    return path
+
+
+def _split(seed3_file, out, level, n):
+    return run(["split", "--instance", seed3_file, "--level", level, "--k", "21",
+                "--n", n, "--out", out])
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("n", [3_000, 100_000])
+def test_split_at_large_n_verifies(tmp_path, seed3_file, level, n):
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, level, n) == 0
+    assert run(["verify", "--artifact", out]) == 0
+
+
+def _flip_mantissa_bit(x: float, bit: int) -> float:
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0] ^ (1 << bit)
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@pytest.mark.parametrize("field", ["xi", "eta_hat", "X"])
+def test_split_certificate_flipped_bit_exits_1(tmp_path, seed3_file, field):
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, 1, 100_000) == 0
+    obj = json.loads(out.read_text())
+    data = obj[field]["data"]
+    # the largest entry, so that the flip is far above the residual tolerance
+    i, j = max(((i, j) for i, row in enumerate(data) for j in range(len(row))),
+               key=lambda ij: abs(data[ij[0]][ij[1]]))
+    data[i][j] = _flip_mantissa_bit(data[i][j], 40)
+    out.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", out]) == 1
+
+
+def test_split_certificate_without_format_exits_1(tmp_path, seed3_file):
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, 1, 100) == 0
+    obj = json.loads(out.read_text())
+    del obj["format"]
+    out.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", out]) == 1

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks
+from spectral_cascade.cascade import stage_input
 from spectral_cascade.errors import CertificateFailure, HypothesisFailure
 from spectral_cascade.graph_transform import (
     SplitProblem,
     check_hypotheses,
     derive_constants,
     invariant_pair,
-    phi_apply,
     solve_eta,
     solve_xi,
     verify_certificate,
@@ -78,8 +79,11 @@ def test_xi_is_a_fixed_point():
     J = ball_sample(p, c, rng)
     n = c.n0 + 2
     xi = solve_xi(p, J, n, c)
-    again = phi_apply(xi, J, p.V, n, powers=p.powers)
-    assert op_norm(again - xi) < 1e-11 * max(1.0, op_norm(xi))
+    A, B, C, D = split_blocks(J, p.k1)
+    S = p.powers.dvn_u_avmn(xi, n)
+    # xi = phi(xi) multiplied through by X = A(J) + B(J) S
+    assert op_norm(C + D @ S - xi @ (A + B @ S)) < 1e-11 * max(1.0, op_norm(xi))
+    assert invariant_pair(p, J, n, c).residuals["forward_invariance"] < 1e-11
 
 
 def test_eta_decays_geometrically():
@@ -111,22 +115,27 @@ def test_verify_detects_tampering():
     c = derive_constants(p)
     rng = np.random.default_rng(12)
     cert = invariant_pair(p, ball_sample(p, c, rng), c.n0 + 1, c)
-    cert.xi = cert.xi + 1e-3
-    report = verify_certificate(cert, p)
-    assert not report["passed"]
+    assert verify_certificate(cert, p)["passed"]
+    for name in ("xi", "eta_hat", "X", "Y_inv"):
+        original = getattr(cert, name)
+        setattr(cert, name, original + 1e-3)
+        report = verify_certificate(cert, p)
+        assert not report["passed"], name
+        setattr(cert, name, original)
 
 
 def test_conjugated_blocks_carry_the_spectrum():
-    """spectrum(J V^n) splits into spectrum(phi) + spectrum(psi^-1)."""
+    """spectrum(J V^n) splits into spectrum(X A(V)^n) + spectrum(Y D(V)^n)."""
     p = make_problem(seed=13)
     c = derive_constants(p)
     rng = np.random.default_rng(14)
     J = ball_sample(p, c, rng)
     n = c.n0 + 1
     cert = invariant_pair(p, J, n, c)
-    full = np.sort_complex(np.linalg.eigvals(J @ p.powers.vn(n)))
-    top = np.linalg.eigvals(cert.phi)
-    bottom = np.linalg.eigvals(np.linalg.inv(cert.psi))
+    AV, _, _, DV = split_blocks(p.V, p.k1)
+    full = np.sort_complex(np.linalg.eigvals(J @ np.linalg.matrix_power(p.V, n)))
+    top = np.linalg.eigvals(cert.X @ np.linalg.matrix_power(AV, n))
+    bottom = np.linalg.eigvals(np.linalg.inv(cert.Y_inv) @ np.linalg.matrix_power(DV, n))
     split = np.sort_complex(np.concatenate([top, bottom]))
     np.testing.assert_allclose(split, full, rtol=1e-8, atol=1e-12)
 
@@ -152,3 +161,30 @@ def test_delta_violation_raises_item():
         rng = np.random.default_rng(17)
         J = p.J0 + 10 * c.beta * np.ones((p.d, p.d))
         invariant_pair(p, J, c.n0 + 1, c)
+
+
+@pytest.fixture(scope="module", params=[(1, 2, 2), (2, 2, 2)], ids=["122", "222"])
+def seed3(request):
+    spec = sc.generate_instance(request.param, seed=3)
+    return spec, sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+
+
+@pytest.mark.parametrize("n", [3_000, 10_000, 100_000])
+def test_split_certificates_hold_at_large_n(seed3, n):
+    """Both stages certify and re-verify far past the range of J V^n."""
+    spec, casc = seed3
+    L_k = spec.L_n(casc.k0)
+    for j, stage in enumerate(casc.stages, start=1):
+        J = stage_input(L_k, n, casc, j)
+        cert = invariant_pair(stage.problem, J, n, stage.constants)
+        assert verify_certificate(cert, stage.problem)["passed"], (j, n)
+
+
+def test_split_problem_rejects_coupled_V():
+    """V enters only through A(V) and D(V), so its off-diagonal blocks must vanish."""
+    p = make_problem()
+    for i, j in ((0, 1), (2, 0)):
+        V = p.V.copy()
+        V[i, j] = 1e-3
+        with pytest.raises(ValueError):
+            SplitProblem(V=V, J0=p.J0, k1=p.k1, k2=p.k2, delta=p.delta)

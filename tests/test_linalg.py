@@ -16,7 +16,6 @@ from spectral_cascade.linalg import (
     cos_turns,
     eigenvalues,
     eigenvalues_charpoly,
-    has_real_simple_spectrum,
     invert,
     match_spectra,
     matrix_power_checked,
@@ -27,9 +26,13 @@ from spectral_cascade.linalg import (
     rotation_matrix,
     signed_fraction,
     sin_turns,
-    spectrum_is_real_simple,
     sqrtm_spd_2x2,
 )
+from spectral_cascade.oracle import ScaledSpectrum
+
+
+def _real_simple(values):
+    return ScaledSpectrum.from_values(values).real_simple()
 
 
 def test_quarter_turns_exact():
@@ -75,14 +78,14 @@ def test_charpoly_rejects_large():
 
 
 def test_real_simple_spectrum_checks():
-    ok, gap = spectrum_is_real_simple(np.array([3.0, -1.0, 0.5]))
+    ok, gap = _real_simple(np.array([3.0, -1.0, 0.5]))
     assert ok and gap > 0.4
-    ok, _ = spectrum_is_real_simple(np.array([1.0 + 0.1j, 1.0 - 0.1j]))
+    ok, _ = _real_simple(np.array([1.0 + 0.1j, 1.0 - 0.1j]))
     assert not ok
     # distinct values with equal moduli are not "simple" here
-    ok, gap = spectrum_is_real_simple(np.array([2.0, -2.0]))
+    ok, gap = _real_simple(np.array([2.0, -2.0]))
     assert not ok and gap == 0.0
-    ok, _ = has_real_simple_spectrum(np.diag([4.0, 2.0, 1.0]))
+    ok, _ = _real_simple(eigenvalues(np.diag([4.0, 2.0, 1.0])))
     assert ok
 
 
@@ -120,7 +123,7 @@ def test_max_real_simple_angle_is_sharp():
     eps_hat = max_real_simple_angle(P)
     below = P @ rotation_matrix(0.999 * eps_hat)
     above = P @ rotation_matrix(1.001 * eps_hat)
-    assert has_real_simple_spectrum(below)[0]
+    assert _real_simple(eigenvalues(below))[0]
     vals = np.linalg.eigvals(above)
     assert np.abs(vals.imag).max() > 0
     with pytest.raises(DegeneratePolar):

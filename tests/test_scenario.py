@@ -18,7 +18,6 @@ from spectral_cascade.scenario import (
     check_L_conditions,
     check_nonresonance,
     generate_instance,
-    make_sequence_Ln,
     perturb_to_generic,
     random_model_T,
 )
@@ -38,11 +37,9 @@ def test_law_validation_and_direction():
 def test_sequence_converges_geometrically(demo_instance):
     spec = demo_instance
     base = spec.L
-    gaps = [op_norm(make_sequence_Ln(spec, n) - base) for n in (0, 5, 10)]
+    gaps = [op_norm(spec.L_n(n) - base) for n in (0, 5, 10)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < spec.law.c * spec.law.rho ** 10 * op_norm(base) * 1.01
-    with pytest.raises(ValueError):
-        make_sequence_Ln(spec, -1)
 
 
 def test_conditions_on_singular_L():

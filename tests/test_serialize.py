@@ -43,9 +43,12 @@ def test_certificate_roundtrip(demo_instance, demo_cascade):
     cert = invariant_pair(stage.problem, demo_instance.L,
                           demo_cascade.n0 + 1, stage.constants)
     obj = serialize.certificate_to_json(cert, stage.problem)
+    assert obj["format"] == 2 and "V" not in obj
     back_cert, back_problem = serialize.certificate_from_json(obj)
-    np.testing.assert_allclose(back_cert.xi, cert.xi)
+    for name in ("J", "xi", "eta_hat", "X", "Y_inv"):
+        np.testing.assert_array_equal(getattr(back_cert, name), getattr(cert, name))
     assert back_cert.constants == cert.constants
+    assert back_problem.powers.model == stage.problem.powers.model
     assert back_problem.k1 == stage.problem.k1
     np.testing.assert_array_equal(back_problem.V, stage.problem.V)
 
