@@ -33,7 +33,6 @@ from .scenario import (
     PerturbationLaw,
     check_angle_independence,
     check_L_conditions,
-    check_nonresonance,
     generate_instance,
     perturb_to_generic,
     random_model_T,
@@ -58,7 +57,6 @@ __all__ = [
     "cascade_decompose",
     "check_L_conditions",
     "check_angle_independence",
-    "check_nonresonance",
     "choose_parameters",
     "derive_constants",
     "find_subsequence",

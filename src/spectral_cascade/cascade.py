@@ -13,13 +13,19 @@ with every X^(j) within eps0 of its n-independent limit.  On 2x2 rotation
 levels the limit's polar angle opens an explicit phase window inside which
 X^(j) T_j^n has real simple eigenvalues, which drives the subsequence
 search for exponents where the whole product has real simple spectrum.
+
+One private loop, ``_chain``, walks the stages for both ``cascade_decompose``
+and ``stage_input``; it admits each stage input through
+``graph_transform.admit`` before splitting it.  ``examine`` is the one hit
+rule: the search and ``verify`` both confirm a hit through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,6 +45,7 @@ from .errors import (
 from .graph_transform import (
     SplitProblem,
     TransformConstants,
+    admit,
     derive_constants,
     dominated_split,
     solve_xi,  # unused here; bench/tests checks that the tracer wraps this second binding
@@ -54,11 +61,11 @@ from .linalg import (
     signed_fraction,
 )
 from .model import DiagonalModel, DiagonalPowers
-from .oracle import ScaledSpectrum, match_scaled, product_spectrum
+from .oracle import GAP_TOL, ScaledSpectrum, match_scaled, product_spectrum
 from .scenario import InstanceSpec, check_L_conditions
 
-DEFAULT_MARGIN_FACTOR = 0.05
-_ORACLE_MATCH_TOL = 1e-6
+MARGIN_FACTOR = 0.05
+ORACLE_TOL = 1e-6  # largest relative mismatch against the oracle in a hit
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ class CascadeResult:
 
 
 def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
-                      law=None, margin_factor: float = DEFAULT_MARGIN_FACTOR) -> ParameterCascade:
+                      law=None) -> ParameterCascade:
     """Backward induction of per-stage radii from the target accuracy.
 
     Stage m-1 must deliver a remainder whose inverse is eps0-close to the
@@ -207,7 +214,7 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                 f"level {j} limit has no rotation margin: {exc}"
             ) from exc
         drift_cap = eps0 * op_norm(invert(lam)) / math.pi
-        if eps_hat * (1.0 - margin_factor) <= drift_cap:
+        if eps_hat * (1.0 - MARGIN_FACTOR) <= drift_cap:
             raise EpsilonTooLarge(
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "
                 f"{drift_cap:.3g} turns against a window of {eps_hat:.3g}; shrink eps0"
@@ -217,7 +224,7 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
 
     return ParameterCascade(
         eps0=eps0, stages=stages, limits=tuple(limits),
-        polar_refs=polar_refs, n0=n0, k0=k0, margin_factor=margin_factor,
+        polar_refs=polar_refs, n0=n0, k0=k0, margin_factor=MARGIN_FACTOR,
     )
 
 
@@ -249,13 +256,16 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
                      polar=polar, eps_hat=eps_hat)
 
 
-def _stage_split(stage: CascadeStage, J: np.ndarray, n: int):
-    """One stage of the chain: the top block X and the remainder Y fed onward."""
-    try:
-        cert, _ = dominated_split(stage.problem, J, n)
-        return cert.X, invert(cert.Y_inv)
-    except (NumericError, ConditionError) as exc:
-        raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc) from exc
+def _chain(current: np.ndarray, n: int, stages):
+    """Admit, split and yield (stage, X, remainder Y) per stage; raises StageFailure."""
+    for stage in stages:
+        try:
+            admit(stage.problem, stage.constants, current, n, stage.constants.n0)
+            cert, _ = dominated_split(stage.problem, current, n)
+            current = invert(cert.Y_inv)
+        except (NumericError, ConditionError) as exc:
+            raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc) from exc
+        yield stage, cert.X, current
 
 
 def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
@@ -265,20 +275,7 @@ def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
     if current.shape != (model.d, model.d):
         raise ValueError(f"matrix must be {model.d}x{model.d}, got {current.shape}")
     levels = []
-    for stage in cascade.stages:
-        dist = op_norm(current - stage.problem.J0)
-        if dist >= stage.constants.beta:
-            raise StageFailure(
-                f"stage {stage.j}: input outside the beta ball "
-                f"({dist:.3g} >= {stage.constants.beta:.3g})",
-                stage=stage.j,
-            )
-        if n < stage.constants.n0:
-            raise StageFailure(
-                f"stage {stage.j}: exponent {n} below threshold {stage.constants.n0}",
-                stage=stage.j,
-            )
-        X, current = _stage_split(stage, current, n)
+    for stage, X, current in _chain(current, n, cascade.stages):
         levels.append(_level_data(stage.j, X, n, model, stage.limit))
     m = cascade.m
     levels.append(_level_data(m, current, n, model, cascade.limits[m - 1]))
@@ -294,12 +291,16 @@ def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
 
 
 def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> np.ndarray:
-    """The matrix entering stage j: L_k itself for j=1, else the chained remainder."""
+    """The matrix entering stage j: L_k itself for j=1, else the chained remainder.
+
+    Stages 1..j-1 run through the same loop as ``cascade_decompose``, so this
+    raises StageFailure exactly where the decomposition would.
+    """
     if not 1 <= j <= len(cascade.stages):
         raise ValueError(f"stage {j} out of range 1..{len(cascade.stages)}")
     current = np.asarray(L_k, dtype=float)
-    for stage in cascade.stages[: j - 1]:
-        _, current = _stage_split(stage, current, n)
+    for _, _, current in _chain(current, n, cascade.stages[: j - 1]):
+        pass
     return current
 
 
@@ -334,38 +335,40 @@ class SearchResult:
     examined: int
     prefilter_pass: int
     near_misses: list
-    rows: list = field(default_factory=list)
 
 
 def _csv_rows_header(structure: BlockStructure) -> list:
     header = ["n"]
     header += [f"phase_{j}" for j in structure.rotation_indices]
     for i in range(structure.d):
-        header += [f"eig{i}_re", f"eig{i}_im"]
+        header += [f"eig{i}_unit_re", f"eig{i}_unit_im", f"eig{i}_log10_mod"]
     header += ["min_gap", "accepted"]
     return header
 
 
 def _spectrum_row(spec: ScaledSpectrum) -> list:
-    vals = spec.unit * np.exp(np.clip(spec.log_mod, -700.0, 700.0))
-    order = np.argsort(spec.log_mod)[::-1]
+    """Eigenvalues by decreasing modulus, in the artifacts' split form."""
     out = []
-    for v in vals[order]:
-        out += [float(v.real), float(v.imag)]
+    for i in np.argsort(spec.log_mod)[::-1]:
+        out += [float(spec.unit[i].real), float(spec.unit[i].imag),
+                float(spec.log_mod[i]) / math.log(10.0)]
     return out
 
 
-def _examine(n: int, instance: InstanceSpec, cascade: ParameterCascade,
-             gap_tol: float):
-    """Evaluate one candidate exponent; returns (hit_or_none, row, miss_or_none)."""
+def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
+    """The hit rule at index n; returns (hit_or_none, csv_row, miss_or_none).
+
+    A hit needs limits and domination, a real simple spectrum at GAP_TOL, an
+    oracle mismatch of at most ORACLE_TOL and a real simple oracle spectrum.
+    """
     model = instance.model
     N = instance.a * n + instance.b
     structure = model.structure
-    blank = [""] * (2 * structure.d)
+    L_n = instance.L_n(n)
     try:
-        result = cascade_decompose(instance.L_n(n), N, model, cascade)
+        result = cascade_decompose(L_n, N, model, cascade)
     except StageFailure as exc:
-        row = [n] + [""] * len(structure.rotation_indices) + blank + ["", 0]
+        row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
         return None, row, (n, f"stage {exc.stage}: {exc}")
     phases = {}
     for j in structure.rotation_indices:
@@ -374,7 +377,7 @@ def _examine(n: int, instance: InstanceSpec, cascade: ParameterCascade,
         except ValueError:
             phases[j] = math.nan
     spec = result.spectrum
-    ok, min_gap = spec.real_simple(gap_tol)
+    ok, min_gap = spec.real_simple(GAP_TOL)
     ok = ok and result.limits_ok and result.domination_ok
     row = ([n] + [phases[j] for j in structure.rotation_indices]
            + _spectrum_row(spec) + [min_gap, int(ok)])
@@ -383,10 +386,10 @@ def _examine(n: int, instance: InstanceSpec, cascade: ParameterCascade,
                   else "limits or domination violated")
         return None, row, (n, f"{reason} (min_gap {min_gap:.3g})")
 
-    reference = product_spectrum(instance.L_n(n), model, N)
+    reference = product_spectrum(L_n, model, N)
     mismatch = match_scaled(spec, reference)
-    ref_ok, ref_gap = reference.real_simple(gap_tol)
-    if mismatch > _ORACLE_MATCH_TOL or not ref_ok:
+    ref_ok, ref_gap = reference.real_simple(GAP_TOL)
+    if mismatch > ORACLE_TOL or not ref_ok:
         row[-1] = 0
         return None, row, (
             n,
@@ -400,14 +403,15 @@ def _examine(n: int, instance: InstanceSpec, cascade: ParameterCascade,
 
 def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
                      count: int = 3, n_max: int = 100_000,
-                     gap_tol: float = 1e-9,
                      csv_path: Optional[str] = None) -> SearchResult:
     """Scan the progression a n + b for real-simple-spectrum exponents.
 
     A vectorized limit-phase prefilter keeps only exponents whose rotation
     phases (predicted from the limit polar angles) fall inside the
     real-simple windows; survivors are decomposed exactly and every hit is
-    confirmed against the independent oracle.  Raises
+    confirmed against the independent oracle (``examine``).  With
+    ``csv_path``, one row per examined exponent is written as it is
+    examined.  Raises
     SearchExhausted (with the near misses) when fewer than ``count`` hits
     exist below ``n_max``.
     """
@@ -432,26 +436,23 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
 
     hits = []
     near_misses = []
-    rows = []
-    examined = 0
-    try:
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if csv_path is not None:
+            writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
+            writer.writerow(_csv_rows_header(structure))
         for n in candidates:
-            hit, row, miss = _examine(int(n), instance, cascade, gap_tol)
-            examined += 1
-            rows.append(row)
+            hit, row, miss = examine(int(n), instance, cascade)
+            if writer is not None:
+                writer.writerow(row)
             if miss is not None:
                 near_misses.append(miss)
             if hit is not None:
                 hits.append(hit)
                 if len(hits) >= count:
                     break
-    finally:
-        if csv_path is not None:
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_csv_rows_header(structure))
-                writer.writerows(rows)
 
+    examined = len(hits) + len(near_misses)  # examine returns a hit or a miss
     if len(hits) < count:
         raise SearchExhausted(
             f"found {len(hits)} of {count} exponents below {n_max} "
@@ -460,7 +461,7 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
         )
     return SearchResult(hits=hits, examined=examined,
                         prefilter_pass=int(len(candidates)),
-                        near_misses=near_misses, rows=rows)
+                        near_misses=near_misses)
 
 
 @dataclass(eq=False)
@@ -476,10 +477,9 @@ class ProveReport:
 
 def prove_instance(instance: InstanceSpec, eps0: float = 1e-3,
                    count: int = 3, n_max: int = 100_000,
-                   gap_tol: float = 1e-9,
                    csv_path: Optional[str] = None) -> ProveReport:
     """End to end: parameters, then the certified subsequence search."""
     cascade = choose_parameters(instance.model, instance.L, eps0, law=instance.law)
     search = find_subsequence(instance, cascade, count=count, n_max=n_max,
-                              gap_tol=gap_tol, csv_path=csv_path)
+                              csv_path=csv_path)
     return ProveReport(instance=instance, cascade=cascade, search=search)

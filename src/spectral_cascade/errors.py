@@ -46,10 +46,6 @@ class PowerOverflow(NumericError):
 class NegativeDeterminant(NumericError):
     """Polar decomposition requested for an orientation-reversing block."""
 
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
 
 class DegeneratePolar(ConditionError):
     """Symmetric factor has equal eigenvalues; no positive rotation margin."""
@@ -91,14 +87,6 @@ class IndependenceFailure(ConditionError):
 
 class PerturbationExhausted(ConditionError):
     """Could not reach a generic matrix within the retry budget."""
-
-
-class ResonanceFound(ConditionError):
-    """A multiplicative integer relation among moduli was detected."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class SearchExhausted(SpectralCascadeError):

@@ -18,7 +18,12 @@ carry the spectrum: spectrum(J V^n) = spectrum(X A(V)^n) + spectrum(Y D(V)^n).
 
 ``dominated_split`` is the one kernel that computes xi, eta_hat, X and
 Y^{-1} at a (J, n); the cascade, ``invariant_pair`` and ``verify`` all use it
-or its check.  The check is scale-free.  The invariance equations of the two
+or its check.  ``admit`` is the one admission check: the split's hypotheses
+hold only for J in the beta ball around J0 and n past a threshold.  The
+cascade's stage loop admits with the stage's n0, ``invariant_pair`` and
+``verify`` with n0_plus.
+
+The certificate check is scale-free.  The invariance equations of the two
 graphs, J V^n G_xi = G_xi X A(V)^n and V^{-n} J^{-1} G_eta = G_eta D(V)^{-n}
 Y^{-1}, are multiplied through by A(V)^{-n} and V^n respectively:
 
@@ -316,6 +321,18 @@ def solve_eta(problem: SplitProblem, J: np.ndarray, n: int,
     raise NoConvergence(f"eta iteration did not converge at n={n}; constants violated")
 
 
+def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
+          n: int, n_min: int) -> None:
+    """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n_min."""
+    dist = op_norm(J - problem.J0)
+    if dist >= constants.beta:
+        raise HypothesisFailure(
+            f"input outside the beta ball ({dist:.3g} >= {constants.beta:.3g})"
+        )
+    if n < n_min:
+        raise HypothesisFailure(f"exponent {n} below threshold {n_min}")
+
+
 def dominated_split(problem: SplitProblem, J: np.ndarray, n: int):
     """The split kernel: xi, eta_hat, X and Y^{-1} at one (J, n).
 
@@ -380,10 +397,13 @@ def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray) -> dic
 
 
 def invariant_pair(problem: SplitProblem, J: np.ndarray, n: int,
-                   constants: Optional[TransformConstants] = None) -> SplitCertificate:
-    """Split at one (J, n) and certify it; raises CertificateFailure on a failed item."""
-    if constants is None:
-        constants = derive_constants(problem)
+                   constants: TransformConstants) -> SplitCertificate:
+    """Admit (J, n) against n0_plus, split and certify.
+
+    Raises HypothesisFailure when (J, n) is not admitted and
+    CertificateFailure on a failed item.
+    """
+    admit(problem, constants, J, n, constants.n0_plus)
     cert, Ji = dominated_split(problem, J, n)
     cert.constants = constants
     report = _check(problem, cert, Ji)

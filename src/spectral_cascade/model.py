@@ -130,9 +130,6 @@ class DiagonalModel:
             out.extend([math.log(blk.modulus)] * blk.size)
         return np.array(out)
 
-    def log_abs_det(self) -> float:
-        return float(np.sum(self.coordinate_log_moduli()))
-
     @property
     def rotation_angles(self) -> dict[int, float]:
         """Angles theta_j keyed by 1-based rotation level."""

@@ -41,6 +41,7 @@ from .errors import ConvergenceFailure, PowerOverflow
 from .linalg import eigenvalues, phase_mod1, rotation_matrix
 from .model import DiagonalModel
 
+GAP_TOL = 1e-9  # imaginary part and relative modulus gap of a real simple spectrum
 NUMPY_DIGIT_CAP = 30.0
 GRADED_DIGITS = 40
 CHECK_DIGITS = 80
@@ -74,7 +75,7 @@ class ScaledSpectrum:
             raise PowerOverflow("spectrum moduli exceed the float range")
         return self.unit * np.exp(self.log_mod)
 
-    def real_simple(self, gap_tol: float = 1e-9):
+    def real_simple(self, gap_tol: float = GAP_TOL):
         """All-real with distinct moduli, judged in split form.
 
         Returns (ok, min relative modulus gap); relative gaps are computed

@@ -20,7 +20,6 @@ from .errors import (
     ConditionFailure,
     IndependenceFailure,
     PerturbationExhausted,
-    ResonanceFound,
     SingularMatrix,
     IllConditioned,
 )
@@ -291,31 +290,6 @@ def perturb_to_generic(L: np.ndarray, structure: BlockStructure, strength: float
     raise PerturbationExhausted(
         f"no generic matrix within strength {strength} after 50 attempts"
     )
-
-
-def check_nonresonance(values, K: int, tol_log: float = 1e-9):
-    """Modulus non-resonance over the integer coefficient box |k_i| <= K.
-
-    Verifies |sum k_i log|lambda_i|| > tol_log for every nonzero integer
-    vector in the box; returns (min margin, achieving k) on success.
-    """
-    logs = np.array([math.log(abs(complex(v))) for v in values])
-    if np.any(~np.isfinite(logs)):
-        raise ValueError("zero or infinite value in spectrum")
-    m = len(logs)
-    grids = np.meshgrid(*([np.arange(-K, K + 1)] * m), indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1)
-    nz = np.any(coeffs != 0, axis=1)
-    coeffs = coeffs[nz]
-    margins = np.abs(coeffs @ logs)
-    idx = int(np.argmin(margins))
-    margin = float(margins[idx])
-    witness = tuple(int(x) for x in coeffs[idx])
-    if margin <= tol_log:
-        raise ResonanceFound(
-            f"resonance at k={witness} with margin {margin:.3g}", witness=witness
-        )
-    return margin, witness
 
 
 def generate_instance(structure, seed: int = 0, *, ratio: float = 1.35,

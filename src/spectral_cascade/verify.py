@@ -2,23 +2,24 @@
 
 Each artifact kind is checked from scratch: instances against the
 genericity and independence conditions, split certificates against
-recomputed residuals and rederived constants, decomposition results and
-subsequence reports by rerunning the decomposition and comparing against
-the independent oracle at every exponent.
+recomputed residuals and rederived constants, admitted through the
+split's own admission check, decomposition results by rerunning the
+decomposition and comparing against the independent oracle, and
+subsequence reports by applying the search's own hit rule
+(``cascade.examine``) at every stored exponent.
 """
 
 from __future__ import annotations
 
 from . import serialize
-from .cascade import cascade_decompose, choose_parameters
+from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine
 from .errors import SpectralCascadeError, VerificationFailure
-from .graph_transform import derive_constants, verify_certificate
+from .graph_transform import admit, derive_constants, verify_certificate
 from .linalg import op_norm
 from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
 
 _MATCH_TOL = 1e-8
-_ORACLE_TOL = 1e-6
 
 
 def _fail(msg: str):
@@ -45,11 +46,7 @@ def _verify_split_certificate(obj) -> dict:
         val = float(getattr(fresh, name))
         if abs(stored - val) > 1e-9 * max(1.0, abs(val)):
             _fail(f"constant {name} does not rederive: {stored} vs {val}")
-    dist = op_norm(cert.J - problem.J0)
-    if dist >= fresh.beta:
-        _fail(f"certified J lies outside the beta ball ({dist:.3g})")
-    if cert.n < fresh.n0_plus:
-        _fail(f"certified n={cert.n} below threshold {fresh.n0_plus}")
+    admit(problem, fresh, cert.J, cert.n, fresh.n0_plus)
     report = verify_certificate(cert, problem)
     if not report["passed"]:
         bad = [k for k, v in report.items() if isinstance(v, dict) and not v["passed"]]
@@ -76,7 +73,7 @@ def _verify_cascade_result(obj) -> dict:
     if bool(obj["domination_ok"]) != result.domination_ok:
         _fail("domination flag does not recompute")
     oracle_mismatch = match_scaled(result.spectrum, product_spectrum(spec.L_n(k), spec.model, n))
-    if oracle_mismatch > _ORACLE_TOL:
+    if oracle_mismatch > ORACLE_TOL:
         _fail(f"decomposed spectrum disagrees with the oracle ({oracle_mismatch:.3g})")
     return {"kind": obj["kind"], "passed": True, "oracle_mismatch": oracle_mismatch}
 
@@ -93,21 +90,15 @@ def _verify_prove_report(obj) -> dict:
         n, N = int(hit["n"]), int(hit["exponent"])
         if N != spec.a * n + spec.b:
             _fail(f"exponent {N} is off the progression at index {n}")
-        result = cascade_decompose(spec.L_n(n), N, spec.model, cascade)
-        if not (result.limits_ok and result.domination_ok):
-            _fail(f"hit n={n}: limits or domination fail on recompute")
-        ok, gap = result.spectrum.real_simple(1e-9)
-        if not ok:
-            _fail(f"hit n={n}: spectrum not real simple on recompute (gap {gap:.3g})")
+        fresh, _, miss = examine(n, spec, cascade)
+        if fresh is None:
+            _fail(f"hit n={n} is no hit on recompute: {miss[1]}")
         stored_gap = float(hit["min_gap"])
-        if abs(gap - stored_gap) > 1e-6 * max(1.0, abs(stored_gap)):
-            _fail(f"hit n={n}: stored gap {stored_gap} does not recompute ({gap})")
-        mism = match_scaled(result.spectrum, serialize.spectrum_from_json(hit["spectrum"]))
+        if abs(fresh.min_gap - stored_gap) > 1e-6 * max(1.0, abs(stored_gap)):
+            _fail(f"hit n={n}: stored gap {stored_gap} does not recompute ({fresh.min_gap})")
+        mism = match_scaled(fresh.spectrum, serialize.spectrum_from_json(hit["spectrum"]))
         if mism > _MATCH_TOL:
             _fail(f"hit n={n}: stored spectrum mismatch {mism:.3g}")
-        om = match_scaled(result.spectrum, product_spectrum(spec.L_n(n), spec.model, N))
-        if om > _ORACLE_TOL:
-            _fail(f"hit n={n}: oracle mismatch {om:.3g}")
         checked.append(N)
     return {"kind": obj["kind"], "passed": True, "exponents": checked}
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spectral_cascade as sc
+from spectral_cascade import serialize
 from spectral_cascade.cascade import (
     cascade_decompose,
     choose_parameters,
@@ -103,6 +104,21 @@ def test_stage_input_chains(demo_instance, demo_cascade):
     assert op_norm(deeper - casc.stages[1].problem.J0) < casc.stages[1].constants.beta
 
 
+def test_stage_input_admits_like_cascade_decompose(demo_instance, demo_cascade):
+    """stage_input fails at the stage where cascade_decompose would."""
+    spec, casc = demo_instance, demo_cascade
+    first = casc.stages[0]
+    below = first.constants.n0 - 1
+    with pytest.raises(StageFailure) as exc:
+        stage_input(spec.L_n(casc.k0), below, casc, 2)
+    assert exc.value.stage == 1
+    outside = spec.L_n(casc.k0 - 3)
+    assert op_norm(outside - first.problem.J0) >= first.constants.beta
+    with pytest.raises(StageFailure) as exc:
+        stage_input(outside, casc.n0 + 7, casc, 2)
+    assert exc.value.stage == 1
+
+
 def test_polar_forms_and_rotation_phase(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     n = casc.n0 + 3
@@ -158,9 +174,23 @@ DEMO_HITS = [65, 95, 125, 162, 375, 442, 472, 722, 752, 789, 1002, 1069, 1099,
              4021, 4234, 4271, 4301, 4331]
 
 
-def test_search_through_graded_oracle_matches_reference(demo_instance, demo_cascade):
-    """Most of these hits are confirmed on the oracle's high-precision route."""
-    res = find_subsequence(demo_instance, demo_cascade, count=40)
+def test_search_through_graded_oracle_matches_reference(demo_instance, demo_cascade,
+                                                        tmp_path):
+    """Most of these hits are confirmed on the oracle's high-precision route.
+
+    Their moduli leave the float range from n ~ 2000 on, so the scan log
+    must carry them in split form.
+    """
+    csv_path = tmp_path / "scan.csv"
+    res = find_subsequence(demo_instance, demo_cascade, count=40, csv_path=str(csv_path))
     assert [h.exponent for h in res.hits] == DEMO_HITS
     assert all(h.oracle_checked for h in res.hits)
     assert res.examined == 40
+    with open(csv_path) as fh:
+        accepted = [row for row in csv.DictReader(fh) if row["accepted"] == "1"]
+    assert [int(row["n"]) for row in accepted] == [h.n for h in res.hits]
+    for row, hit in zip(accepted, res.hits):
+        logged = serialize.spectrum_from_json(
+            {part: [float(row[f"eig{i}_{part}"]) for i in range(demo_instance.model.d)]
+             for part in ("unit_re", "unit_im", "log10_mod")})
+        assert match_scaled(logged, hit.spectrum) < 1e-12

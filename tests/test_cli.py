@@ -116,14 +116,27 @@ def seed3_file(tmp_path_factory):
     return path
 
 
-def _split(seed3_file, out, level, n):
-    return run(["split", "--instance", seed3_file, "--level", level, "--k", "21",
+def _split(seed3_file, out, level, n, k=21):
+    return run(["split", "--instance", seed3_file, "--level", level, "--k", k,
                 "--n", n, "--out", out])
 
 
+# (1,2,2) seed 3 has k0 = 21 and stage thresholds n0 = 53 and 37; L_18 lies
+# outside the first stage's beta ball.
+@pytest.mark.parametrize("level,k,n", [(1, 21, 40), (1, 18, 60), (2, 21, 40)],
+                         ids=["below-n0", "outside-ball", "stage-1-below-n0"])
+def test_split_refuses_what_cascade_refuses(tmp_path, seed3_file, level, k, n):
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, level, n, k=k) == 1
+    assert not out.exists()
+    assert run(["cascade", "--instance", seed3_file, "--k", k, "--n", n,
+                "--out", tmp_path / "casc.json"]) == 1
+
+
 @pytest.mark.parametrize("level", [1, 2])
-@pytest.mark.parametrize("n", [3_000, 100_000])
+@pytest.mark.parametrize("n", [53, 100, 3_000, 100_000])
 def test_split_at_large_n_verifies(tmp_path, seed3_file, level, n):
+    """From the threshold n0_plus = 53 on, a split that exits 0 verifies."""
     out = tmp_path / "cert.json"
     assert _split(seed3_file, out, level, n) == 0
     assert run(["verify", "--artifact", out]) == 0

@@ -102,6 +102,3 @@ def test_coordinate_log_moduli_and_det():
     logs = model.coordinate_log_moduli()
     assert logs.shape == (5,)
     assert logs[0] == pytest.approx(math.log(1.6))
-    assert model.log_abs_det() == pytest.approx(
-        math.log(1.6) + 2 * math.log(1.1) + 2 * math.log(0.7)
-    )

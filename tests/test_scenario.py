@@ -8,7 +8,6 @@ from spectral_cascade.errors import (
     ConditionFailure,
     IndependenceFailure,
     PerturbationExhausted,
-    ResonanceFound,
 )
 from spectral_cascade.linalg import op_norm
 from spectral_cascade.scenario import (
@@ -16,7 +15,6 @@ from spectral_cascade.scenario import (
     PerturbationLaw,
     check_angle_independence,
     check_L_conditions,
-    check_nonresonance,
     generate_instance,
     perturb_to_generic,
     random_model_T,
@@ -100,15 +98,6 @@ def test_perturb_to_generic_fixes_conformal_block():
     assert op_norm(fixed - L) <= 0.2 + 1e-12
     with pytest.raises(PerturbationExhausted):
         perturb_to_generic(L, s, strength=1e-15, seed=0)
-
-
-def test_nonresonance_detects_multiplicative_relation():
-    with pytest.raises(ResonanceFound) as exc:
-        check_nonresonance([4.0, 2.0], K=3)
-    assert exc.value.witness in {(1, -2), (-1, 2)}
-    margin, witness = check_nonresonance([4.0, 2.0 * math.sqrt(2), 0.7], K=3)
-    assert margin > 1e-9
-    assert len(witness) == 3
 
 
 def test_generate_instance_is_valid_and_deterministic():
