@@ -21,7 +21,7 @@ from .cascade import (
 from .errors import ConditionFailure, SpectralCascadeError, VerificationFailure
 from .graph_transform import invariant_pair
 from .linalg import PHASE_EXPONENT_LIMIT
-from .scenario import check_L_conditions, generate_instance
+from .scenario import check_angle_independence, check_L_conditions, generate_instance
 from .verify import verify_artifact
 
 USAGE_EXIT = 64
@@ -81,6 +81,10 @@ def _cmd_check(args) -> int:
         print(f"  [{status}] {line.name} (margin {line.margin:.3g})")
     if not report.passed:
         raise ConditionFailure("instance fails genericity conditions")
+    angles = list(spec.model.rotation_angles.values())
+    if angles:
+        margin = check_angle_independence(angles)
+        print(f"  [ok] rotation angles independent (margin {margin:.3g})")
     print("all conditions hold")
     return 0
 

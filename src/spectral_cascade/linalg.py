@@ -2,12 +2,15 @@
 
 All matrices are numpy float arrays of dimension up to ~10.  Angles are in
 turns (theta in [0, 1), rotation by 2*pi*theta) throughout the package.
+The lattice routines at the end work on rows of Python integers instead,
+exactly.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -288,3 +291,70 @@ def phase_mod1(theta: float, n, offset: float = 0.0) -> np.ndarray:
     hi = math.floor(theta * 2.0 ** 26) / 2.0 ** 26
     lo = theta - hi
     return ((n * hi) % 1.0 + n * lo + offset % 1.0) % 1.0
+
+
+def lll_reduce(b: list) -> tuple[list, list]:
+    """LLL-reduce the independent integer rows b in place, delta = 99/100.
+
+    Integral bookkeeping of Cohen, Alg. 2.6.7: returns the Gram-Schmidt data of
+    the reduced rows exactly, ||b*_i||^2 = d[i+1] / d[i] and
+    mu_kj = lam[k][j] / d[j+1].
+    """
+    n = len(b)
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]
+    k = 1
+    while k < n:
+        for l in range(k - 1, -1, -1):
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+                lam[k][l] -= q * d[l + 1]
+                for i in range(l):
+                    lam[k][i] -= q * lam[l][i]
+        lk = lam[k][k - 1]
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lk ** 2:
+            k += 1
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        d_new = (d[k - 1] * d[k + 1] + lk ** 2) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (d_new * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = d_new
+        k = max(1, k - 1)
+    return d, lam
+
+
+def short_vectors(d: list, lam: list, radius2: int):
+    """Fincke-Pohst enumeration over the Gram-Schmidt data of lll_reduce.
+
+    Yields every integer coefficient vector x (the zero vector included)
+    with ||sum_i x_i b_i||^2 <= radius2.  With N_i = d[i+1] x_i +
+    sum_{j>i} lam[j][i] x_j the squared norm is sum_i N_i^2 / (d[i] d[i+1]),
+    so each level's range of x_i follows from an integer square root, exactly.
+    """
+    n = len(d) - 1
+    x = [0] * n
+
+    def level(i, rest):
+        if i < 0:
+            yield list(x)
+            return
+        s = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        m = math.isqrt(math.floor(rest * d[i] * d[i + 1]))  # |N_i| <= m
+        for x[i] in range(-((m + s) // d[i + 1]), (m - s) // d[i + 1] + 1):
+            N = d[i + 1] * x[i] + s
+            yield from level(i - 1, rest - Fraction(N * N, d[i] * d[i + 1]))
+        x[i] = 0
+
+    yield from level(n - 1, Fraction(radius2))

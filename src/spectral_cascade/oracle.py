@@ -42,7 +42,7 @@ from .linalg import eigenvalues, phase_mod1, rotation_matrix
 from .model import DiagonalModel
 
 GAP_TOL = 1e-9  # imaginary part and relative modulus gap of a real simple spectrum
-NUMPY_DIGIT_CAP = 30.0
+NUMPY_DIGIT_CAP = 20.0  # the QR route loses accuracy from ~28 digits of spread on
 GRADED_DIGITS = 40
 CHECK_DIGITS = 80
 _LN10 = math.log(10.0)

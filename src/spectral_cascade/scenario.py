@@ -23,16 +23,20 @@ from .errors import (
     SingularMatrix,
     IllConditioned,
 )
-from .linalg import invert, op_norm, rotation_matrix, singular_values
+from .linalg import (
+    invert,
+    lll_reduce,
+    op_norm,
+    rotation_matrix,
+    short_vectors,
+    singular_values,
+)
 from .model import DiagonalModel, RotationBlock, ScalarBlock
 
 SV_GAP_TOL = 1e-9
 
 # primes whose square roots seed low-discrepancy irrational angles
 _ANGLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-
-_independence_cache: dict = {}
-
 
 @dataclass(frozen=True)
 class PerturbationLaw:
@@ -153,96 +157,56 @@ def check_L_conditions(L: np.ndarray, structure: BlockStructure,
     return ConditionReport(tuple(lines), all(ln.passed for ln in lines))
 
 
-def _coeff_threshold(max_abs_coeff: np.ndarray, n_angles: int) -> np.ndarray:
+def _coeff_threshold(max_abs_coeff: int, n_angles: int) -> Fraction:
     # Diophantine margin: an exact relation sits at distance ~0 while, for
     # almost every angle tuple, |q + p . theta| stays above C / |p|^t
     # (t = number of angles).  The allowance |p|^-(t+1) is safely below
     # that generic floor, so pseudo-random near-hits are not flagged.
-    return 1e-3 / (1.0 + max_abs_coeff) ** (n_angles + 1)
+    return Fraction(1, 1000 * (1 + max_abs_coeff) ** (n_angles + 1))
 
 
 def check_angle_independence(thetas, max_coeff: int = 10_000) -> float:
-    """Bounded-coefficient rational-independence test for (1, theta_1, ...).
+    """Exact rational-independence test for (1, theta_1, ..., theta_t).
 
-    Returns the worst margin min |q + sum p_i theta_i| / threshold over the
-    coefficient box; raises IndependenceFailure when a relation is found.
-    Exhaustive for up to two angles, exhaustive-small plus randomized for
-    more.
+    Raises IndependenceFailure when some integer p with 0 < max|p_i| <=
+    max_coeff puts p . theta within _coeff_threshold(max|p|, t) of an
+    integer.  Exhaustive, one shell max|p| in [P, 2P) at a time: with
+    theta_i = a_i / D (float angles are dyadic) and the integer
+    K = 2P / threshold(P), such a p gives a vector (D p, K (p . a + q D))
+    of squared norm below D^2 (t+1) (2P)^2 in the lattice of the rows
+    (D e_i, K a_i) and (0, K D).  Every lattice vector in that radius is
+    enumerated from an LLL-reduced basis and tested exactly; no step rounds.
+
+    Returns the smallest, over shells, of the shortest Gram-Schmidt norm
+    of the reduced basis over the radius, a lower bound on the shortest
+    lattice vector: above 1, no candidate came within reach; at or below
+    1, those that did passed the exact test.
     """
-    thetas = tuple(float(t) for t in thetas)
-    key = (thetas, max_coeff)
-    if key in _independence_cache:
-        return _independence_cache[key]
-
-    worst = math.inf
-    if len(thetas) == 1:
-        theta = thetas[0]
-        frac = Fraction(theta)
-        # best rational approximations are the continued-fraction convergents
-        q = 1
-        while q <= max_coeff:
-            approx = frac.limit_denominator(q)
-            dist = abs(approx.denominator * theta - approx.numerator)
-            thr = float(_coeff_threshold(np.array(float(approx.denominator)), 1))
-            if dist < thr:
+    thetas = [Fraction(float(th)) for th in thetas]
+    t = len(thetas)
+    D = math.lcm(*(th.denominator for th in thetas))
+    a = [th.numerator * (D // th.denominator) % D for th in thetas]
+    basis = [[D * (i == j) for j in range(t)] + [a[i]] for i in range(t)] + [[0] * t + [D]]
+    K, margin, P = 1, math.inf, 1
+    while P <= max_coeff:
+        K_shell = int(2 * P / _coeff_threshold(P, t))
+        for row in basis:  # the last coordinate is K times an integer
+            row[t] = row[t] // K * K_shell
+        K = K_shell
+        d, lam = lll_reduce(basis)
+        radius2 = D * D * (t + 1) * (2 * P) ** 2
+        shortest = min(Fraction(d[i + 1], d[i]) for i in range(t + 1))
+        margin = min(margin, math.sqrt(shortest / radius2))
+        for x in short_vectors(d, lam, radius2):
+            p = [sum(xi * row[j] for xi, row in zip(x, basis)) // D for j in range(t)]
+            r = sum(pi * ai for pi, ai in zip(p, a)) % D
+            dist, top = Fraction(min(r, D - r), D), max(map(abs, p), default=0)
+            if 0 < top <= max_coeff and dist < _coeff_threshold(top, t):
                 raise IndependenceFailure(
-                    f"theta ~ {approx} to within {dist:.3g} (threshold {thr:.3g})"
+                    f"relation with coefficients {p} ~ integer (distance {float(dist):.3g})"
                 )
-            worst = min(worst, dist / thr)
-            q = max(q + 1, approx.denominator * 2)
-    elif len(thetas) == 2:
-        t1, t2 = thetas
-        p2 = np.arange(-max_coeff, max_coeff + 1)
-        frac2 = (p2 * t2) % 1.0
-        order = np.argsort(frac2)
-        frac2_sorted = frac2[order]
-        p2_sorted = p2[order]
-        # For each p1 only the p2 whose fractional part lands near
-        # -p1*theta1 can produce a relation; locate them by binary search
-        # instead of scanning the whole row.
-        for p1 in range(0, max_coeff + 1):
-            target = (-p1 * t1) % 1.0
-            width = 1e-3 / (1.0 + p1) ** 3  # widest threshold in this row
-            lo = np.searchsorted(frac2_sorted, target - width) - 1
-            hi = np.searchsorted(frac2_sorted, target + width) + 1
-            idx = np.arange(lo, hi) % len(frac2_sorted)
-            cand_p2 = p2_sorted[idx]
-            vals = (p1 * t1 + cand_p2 * t2) % 1.0
-            dist = np.minimum(vals, 1.0 - vals)
-            thr = _coeff_threshold(np.maximum(p1, np.abs(cand_p2)), 2)
-            nz = ~((cand_p2 == 0) & (p1 == 0))
-            bad = (dist < thr) & nz
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise IndependenceFailure(
-                    f"relation {p1}*theta1 + {int(cand_p2[k])}*theta2 ~ integer "
-                    f"(distance {float(dist[k]):.3g})"
-                )
-            if np.any(nz):
-                worst = min(worst, float(np.min((dist / thr)[nz])))
-    elif len(thetas) >= 3:
-        t = np.array(thetas)
-        grids = np.meshgrid(*([np.arange(-64, 65)] * len(thetas)), indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=1)
-        rng = np.random.default_rng(0)
-        rand = rng.integers(-max_coeff, max_coeff + 1, size=(500_000, len(thetas)))
-        coeffs = np.vstack([coeffs, rand])
-        nz = np.any(coeffs != 0, axis=1)
-        coeffs = coeffs[nz]
-        vals = (coeffs @ t) % 1.0
-        dist = np.minimum(vals, 1.0 - vals)
-        thr = _coeff_threshold(np.abs(coeffs).max(axis=1), len(thetas))
-        bad = dist < thr
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise IndependenceFailure(
-                f"relation with coefficients {coeffs[idx].tolist()} ~ integer "
-                f"(distance {float(dist[idx]):.3g})"
-            )
-        worst = float(np.min(dist / thr))
-
-    _independence_cache[key] = worst
-    return worst
+        P *= 2
+    return margin
 
 
 def random_model_T(structure: BlockStructure, moduli, seed: int = 0) -> DiagonalModel:

@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+from fractions import Fraction
 
 import pytest
 
@@ -29,10 +31,38 @@ def test_check_reports_failure(tmp_path, instance_file, capsys):
     assert run(["check", "--instance", bad]) == 1
 
 
+def test_check_and_verify_reject_related_angles(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--structure", "2,2,2", "--seed", "3", "--out", inst]) == 0
+    assert run(["check", "--instance", inst]) == 0
+    assert "rotation angles independent" in capsys.readouterr().out
+    # sqrt(2), sqrt(3) mod 1 and a dyadic t3 with 1000 t1 - 999 t2 + t3 in Z
+    t1, t2 = math.sqrt(2) % 1.0, math.sqrt(3) % 1.0
+    t3 = float(-(1000 * Fraction(t1) - 999 * Fraction(t2)) % 1)
+    obj = json.loads(inst.read_text())
+    for blk, theta in zip(obj["T_blocks"], (t1, t2, t3)):
+        blk["theta"] = theta
+    bad = tmp_path / "related.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["check", "--instance", bad]) == 1
+    assert "relation" in capsys.readouterr().err
+    assert run(["verify", "--artifact", bad]) == 1
+    assert "relation" in capsys.readouterr().err
+
+
 def test_cascade_and_verify(tmp_path, instance_file):
     out = tmp_path / "casc.json"
     assert run(["cascade", "--instance", instance_file, "--k", "20",
                 "--n", "60", "--out", out]) == 0
+    assert run(["verify", "--artifact", out]) == 0
+
+
+def test_cascade_past_28_digits_of_spread_verifies(tmp_path):
+    # (2,2) at n = 229 spans 29.8 digits, where the QR oracle route is off
+    # by 1.6e-2: verify must not reject this correct decomposition
+    inst, out = tmp_path / "inst.json", tmp_path / "casc.json"
+    assert run(["gen", "--structure", "2,2", "--seed", "4", "--out", inst]) == 0
+    assert run(["cascade", "--instance", inst, "--k", "13", "--n", "229", "--out", out]) == 0
     assert run(["verify", "--artifact", out]) == 0
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from spectral_cascade.linalg import (
     eigenvalues,
     eigenvalues_charpoly,
     invert,
+    lll_reduce,
     match_spectra,
     matrix_power_checked,
     max_real_simple_angle,
@@ -24,6 +26,7 @@ from spectral_cascade.linalg import (
     phase_mod1,
     polar_decompose_2x2,
     rotation_matrix,
+    short_vectors,
     signed_fraction,
     sin_turns,
     sqrtm_spd_2x2,
@@ -174,3 +177,66 @@ def test_phase_mod1_rejects_exponents_beyond_exact_range():
     for n in (2 ** 26, -(2 ** 26), np.array([1, 2 ** 26 + 5])):
         with pytest.raises(ValueError):
             phase_mod1(theta, n)
+
+
+def _gram_schmidt(rows):
+    """Squared Gram-Schmidt norms and mu, from scratch in Fractions."""
+    star, mu = [], [[Fraction(0)] * len(rows) for _ in rows]
+    for k, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j, w in enumerate(star):
+            mu[k][j] = sum(x * y for x, y in zip(row, w)) / sum(y * y for y in w)
+            v = [a - mu[k][j] * b for a, b in zip(v, w)]
+        star.append(v)
+    return [sum(y * y for y in v) for v in star], mu
+
+
+def _random_rows(rng, n, digits):
+    return [[int(rng.integers(-10 ** 6, 10 ** 6)) * 10 ** int(rng.integers(0, digits))
+             for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lll_reduce_returns_exact_reduced_gram_schmidt(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 4
+    rows = _random_rows(rng, n, 30)
+    B0, _ = _gram_schmidt(rows)
+    assert all(B0)  # independent rows
+    reduced = [r[:] for r in rows]
+    d, lam = lll_reduce(reduced)
+    B, mu = _gram_schmidt(reduced)
+    assert math.prod(B) == math.prod(B0) == d[n]  # same lattice volume
+    for k in range(n):
+        assert Fraction(d[k + 1], d[k]) == B[k]
+        for j in range(k):
+            assert Fraction(lam[k][j], d[j + 1]) == mu[k][j]
+            assert abs(mu[k][j]) <= Fraction(1, 2)
+        if k:
+            assert B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
+    # the reduced rows are integer combinations of the original ones and back
+    for a, b in ((rows, reduced), (reduced, rows)):
+        coeffs = np.linalg.solve(np.array(a, dtype=float).T, np.array(b, dtype=float).T)
+        assert np.allclose(coeffs, np.round(coeffs), atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_short_vectors_matches_brute_force(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 1 + seed % 3
+    while True:
+        rows = [[int(v) for v in rng.integers(-9, 10, size=n)] for _ in range(n)]
+        if round(np.linalg.det(np.array(rows, dtype=float))):
+            break
+    d, lam = lll_reduce(rows)
+    radius2 = int(rng.integers(0, 400))
+    # every coefficient of a vector within the radius is at most R ||B^-1||
+    box = int(math.sqrt(radius2) * np.linalg.norm(np.linalg.inv(np.array(rows, dtype=float)), 2)) + 2
+
+    def norm2(x):
+        return sum(sum(xi * r[j] for xi, r in zip(x, rows)) ** 2 for j in range(n))
+
+    want = {x for x in itertools.product(range(-box, box + 1), repeat=n) if norm2(x) <= radius2}
+    got = [tuple(x) for x in short_vectors(d, lam, radius2)]
+    assert len(got) == len(set(got))
+    assert set(got) == want

@@ -112,6 +112,21 @@ def test_product_spectrum_mp_path_consistent():
                 assert match_scaled(got, ref) <= 1e-10, (pattern, k, n)
 
 
+def test_numpy_route_agrees_with_graded_route_up_to_the_cap():
+    # worst measured up to 20 digits: 1.0e-11; from ~28 digits on, (1,1,2)
+    # and (2,2) reach 1e-3
+    for pattern in PATTERNS:
+        for seed in range(4):
+            spec = sc.generate_instance(pattern, seed=seed)
+            per_n = spread_digits(spec.model, 1)
+            top = int(NUMPY_DIGIT_CAP / per_n)
+            assert spread_digits(spec.model, top) <= NUMPY_DIGIT_CAP
+            for n in {top, *range(int(6 / per_n), top, int(2 / per_n))}:
+                got = product_spectrum(spec.L, spec.model, n)
+                ref = _graded_spectrum(spec.L, spec.model, n)
+                assert match_scaled(got, ref) <= 1e-9, (pattern, seed, n)
+
+
 def test_product_spectrum_beyond_the_old_digit_cap():
     spec = sc.generate_instance((2, 2, 2), seed=3)
     casc = sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)

@@ -1,4 +1,8 @@
 import math
+import time
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from spectral_cascade.errors import (
 )
 from spectral_cascade.linalg import op_norm
 from spectral_cascade.scenario import (
+    _ANGLE_PRIMES,
     InstanceSpec,
     PerturbationLaw,
     check_angle_independence,
@@ -79,6 +84,76 @@ def test_angle_independence_three_angles():
     check_angle_independence(thetas)
     with pytest.raises(IndependenceFailure):
         check_angle_independence([thetas[0], thetas[1], (thetas[0] + thetas[1]) % 1.0])
+
+
+def _sqrt_angles(primes):
+    return [math.sqrt(p) % 1.0 for p in primes]
+
+
+def _planted_angles(a, b):
+    """sqrt(2), sqrt(3) mod 1 and a dyadic theta_3 with a t1 + b t2 + t3 in Z exactly."""
+    t1, t2 = _sqrt_angles((2, 3))
+    t3 = float(-(a * Fraction(t1) + b * Fraction(t2)) % 1)
+    assert (a * Fraction(t1) + b * Fraction(t2) + Fraction(t3)).denominator == 1
+    return [t1, t2, t3]
+
+
+@pytest.mark.parametrize("a, b", [(1000, -999), (300, 250), (40, 30)])
+def test_angle_independence_catches_planted_relations(a, b):
+    with pytest.raises(IndependenceFailure, match=rf"\[-?{abs(a)}, -?{abs(b)}, -?1\]"):
+        check_angle_independence(_planted_angles(a, b))
+
+
+def test_angle_independence_catches_relation_of_float_angles():
+    # the float angles of sqrt(7), sqrt(13), sqrt(19) are dyadic rationals
+    # that satisfy an exact integer relation inside the coefficient box
+    thetas = _sqrt_angles((7, 13, 19))
+    coeffs = (9557, -5072, -7657)
+    assert sum(c * Fraction(t) for c, t in zip(coeffs, thetas)) == 352
+    with pytest.raises(IndependenceFailure, match=r"\[-?9557, -?5072, -?7657\]"):
+        check_angle_independence(thetas)
+
+
+def test_angle_independence_margin():
+    # above 1: no lattice vector came within the enumeration radius
+    for primes in ((2,), (2, 3), (2, 3, 5)):
+        assert 1.0 < check_angle_independence(_sqrt_angles(primes)) < math.inf
+    # at or below 1: candidates came within reach and each cleared the exact test
+    assert 0.0 < check_angle_independence(_sqrt_angles((11, 17, 23))) <= 1.0
+
+
+def test_random_model_T_skips_related_angles():
+    first = np.random.default_rng(238).choice(_ANGLE_PRIMES, size=3, replace=False)
+    assert sorted(first) == [7, 13, 19]
+    model = random_model_T((2, 2, 2), [2.0, 1.0, 0.5], seed=238)
+    assert sorted(model.rotation_angles.values()) != sorted(_sqrt_angles((7, 13, 19)))
+
+
+def test_every_drawable_angle_tuple():
+    """Exactly one unordered 1-, 2- or 3-tuple of _ANGLE_PRIMES has a relation."""
+    start = time.perf_counter()
+    rejected = []
+    for t in (1, 2, 3):
+        for primes in combinations(_ANGLE_PRIMES, t):
+            try:
+                margin = check_angle_independence(_sqrt_angles(primes))
+            except IndependenceFailure:
+                rejected.append(primes)
+                continue
+            assert math.isfinite(margin) and margin > 0, primes
+    assert rejected == [(7, 13, 19)]
+    assert time.perf_counter() - start < 5.0
+
+
+def test_angle_independence_allocates_no_large_arrays():
+    thetas = _sqrt_angles((53, 59, 61))
+    tracemalloc.start()
+    try:
+        check_angle_independence(thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_random_model_T_shape_and_angles():
