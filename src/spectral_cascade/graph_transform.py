@@ -64,18 +64,28 @@ _SCAN_CAP = 200_000
 
 
 class DensePowers:
-    """Sandwich products of a generic block-diagonal V by repeated multiplication."""
+    """Sandwich products of a block-diagonal V by repeated multiplication, kept for the last n."""
 
     def __init__(self, V: np.ndarray, k1: int):
         AV, _, _, DV = split_blocks(np.asarray(V, dtype=float), k1)
         self._AVi = invert(AV)
         self._DV = DV
+        self._cache = (None,)
+
+    def _powers(self, n: int):
+        """(n, D(V)^n, A(V)^{-n}), rebuilt only when n changes."""
+        if self._cache[0] != n:
+            DVn = matrix_power_checked(self._DV, n)
+            self._cache = (n, DVn, matrix_power_checked(self._AVi, n))
+        return self._cache
 
     def dvn_u_avmn(self, u: np.ndarray, n: int) -> np.ndarray:
-        return matrix_power_checked(self._DV, n) @ u @ matrix_power_checked(self._AVi, n)
+        _, DVn, AVmn = self._powers(n)
+        return DVn @ u @ AVmn
 
     def avmn_u_dvn(self, u: np.ndarray, n: int) -> np.ndarray:
-        return matrix_power_checked(self._AVi, n) @ u @ matrix_power_checked(self._DV, n)
+        _, DVn, AVmn = self._powers(n)
+        return AVmn @ u @ DVn
 
 
 @dataclass(eq=False)
@@ -275,6 +285,13 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     )
 
 
+def _converged(u_new: np.ndarray, u: np.ndarray) -> bool:
+    """Stopping test on Frobenius norms; it implies the 2-norm test, by
+    ||M||_2 <= ||M||_F <= sqrt(min(M.shape)) ||M||_2."""
+    scale = max(1.0, math.hypot(*u_new.flat) / math.sqrt(min(u.shape)))
+    return math.hypot(*(u_new - u).flat) < FIXED_POINT_STEP_TOL * scale
+
+
 def solve_xi(problem: SplitProblem, J: np.ndarray, n: int,
              constants: Optional[TransformConstants] = None) -> np.ndarray:
     """Fixed point of the forward operator, iterated from u = 0."""
@@ -287,10 +304,9 @@ def solve_xi(problem: SplitProblem, J: np.ndarray, n: int,
     for _ in range(FIXED_POINT_MAX_ITER):
         sandwich = powers.dvn_u_avmn(u, n)
         u_new = CAinv + (D - u @ B) @ sandwich @ Ainv
-        step = op_norm(u_new - u)
+        if _converged(u_new, u):
+            return u_new
         u = u_new
-        if step < FIXED_POINT_STEP_TOL * max(1.0, op_norm(u)):
-            return u
     raise NoConvergence(f"xi iteration did not converge at n={n}; constants violated")
 
 
@@ -313,11 +329,10 @@ def solve_eta(problem: SplitProblem, J: np.ndarray, n: int,
     for _ in range(FIXED_POINT_MAX_ITER):
         sandwich = powers.avmn_u_dvn(u, n)
         u_new = BiDinv + (Ai - u @ Ci) @ sandwich @ Dinv
-        step = op_norm(u_new - u)
+        if _converged(u_new, u):
+            eta = powers.avmn_u_dvn(u_new, n)
+            return (eta, u_new) if return_hat else eta
         u = u_new
-        if step < FIXED_POINT_STEP_TOL * max(1.0, op_norm(u)):
-            eta = powers.avmn_u_dvn(u, n)
-            return (eta, u) if return_hat else eta
     raise NoConvergence(f"eta iteration did not converge at n={n}; constants violated")
 
 

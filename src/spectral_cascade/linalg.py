@@ -61,7 +61,7 @@ def op_norm(M: np.ndarray) -> float:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def _singular_threshold(J: np.ndarray) -> float:
@@ -75,10 +75,9 @@ def invert(J: np.ndarray) -> np.ndarray:
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"invert: matrix not square: {J.shape}")
-    det = float(np.linalg.det(J))
-    if abs(det) < _singular_threshold(J):
-        raise SingularMatrix(f"determinant {det:g} below scale threshold")
     sv = np.linalg.svd(J, compute_uv=False)
+    if np.prod(sv) < _singular_threshold(J):  # the product is |det J|
+        raise SingularMatrix(f"|determinant| {np.prod(sv):g} below scale threshold")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / max(sv[-1], 1e-300):.3g} above cap")
     return np.linalg.inv(J)

@@ -44,9 +44,8 @@ class ScalarBlock:
         log_mag = n * math.log(abs(self.value))
         if log_mag > _LOG_CAP:
             raise PowerOverflow(f"scalar block power {n} overflows")
-        sign = -1.0 if (self.value < 0 and n % 2 == 1) else 1.0
         mag = abs(self.value) ** n if log_mag < 700.0 else math.exp(log_mag)
-        return np.array([[sign * mag]])
+        return mag * _unit_power(self, n)
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,8 @@ class RotationBlock:
         log_mag = n * math.log(self.modulus)
         if log_mag > _LOG_CAP:
             raise PowerOverflow(f"rotation block power {n} overflows")
-        phase = float(phase_mod1(self.theta, n))
         mag = self.modulus ** n if log_mag < 700.0 else math.exp(log_mag)
-        return mag * rotation_matrix(phase)
+        return mag * _unit_power(self, n)
 
 
 Block = Union[ScalarBlock, RotationBlock]
@@ -147,7 +145,8 @@ class DiagonalPowers:
     D(V) the tail.  The sandwich products D(V)^n u A(V)^{-n} and
     A(V)^{-n} u D(V)^n are evaluated with combined log-scales so they stay
     bounded for arbitrarily large n (every tail modulus is below the head
-    modulus).
+    modulus).  Their unit-modulus and scale factors are built once per n and
+    kept until a different n is asked for.
     """
 
     def __init__(self, model: DiagonalModel):
@@ -158,47 +157,32 @@ class DiagonalPowers:
         self.tail_model = model.tail(2)
         # log-modulus per tail coordinate, relative to the head modulus
         self._rel = self.tail_model.coordinate_log_moduli() - math.log(self.head.modulus)
+        self._cache = (None,)
 
-    def _rotate_tail(self, u: np.ndarray, n: int, axis: int) -> np.ndarray:
-        """Apply the unit-modulus part of the tail power along rows or cols."""
-        out = np.array(u, dtype=float, copy=True)
-        pos = 0
-        for blk in self.tail_model.diag_blocks:
-            k = blk.size
-            if isinstance(blk, RotationBlock):
-                R = rotation_matrix(float(phase_mod1(blk.theta, n)))
-                if axis == 0:
-                    out[pos : pos + k, :] = R @ out[pos : pos + k, :]
-                else:
-                    out[:, pos : pos + k] = out[:, pos : pos + k] @ R
-            elif blk.value < 0 and n % 2 == 1:
-                if axis == 0:
-                    out[pos : pos + k, :] *= -1.0
-                else:
-                    out[:, pos : pos + k] *= -1.0
-            pos += k
-        return out
-
-    def _rotate_head(self, u: np.ndarray, n: int, axis: int) -> np.ndarray:
-        """Apply the unit-modulus part of A(V)^{-n} along rows or cols."""
-        head = self.head
-        out = np.array(u, dtype=float, copy=True)
-        if isinstance(head, RotationBlock):
-            R = rotation_matrix(float(phase_mod1((-head.theta) % 1.0, n)))
-            if axis == 0:
-                out = R @ out
-            else:
-                out = out @ R
-        elif head.value < 0 and n % 2 == 1:
-            out = -out
-        return out
+    def _factors(self, n: int):
+        """(n, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and H
+        are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale."""
+        if self._cache[0] != n:
+            unit_tail = block_diag(*(_unit_power(b, n) for b in self.tail_model.diag_blocks))
+            scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))
+            # the inverse of a rotation or a sign is its transpose
+            self._cache = (n, scale[:, None] * unit_tail, unit_tail * scale[None, :],
+                           _unit_power(self.head, n).T)
+        return self._cache
 
     def dvn_u_avmn(self, u: np.ndarray, n: int) -> np.ndarray:
         """D(V)^n u A(V)^{-n}; contracting, never overflows."""
-        scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))[:, None]
-        return self._rotate_head(self._rotate_tail(u, n, axis=0), n, axis=1) * scale
+        _, left, _, head_inv = self._factors(n)
+        return left @ u @ head_inv
 
     def avmn_u_dvn(self, u: np.ndarray, n: int) -> np.ndarray:
         """A(V)^{-n} u D(V)^n; contracting, never overflows."""
-        scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))[None, :]
-        return self._rotate_tail(self._rotate_head(u, n, axis=0), n, axis=1) * scale
+        _, _, right, head_inv = self._factors(n)
+        return head_inv @ u @ right
+
+
+def _unit_power(blk: Block, n: int) -> np.ndarray:
+    """The unit-modulus part of blk^n: a rotation, or the sign of a scalar."""
+    if isinstance(blk, RotationBlock):
+        return rotation_matrix(float(phase_mod1(blk.theta, n)))
+    return np.array([[-1.0 if (blk.value < 0 and n % 2 == 1) else 1.0]])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import spectral_cascade as sc
-from spectral_cascade import serialize
+from spectral_cascade import cascade as cascade_module
+from spectral_cascade import graph_transform, serialize
 from spectral_cascade.cascade import (
     cascade_decompose,
     choose_parameters,
@@ -23,6 +24,7 @@ from spectral_cascade.errors import (
 )
 from spectral_cascade.graph_transform import dominated_split
 from spectral_cascade.linalg import op_norm, signed_fraction
+from spectral_cascade.model import DiagonalPowers
 from spectral_cascade.oracle import match_scaled, product_spectrum
 
 
@@ -194,3 +196,33 @@ def test_search_through_graded_oracle_matches_reference(demo_instance, demo_casc
             {part: [float(row[f"eig{i}_{part}"]) for i in range(demo_instance.model.d)]
              for part in ("unit_re", "unit_im", "log10_mod")})
         assert match_scaled(logged, hit.spectrum) < 1e-12
+
+
+@pytest.mark.parametrize("pattern", [(1, 2, 2), (2, 2, 2)], ids=["122", "222"])
+def test_decomposition_call_budget(pattern, monkeypatch):
+    """Per decomposition: at most 9 op_norm, 8 invert and exactly 16 sandwich calls.
+
+    16 sandwich calls is the count before the sandwich factors were cached;
+    the fixed-point iterations must not get longer.
+    """
+    counts = {"op_norm": 0, "invert": 0, "sandwich": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (cascade_module, graph_transform):
+        for name in ("op_norm", "invert"):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name), name))
+    for name in ("dvn_u_avmn", "avmn_u_dvn"):
+        monkeypatch.setattr(DiagonalPowers, name, counted(getattr(DiagonalPowers, name), "sandwich"))
+    spec = sc.generate_instance(pattern, seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    for n in range(casc.n0, casc.n0 + 20):
+        counts.update(dict.fromkeys(counts, 0))
+        cascade_decompose(L_k, n, spec.model, casc)
+        assert counts["op_norm"] <= 9 and counts["invert"] <= 8, (n, counts)
+        assert counts["sandwich"] == 16, (n, counts)

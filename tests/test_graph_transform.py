@@ -6,8 +6,10 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks
 from spectral_cascade.cascade import stage_input
-from spectral_cascade.errors import CertificateFailure, HypothesisFailure
+from spectral_cascade.errors import CertificateFailure, HypothesisFailure, PowerOverflow
 from spectral_cascade.graph_transform import (
+    FIXED_POINT_STEP_TOL,
+    DensePowers,
     SplitProblem,
     check_hypotheses,
     derive_constants,
@@ -188,3 +190,46 @@ def test_split_problem_rejects_coupled_V():
         V[i, j] = 1e-3
         with pytest.raises(ValueError):
             SplitProblem(V=V, J0=p.J0, k1=p.k1, k2=p.k2, delta=p.delta)
+
+
+def test_dense_sandwich_cache_follows_the_exponent():
+    """One DensePowers queried at interleaved n equals a fresh one at each n."""
+    p = make_problem(seed=8)
+    rng = np.random.default_rng(9)
+    for i, n in enumerate((7, 3, 7, 0)):
+        u, v = rng.standard_normal((p.k2, p.k1)), rng.standard_normal((p.k1, p.k2))
+        calls = [("dvn_u_avmn", u), ("avmn_u_dvn", v)][:: 1 if i % 2 == 0 else -1]
+        for name, w in calls:
+            expected = getattr(DensePowers(p.V, p.k1), name)(w, n)
+            np.testing.assert_array_equal(getattr(p.powers, name)(w, n), expected)
+    # A(V)^-n overflows at n = 2000; the cache must still hold n = 7 afterwards
+    powers, u = DensePowers(np.diag([0.5, 0.25, 0.25]), 1), np.ones((2, 1))
+    before = powers.dvn_u_avmn(u, 7)
+    with pytest.raises(PowerOverflow):
+        powers.dvn_u_avmn(u, 2000)
+    np.testing.assert_array_equal(powers.dvn_u_avmn(u, 7), before)
+
+
+@pytest.mark.parametrize("pattern", [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)],
+                         ids=lambda p: "".join(map(str, p)))
+def test_fixed_points_pass_the_two_norm_stopping_test(pattern):
+    """The Frobenius stopping test is conservative against the 2-norm one.
+
+    One more operator step from the returned xi and eta_hat moves them by
+    less than FIXED_POINT_STEP_TOL * max(1, ||u||_2) in the 2-norm.
+    """
+    spec = sc.generate_instance(pattern, seed=0)
+    casc = sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    for n in (casc.n0, 1_000, 100_000):
+        for j, stage in enumerate(casc.stages, start=1):
+            p, J = stage.problem, stage_input(L_k, n, casc, j)
+            A, B, C, D = split_blocks(J, p.k1)
+            Ai, Bi, Ci, Di = split_blocks(np.linalg.inv(J), p.k1)
+            xi = solve_xi(p, J, n)
+            _, eta_hat = solve_eta(p, J, n, return_hat=True)
+            Ainv, Dinv = np.linalg.inv(A), np.linalg.inv(Di)
+            xi_next = C @ Ainv + (D - xi @ B) @ p.powers.dvn_u_avmn(xi, n) @ Ainv
+            eta_next = Bi @ Dinv + (Ai - eta_hat @ Ci) @ p.powers.avmn_u_dvn(eta_hat, n) @ Dinv
+            for u, u_next in ((xi, xi_next), (eta_hat, eta_next)):
+                assert op_norm(u_next - u) < FIXED_POINT_STEP_TOL * max(1.0, op_norm(u)), (j, n)

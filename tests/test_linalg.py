@@ -14,6 +14,8 @@ from spectral_cascade.errors import (
     SingularMatrix,
 )
 from spectral_cascade.linalg import (
+    CONDITION_CAP,
+    SINGULAR_SCALE_TOL,
     cos_turns,
     eigenvalues,
     eigenvalues_charpoly,
@@ -240,3 +242,50 @@ def test_short_vectors_matches_brute_force(seed):
     got = [tuple(x) for x in short_vectors(d, lam, radius2)]
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+def _mixed(sigmas):
+    """Q1 diag(sigmas) Q2^T for two fixed orthogonal matrices that mix every row."""
+    d = len(sigmas)
+    Q1 = np.linalg.qr(np.ones((d, d)) + np.diag(np.arange(1.0, d + 1)))[0]
+    Q2 = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))[0]
+    return Q1 @ np.diag(sigmas) @ Q2.T
+
+
+def _hadamard_ratio(M):
+    return abs(np.linalg.det(M)) / np.prod(np.linalg.norm(M, axis=1))
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_invert_singular_threshold_edges(factor):
+    """|det| / prod(row norms) 1% below or above SINGULAR_SCALE_TOL, condition far under the cap."""
+    s0 = 1e-7
+    s = s0 * math.sqrt(factor * SINGULAR_SCALE_TOL / _hadamard_ratio(_mixed([1.0, s0, s0])))
+    M = _mixed([1.0, s, s])
+    sv = np.linalg.svd(M, compute_uv=False)
+    assert sv[0] / sv[-1] < 1e-3 * CONDITION_CAP
+    assert (_hadamard_ratio(M) > SINGULAR_SCALE_TOL) == (factor > 1.0)
+    if factor < 1.0:
+        with pytest.raises(SingularMatrix):
+            invert(M)
+    else:
+        np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_invert_condition_cap_edges(factor):
+    """Condition number 1% below or above CONDITION_CAP, far from singular."""
+    M = _mixed([1.0, 1.0 / (factor * CONDITION_CAP)])
+    assert _hadamard_ratio(M) > 10 * SINGULAR_SCALE_TOL
+    if factor > 1.0:
+        with pytest.raises(IllConditioned):
+            invert(M)
+    else:
+        np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_invert_is_scale_free(scale):
+    """A well-conditioned 3x3 stays invertible at any scale, and invert is numpy's inverse."""
+    M = scale * _mixed([3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(invert(M), np.linalg.inv(M))

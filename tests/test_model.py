@@ -102,3 +102,30 @@ def test_coordinate_log_moduli_and_det():
     logs = model.coordinate_log_moduli()
     assert logs.shape == (5,)
     assert logs[0] == pytest.approx(math.log(1.6))
+
+
+def test_sandwich_cache_follows_the_exponent():
+    """One instance queried at interleaved n equals a fresh instance at each n.
+
+    Odd steps ask for A(V)^-n u D(V)^n first, so both products refresh the cache.
+    """
+    model = make_model()
+    powers = DiagonalPowers(model)
+    rng = np.random.default_rng(5)
+    for i, n in enumerate((37, 5, 37, 0, 100_000)):
+        u, v = rng.standard_normal((4, 1)), rng.standard_normal((1, 4))
+        calls = [("dvn_u_avmn", u), ("avmn_u_dvn", v)][:: 1 if i % 2 == 0 else -1]
+        for name, w in calls:
+            expected = getattr(DiagonalPowers(model), name)(w, n)
+            np.testing.assert_array_equal(getattr(powers, name)(w, n), expected)
+
+
+def test_sandwich_cache_survives_a_failed_exponent():
+    """An exponent whose factors raise leaves the cached ones of the last n intact."""
+    model = DiagonalModel(BlockStructure((2, 1)), (RotationBlock(1.6, 0.3), ScalarBlock(-0.5)))
+    powers = DiagonalPowers(model)
+    u = np.ones((1, 2))
+    before = powers.dvn_u_avmn(u, 5)
+    with pytest.raises(ValueError):  # the head's phase fails past phase_mod1's range
+        powers.dvn_u_avmn(u, 2 ** 26)
+    np.testing.assert_array_equal(powers.dvn_u_avmn(u, 5), before)
