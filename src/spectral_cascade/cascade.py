@@ -61,7 +61,7 @@ from .linalg import (
     signed_fraction,
 )
 from .model import DiagonalModel, DiagonalPowers
-from .oracle import GAP_TOL, ScaledSpectrum, match_scaled, product_spectrum
+from .oracle import GAP_TOL, ScaledSpectrum, certified_spectrum, match_scaled
 from .scenario import InstanceSpec, check_L_conditions
 
 MARGIN_FACTOR = 0.05
@@ -359,7 +359,8 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
     """The hit rule at index n; returns (hit_or_none, csv_row, miss_or_none).
 
     A hit needs limits and domination, a real simple spectrum at GAP_TOL, an
-    oracle mismatch of at most ORACLE_TOL and a real simple oracle spectrum.
+    oracle mismatch of at most ORACLE_TOL, and inclusion disks of the
+    certified graded oracle that prove the spectrum real simple.
     """
     model = instance.model
     N = instance.a * n + instance.b
@@ -386,15 +387,13 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
                   else "limits or domination violated")
         return None, row, (n, f"{reason} (min_gap {min_gap:.3g})")
 
-    reference = product_spectrum(L_n, model, N)
+    reference, certified = certified_spectrum(L_n, model, N)
     mismatch = match_scaled(spec, reference)
-    ref_ok, ref_gap = reference.real_simple(GAP_TOL)
-    if mismatch > ORACLE_TOL or not ref_ok:
+    if mismatch > ORACLE_TOL or not certified:
         row[-1] = 0
-        return None, row, (
-            n,
-            f"oracle disagrees (mismatch {mismatch:.3g}, gap {ref_gap:.3g})",
-        )
+        reason = ("oracle disagrees" if mismatch > ORACLE_TOL
+                  else "oracle does not certify real simple")
+        return None, row, (n, f"{reason} (mismatch {mismatch:.3g})")
     hit = HitRecord(n=n, exponent=N, phases=phases, spectrum=spec,
                     min_gap=min_gap, oracle_checked=True,
                     oracle_mismatch=mismatch)

@@ -65,7 +65,7 @@ def op_norm(M: np.ndarray) -> float:
 
 
 def _singular_threshold(J: np.ndarray) -> float:
-    row_norms = np.linalg.norm(J, axis=1)
+    row_norms = np.sqrt((J * J).sum(axis=1))  # np.linalg.norm(J, axis=1), bit for bit
     scale = float(np.prod(np.maximum(row_norms, 1e-300)))
     return SINGULAR_SCALE_TOL * scale
 

@@ -5,36 +5,43 @@ of magnitude, so eigenvalues are carried in split form: a unit-modulus
 direction together with a natural-log modulus.
 
 Up to NUMPY_DIGIT_CAP decimal digits of modulus spread, the dense QR solver
-runs on a rescaled copy of the product.  Beyond that a graded route takes
-over whose cost does not depend on n.  It writes T^n = R D, with R
-block-orthogonal (rotations through the exact rational phase n*theta mod 1,
-and the sign of a negative scalar block at odd n) and D diagonal positive,
-and expands the characteristic polynomial of (L R) D by principal minors
-(Cauchy-Binet):
+runs on a rescaled copy of the product.  Beyond that, and for every hit of
+the search at any spread, a certified graded route takes over whose cost
+does not depend on n.  It writes T^n = R D, with R block-orthogonal
+(rotations through the exact rational phase n*theta mod 1, and the sign of a
+negative scalar block at odd n) and D diagonal positive, and expands the
+characteristic polynomial of (L R) D by principal minors (Cauchy-Binet):
 
     c_k = sum_{|S| = k} det((L R)_SS) * prod_{i in S} d_i.
 
-Everything runs in a private mpmath context at a fixed GRADED_DIGITS digits;
-mpf's unbounded exponent absorbs the spread.  The minors are exact: integer
-fraction-free elimination on the entries of L R rounded to that precision.  Each block of the ladder is
-one segment of the Newton polygon of the polynomial, so a linear or
-quadratic in consecutive coefficients seeds that block's roots, which are
-then polished on the full polynomial (Newton steps with the Ehrlich-Aberth
-correction, which keeps the roots apart).  Every root must pass a residual
-check and a distinctness check, and a rerun at CHECK_DIGITS digits must
-agree; any failure raises ConvergenceFailure.  The route shares no numerics
-with the cascade and has no digit cap.
+Everything runs at GRADED_DIGITS digits in private per-thread mpmath
+contexts; mpf's unbounded exponent absorbs the spread.  The coefficients are
+intervals: the rotation entries and the d_i are enclosed in interval
+arithmetic, and each minor is the exact fraction-free minor of the rounded
+entries widened by a Hadamard perturbation bound.  Each block of the ladder
+is one segment of the Newton polygon, so a linear or quadratic in
+consecutive coefficients seeds that block's roots, which are then polished
+on the midpoint polynomial (Newton steps with the Ehrlich-Aberth correction,
+which keeps the roots apart).  Weierstrass inclusion disks (Braess and
+Hadeler 1973; Bini and Fiorentino 2000), bounded over the coefficient
+intervals, then certify the result: pairwise disjoint disks hold one root
+each, or ConvergenceFailure is raised.  The same disks prove a spectrum real
+with distinct moduli.  The route shares no numerics with the cascade and has
+no digit cap.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import mpmath
 import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import mpf_shift, to_int
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceFailure, PowerOverflow
@@ -44,11 +51,9 @@ from .model import DiagonalModel
 GAP_TOL = 1e-9  # imaginary part and relative modulus gap of a real simple spectrum
 NUMPY_DIGIT_CAP = 20.0  # the QR route loses accuracy from ~28 digits of spread on
 GRADED_DIGITS = 40
-CHECK_DIGITS = 80
 _LN10 = math.log(10.0)
-_AGREE_TOL = 1e-13  # 40- vs 80-digit roots, relative
-_RESIDUAL_SLACK_DIGITS = 6  # backward error allowed above the unit roundoff
 _MAX_POLISH_STEPS = 60
+_thread_contexts = threading.local()
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,9 @@ def _scaled_power_blocks(model: DiagonalModel, n: int, center: float) -> np.ndar
 def product_spectrum(L: np.ndarray, model: DiagonalModel, n: int) -> ScaledSpectrum:
     """Spectrum of L T^n in split form, independent of the decomposition.
 
-    Serves as the certifying oracle: the numpy eigensolver up to
-    NUMPY_DIGIT_CAP digits of modulus spread, the graded principal-minor
-    route at any spread beyond.
+    Serves as the reference spectrum: the numpy eigensolver up to
+    NUMPY_DIGIT_CAP digits of modulus spread, the certified graded route at
+    any spread beyond.
     """
     L = np.asarray(L, dtype=float)
     logs = n * model.coordinate_log_moduli()
@@ -150,73 +155,132 @@ def product_spectrum(L: np.ndarray, model: DiagonalModel, n: int) -> ScaledSpect
         center = float((logs.max() + logs.min()) / 2.0)
         M = L @ _scaled_power_blocks(model, n, center)
         return ScaledSpectrum.from_values(eigenvalues(M), log_scale=center)
-    return _graded_spectrum(L, model, n)
+    return certified_spectrum(L, model, n)[0]
 
 
-def _graded_spectrum(L: np.ndarray, model: DiagonalModel, n: int) -> ScaledSpectrum:
-    """The graded route at GRADED_DIGITS, checked against a CHECK_DIGITS rerun."""
-    roots = _graded_roots(L, model, n, GRADED_DIGITS)
-    check = _graded_roots(L, model, n, CHECK_DIGITS)
-    ctx = check[0].context
-    cost = np.array([[min(float(abs(ctx.convert(z) - w) / abs(w)), 1e30) for w in check]
-                     for z in roots])
-    rows, cols = linear_sum_assignment(cost)
-    mismatch = float(cost[rows, cols].max())
-    if not mismatch <= _AGREE_TOL:
-        raise ConvergenceFailure(
-            f"graded oracle at n={n}: {GRADED_DIGITS}- and {CHECK_DIGITS}-digit "
-            f"roots disagree by {mismatch:.3g}"
-        )
+def certified_spectrum(L: np.ndarray, model: DiagonalModel, n: int):
+    """The graded route at any spread: (spectrum, proved real simple).
+
+    Every eigenvalue lies in an isolated inclusion disk around the returned
+    one; the flag is True when the disks prove all of them real with
+    pairwise distinct moduli.  Raises ConvergenceFailure when the disks do
+    not isolate the roots to half the working digits.
+    """
+    roots, _, real_simple = _inclusion_disks(L, model, n)
     mods = [abs(z) for z in roots]
-    return ScaledSpectrum(
+    spectrum = ScaledSpectrum(
         unit=np.array([complex(z / m) for z, m in zip(roots, mods)]),
         log_mod=np.array([float(m.context.log(m)) for m in mods]),
     )
+    return spectrum, real_simple
 
 
-def _graded_roots(L: np.ndarray, model: DiagonalModel, n: int, digits: int) -> list:
-    """Checked roots of det(x - L T^n), as mpc in a private context."""
-    ctx = mpmath.MPContext()
-    ctx.dps = digits
-    coeffs = _charpoly_coeffs(ctx, L, model, n)
+def _inclusion_disks(L: np.ndarray, model: DiagonalModel, n: int) -> tuple:
+    """Roots of det(x - L T^n) as (centres, radius intervals, proved real simple)."""
+    ctx, iv = _contexts()
+    coeffs = _charpoly_coeffs(iv, np.asarray(L, dtype=float), model, n)
+    mids = [ctx.make_mpf(c.mid._mpi_[0]) for c in coeffs]
     try:
-        roots = _polish(ctx, coeffs, _newton_polygon_seeds(ctx, coeffs, model))
+        roots = _polish(ctx, mids, _newton_polygon_seeds(ctx, mids, model))
+        radii, real_simple = _certify(iv, coeffs, roots)
     except ZeroDivisionError as exc:
         raise ConvergenceFailure(f"graded oracle at n={n}: vanishing denominator") from exc
-    _check_roots(ctx, coeffs, roots, n)
-    return roots
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(f"graded oracle at n={n}: {exc}") from exc
+    return roots, radii, real_simple
 
 
-def _charpoly_coeffs(ctx, L: np.ndarray, model: DiagonalModel, n: int) -> list:
-    """[c_0, ..., c_d] with det(x - L T^n) = sum_k (-1)^k c_k x^(d-k)."""
+def _contexts():
+    """This thread's private mpmath contexts at GRADED_DIGITS: (mpf, interval)."""
+    pair = getattr(_thread_contexts, "pair", None)
+    if pair is None:
+        ctx = mpmath.MPContext()
+        ctx.dps = GRADED_DIGITS
+        iv = MPIntervalContext()
+        iv.prec = ctx.prec
+        pair = _thread_contexts.pair = (ctx, iv)
+    return pair
+
+
+def _charpoly_coeffs(iv, L: np.ndarray, model: DiagonalModel, n: int) -> list:
+    """Intervals [c_0, ..., c_d] holding the exact coefficients of
+    det(x - L T^n) = sum_k (-1)^k c_k x^(d-k).
+
+    The rotation entries of L R are enclosed in exact integer interval
+    arithmetic around interval cosines and sines, then rounded to the working
+    precision.  Each principal minor is the exact minor of the rounded
+    entries, widened by the multilinear Hadamard bound
+    prod(|a_i| + |e_i|) - prod |a_i| for its rows a_i with rounding errors
+    e_i.  Minors whose coordinates lie in the same blocks share one interval
+    weight prod d_i, so they are summed exactly before it is applied.
+    """
     d = model.d
-    B = [[ctx.mpf(float(x)) for x in row] for row in L]
-    scale = []
+    prec = iv.prec
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in L]
+    F = max(den.bit_length() - 1 for row in ratios for _, den in row)
+    A = [[num << (F - den.bit_length() + 1) for num, den in row] for row in ratios]
+    lo = [[a << prec for a in row] for row in A]  # entries of L R, units 2^-(F+prec)
+    hi = [row[:] for row in lo]
+    power = []  # 2^-prec d_b per block
+    owner = []  # block of each coordinate
     pos = 0
-    for blk in model.diag_blocks:
-        scale += [ctx.exp(n * ctx.log(blk.modulus))] * blk.size
+    for b, blk in enumerate(model.diag_blocks):
+        power.append(iv.ldexp(iv.exp(n * iv.log(iv.mpf(blk.modulus))), -prec))
+        owner += [b] * blk.size
         if blk.size == 1:
             if blk.value < 0 and n % 2 == 1:
-                for row in B:
-                    row[pos] = -row[pos]
+                for rl, rh in zip(lo, hi):
+                    rl[pos], rh[pos] = -rh[pos], -rl[pos]
         else:
             turns = Fraction(blk.theta) * n % 1
-            angle = 2 * ctx.mpf(turns.numerator) / turns.denominator
-            c, s = ctx.cospi(angle), ctx.sinpi(angle)
-            for row in B:  # B <- B R on columns pos, pos+1
-                u, v = row[pos], row[pos + 1]
-                row[pos], row[pos + 1] = u * c + v * s, v * c - u * s
+            angle = 2 * iv.pi * turns.numerator / turns.denominator
+            cl, ch = _int_bounds(iv.cos(angle), prec)
+            sl, sh = _int_bounds(iv.sin(angle), prec)
+            for a, rl, rh in zip(A, lo, hi):  # B <- B R on columns pos, pos+1
+                uc, us = _times(a[pos], cl, ch), _times(a[pos], sl, sh)
+                vc, vs = _times(a[pos + 1], cl, ch), _times(a[pos + 1], sl, sh)
+                rl[pos], rh[pos] = uc[0] + vs[0], uc[1] + vs[1]
+                rl[pos + 1], rh[pos + 1] = vc[0] - us[1], vc[1] - us[0]
         pos += blk.size
-    # principal minors exactly, on the entries rounded to the working precision
-    prec = ctx.prec
-    Bint = [[int(ctx.nint(ctx.ldexp(x, prec))) for x in row] for row in B]
-    coeffs = [ctx.one] + [ctx.zero] * d
+    # rounded entries and their rounding errors, units 2^-prec
+    Bint, err = [], []
+    for rl, rh in zip(lo, hi):
+        low, high = [x >> F for x in rl], [-(-x >> F) for x in rh]
+        Bint.append([(a + b) // 2 for a, b in zip(low, high)])
+        err.append([b - r for b, r in zip(high, Bint[-1])])
+    norm = [math.isqrt(sum(a * a for a in row)) + 1 for row in Bint]
+    slack = [math.isqrt(sum(e * e for e in row)) + 1 for row in err]
+
+    prefix = {(): (1, 1)}  # S -> (prod (norm + slack), prod norm) over its rows
+    sums = {}  # blocks of S -> exact [low, high] sums of its minors
     for k in range(1, d + 1):
         for S in combinations(range(d), k):
-            minor = _bareiss_det([[Bint[i][j] for j in S] for i in S])
-            weight = ctx.fprod(scale[i] for i in S)
-            coeffs[k] += ctx.ldexp(minor, -prec * k) * weight
+            wide, tight = prefix[S[:-1]]
+            i = S[-1]
+            wide, tight = wide * (norm[i] + slack[i]), tight * norm[i]
+            prefix[S] = (wide, tight)
+            minor = _bareiss_det([[Bint[r][c] for c in S] for r in S])
+            bounds = sums.setdefault(tuple(owner[i] for i in S), [0, 0])
+            bounds[0] += minor - (wide - tight)
+            bounds[1] += minor + (wide - tight)
+
+    weight = {(): iv.one}
+    coeffs = [iv.one] + [iv.zero] * d
+    for key, (low, high) in sums.items():  # every key comes after its prefix
+        weight[key] = weight[key[:-1]] * power[key[-1]]
+        coeffs[len(key)] += iv.mpf([low, high]) * weight[key]
     return coeffs
+
+
+def _int_bounds(x, prec: int) -> tuple:
+    """floor(a 2^prec) and ceil(b 2^prec) for the interval x = [a, b]."""
+    a, b = x._mpi_
+    return to_int(mpf_shift(a, prec), "f"), to_int(mpf_shift(b, prec), "c")
+
+
+def _times(u: int, lo: int, hi: int) -> tuple:
+    """The interval u [lo, hi] for an exact integer u."""
+    return (u * lo, u * hi) if u >= 0 else (u * hi, u * lo)
 
 
 def _bareiss_det(A: list) -> int:
@@ -291,29 +355,47 @@ def _polish(ctx, coeffs: list, roots: list) -> list:
     return roots
 
 
-def _check_roots(ctx, coeffs: list, roots: list, n: int) -> None:
-    """Raise ConvergenceFailure unless every root is a distinct true root.
+def _certify(iv, coeffs: list, roots: list) -> tuple:
+    """Prove each root isolated: (radius intervals, real with distinct moduli).
 
-    The residual test bounds the backward error |p(z)| / sum |c_k| |z|^(d-k)
-    a few digits above the working precision; roots count as distinct when
-    they differ in the first half of the working digits.
+    ``coeffs`` are intervals holding [c_0, ..., c_d], ``roots`` the polished
+    approximations z_i.  With W_i = p(z_i) / prod_{j != i} (z_i - z_j) the
+    Weierstrass corrections of the monic p, the roots of p are the
+    eigenvalues of diag(z) - 1 W^T, whose Gerschgorin column disks
+    D(z_i - W_i, (d-1)|W_i|) lie inside D(z_i, d|W_i|).  |W_i| is bounded
+    above over every polynomial in the intervals.  Pairwise disjoint disks
+    hold exactly one root each.  When the modulus ranges |z_i| +- r_i are
+    pairwise disjoint too, the moduli are distinct and every root is real:
+    the conjugate of a root is a root of the same modulus, which only the
+    root's own disk can hold.  Raises ConvergenceFailure when two disks
+    meet or a disk is wider than half the working digits.
     """
-    poly = _monic(coeffs)
     d = len(roots)
-    res_tol = ctx.mpf(10) ** (_RESIDUAL_SLACK_DIGITS - ctx.dps)
-    for z in roots:
-        mod = abs(z)
-        bound = ctx.fsum(abs(a) * mod ** (d - k) for k, a in enumerate(poly))
-        residual = abs(_horner(poly, z)[0])
-        if not residual <= res_tol * bound:
-            raise ConvergenceFailure(
-                f"graded oracle at n={n}: root residual {float(residual / bound):.3g} "
-                f"above {float(res_tol):.3g}"
-            )
-    sep_tol = ctx.mpf(10) ** (-(ctx.dps // 2))
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not abs(roots[i] - roots[j]) > sep_tol * max(abs(roots[i]), abs(roots[j])):
-                raise ConvergenceFailure(
-                    f"graded oracle at n={n}: roots {i} and {j} coincide"
-                )
+    poly = _monic(coeffs)
+    # centres on the real axis keep the interval arithmetic real
+    zs = [iv.mpf(z.real) if z.imag == 0 else iv.mpc(z.real, z.imag) for z in roots]
+    gap = {}
+    for i, j in combinations(range(d), 2):
+        gap[i, j] = gap[j, i] = abs(zs[i] - zs[j])
+    mods = [abs(z) for z in zs]
+    tol = iv.mpf(10) ** (-(iv.dps // 2))
+    radii = []
+    for i, z in enumerate(zs):
+        p = poly[0]
+        for a in poly[1:]:
+            p = p * z + a
+        r = d * abs(p) / iv.fprod(gap[i, j] for j in range(d) if j != i)
+        if not r.b <= (tol * mods[i]).a:
+            raise ConvergenceFailure(f"root {i} is not isolated to {iv.dps // 2} digits")
+        radii.append(r)
+
+    def apart(x, y):  # every point of x above every point of y
+        return x.a > y.b
+
+    real_simple = True
+    for i, j in combinations(range(d), 2):
+        if not apart(gap[i, j], radii[i] + radii[j]):
+            raise ConvergenceFailure(f"inclusion disks of roots {i} and {j} meet")
+        real_simple = real_simple and (apart(mods[i] - radii[i], mods[j] + radii[j])
+                                       or apart(mods[j] - radii[j], mods[i] + radii[i]))
+    return radii, real_simple

@@ -25,7 +25,7 @@ from spectral_cascade.errors import (
 from spectral_cascade.graph_transform import dominated_split
 from spectral_cascade.linalg import op_norm, signed_fraction
 from spectral_cascade.model import DiagonalPowers
-from spectral_cascade.oracle import match_scaled, product_spectrum
+from spectral_cascade.oracle import certified_spectrum, match_scaled, product_spectrum
 
 
 def test_choose_parameters_orders_radii(demo_cascade):
@@ -187,6 +187,8 @@ def test_search_through_graded_oracle_matches_reference(demo_instance, demo_casc
     res = find_subsequence(demo_instance, demo_cascade, count=40, csv_path=str(csv_path))
     assert [h.exponent for h in res.hits] == DEMO_HITS
     assert all(h.oracle_checked for h in res.hits)
+    assert all(certified_spectrum(demo_instance.L_n(h.n), demo_instance.model, h.exponent)[1]
+               for h in res.hits)
     assert res.examined == 40
     with open(csv_path) as fh:
         accepted = [row for row in csv.DictReader(fh) if row["accepted"] == "1"]
@@ -196,6 +198,19 @@ def test_search_through_graded_oracle_matches_reference(demo_instance, demo_casc
             {part: [float(row[f"eig{i}_{part}"]) for i in range(demo_instance.model.d)]
              for part in ("unit_re", "unit_im", "log10_mod")})
         assert match_scaled(logged, hit.spectrum) < 1e-12
+
+
+# hit exponents of (2,2,2) seed 3, the benchmark's second pinned list
+HITS_222 = [1711, 2965, 4219, 4689, 5943, 7197, 9679, 10933, 12187, 12657]
+
+
+def test_222_hits_are_pinned_and_certified():
+    spec = sc.generate_instance((2, 2, 2), seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    res = find_subsequence(spec, casc, count=10)
+    assert [h.exponent for h in res.hits] == HITS_222
+    assert all(certified_spectrum(spec.L_n(h.n), spec.model, h.exponent)[1]
+               for h in res.hits)
 
 
 @pytest.mark.parametrize("pattern", [(1, 2, 2), (2, 2, 2)], ids=["122", "222"])

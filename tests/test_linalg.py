@@ -16,6 +16,7 @@ from spectral_cascade.errors import (
 from spectral_cascade.linalg import (
     CONDITION_CAP,
     SINGULAR_SCALE_TOL,
+    _singular_threshold,
     cos_turns,
     eigenvalues,
     eigenvalues_charpoly,
@@ -289,3 +290,15 @@ def test_invert_is_scale_free(scale):
     """A well-conditioned 3x3 stays invertible at any scale, and invert is numpy's inverse."""
     M = scale * _mixed([3.0, 2.0, 1.0])
     np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_singular_threshold_is_numpy_row_norm_product(rng, scale):
+    """The threshold's row norms are np.linalg.norm(J, axis=1), bit for bit."""
+    shapes = [(1, 1)] + [(d, d) for d in range(2, 7)] * 20
+    for shape in shapes:
+        J = scale * rng.standard_normal(shape)
+        norms = np.linalg.norm(J, axis=1)
+        with np.errstate(over="ignore"):  # the product is inf at 1e150 from d = 3 on
+            expected = SINGULAR_SCALE_TOL * float(np.prod(np.maximum(norms, 1e-300)))
+            assert _singular_threshold(J) == expected

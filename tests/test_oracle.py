@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import sys
 import threading
@@ -13,9 +15,10 @@ from spectral_cascade import oracle
 from spectral_cascade.errors import ConvergenceFailure, PowerOverflow
 from spectral_cascade.linalg import eigenvalues, match_spectra
 from spectral_cascade.oracle import (
+    GAP_TOL,
     NUMPY_DIGIT_CAP,
     ScaledSpectrum,
-    _graded_spectrum,
+    certified_spectrum,
     match_scaled,
     product_spectrum,
     spread_digits,
@@ -69,12 +72,15 @@ def test_product_spectrum_matches_direct_eig(demo_instance):
     assert match_spectra(got.values(), direct) < 1e-10
 
 
-def _mp_eig_reference(L, model, n) -> ScaledSpectrum:
-    """Spectrum of L T^n by mpmath's dense eigensolver at spread + 30 digits."""
-    mp = mpmath.MPContext()
-    mp.dps = int(spread_digits(model, n)) + 30
-    logs = n * model.coordinate_log_moduli()
-    center = float((logs.max() + logs.min()) / 2)
+@functools.lru_cache(maxsize=None)
+def _criterion_1_case(i: int):
+    """Instance and parameters of pattern i, on the criterion-1 seed."""
+    spec = sc.generate_instance(PATTERNS[i], seed=1000 + i)
+    return spec, sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+
+
+def _mp_power(mp, model, n: int, center: float = 0.0):
+    """T^n exp(-center) in the mpmath context mp."""
     Tn = mp.zeros(model.d, model.d)
     pos = 0
     for blk in model.diag_blocks:
@@ -88,28 +94,81 @@ def _mp_eig_reference(L, model, n) -> ScaledSpectrum:
             Tn[pos, pos], Tn[pos, pos + 1] = mag * c, -mag * s
             Tn[pos + 1, pos], Tn[pos + 1, pos + 1] = mag * s, mag * c
         pos += blk.size
-    vals = mp.eig(mp.matrix(L.tolist()) * Tn, left=False, right=False)
+    return Tn
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_eig_values(i: int, k: int, n: int):
+    """(context, eigenvalues of L_k T^n) by mpmath's dense solver at spread + 60 digits."""
+    spec, _ = _criterion_1_case(i)
+    mp = mpmath.MPContext()
+    mp.dps = int(spread_digits(spec.model, n)) + 60
+    logs = n * spec.model.coordinate_log_moduli()
+    center = float((logs.max() + logs.min()) / 2)
+    M = mp.matrix(spec.L_n(k).tolist()) * _mp_power(mp, spec.model, n, center)
+    vals = mp.eig(M, left=False, right=False)
+    return mp, [v * mp.exp(center) for v in vals]
+
+
+def _mp_eig_reference(i: int, k: int, n: int) -> ScaledSpectrum:
+    mp, vals = _mp_eig_values(i, k, n)
     mods = [abs(v) for v in vals]
     return ScaledSpectrum(
         unit=np.array([complex(v / m) for v, m in zip(vals, mods)]),
-        log_mod=np.array([float(mp.log(m)) + center for m in mods]),
+        log_mod=np.array([float(mp.log(m)) for m in mods]),
     )
+
+
+def _criterion_1_exponents(casc, k):
+    ns = list(range(casc.n0, casc.n0 + 21))
+    return ns + [1_000, 10_000] if k == casc.k0 else ns
 
 
 def test_product_spectrum_mp_path_consistent():
     """The graded route against mp.eig over the criterion-1 sweep and large n."""
     for i, pattern in enumerate(PATTERNS):
-        spec = sc.generate_instance(pattern, seed=1000 + i)
-        casc = sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        spec, casc = _criterion_1_case(i)
         for k in (casc.k0, casc.k0 + 5):
             L_k = spec.L_n(k)
-            ns = list(range(casc.n0, casc.n0 + 21))
-            if k == casc.k0:
-                ns += [1_000, 10_000]
-            for n in ns:
-                got = _graded_spectrum(L_k, spec.model, n)
-                ref = _mp_eig_reference(L_k, spec.model, n)
+            for n in _criterion_1_exponents(casc, k):
+                got, _ = certified_spectrum(L_k, spec.model, n)
+                ref = _mp_eig_reference(i, k, n)
                 assert match_scaled(got, ref) <= 1e-10, (pattern, k, n)
+
+
+def test_interval_coefficients_hold_the_characteristic_polynomial():
+    """Each c_k interval holds the sum of principal k-minors of L T^n at spread + 60 digits."""
+    _, iv = oracle._contexts()
+    for i, pattern in enumerate(PATTERNS):
+        spec, casc = _criterion_1_case(i)
+        L = spec.L_n(casc.k0)
+        for n in (casc.n0, 1_000):
+            mp = mpmath.MPContext()
+            mp.dps = int(spread_digits(spec.model, n)) + 60
+            M = mp.matrix(L.tolist()) * _mp_power(mp, spec.model, n)
+            coeffs = oracle._charpoly_coeffs(iv, L, spec.model, n)
+            for k, c in enumerate(coeffs):
+                ref = mp.fsum(mp.det(mp.matrix([[M[r, col] for col in S] for r in S])) if S else 1
+                              for S in itertools.combinations(range(spec.model.d), k))
+                low, high = (mp.make_mpf(x) for x in c._mpi_)
+                assert low <= ref <= high, (pattern, n, k)
+                assert high - low <= abs(ref) * mp.mpf(10) ** -30, (pattern, n, k)
+
+
+def test_certified_disks_hold_the_reference_roots():
+    """Soundness: every mp.eig eigenvalue lies in exactly one inclusion disk."""
+    for i, pattern in enumerate(PATTERNS):
+        spec, casc = _criterion_1_case(i)
+        L_k = spec.L_n(casc.k0)
+        for n in _criterion_1_exponents(casc, casc.k0):
+            centres, radii, _ = oracle._inclusion_disks(L_k, spec.model, n)
+            mp, vals = _mp_eig_values(i, casc.k0, n)
+            disks = [(mp.mpc(z), mp.make_mpf(r._mpi_[1])) for z, r in zip(centres, radii)]
+            for v in vals:
+                holding = [abs(v - z) <= r for z, r in disks]
+                assert sum(holding) == 1, (pattern, n, v)
+            # the disks are tight: far inside the 1e-10 the sweep above allows
+            assert all(r <= abs(z) * mp.mpf(10) ** -30 for z, r in disks), (pattern, n)
 
 
 def test_numpy_route_agrees_with_graded_route_up_to_the_cap():
@@ -123,7 +182,7 @@ def test_numpy_route_agrees_with_graded_route_up_to_the_cap():
             assert spread_digits(spec.model, top) <= NUMPY_DIGIT_CAP
             for n in {top, *range(int(6 / per_n), top, int(2 / per_n))}:
                 got = product_spectrum(spec.L, spec.model, n)
-                ref = _graded_spectrum(spec.L, spec.model, n)
+                ref, _ = certified_spectrum(spec.L, spec.model, n)
                 assert match_scaled(got, ref) <= 1e-9, (pattern, seed, n)
 
 
@@ -139,37 +198,73 @@ def test_product_spectrum_beyond_the_old_digit_cap():
 
 
 def test_graded_route_checks_raise(demo_instance, monkeypatch):
+    """Unpolished seeds and a root found twice fail the inclusion certificate."""
     L, model, n = demo_instance.L, demo_instance.model, 120
     assert spread_digits(model, n) > NUMPY_DIGIT_CAP
     polish = oracle._polish
 
-    # seeds left unpolished fail the residual check
     monkeypatch.setattr(oracle, "_polish", lambda ctx, coeffs, roots: list(roots))
-    with pytest.raises(ConvergenceFailure, match="residual"):
+    with pytest.raises(ConvergenceFailure, match="not isolated"):
         product_spectrum(L, model, n)
 
-    # a root found twice (and another lost) fails the distinctness check
     def twice(ctx, coeffs, roots):
         out = polish(ctx, coeffs, roots)
         return [out[0], out[0]] + out[2:]
 
     monkeypatch.setattr(oracle, "_polish", twice)
-    with pytest.raises(ConvergenceFailure, match="coincide"):
-        product_spectrum(L, model, n)
-    monkeypatch.setattr(oracle, "_polish", polish)
+    with pytest.raises(ConvergenceFailure, match="not isolated"):
+        certified_spectrum(L, model, n)
 
-    # a rerun that solves a different polynomial fails the agreement check
-    charpoly = oracle._charpoly_coeffs
 
-    def skewed(ctx, L, model, n):
-        coeffs = charpoly(ctx, L, model, n)
-        if ctx.dps == oracle.CHECK_DIGITS:
-            coeffs[-1] *= 1 + ctx.mpf(10) ** -9
-        return coeffs
+def _interval_poly(iv, roots):
+    """Enclosures of [c_0, ..., c_d] for prod (x - r), with det(x - M) = sum (-1)^k c_k x^(d-k)."""
+    coeffs = [iv.one]
+    for r in roots:  # times (x - r): c_k += r c_(k-1)
+        r = iv.mpc(*r) if isinstance(r, tuple) else iv.mpf(r)
+        coeffs = [a + r * b for a, b in zip(coeffs + [iv.zero], [iv.zero] + coeffs)]
+    return [c.real if hasattr(c, "imag") else c for c in coeffs]
 
-    monkeypatch.setattr(oracle, "_charpoly_coeffs", skewed)
-    with pytest.raises(ConvergenceFailure, match="disagree"):
-        product_spectrum(L, model, n)
+
+def _certify_roots(roots, seeds):
+    """The certificate on the interval polynomial prod (x - r), from polished seeds."""
+    ctx, iv = oracle._contexts()
+    coeffs = _interval_poly(iv, roots)
+    mids = [ctx.make_mpf(c.mid._mpi_[0]) for c in coeffs]
+    approx = oracle._polish(ctx, mids, [ctx.mpc(s) for s in seeds])
+    return oracle._certify(iv, coeffs, approx)
+
+
+def test_certificate_proves_distinct_real_roots():
+    _, ok = _certify_roots(["1", "2", "3"], [0.9, 2.2, 3.1])
+    assert ok
+    # graded far beyond the float range, opposite signs
+    _, ok = _certify_roots(["3e-500", "-2", "7e400"], ["2.5e-500", -1.5, "7.2e400"])
+    assert ok
+    # real roots of one modulus are isolated but not simple
+    _, ok = _certify_roots(["-2", "2", "5"], [-2.1, 2.1, 4.9])
+    assert not ok
+
+
+def test_certificate_refuses_a_near_real_conjugate_pair():
+    pair = [("3", "3e-12"), ("3", "-3e-12")]
+    _, ok = _certify_roots(["1"] + pair, [1.1, 3 + 1e-11j, 3 - 1e-11j])
+    assert not ok
+    # the split-form test at GAP_TOL takes these imaginary parts for real and
+    # rejects the pair only through its zero modulus gap
+    approx = ScaledSpectrum.from_values(np.array([1.0, 3 + 3e-12j, 3 - 3e-12j]))
+    assert np.all(np.abs(approx.unit.imag) <= GAP_TOL)
+    assert approx.real_simple(GAP_TOL) == (False, 0.0)
+
+
+def test_certificate_rejects_a_double_root():
+    with pytest.raises(ConvergenceFailure):
+        _certify_roots(["1", "2", "2"], [0.9, 1.9, 2.1])
+    # centres 2 -+ t, t = 2^-66: Horner is exact, |W| = t^2 / 2t, so each disk
+    # has radius t, narrow enough to pass the width limit, and the two touch
+    ctx, iv = oracle._contexts()
+    t = ctx.ldexp(1, -66)
+    with pytest.raises(ConvergenceFailure, match="meet"):
+        oracle._certify(iv, _interval_poly(iv, ["2", "2"]), [ctx.mpc(2 - t), ctx.mpc(2 + t)])
 
 
 def test_product_spectrum_is_thread_safe(demo_instance):
