@@ -34,6 +34,7 @@ from .blocks import BlockStructure, d_chain
 from .errors import (
     ConditionError,
     ConditionFailure,
+    ConvergenceFailure,
     DegeneratePolar,
     EpsilonTooLarge,
     NegativeDeterminant,
@@ -53,10 +54,9 @@ from .graph_transform import (
 from .linalg import (
     eigenvalues,
     invert,
-    max_real_simple_angle,
     op_norm,
     phase_mod1,
-    polar_decompose_2x2,
+    polar_2x2,
     rotation_matrix,
     signed_fraction,
 )
@@ -206,9 +206,8 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
         if det < 0:
             polar_refs[j] = PolarRef(level=j, det_positive=False)
             continue
-        P, alpha = polar_decompose_2x2(lam)
         try:
-            eps_hat = max_real_simple_angle(P)
+            P, alpha, eps_hat = polar_2x2(lam)
         except DegeneratePolar as exc:
             raise EpsilonTooLarge(
                 f"level {j} limit has no rotation margin: {exc}"
@@ -232,26 +231,29 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
                 limit: np.ndarray) -> LevelData:
     blk = model.block(j)
     log_scale = n * math.log(blk.modulus)
-    drift = op_norm(X - limit)
     if blk.size == 1:
         sign = -1.0 if (blk.value < 0 and n % 2 == 1) else 1.0
         spec = ScaledSpectrum.from_values(
             np.array([complex(X[0, 0] * sign)]), log_scale=log_scale
         )
-        return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]), drift=drift)
+        return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]),
+                         drift=abs(float(X[0, 0] - limit[0, 0])))
+    # sigma_max of a 2x2 matrix E, exact in real arithmetic
+    (e00, e01), (e10, e11) = (X - limit).tolist()
+    drift = 0.5 * (math.hypot(e00 + e11, e10 - e01) + math.hypot(e00 - e11, e01 + e10))
     phase = float(phase_mod1(blk.theta, n))
     unit_part = X @ rotation_matrix(phase)
     spec = ScaledSpectrum.from_values(eigenvalues(unit_part), log_scale=log_scale)
-    det = float(np.linalg.det(X))
+    (a, b), (c, d) = X.tolist()
+    det = a * d - b * c
     polar = None
     eps_hat = None
     if det > 0:
         try:
-            P, alpha = polar_decompose_2x2(X)
+            P, alpha, eps_hat = polar_2x2(X)
             polar = (P, alpha)
-            eps_hat = max_real_simple_angle(P)
         except (SingularMatrix, NegativeDeterminant, DegeneratePolar):
-            polar = None
+            pass
     return LevelData(j=j, X=X, spectrum=spec, det=det, drift=drift,
                      polar=polar, eps_hat=eps_hat)
 
@@ -280,6 +282,7 @@ def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
     m = cascade.m
     levels.append(_level_data(m, current, n, model, cascade.limits[m - 1]))
 
+    # each drift is within a few ulp (relative) of the exact sigma_max(X - limit)
     limits_ok = all(lv.drift < cascade.eps0 for lv in levels)
     margin = math.inf
     for a, b in zip(levels, levels[1:]):
@@ -387,7 +390,11 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
                   else "limits or domination violated")
         return None, row, (n, f"{reason} (min_gap {min_gap:.3g})")
 
-    reference, certified = certified_spectrum(L_n, model, N)
+    try:
+        reference, certified = certified_spectrum(L_n, model, N)
+    except ConvergenceFailure as exc:
+        row[-1] = 0
+        return None, row, (n, f"oracle does not isolate the roots ({exc})")
     mismatch = match_scaled(spec, reference)
     if mismatch > ORACLE_TOL or not certified:
         row[-1] = 0

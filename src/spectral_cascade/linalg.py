@@ -183,53 +183,35 @@ def eigenvalues_charpoly(J: np.ndarray) -> np.ndarray:
     return _poly_roots(_charpoly_coeffs(J))
 
 
-def sqrtm_spd_2x2(S: np.ndarray) -> np.ndarray:
-    """Principal square root of a symmetric positive-definite 2x2 matrix."""
-    det = float(np.linalg.det(S))
-    tr = float(np.trace(S))
-    if det <= 0 or tr <= 0:
-        raise SingularMatrix("matrix is not positive definite")
-    t = math.sqrt(det)
-    return (S + t * np.eye(2)) / math.sqrt(tr + 2.0 * t)
+def polar_2x2(M: np.ndarray):
+    """Closed-form polar form M = P R_alpha of a 2x2 matrix with det M > 0.
 
-
-def polar_decompose_2x2(M: np.ndarray):
-    """Factor M = P * R_theta with P symmetric positive-definite, det M > 0.
-
-    Returns ``(P, theta)`` with theta in turns.
+    Returns ``(P, alpha, eps_hat)``: P symmetric positive-definite, alpha in
+    turns in [0, 1), and the rotation margin eps_hat = arccos(2 sqrt(det P) /
+    tr P) / (2 pi) of P, so every |eps| < eps_hat gives tr(P R_eps)^2 >
+    4 det(P R_eps), hence real simple eigenvalues.  For M = [[a, b], [c, d]]
+    the rotation has cos = (a+d)/s and sin = (c-b)/s with s = hypot(a+d, c-b);
+    then P = M R^T is symmetric with tr P = s and det P = det M.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"polar decomposition needs a 2x2 matrix, got {M.shape}")
-    det = float(np.linalg.det(M))
-    if abs(det) < _singular_threshold(M):
+    (a, b), (c, d) = M.tolist()
+    det = a * d - b * c
+    if abs(det) < _singular_threshold(M) or det == 0:  # the threshold underflows at M = 0
         raise SingularMatrix(f"determinant {det:g} below scale threshold")
     if det < 0:
         raise NegativeDeterminant(f"determinant {det:g} < 0: reflection case")
-    P = sqrtm_spd_2x2(M @ M.T)
-    R = np.linalg.solve(P, M)
-    theta = math.atan2(R[1, 0], R[0, 0]) / (2.0 * math.pi)
-    return P, theta % 1.0
-
-
-def max_real_simple_angle(P: np.ndarray) -> float:
-    """Largest rotation margin keeping P * R_eps real and simple.
-
-    For symmetric positive-definite P with distinct eigenvalues, returns
-    eps_hat = arccos(2 sqrt(det P) / tr P) / (2 pi); every |eps| < eps_hat
-    gives tr(P R_eps)^2 > 4 det(P R_eps), hence real simple eigenvalues.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.shape != (2, 2) or abs(P[0, 1] - P[1, 0]) > 1e-9 * max(1.0, op_norm(P)):
-        raise ValueError("expected a symmetric 2x2 matrix")
-    det = float(np.linalg.det(P))
-    tr = float(np.trace(P))
-    if det <= 0 or tr <= 0:
-        raise SingularMatrix("matrix is not positive definite")
-    c = 2.0 * math.sqrt(det) / tr
-    if c >= 1.0 - 1e-12:
+    tr, skew = a + d, c - b
+    s = math.hypot(tr, skew)
+    ratio = 2.0 * math.sqrt(det) / s  # s^2 - 4 det = (a-d)^2 + (b+c)^2 >= 0
+    if ratio >= 1.0 - 1e-12:
         raise DegeneratePolar("equal eigenvalues: zero rotation margin")
-    return math.acos(c) / (2.0 * math.pi)
+    co, si = tr / s, skew / s
+    P = np.array([[a * co - b * si, a * si + b * co],
+                  [c * co - d * si, c * si + d * co]])
+    alpha = math.atan2(skew, tr) / (2.0 * math.pi)
+    return P, alpha % 1.0, math.acos(ratio) / (2.0 * math.pi)
 
 
 def matrix_power_checked(M: np.ndarray, n: int) -> np.ndarray:

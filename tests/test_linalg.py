@@ -24,15 +24,13 @@ from spectral_cascade.linalg import (
     lll_reduce,
     match_spectra,
     matrix_power_checked,
-    max_real_simple_angle,
     op_norm,
     phase_mod1,
-    polar_decompose_2x2,
+    polar_2x2,
     rotation_matrix,
     short_vectors,
     signed_fraction,
     sin_turns,
-    sqrtm_spd_2x2,
 )
 from spectral_cascade.oracle import ScaledSpectrum
 
@@ -104,7 +102,7 @@ def test_polar_roundtrip(seed):
         # det(M + cI) = det M + c tr M + c^2 > 0 for this c
         c = abs(np.trace(M)) + abs(np.linalg.det(M)) + 3.0
         M = M + c * np.eye(2)
-    P, theta = polar_decompose_2x2(M)
+    P, theta, _ = polar_2x2(M)
     np.testing.assert_allclose(P @ rotation_matrix(theta), M, atol=1e-12)
     evals = np.linalg.eigvalsh(P)
     assert evals.min() > 0
@@ -113,27 +111,52 @@ def test_polar_roundtrip(seed):
 
 def test_polar_negative_det_raises():
     with pytest.raises(NegativeDeterminant):
-        polar_decompose_2x2(np.diag([1.0, -2.0]))
+        polar_2x2(np.diag([1.0, -2.0]))
 
 
-def test_sqrtm_spd():
-    S = np.array([[4.0, 1.0], [1.0, 3.0]])
-    root = sqrtm_spd_2x2(S)
-    np.testing.assert_allclose(root @ root, S, atol=1e-12)
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100], ids=["1", "1e100", "1e-100"])
+def test_polar_matches_sqrtm_route(scale, polar_reference):
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        M = rng.standard_normal((2, 2))
+        if np.linalg.det(M) < 0:
+            M[0] = -M[0]
+        P, alpha, eps_hat = polar_2x2(scale * M)
+        assert 0.0 <= alpha < 1.0
+        polar_reference(scale * M, P, alpha, eps_hat)
+
+
+def test_polar_singular_threshold_edge():
+    # det = e exactly for e >= 2**-52; the threshold is about 2e-14
+    for e, singular in ((1.8e-14, True), (2.2e-14, False)):
+        M = np.array([[1.0, 1.0], [1.0, 1.0 + e]])
+        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        assert (det < _singular_threshold(M)) == singular
+        if singular:
+            with pytest.raises(SingularMatrix):
+                polar_2x2(M)
+        else:
+            P, _, _ = polar_2x2(M)
+            assert np.linalg.eigvalsh(P).min() > 0
     with pytest.raises(SingularMatrix):
-        sqrtm_spd_2x2(np.diag([1.0, -1.0]))
+        polar_2x2(np.zeros((2, 2)))
 
 
 def test_max_real_simple_angle_is_sharp():
     P = np.diag([2.0, 1.0])
-    eps_hat = max_real_simple_angle(P)
+    P_out, alpha, eps_hat = polar_2x2(P)
+    np.testing.assert_array_equal(P_out, P)
+    assert alpha == 0.0
     below = P @ rotation_matrix(0.999 * eps_hat)
     above = P @ rotation_matrix(1.001 * eps_hat)
     assert _real_simple(eigenvalues(below))[0]
     vals = np.linalg.eigvals(above)
     assert np.abs(vals.imag).max() > 0
     with pytest.raises(DegeneratePolar):
-        max_real_simple_angle(np.eye(2))
+        polar_2x2(np.eye(2))
+    for scale in (1.0, 1e100, 1e-100):
+        with pytest.raises(DegeneratePolar):
+            polar_2x2(scale * 3.0 * rotation_matrix(0.3))
 
 
 def test_matrix_power_overflow():

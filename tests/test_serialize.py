@@ -1,11 +1,17 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import spectral_cascade as sc
 from spectral_cascade import serialize
-from spectral_cascade.cascade import cascade_decompose
+from spectral_cascade.cascade import cascade_decompose, choose_parameters
 from spectral_cascade.graph_transform import invariant_pair
 from spectral_cascade.oracle import ScaledSpectrum, match_scaled
+from spectral_cascade.verify import verify_artifact
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_matrix_roundtrip(rng):
@@ -75,3 +81,35 @@ def test_load_rejects_kindless(tmp_path):
     p.write_text("[1, 2, 3]")
     with pytest.raises(ValueError):
         serialize.load_artifact(str(p))
+
+
+# (1,2,2) seed 3: `cascade --k 21 --n 1000` and `prove --count 3`, written by
+# the release that took level polar forms through sqrtm of M M^T and level
+# drifts through an SVD
+STORED = ["cascade_122_seed3_k21_n1000.json", "prove_122_seed3_count3.json"]
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_stored_artifacts_verify(name):
+    assert verify_artifact(serialize.load_artifact(str(DATA / name)))["passed"]
+
+
+def test_stored_cascade_result_recomputes():
+    """Blocks and spectra are bit-equal; det, drift and polar agree to 1e-14."""
+    stored = serialize.load_artifact(str(DATA / STORED[0]))
+    spec = serialize.instance_from_json(stored["instance"])
+    casc = choose_parameters(spec.model, spec.L, stored["eps0"], law=spec.law)
+    res = cascade_decompose(spec.L_n(stored["k"]), stored["n"], spec.model, casc)
+    fresh = serialize.cascade_result_to_json(res, spec, stored["eps0"], stored["k"])
+    for new, old in zip(fresh["levels"], stored["levels"]):
+        for key in ("det", "drift"):
+            assert math.isclose(new.pop(key), old.pop(key), rel_tol=1e-14)
+        assert ("polar" in new) == ("polar" in old)
+        if "polar" in old:
+            new_p, old_p = new.pop("polar"), old.pop("polar")
+            P = serialize.matrix_from_json(old_p["P"])
+            dP = np.linalg.norm(serialize.matrix_from_json(new_p["P"]) - P, 2)
+            assert dP <= 1e-14 * np.linalg.norm(P, 2)
+            assert abs(new_p["alpha"] - old_p["alpha"]) <= 1e-14
+            assert math.isclose(new_p["eps_hat"], old_p["eps_hat"], rel_tol=1e-14)
+    assert fresh == stored
