@@ -57,7 +57,6 @@ from .linalg import (
     op_norm,
     phase_mod1,
     polar_2x2,
-    rotation_matrix,
     signed_fraction,
 )
 from .model import DiagonalModel, DiagonalPowers
@@ -231,19 +230,15 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
                 limit: np.ndarray) -> LevelData:
     blk = model.block(j)
     log_scale = n * math.log(blk.modulus)
+    XU = X @ blk.unit_power(n)  # the spectrum of X T_j^n, up to |lambda_j|^n
     if blk.size == 1:
-        sign = -1.0 if (blk.value < 0 and n % 2 == 1) else 1.0
-        spec = ScaledSpectrum.from_values(
-            np.array([complex(X[0, 0] * sign)]), log_scale=log_scale
-        )
+        spec = ScaledSpectrum.from_values(XU[0], log_scale=log_scale)
         return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]),
                          drift=abs(float(X[0, 0] - limit[0, 0])))
     # sigma_max of a 2x2 matrix E, exact in real arithmetic
     (e00, e01), (e10, e11) = (X - limit).tolist()
     drift = 0.5 * (math.hypot(e00 + e11, e10 - e01) + math.hypot(e00 - e11, e01 + e10))
-    phase = float(phase_mod1(blk.theta, n))
-    unit_part = X @ rotation_matrix(phase)
-    spec = ScaledSpectrum.from_values(eigenvalues(unit_part), log_scale=log_scale)
+    spec = ScaledSpectrum.from_values(eigenvalues(XU), log_scale=log_scale)
     (a, b), (c, d) = X.tolist()
     det = a * d - b * c
     polar = None
@@ -417,10 +412,12 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     real-simple windows; survivors are decomposed exactly and every hit is
     confirmed against the independent oracle (``examine``).  With
     ``csv_path``, one row per examined exponent is written as it is
-    examined.  Raises
+    examined.  Raises ValueError for ``count`` below 1 and
     SearchExhausted (with the near misses) when fewer than ``count`` hits
     exist below ``n_max``.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     model = instance.model
     structure = model.structure
     n_start = max(cascade.n0, cascade.k0, 1)

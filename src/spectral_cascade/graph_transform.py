@@ -292,26 +292,25 @@ def _converged(u_new: np.ndarray, u: np.ndarray) -> bool:
     return math.hypot(*(u_new - u).flat) < FIXED_POINT_STEP_TOL * scale
 
 
-def solve_xi(problem: SplitProblem, J: np.ndarray, n: int,
-             constants: Optional[TransformConstants] = None) -> np.ndarray:
-    """Fixed point of the forward operator, iterated from u = 0."""
-    J = np.asarray(J, dtype=float)
-    A, B, C, D = split_blocks(J, problem.k1)
-    Ainv = invert(A)
-    CAinv = C @ Ainv
-    powers = problem.powers
-    u = np.zeros((problem.k2, problem.k1))
+def _fixed_point(first, left, right, outer, sandwich, n: int, name: str) -> np.ndarray:
+    """Iterate u <- first + (right - u left) sandwich(u, n) outer from u = 0."""
+    u = np.zeros_like(first)
     for _ in range(FIXED_POINT_MAX_ITER):
-        sandwich = powers.dvn_u_avmn(u, n)
-        u_new = CAinv + (D - u @ B) @ sandwich @ Ainv
+        u_new = first + (right - u @ left) @ sandwich(u, n) @ outer
         if _converged(u_new, u):
             return u_new
         u = u_new
-    raise NoConvergence(f"xi iteration did not converge at n={n}; constants violated")
+    raise NoConvergence(f"{name} iteration did not converge at n={n}; constants violated")
+
+
+def solve_xi(problem: SplitProblem, J: np.ndarray, n: int) -> np.ndarray:
+    """Fixed point of the forward operator, iterated from u = 0."""
+    A, B, C, D = split_blocks(np.asarray(J, dtype=float), problem.k1)
+    Ainv = invert(A)
+    return _fixed_point(C @ Ainv, B, D, Ainv, problem.powers.dvn_u_avmn, n, "xi")
 
 
 def solve_eta(problem: SplitProblem, J: np.ndarray, n: int,
-              constants: Optional[TransformConstants] = None,
               return_hat: bool = False, Ji: Optional[np.ndarray] = None):
     """Fixed point of the inverse-side operator, conjugated back.
 
@@ -323,17 +322,9 @@ def solve_eta(problem: SplitProblem, J: np.ndarray, n: int,
         Ji = invert(np.asarray(J, dtype=float))
     Ai, Bi, Ci, Di = split_blocks(Ji, problem.k1)
     Dinv = invert(Di)
-    BiDinv = Bi @ Dinv
-    powers = problem.powers
-    u = np.zeros((problem.k1, problem.k2))
-    for _ in range(FIXED_POINT_MAX_ITER):
-        sandwich = powers.avmn_u_dvn(u, n)
-        u_new = BiDinv + (Ai - u @ Ci) @ sandwich @ Dinv
-        if _converged(u_new, u):
-            eta = powers.avmn_u_dvn(u_new, n)
-            return (eta, u_new) if return_hat else eta
-        u = u_new
-    raise NoConvergence(f"eta iteration did not converge at n={n}; constants violated")
+    eta_hat = _fixed_point(Bi @ Dinv, Ci, Ai, Dinv, problem.powers.avmn_u_dvn, n, "eta")
+    eta = problem.powers.avmn_u_dvn(eta_hat, n)
+    return (eta, eta_hat) if return_hat else eta
 
 
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,

@@ -4,13 +4,15 @@ The diagonal model diag[T_1 : ... : T_m] has per-block data: a nonzero real
 scalar for 1x1 blocks, or (modulus, angle-in-turns) for 2x2 scaled-rotation
 blocks.  Powers are evaluated in closed form, |lambda|^n * R_{n theta mod 1},
 with the modulus handled in log space so exponents up to ~1e5 stay exact.
+Each block's ``unit_power`` is the one place that forms the unit part
+U_j(n) of T_j^n; the sandwich factors, the cascade's level spectra and the
+oracle's numpy route all read it from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -21,37 +23,40 @@ from .linalg import phase_mod1, rotation_matrix
 _LOG_CAP = 300.0 * math.log(10.0)
 
 
+class Block:
+    """A diagonal block T_j, whose powers are T_j^n = |lambda_j|^n U_j(n) with
+    U_j(n) of unit modulus: the sign of a scalar or a rotation."""
+
+    def power(self, n: int) -> np.ndarray:
+        """T_j^n in closed form; raises PowerOverflow past ~1e300."""
+        if n * math.log(self.modulus) > _LOG_CAP:
+            raise PowerOverflow(f"{type(self).__name__} power {n} overflows")
+        return self.modulus ** n * self.unit_power(n)
+
+
 @dataclass(frozen=True)
-class ScalarBlock:
+class ScalarBlock(Block):
     value: float
+    size = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value != 0.0):
             raise ValueError(f"scalar block must be finite nonzero, got {self.value}")
 
     @property
-    def size(self) -> int:
-        return 1
-
-    @property
     def modulus(self) -> float:
         return abs(self.value)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.value]])
-
-    def power(self, n: int) -> np.ndarray:
-        log_mag = n * math.log(abs(self.value))
-        if log_mag > _LOG_CAP:
-            raise PowerOverflow(f"scalar block power {n} overflows")
-        mag = abs(self.value) ** n if log_mag < 700.0 else math.exp(log_mag)
-        return mag * _unit_power(self, n)
+    def unit_power(self, n: int) -> np.ndarray:
+        """The sign of value^n, as a 1x1 matrix."""
+        return np.array([[-1.0 if (self.value < 0 and n % 2 == 1) else 1.0]])
 
 
 @dataclass(frozen=True)
-class RotationBlock:
+class RotationBlock(Block):
     modulus: float
     theta: float
+    size = 2
 
     def __post_init__(self):
         if not (math.isfinite(self.modulus) and self.modulus > 0.0):
@@ -59,22 +64,9 @@ class RotationBlock:
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"angle must lie in [0, 1) turns, got {self.theta}")
 
-    @property
-    def size(self) -> int:
-        return 2
-
-    def matrix(self) -> np.ndarray:
-        return self.modulus * rotation_matrix(self.theta)
-
-    def power(self, n: int) -> np.ndarray:
-        log_mag = n * math.log(self.modulus)
-        if log_mag > _LOG_CAP:
-            raise PowerOverflow(f"rotation block power {n} overflows")
-        mag = self.modulus ** n if log_mag < 700.0 else math.exp(log_mag)
-        return mag * _unit_power(self, n)
-
-
-Block = Union[ScalarBlock, RotationBlock]
+    def unit_power(self, n: int) -> np.ndarray:
+        """The rotation through n theta mod 1 turns."""
+        return rotation_matrix(float(phase_mod1(self.theta, n)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ class DiagonalModel:
         return self.diag_blocks[j - 1]
 
     def matrix(self) -> np.ndarray:
-        return block_diag(*(b.matrix() for b in self.diag_blocks))
+        return self.power(1)
 
     def power(self, n: int) -> np.ndarray:
         """T^n, exact block-closed form."""
@@ -163,11 +155,11 @@ class DiagonalPowers:
         """(n, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and H
         are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale."""
         if self._cache[0] != n:
-            unit_tail = block_diag(*(_unit_power(b, n) for b in self.tail_model.diag_blocks))
+            unit_tail = block_diag(*(b.unit_power(n) for b in self.tail_model.diag_blocks))
             scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))
             # the inverse of a rotation or a sign is its transpose
             self._cache = (n, scale[:, None] * unit_tail, unit_tail * scale[None, :],
-                           _unit_power(self.head, n).T)
+                           self.head.unit_power(n).T)
         return self._cache
 
     def dvn_u_avmn(self, u: np.ndarray, n: int) -> np.ndarray:
@@ -180,9 +172,3 @@ class DiagonalPowers:
         _, _, right, head_inv = self._factors(n)
         return head_inv @ u @ right
 
-
-def _unit_power(blk: Block, n: int) -> np.ndarray:
-    """The unit-modulus part of blk^n: a rotation, or the sign of a scalar."""
-    if isinstance(blk, RotationBlock):
-        return rotation_matrix(float(phase_mod1(blk.theta, n)))
-    return np.array([[-1.0 if (blk.value < 0 and n % 2 == 1) else 1.0]])

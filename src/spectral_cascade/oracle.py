@@ -44,8 +44,9 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import mpf_shift, to_int
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConvergenceFailure, PowerOverflow
-from .linalg import eigenvalues, phase_mod1, rotation_matrix
+from .blocks import block_diag
+from .errors import ConvergenceFailure
+from .linalg import eigenvalues
 from .model import DiagonalModel
 
 GAP_TOL = 1e-9  # imaginary part and relative modulus gap of a real simple spectrum
@@ -73,12 +74,6 @@ class ScaledSpectrum:
 
     def __len__(self) -> int:
         return len(self.unit)
-
-    def values(self) -> np.ndarray:
-        """Plain complex eigenvalues; fails when they leave float range."""
-        if np.any(np.abs(self.log_mod) > 690.0):
-            raise PowerOverflow("spectrum moduli exceed the float range")
-        return self.unit * np.exp(self.log_mod)
 
     def real_simple(self, gap_tol: float = GAP_TOL):
         """All-real with distinct moduli, judged in split form.
@@ -124,24 +119,6 @@ def spread_digits(model: DiagonalModel, n: int) -> float:
     return float((logs.max() - logs.min()) / _LN10)
 
 
-def _scaled_power_blocks(model: DiagonalModel, n: int, center: float) -> np.ndarray:
-    """T^n * exp(-center) assembled blockwise in closed form."""
-    d = model.d
-    out = np.zeros((d, d))
-    pos = 0
-    for blk in model.diag_blocks:
-        log_mag = n * math.log(blk.modulus) - center
-        mag = math.exp(log_mag)
-        if blk.size == 1:
-            sign = -1.0 if (blk.value < 0 and n % 2 == 1) else 1.0
-            out[pos, pos] = sign * mag
-        else:
-            phase = float(phase_mod1(blk.theta, n))
-            out[pos : pos + 2, pos : pos + 2] = mag * rotation_matrix(phase)
-        pos += blk.size
-    return out
-
-
 def product_spectrum(L: np.ndarray, model: DiagonalModel, n: int) -> ScaledSpectrum:
     """Spectrum of L T^n in split form, independent of the decomposition.
 
@@ -153,7 +130,8 @@ def product_spectrum(L: np.ndarray, model: DiagonalModel, n: int) -> ScaledSpect
     logs = n * model.coordinate_log_moduli()
     if (logs.max() - logs.min()) / _LN10 <= NUMPY_DIGIT_CAP:
         center = float((logs.max() + logs.min()) / 2.0)
-        M = L @ _scaled_power_blocks(model, n, center)
+        M = L @ block_diag(*(math.exp(n * math.log(b.modulus) - center) * b.unit_power(n)
+                             for b in model.diag_blocks))
         return ScaledSpectrum.from_values(eigenvalues(M), log_scale=center)
     return certified_spectrum(L, model, n)[0]
 

@@ -158,8 +158,8 @@ def test_criterion_6_trivial_cases_are_exact():
     p = SplitProblem(V=V, J0=J0, k1=2, k2=2, delta=0.05)
     c = derive_constants(p)
     n = c.n0 + 1
-    xi = solve_xi(p, J0, n, c)
-    eta = solve_eta(p, J0, n, c)
+    xi = solve_xi(p, J0, n)
+    eta = solve_eta(p, J0, n)
     assert op_norm(xi) == 0.0
     assert op_norm(eta) == 0.0
     AJ, B, C, DJ = split_blocks(J0, 2)

@@ -7,6 +7,7 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade import cascade as cascade_module
 from spectral_cascade import graph_transform, serialize
+from spectral_cascade.blocks import block_diag
 from spectral_cascade.cascade import (
     cascade_decompose,
     choose_parameters,
@@ -24,9 +25,22 @@ from spectral_cascade.errors import (
     StageFailure,
 )
 from spectral_cascade.graph_transform import dominated_split
-from spectral_cascade.linalg import op_norm, signed_fraction
-from spectral_cascade.model import DiagonalPowers
-from spectral_cascade.oracle import certified_spectrum, match_scaled, product_spectrum
+from spectral_cascade.linalg import (
+    eigenvalues,
+    op_norm,
+    phase_mod1,
+    rotation_matrix,
+    signed_fraction,
+)
+from spectral_cascade.model import DiagonalModel, DiagonalPowers, ScalarBlock
+from spectral_cascade.oracle import (
+    NUMPY_DIGIT_CAP,
+    ScaledSpectrum,
+    certified_spectrum,
+    match_scaled,
+    product_spectrum,
+    spread_digits,
+)
 
 
 def test_choose_parameters_orders_radii(demo_cascade):
@@ -162,6 +176,12 @@ def test_find_subsequence_exhausts(demo_instance, demo_cascade):
                          n_max=demo_cascade.n0 + 2)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_find_subsequence_rejects_count_below_one(demo_instance, demo_cascade, count):
+    with pytest.raises(ValueError):
+        find_subsequence(demo_instance, demo_cascade, count=count)
+
+
 def test_prove_instance_end_to_end():
     spec = sc.generate_instance((1, 2), seed=99, a=2, b=1)
     report = prove_instance(spec, eps0=1e-3, count=3, n_max=50_000)
@@ -237,12 +257,13 @@ def test_222_hits_are_pinned_and_certified():
 
 @pytest.mark.parametrize("pattern", [(1, 2, 2), (2, 2, 2)], ids=["122", "222"])
 def test_decomposition_call_budget(pattern, monkeypatch):
-    """Per decomposition: at most 6 op_norm, 8 invert and exactly 16 sandwich calls.
+    """Per decomposition: at most 6 op_norm, 8 invert and exactly 16 sandwich calls,
+    and one eigenvalues call per 2x2 level (1x1 levels need none).
 
     16 sandwich calls is the count before the sandwich factors were cached;
     the fixed-point iterations must not get longer.
     """
-    counts = {"op_norm": 0, "invert": 0, "sandwich": 0}
+    counts = {"op_norm": 0, "invert": 0, "sandwich": 0, "eigenvalues": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -255,6 +276,8 @@ def test_decomposition_call_budget(pattern, monkeypatch):
             monkeypatch.setattr(mod, name, counted(getattr(mod, name), name))
     for name in ("dvn_u_avmn", "avmn_u_dvn"):
         monkeypatch.setattr(DiagonalPowers, name, counted(getattr(DiagonalPowers, name), "sandwich"))
+    monkeypatch.setattr(cascade_module, "eigenvalues",
+                        counted(cascade_module.eigenvalues, "eigenvalues"))
     spec = sc.generate_instance(pattern, seed=3)
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
     L_k = spec.L_n(casc.k0)
@@ -263,21 +286,97 @@ def test_decomposition_call_budget(pattern, monkeypatch):
         cascade_decompose(L_k, n, spec.model, casc)
         assert counts["op_norm"] <= 6 and counts["invert"] <= 8, (n, counts)
         assert counts["sandwich"] == 16, (n, counts)
+        assert counts["eigenvalues"] == pattern.count(2), (n, counts)
 
 
 PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]
+PATTERN_IDS = ["".join(map(str, p)) for p in PATTERNS]
 
 
-@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: "".join(map(str, p)))
+def _sweep(spec, model):
+    """(cascade, L_k, n) at n0..n0+9, 1e3, 1e4 and 1e5, with L_k at k0."""
+    casc = choose_parameters(model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    for n in [*range(casc.n0, casc.n0 + 10), 1_000, 10_000, 100_000]:
+        yield casc, L_k, n
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
 def test_level_drift_and_polar_match_reference_routes(pattern, polar_reference):
     """Closed-form level drifts are the 2-norm; level polar forms match sqrtm."""
     for seed in range(4):
         spec = sc.generate_instance(pattern, seed=seed)
-        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
-        L_k = spec.L_n(casc.k0)
-        for n in [*range(casc.n0, casc.n0 + 10), 1_000, 10_000, 100_000]:
+        for casc, L_k, n in _sweep(spec, spec.model):
             for lv in cascade_decompose(L_k, n, spec.model, casc).levels:
                 drift = op_norm(lv.X - casc.limits[lv.j - 1])
                 assert abs(lv.drift - drift) <= 1e-15 * drift, (seed, n, lv.j)
                 if lv.polar is not None:
                     polar_reference(lv.X, *lv.polar, lv.eps_hat)
+
+
+def _former_sign(blk, n):
+    return -1.0 if (blk.value < 0 and n % 2 == 1) else 1.0
+
+
+def _former_matrix(blk):
+    """A block's matrix T_j as written out before it was blk.power(1)."""
+    if blk.size == 1:
+        return np.array([[blk.value]])
+    return blk.modulus * rotation_matrix(blk.theta)
+
+
+def _former_scaled_power(model, n, center):
+    """T^n exp(-center), assembled blockwise as the oracle's numpy route did
+    before it read the blocks' unit powers."""
+    out = np.zeros((model.d, model.d))
+    pos = 0
+    for blk in model.diag_blocks:
+        mag = math.exp(n * math.log(blk.modulus) - center)
+        if blk.size == 1:
+            out[pos, pos] = _former_sign(blk, n) * mag
+        else:
+            phase = float(phase_mod1(blk.theta, n))
+            out[pos : pos + 2, pos : pos + 2] = mag * rotation_matrix(phase)
+        pos += blk.size
+    return out
+
+
+def _assert_same_spectrum(got, expected, where):
+    np.testing.assert_array_equal(got.unit, expected.unit, err_msg=str(where))
+    np.testing.assert_array_equal(got.log_mod, expected.log_mod, err_msg=str(where))
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_closed_forms_match_their_former_formulas(pattern):
+    """Bit for bit: T = power(1), numpy-route oracle spectra and 1x1 level spectra.
+
+    The generator draws positive scalar blocks only, so every instance with a
+    scalar block also runs with those blocks negated, where the sign
+    alternates with n.
+    """
+    for seed in range(4):
+        spec = sc.generate_instance(pattern, seed=seed)
+        models = [spec.model]
+        if 1 in pattern:
+            models.append(DiagonalModel(spec.model.structure, tuple(
+                ScalarBlock(-b.value) if b.size == 1 else b for b in spec.model.diag_blocks)))
+        for model in models:
+            for blk in model.diag_blocks:
+                np.testing.assert_array_equal(blk.power(1), _former_matrix(blk))
+            np.testing.assert_array_equal(
+                model.matrix(), block_diag(*map(_former_matrix, model.diag_blocks)))
+            for casc, L_k, n in _sweep(spec, model):
+                where = (seed, model.diag_blocks[0], n)
+                if spread_digits(model, n) <= NUMPY_DIGIT_CAP:
+                    logs = n * model.coordinate_log_moduli()
+                    center = float((logs.max() + logs.min()) / 2.0)
+                    M = L_k @ _former_scaled_power(model, n, center)
+                    _assert_same_spectrum(
+                        product_spectrum(L_k, model, n),
+                        ScaledSpectrum.from_values(eigenvalues(M), log_scale=center), where)
+                for lv in cascade_decompose(L_k, n, model, casc).levels:
+                    blk = model.block(lv.j)
+                    if blk.size == 1:
+                        x = complex(lv.X[0, 0] * _former_sign(blk, n))
+                        _assert_same_spectrum(lv.spectrum, ScaledSpectrum.from_values(
+                            np.array([x]), log_scale=n * math.log(blk.modulus)), where)

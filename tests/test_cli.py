@@ -123,6 +123,27 @@ def test_usage_errors_exit_64(tmp_path):
     assert not (tmp_path / "cert.json").exists()
 
 
+# out-of-range values that argparse accepts but the library rejects;
+# "{inst}" stands for a valid (1,2) instance
+@pytest.mark.parametrize("args", [
+    ["gen", "--structure", "3,1"],
+    ["gen", "--structure", "1,1"],
+    ["gen", "--structure", "1,2", "--a", "0"],
+    ["gen", "--structure", "1,2", "--rho", "1.5"],
+    ["gen", "--structure", "1,2", "--seed", "-1"],
+    ["cascade", "--instance", "{inst}", "--eps0", "-1", "--n", "60"],
+    ["prove", "--instance", "{inst}", "--count", "0"],
+    ["find-n", "--instance", "{inst}", "--count", "-2"],
+], ids=["structure-3-1", "structure-1-1", "a-0", "rho-1.5", "seed-neg",
+        "eps0-neg", "prove-count-0", "find-n-count-neg"])
+def test_bad_argument_values_exit_64(tmp_path, instance_file, capsys, args):
+    out = tmp_path / "out.json"
+    args = [instance_file if a == "{inst}" else a for a in args]
+    assert run([*args, "--out", out]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
     out = tmp_path / "out.json"
     limit = 2 ** 26

@@ -80,7 +80,7 @@ def test_xi_is_a_fixed_point():
     rng = np.random.default_rng(3)
     J = ball_sample(p, c, rng)
     n = c.n0 + 2
-    xi = solve_xi(p, J, n, c)
+    xi = solve_xi(p, J, n)
     A, B, C, D = split_blocks(J, p.k1)
     S = p.powers.dvn_u_avmn(xi, n)
     # xi = phi(xi) multiplied through by X = A(J) + B(J) S
@@ -93,7 +93,7 @@ def test_eta_decays_geometrically():
     c = derive_constants(p)
     rng = np.random.default_rng(6)
     J = ball_sample(p, c, rng)
-    norms = [op_norm(solve_eta(p, J, n, c)) for n in (c.n0, c.n0 + 4, c.n0 + 8)]
+    norms = [op_norm(solve_eta(p, J, n)) for n in (c.n0, c.n0 + 4, c.n0 + 8)]
     assert norms[0] < c.gamma * c.rho ** c.n0
     assert norms[2] < norms[1] < norms[0]
 
@@ -149,8 +149,8 @@ def test_block_diagonal_input_is_exact():
     A0, _, _, D0 = split_blocks(p.J0, p.k1)
     J = block_diag(A0, D0)
     n = c.n0 + 1
-    xi = solve_xi(p, J, n, c)
-    eta = solve_eta(p, J, n, c)
+    xi = solve_xi(p, J, n)
+    eta = solve_eta(p, J, n)
     assert op_norm(xi) == 0.0
     assert op_norm(eta) == 0.0
 
