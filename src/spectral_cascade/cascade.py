@@ -60,7 +60,7 @@ from .linalg import (
     signed_fraction,
 )
 from .model import DiagonalModel, DiagonalPowers
-from .oracle import GAP_TOL, ScaledSpectrum, certified_spectrum, match_scaled
+from .oracle import ScaledSpectrum, certified_spectrum, match_scaled
 from .scenario import InstanceSpec, check_L_conditions
 
 MARGIN_FACTOR = 0.05
@@ -150,8 +150,8 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     """
     structure = model.structure
     m = structure.m
-    if eps0 <= 0:
-        raise ValueError(f"eps0 must be positive, got {eps0}")
+    if not 0 < eps0 < math.inf:  # False for NaN as well
+        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     L = np.asarray(L, dtype=float)
     report = check_L_conditions(L, structure)
     if not report.passed:
@@ -376,7 +376,7 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
         except ValueError:
             phases[j] = math.nan
     spec = result.spectrum
-    ok, min_gap = spec.real_simple(GAP_TOL)
+    ok, min_gap = spec.real_simple()
     ok = ok and result.limits_ok and result.domination_ok
     row = ([n] + [phases[j] for j in structure.rotation_indices]
            + _spectrum_row(spec) + [min_gap, int(ok)])

@@ -42,7 +42,6 @@ import mpmath
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import mpf_shift, to_int
-from scipy.optimize import linear_sum_assignment
 
 from .blocks import block_diag
 from .errors import ConvergenceFailure
@@ -75,13 +74,13 @@ class ScaledSpectrum:
     def __len__(self) -> int:
         return len(self.unit)
 
-    def real_simple(self, gap_tol: float = GAP_TOL):
-        """All-real with distinct moduli, judged in split form.
+    def real_simple(self):
+        """All-real with distinct moduli at GAP_TOL, judged in split form.
 
         Returns (ok, min relative modulus gap); relative gaps are computed
         as 1 - exp(log difference) so arbitrary scales are fine.
         """
-        if np.any(np.abs(self.unit.imag) > gap_tol):
+        if np.any(np.abs(self.unit.imag) > GAP_TOL):
             return False, 0.0
         order = np.argsort(self.log_mod)[::-1]
         logs = self.log_mod[order]
@@ -90,7 +89,7 @@ class ScaledSpectrum:
         for i in range(len(logs) - 1):
             gap = -math.expm1(logs[i + 1] - logs[i])
             min_gap = min(min_gap, gap)
-            if gap <= gap_tol:
+            if gap <= GAP_TOL:
                 ok = False
         return ok, min_gap
 
@@ -102,15 +101,72 @@ class ScaledSpectrum:
 
 
 def match_scaled(a: ScaledSpectrum, b: ScaledSpectrum) -> float:
-    """Maximal relative mismatch between two split-form spectra."""
+    """Maximal relative mismatch between two split-form spectra.
+
+    Pairing a_i with b_j costs |a_i - b_j| / |b_j| in split form, or 1e30
+    past a modulus ratio of e^50; the result is the largest cost of a
+    min-sum assignment.  A NaN in either spectrum raises ValueError.
+    """
+    cost = _match_cost(a, b).tolist()
+    return max(row[j] for row, j in zip(cost, _min_sum_assignment(cost)))
+
+
+def _match_cost(a: ScaledSpectrum, b: ScaledSpectrum) -> np.ndarray:
     if len(a) != len(b):
         raise ValueError(f"spectra of different sizes: {len(a)} vs {len(b)}")
     dlog = a.log_mod[:, None] - b.log_mod[None, :]
     ratio = np.exp(np.clip(dlog, -50.0, 50.0))
     cost = np.abs(a.unit[:, None] * ratio - b.unit[None, :])
     cost = np.where(np.abs(dlog) > 50.0, 1e30, cost)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    if not np.isfinite(cost).all():
+        raise ValueError("spectrum matching cost contains non-finite entries")
+    return cost
+
+
+def _min_sum_assignment(cost: list) -> list:
+    """Column of each row in a min-sum assignment of a square cost matrix.
+
+    Shortest augmenting paths with dual potentials (D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+    2016), O(d^3) for d rows; the costs must be finite.  Ties: among
+    columns of equal reduced cost an unassigned column wins over an
+    assigned one, and otherwise the lowest column index wins.
+    """
+    d = len(cost)
+    u, v = [0.0] * d, [0.0] * d
+    col4row, row4col = [-1] * d, [-1] * d
+    for cur in range(d):
+        dist, path, done = [math.inf] * d, [-1] * d, [False] * d
+        rows, i, lowest, sink = [], cur, 0.0, -1
+        while sink < 0:  # Dijkstra over reduced costs until a free column
+            rows.append(i)
+            ci, ui, best = cost[i], u[i], -1
+            for j in range(d):
+                if done[j]:
+                    continue
+                r = lowest + ci[j] - ui - v[j]
+                if r < dist[j]:
+                    dist[j], path[j] = r, i
+                if best < 0 or dist[j] < dist[best] or (
+                        dist[j] == dist[best] and row4col[j] < 0 <= row4col[best]):
+                    best = j
+            lowest, done[best] = dist[best], True
+            if row4col[best] < 0:
+                sink = best
+            else:
+                i = row4col[best]
+        u[cur] += lowest
+        for i in rows[1:]:
+            u[i] += lowest - dist[col4row[i]]
+        for j in range(d):
+            if done[j]:
+                v[j] -= lowest - dist[j]
+        j, i = sink, -1
+        while i != cur:  # flip the path back to the new row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return col4row
 
 
 def spread_digits(model: DiagonalModel, n: int) -> float:

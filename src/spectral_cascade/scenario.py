@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+# numpy loads numpy.random lazily; import it with the package, not in the first draw
+from numpy.random import default_rng
 
 from .blocks import BlockStructure, block_diag, d_chain
 from .errors import (
@@ -53,7 +55,7 @@ class PerturbationLaw:
             raise ValueError(f"decay rate must lie in (0,1), got {self.rho}")
 
     def direction(self, d: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
+        rng = default_rng(self.seed)
         G = rng.standard_normal((d, d))
         return G / max(op_norm(G), 1e-300)
 
@@ -217,7 +219,7 @@ def random_model_T(structure: BlockStructure, moduli, seed: int = 0) -> Diagonal
         raise ValueError("one modulus per block required")
     if any(m2 >= m1 for m1, m2 in zip(moduli, moduli[1:])):
         raise ValueError(f"moduli must strictly decrease, got {moduli}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n_rot = len(structure.rotation_indices)
     for _ in range(20):
         primes = rng.choice(_ANGLE_PRIMES, size=n_rot, replace=False) if n_rot else []
@@ -244,7 +246,7 @@ def perturb_to_generic(L: np.ndarray, structure: BlockStructure, strength: float
     L = np.asarray(L, dtype=float)
     if check_L_conditions(L, structure, sv_gap_tol).passed:
         return L
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for _ in range(50):
         G = rng.standard_normal(L.shape)
         G /= max(op_norm(G), 1e-300)
@@ -277,7 +279,7 @@ def generate_instance(structure, seed: int = 0, *, ratio: float = 1.35,
     moduli = [1.07 * ratio ** e for e in exps]
     model = random_model_T(structure, moduli, seed)
 
-    rng = np.random.default_rng(seed + 1)
+    rng = default_rng(seed + 1)
     core_blocks = []
     for size in structure.sizes:
         if size == 1:

@@ -63,6 +63,12 @@ def test_choose_parameters_rejects_bad_inputs(demo_instance):
         choose_parameters(demo_instance.model, demo_instance.L, 0.5)
 
 
+@pytest.mark.parametrize("eps0", [math.nan, math.inf, -math.inf])
+def test_choose_parameters_rejects_non_finite_eps0(demo_instance, eps0):
+    with pytest.raises(ValueError, match="eps0"):
+        choose_parameters(demo_instance.model, demo_instance.L, eps0)
+
+
 def test_cascade_matches_oracle(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     for n in (casc.n0, casc.n0 + 7):

@@ -2,10 +2,13 @@ import json
 import math
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from spectral_cascade.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(args):
@@ -132,10 +135,12 @@ def test_usage_errors_exit_64(tmp_path):
     ["gen", "--structure", "1,2", "--rho", "1.5"],
     ["gen", "--structure", "1,2", "--seed", "-1"],
     ["cascade", "--instance", "{inst}", "--eps0", "-1", "--n", "60"],
+    ["cascade", "--instance", "{inst}", "--eps0", "inf", "--n", "60"],
+    ["prove", "--instance", "{inst}", "--eps0", "nan"],
     ["prove", "--instance", "{inst}", "--count", "0"],
     ["find-n", "--instance", "{inst}", "--count", "-2"],
 ], ids=["structure-3-1", "structure-1-1", "a-0", "rho-1.5", "seed-neg",
-        "eps0-neg", "prove-count-0", "find-n-count-neg"])
+        "eps0-neg", "eps0-inf", "eps0-nan", "prove-count-0", "find-n-count-neg"])
 def test_bad_argument_values_exit_64(tmp_path, instance_file, capsys, args):
     out = tmp_path / "out.json"
     args = [instance_file if a == "{inst}" else a for a in args]
@@ -219,3 +224,12 @@ def test_split_certificate_without_format_exits_1(tmp_path, seed3_file):
     del obj["format"]
     out.write_text(json.dumps(obj))
     assert run(["verify", "--artifact", out]) == 1
+
+
+def test_verify_rejects_nan_in_stored_hit_spectrum(tmp_path, capsys):
+    obj = json.loads((DATA / "prove_122_seed3_count3.json").read_text())
+    obj["hits"][0]["spectrum"]["log10_mod"][0] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", bad]) == 1
+    assert "malformed" in capsys.readouterr().err

@@ -9,11 +9,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spectral_cascade as sc
 from spectral_cascade import oracle
 from spectral_cascade.errors import ConvergenceFailure
-from spectral_cascade.linalg import eigenvalues, match_spectra
+from spectral_cascade.linalg import eigenvalues
 from spectral_cascade.oracle import (
     GAP_TOL,
     NUMPY_DIGIT_CAP,
@@ -47,14 +48,52 @@ def test_real_simple_in_log_space():
     assert not bad.real_simple()[0]
 
 
-def test_match_scaled_agrees_with_dense_matching(rng):
-    vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+def test_match_scaled_is_a_min_sum_assignment(d, seed, noise):
+    """The chosen pairing has the least cost sum over all permutations, and
+    match_scaled reports its largest cost."""
+    rng = np.random.default_rng(seed)
+    pairs = int(rng.integers(0, d // 2 + 1))
+    z = (rng.standard_normal(pairs) + 1j * rng.standard_normal(pairs)) * 10.0 ** rng.uniform(-3, 3, pairs)
+    x = rng.standard_normal(d - 2 * pairs) * 10.0 ** rng.uniform(-3, 3, d - 2 * pairs)
+    vals = np.concatenate([z, z.conj(), x])
+    other = rng.permutation(vals) * (1 + noise * (rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+    a, b = ScaledSpectrum.from_values(vals), ScaledSpectrum.from_values(other)
+    cost = oracle._match_cost(a, b)
+    cols = oracle._min_sum_assignment(cost.tolist())
+    assert sorted(cols) == list(range(d))
+    chosen = [cost[i, j] for i, j in enumerate(cols)]
+    least = min(sum(cost[i, p[i]] for i in range(d)) for p in itertools.permutations(range(d)))
+    assert sum(chosen) == pytest.approx(least, rel=1e-12, abs=0.0)
+    assert match_scaled(a, b) == max(chosen)
+
+
+def test_min_sum_assignment_tie_rule():
+    # a constant matrix gives the identity: each new row takes a free column
+    assert oracle._min_sum_assignment([[1.0] * 3] * 3) == [0, 1, 2]
+    # both [1, 2, 0] and [2, 0, 1] cost 2; row 1's path reaches columns 1
+    # and 2 at equal reduced cost, and the lower index wins
+    tied = [[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.0, 1.0, 2.0]]
+    assert oracle._min_sum_assignment(tied) == [1, 2, 0]
+
+
+def test_match_scaled_is_permutation_invariant():
+    vals = np.array([1.0, 2.0, 3.0 + 1j, 3.0 - 1j, -1.5])
     a = ScaledSpectrum.from_values(vals)
-    b = ScaledSpectrum.from_values(vals[::-1] * (1 + 1e-9))
-    assert match_scaled(a, b) == pytest.approx(
-        match_spectra(vals, vals[::-1] * (1 + 1e-9)), rel=1e-6
-    )
+    shuffled = vals[[3, 0, 4, 2, 1]]
     assert match_scaled(a, a) == 0.0
+    assert match_scaled(a, ScaledSpectrum.from_values(shuffled)) == 0.0
+    assert match_scaled(a, ScaledSpectrum.from_values(shuffled + 1e-8)) < 2e-8
+
+
+def test_match_scaled_rejects_non_finite_costs():
+    a = ScaledSpectrum.from_values([2.0, 1.0])
+    bad = ScaledSpectrum(unit=a.unit, log_mod=np.array([math.nan, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        match_scaled(a, bad)
+    with pytest.raises(ValueError, match="sizes"):
+        match_scaled(a, ScaledSpectrum.from_values([1.0]))
 
 
 def test_product_spectrum_matches_direct_eig(demo_instance):
@@ -247,7 +286,7 @@ def test_certificate_refuses_a_near_real_conjugate_pair():
     # rejects the pair only through its zero modulus gap
     approx = ScaledSpectrum.from_values(np.array([1.0, 3 + 3e-12j, 3 - 3e-12j]))
     assert np.all(np.abs(approx.unit.imag) <= GAP_TOL)
-    assert approx.real_simple(GAP_TOL) == (False, 0.0)
+    assert approx.real_simple() == (False, 0.0)
 
 
 def test_certificate_rejects_a_double_root():
