@@ -1,21 +1,22 @@
 """Block decomposition calculus for dense real matrices.
 
 A dimension d >= 3 is split into consecutive blocks of sizes i_1, ..., i_m
-with each i_j in {1, 2}.  The tail sums kappa_j = i_j + ... + i_m index the
-nested corner extractions: a square matrix of size kappa_j decomposes into a
-top-left i_j x i_j block and a bottom-right kappa_{j+1} x kappa_{j+1} block.
+with each i_j in {1, 2}.  Block j starts at the 0-based offset
+o_j = i_1 + ... + i_{j-1}, so the corner of a d x d matrix M from block j on
+is M[o_j:, o_j:], and its top-left i_j x i_j block is block j itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """The decomposition i_1, ..., i_m with derived tail sizes."""
+    """The decomposition i_1, ..., i_m with derived block offsets."""
 
     sizes: tuple[int, ...]
 
@@ -36,50 +37,14 @@ class BlockStructure:
         return sum(self.sizes)
 
     @property
-    def kappa(self) -> tuple[int, ...]:
-        """Tail sums (kappa_1, ..., kappa_m); kappa_1 = d, kappa_m = i_m."""
-        out = []
-        total = 0
-        for s in reversed(self.sizes):
-            total += s
-            out.append(total)
-        return tuple(reversed(out))
-
-    def kappa_at(self, j: int) -> int:
-        """kappa_j for 1 <= j <= m, with the convention kappa_{m+1} = 0."""
-        if j == self.m + 1:
-            return 0
-        return self.kappa[j - 1]
+    def offsets(self) -> tuple[int, ...]:
+        """0-based start of each block: (0, i_1, i_1 + i_2, ...)."""
+        return tuple(accumulate(self.sizes[:-1], initial=0))
 
     @property
     def rotation_indices(self) -> tuple[int, ...]:
         """1-based levels j with i_j = 2."""
         return tuple(j for j, s in enumerate(self.sizes, start=1) if s == 2)
-
-
-def _require_square(J: np.ndarray, size: int, what: str) -> None:
-    if J.shape != (size, size):
-        raise ValueError(f"{what}: expected {size}x{size}, got {J.shape}")
-
-
-def project_D(J: np.ndarray, structure: BlockStructure, j: int) -> np.ndarray:
-    """Bottom-right kappa_{j+1} x kappa_{j+1} block of a kappa_j matrix."""
-    if not 1 <= j <= structure.m - 1:
-        raise ValueError(f"level {j} out of range 1..{structure.m - 1}")
-    _require_square(J, structure.kappa_at(j), "project_D")
-    i = structure.sizes[j - 1]
-    return np.array(J[i:, i:], copy=True)
-
-
-def d_chain(J: np.ndarray, structure: BlockStructure, j: int) -> np.ndarray:
-    """Iterated bottom-right extraction D_j ( ... D_1(J)); j = 0 returns J."""
-    if not 0 <= j <= structure.m - 1:
-        raise ValueError(f"chain level {j} out of range 0..{structure.m - 1}")
-    _require_square(J, structure.d, "d_chain")
-    out = np.array(J, copy=True)
-    for level in range(1, j + 1):
-        out = project_D(out, structure, level)
-    return out
 
 
 def split_blocks(J: np.ndarray, k1: int):

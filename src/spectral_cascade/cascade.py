@@ -1,11 +1,11 @@
 """Recursive spectrum decomposition and arithmetic-progression search.
 
 The spectrum of L_k T^n factors through a chain of dominated splits: stage j
-splits the current kappa_j-dimensional matrix against the tail model
-diag[T_j : ... : T_m] into a conjugated top block X^(j) and a remainder that
-feeds stage j+1.  Parameters (per-stage closeness radii, ball radii, index
-thresholds) are chosen once per instance by backward induction from the
-target accuracy eps0; decomposition at a concrete (k, n) then certifies
+splits the current matrix, the size of the corner from block j on, against
+the tail model diag[T_j : ... : T_m] into a conjugated top block X^(j) and a
+remainder that feeds stage j+1.  Parameters (per-stage closeness radii, ball
+radii, index thresholds) are chosen once per instance by backward induction
+from the target accuracy eps0; decomposition at a concrete (k, n) then certifies
 
     spectrum(L_k T^n) = union_j spectrum(X^(j) T_j^n)
 
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockStructure, d_chain
+from .blocks import BlockStructure
 from .errors import (
     ConditionError,
     ConditionFailure,
@@ -85,8 +85,6 @@ class CascadeStage:
     j: int
     problem: SplitProblem
     constants: TransformConstants
-    delta: float
-    limit: np.ndarray  # n-independent limit of X^(j)
 
 
 @dataclass(eq=False)
@@ -137,6 +135,13 @@ class CascadeResult:
         return [lv.drift for lv in self.levels]
 
 
+def stage_problem(tail: DiagonalModel, J0: np.ndarray, delta: float) -> SplitProblem:
+    """The split of a tail model's first block off the rest, around J0."""
+    k1 = tail.structure.sizes[0]
+    return SplitProblem(V=tail.matrix(), J0=J0, k1=k1, k2=tail.d - k1, delta=delta,
+                        powers=DiagonalPowers(tail))
+
+
 def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                       law=None) -> ParameterCascade:
     """Backward induction of per-stage radii from the target accuracy.
@@ -158,10 +163,8 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
         raise ConditionFailure(f"L fails genericity conditions: {report.failures()}")
     Li = invert(L)
 
-    J0s = [invert(d_chain(Li, structure, j - 1)) for j in range(1, m + 1)]
-    limits = [J0s[j - 1][: structure.sizes[j - 1], : structure.sizes[j - 1]]
-              for j in range(1, m)]
-    limits.append(J0s[m - 1])
+    J0s = [invert(Li[o:, o:]) for o in structure.offsets]
+    limits = [J0[:s, :s] for J0, s in zip(J0s, structure.sizes)]
 
     stages_rev = []
     next_beta = None
@@ -169,22 +172,11 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     for j in range(m - 1, 0, -1):
         target = eps0 if j == m - 1 else next_beta
         upper = eps0 if j == m - 1 else next_delta
-        r = op_norm(J0s[j])  # norm of (D^(j) iota(L))^{-1}
+        r = op_norm(J0s[j])  # norm of the inverse of L^{-1}'s corner from block j+1 on
         delta_j = 0.5 * min(upper, 1.0 / (2.0 * r), target / (2.0 * r * r))
-        tail = model.tail(j)
-        problem = SplitProblem(
-            V=tail.matrix(),
-            J0=J0s[j - 1],
-            k1=structure.sizes[j - 1],
-            k2=structure.kappa_at(j + 1),
-            delta=delta_j,
-            powers=DiagonalPowers(tail),
-        )
+        problem = stage_problem(model.tail(j), J0s[j - 1], delta_j)
         constants = derive_constants(problem)
-        stages_rev.append(
-            CascadeStage(j=j, problem=problem, constants=constants,
-                         delta=delta_j, limit=limits[j - 1])
-        )
+        stages_rev.append(CascadeStage(j=j, problem=problem, constants=constants))
         next_beta = constants.beta
         next_delta = delta_j
     stages = tuple(reversed(stages_rev))
@@ -257,7 +249,7 @@ def _chain(current: np.ndarray, n: int, stages):
     """Admit, split and yield (stage, X, remainder Y) per stage; raises StageFailure."""
     for stage in stages:
         try:
-            admit(stage.problem, stage.constants, current, n, stage.constants.n0)
+            admit(stage.problem, stage.constants, current, n)
             cert, _ = dominated_split(stage.problem, current, n)
             current = invert(cert.Y_inv)
         except (NumericError, ConditionError) as exc:
@@ -273,7 +265,7 @@ def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
         raise ValueError(f"matrix must be {model.d}x{model.d}, got {current.shape}")
     levels = []
     for stage, X, current in _chain(current, n, cascade.stages):
-        levels.append(_level_data(stage.j, X, n, model, stage.limit))
+        levels.append(_level_data(stage.j, X, n, model, cascade.limits[stage.j - 1]))
     m = cascade.m
     levels.append(_level_data(m, current, n, model, cascade.limits[m - 1]))
 
@@ -368,7 +360,7 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
         result = cascade_decompose(L_n, N, model, cascade)
     except StageFailure as exc:
         row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
-        return None, row, (n, f"stage {exc.stage}: {exc}")
+        return None, row, (n, str(exc))
     phases = {}
     for j in structure.rotation_indices:
         try:

@@ -19,9 +19,8 @@ carry the spectrum: spectrum(J V^n) = spectrum(X A(V)^n) + spectrum(Y D(V)^n).
 ``dominated_split`` is the one kernel that computes xi, eta_hat, X and
 Y^{-1} at a (J, n); the cascade, ``invariant_pair`` and ``verify`` all use it
 or its check.  ``admit`` is the one admission check: the split's hypotheses
-hold only for J in the beta ball around J0 and n past a threshold.  The
-cascade's stage loop admits with the stage's n0, ``invariant_pair`` and
-``verify`` with n0_plus.
+hold only for J in the beta ball around J0 and n from the threshold n0 on,
+for the cascade's stage loop, ``invariant_pair`` and ``verify`` alike.
 
 The certificate check is scale-free.  The invariance equations of the two
 graphs, J V^n G_xi = G_xi X A(V)^n and V^{-n} J^{-1} G_eta = G_eta D(V)^{-n}
@@ -146,7 +145,8 @@ class TransformConstants:
     """Uniform constants of one dominated-split application.
 
     The same alpha bounds every block norm appearing in both the forward
-    and the inverse-side operator, so one threshold n0_plus serves both.
+    and the inverse-side operator, so one threshold n0_plus serves both;
+    n0 = max(n0_plus, n_dom) is the one admission threshold.
     """
 
     alpha: float
@@ -328,15 +328,15 @@ def solve_eta(problem: SplitProblem, J: np.ndarray, n: int,
 
 
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
-          n: int, n_min: int) -> None:
-    """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n_min."""
+          n: int) -> None:
+    """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n0."""
     dist = op_norm(J - problem.J0)
     if dist >= constants.beta:
         raise HypothesisFailure(
             f"input outside the beta ball ({dist:.3g} >= {constants.beta:.3g})"
         )
-    if n < n_min:
-        raise HypothesisFailure(f"exponent {n} below threshold {n_min}")
+    if n < constants.n0:
+        raise HypothesisFailure(f"exponent {n} below threshold {constants.n0}")
 
 
 def dominated_split(problem: SplitProblem, J: np.ndarray, n: int):
@@ -404,12 +404,12 @@ def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray) -> dic
 
 def invariant_pair(problem: SplitProblem, J: np.ndarray, n: int,
                    constants: TransformConstants) -> SplitCertificate:
-    """Admit (J, n) against n0_plus, split and certify.
+    """Admit (J, n) against n0, split and certify.
 
     Raises HypothesisFailure when (J, n) is not admitted and
     CertificateFailure on a failed item.
     """
-    admit(problem, constants, J, n, constants.n0_plus)
+    admit(problem, constants, J, n)
     cert, Ji = dominated_split(problem, J, n)
     cert.constants = constants
     report = _check(problem, cert, Ji)

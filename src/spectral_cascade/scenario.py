@@ -17,7 +17,7 @@ import numpy as np
 # numpy loads numpy.random lazily; import it with the package, not in the first draw
 from numpy.random import default_rng
 
-from .blocks import BlockStructure, block_diag, d_chain
+from .blocks import BlockStructure, block_diag
 from .errors import (
     ConditionFailure,
     IndependenceFailure,
@@ -36,6 +36,9 @@ from .linalg import (
 from .model import DiagonalModel, RotationBlock, ScalarBlock
 
 SV_GAP_TOL = 1e-9
+GEN_SV_GAP_TOL = 0.02  # generated instances keep a wider singular-value gap
+ANISO = 0.35  # 2x2 core blocks of generated L have singular values 1+ANISO, 1/(1+ANISO)
+MAX_COEFF = 10_000  # largest |p_i| the angle-independence test rules out
 
 # primes whose square roots seed low-discrepancy irrational angles
 _ANGLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -112,12 +115,14 @@ def check_L_conditions(L: np.ndarray, structure: BlockStructure,
     """Genericity conditions on L for the recursive decomposition.
 
     A_1(L) must be invertible (distinct singular values when i_1 = 2); for
-    each 1 <= j <= m-1 the nested corner D^(j)(L^-1) must be invertible and
-    its inverse's top block must have distinct singular values when the
-    corresponding level is 2-dimensional.  1x1 blocks skip the
-    singular-value requirement.
+    each 1 <= j <= m-1 the corner of L^-1 from block j+1 on must be
+    invertible and its inverse's top block must have distinct singular
+    values when block j+1 is 2-dimensional.  1x1 blocks skip the
+    singular-value requirement.  Raises ValueError when L is not d x d.
     """
     L = np.asarray(L, dtype=float)
+    if L.shape != (structure.d, structure.d):
+        raise ValueError(f"L must be {structure.d}x{structure.d}, got {L.shape}")
     lines = []
     sizes = structure.sizes
     try:
@@ -139,8 +144,8 @@ def check_L_conditions(L: np.ndarray, structure: BlockStructure,
     if a1_ok and sizes[0] == 2:
         lines.append(_sv_gap_line("A_1(L) distinct singular values", A1, sv_gap_tol))
 
-    for j in range(1, structure.m):
-        W = d_chain(Li, structure, j)
+    for j, (o, size) in enumerate(zip(structure.offsets[1:], sizes[1:]), start=1):
+        W = Li[o:, o:]
         name = f"D^({j})(L^-1) invertible"
         try:
             Winv = invert(W)
@@ -148,14 +153,9 @@ def check_L_conditions(L: np.ndarray, structure: BlockStructure,
         except (SingularMatrix, IllConditioned):
             lines.append(ConditionLine(name, False, 0.0))
             continue
-        i_next = sizes[j]
-        if i_next == 2:
-            block = Winv[:i_next, :i_next]
-            lines.append(
-                _sv_gap_line(
-                    f"level-{j + 1} corner block distinct singular values", block, sv_gap_tol
-                )
-            )
+        if size == 2:
+            lines.append(_sv_gap_line(f"level-{j + 1} corner block distinct singular values",
+                                      Winv[:2, :2], sv_gap_tol))
     return ConditionReport(tuple(lines), all(ln.passed for ln in lines))
 
 
@@ -167,11 +167,11 @@ def _coeff_threshold(max_abs_coeff: int, n_angles: int) -> Fraction:
     return Fraction(1, 1000 * (1 + max_abs_coeff) ** (n_angles + 1))
 
 
-def check_angle_independence(thetas, max_coeff: int = 10_000) -> float:
+def check_angle_independence(thetas) -> float:
     """Exact rational-independence test for (1, theta_1, ..., theta_t).
 
     Raises IndependenceFailure when some integer p with 0 < max|p_i| <=
-    max_coeff puts p . theta within _coeff_threshold(max|p|, t) of an
+    MAX_COEFF puts p . theta within _coeff_threshold(max|p|, t) of an
     integer.  Exhaustive, one shell max|p| in [P, 2P) at a time: with
     theta_i = a_i / D (float angles are dyadic) and the integer
     K = 2P / threshold(P), such a p gives a vector (D p, K (p . a + q D))
@@ -190,7 +190,7 @@ def check_angle_independence(thetas, max_coeff: int = 10_000) -> float:
     a = [th.numerator * (D // th.denominator) % D for th in thetas]
     basis = [[D * (i == j) for j in range(t)] + [a[i]] for i in range(t)] + [[0] * t + [D]]
     K, margin, P = 1, math.inf, 1
-    while P <= max_coeff:
+    while P <= MAX_COEFF:
         K_shell = int(2 * P / _coeff_threshold(P, t))
         for row in basis:  # the last coordinate is K times an integer
             row[t] = row[t] // K * K_shell
@@ -203,7 +203,7 @@ def check_angle_independence(thetas, max_coeff: int = 10_000) -> float:
             p = [sum(xi * row[j] for xi, row in zip(x, basis)) // D for j in range(t)]
             r = sum(pi * ai for pi, ai in zip(p, a)) % D
             dist, top = Fraction(min(r, D - r), D), max(map(abs, p), default=0)
-            if 0 < top <= max_coeff and dist < _coeff_threshold(top, t):
+            if 0 < top <= MAX_COEFF and dist < _coeff_threshold(top, t):
                 raise IndependenceFailure(
                     f"relation with coefficients {p} ~ integer (distance {float(dist):.3g})"
                 )
@@ -259,19 +259,18 @@ def perturb_to_generic(L: np.ndarray, structure: BlockStructure, strength: float
 
 
 def generate_instance(structure, seed: int = 0, *, ratio: float = 1.35,
-                      coupling: float = 0.08, aniso: float = 0.35,
-                      c: float = 0.05, rho_seq: float = 0.5,
-                      a: int = 1, b: int = 0,
-                      sv_gap_tol: float = 0.02) -> InstanceSpec:
+                      coupling: float = 0.08, c: float = 0.05,
+                      rho_seq: float = 0.5, a: int = 1, b: int = 0) -> InstanceSpec:
     """Compose a valid instance: normal-form T, generic L, law, progression.
 
     Moduli follow a geometric ladder around 1 with the given consecutive
     ratio (shifted off 1 so no block is an isometry).  L is built from a
-    block-diagonal core whose 2x2 blocks carry singular values (1+aniso,
-    1/(1+aniso)) at random orientations, times a generic perturbation of
+    block-diagonal core whose 2x2 blocks carry singular values (1+ANISO,
+    1/(1+ANISO)) at random orientations, times a generic perturbation of
     strength coupling; the anisotropy keeps the limit blocks of the
     decomposition well away from conformal, so their real-simple rotation
-    windows have usable width.
+    windows have usable width.  L must pass the conditions at
+    GEN_SV_GAP_TOL.
     """
     structure = structure if isinstance(structure, BlockStructure) else BlockStructure(tuple(structure))
     m = structure.m
@@ -286,15 +285,16 @@ def generate_instance(structure, seed: int = 0, *, ratio: float = 1.35,
             core_blocks.append(np.array([[1.0]]))
         else:
             u, v = rng.uniform(0.0, 1.0, size=2)
-            stretch = np.diag([1.0 + aniso, 1.0 / (1.0 + aniso)])
+            stretch = np.diag([1.0 + ANISO, 1.0 / (1.0 + ANISO)])
             core_blocks.append(rotation_matrix(u) @ stretch @ rotation_matrix(v))
     core = block_diag(*core_blocks)
     G = rng.standard_normal((structure.d, structure.d))
     G /= max(op_norm(G), 1e-300)
     L = core @ (np.eye(structure.d) + coupling * G)
-    L = perturb_to_generic(L, structure, 0.5 * coupling, seed=seed + 2, sv_gap_tol=sv_gap_tol)
+    L = perturb_to_generic(L, structure, 0.5 * coupling, seed=seed + 2,
+                           sv_gap_tol=GEN_SV_GAP_TOL)
 
-    report = check_L_conditions(L, structure, sv_gap_tol)
+    report = check_L_conditions(L, structure, GEN_SV_GAP_TOL)
     if not report.passed:
         raise ConditionFailure(f"generated L fails conditions: {report.failures()}")
     return InstanceSpec(model=model, L=L, law=PerturbationLaw(c, rho_seq, seed), a=a, b=b)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .blocks import BlockStructure
-from .cascade import CascadeResult, ProveReport
+from .cascade import CascadeResult, ProveReport, stage_problem
 from .graph_transform import SplitCertificate, SplitProblem, TransformConstants
 from .model import DiagonalModel, DiagonalPowers, RotationBlock, ScalarBlock
 from .oracle import ScaledSpectrum
@@ -142,14 +142,7 @@ def certificate_from_json(obj):
     k1 = int(obj["k1"])
     if k1 != model.structure.sizes[0]:
         raise ValueError(f"k1 = {k1} does not split off the model's first block")
-    problem = SplitProblem(
-        V=model.matrix(),
-        J0=matrix_from_json(obj["J0"]),
-        k1=k1,
-        k2=model.d - k1,
-        delta=float(obj["delta"]),
-        powers=DiagonalPowers(model),
-    )
+    problem = stage_problem(model, matrix_from_json(obj["J0"]), float(obj["delta"]))
     cert = SplitCertificate(
         n=int(obj["n"]),
         J=matrix_from_json(obj["J"]),

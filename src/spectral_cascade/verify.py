@@ -46,7 +46,7 @@ def _verify_split_certificate(obj) -> dict:
         val = float(getattr(fresh, name))
         if abs(stored - val) > 1e-9 * max(1.0, abs(val)):
             _fail(f"constant {name} does not rederive: {stored} vs {val}")
-    admit(problem, fresh, cert.J, cert.n, fresh.n0_plus)
+    admit(problem, fresh, cert.J, cert.n)
     report = verify_certificate(cert, problem)
     if not report["passed"]:
         bad = [k for k, v in report.items() if isinstance(v, dict) and not v["passed"]]

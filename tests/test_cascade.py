@@ -44,7 +44,7 @@ from spectral_cascade.oracle import (
 
 
 def test_choose_parameters_orders_radii(demo_cascade):
-    deltas = [st.delta for st in demo_cascade.stages]
+    deltas = [st.problem.delta for st in demo_cascade.stages]
     assert all(d1 < d2 for d1, d2 in zip(deltas, deltas[1:]))
     assert deltas[-1] < demo_cascade.eps0
     betas = [st.constants.beta for st in demo_cascade.stages]
@@ -102,7 +102,7 @@ def test_certified_split_halves_carry_spectrum(demo_instance, demo_cascade):
     stage = casc.stages[0]
     n = casc.n0 + 1
     cert, _ = dominated_split(stage.problem, spec.L, n)
-    assert op_norm(cert.X - stage.problem.A0) < stage.delta
+    assert op_norm(cert.X - stage.problem.A0) < stage.problem.delta
     top = np.linalg.eigvals(cert.X @ spec.model.block(1).power(n))
     bottom = np.linalg.eigvals(np.linalg.inv(cert.Y_inv) @ spec.model.tail(2).power(n))
     assert np.abs(top).min() > np.abs(bottom).max()
@@ -140,6 +140,14 @@ def test_stage_input_admits_like_cascade_decompose(demo_instance, demo_cascade):
     with pytest.raises(StageFailure) as exc:
         stage_input(outside, casc.n0 + 7, casc, 2)
     assert exc.value.stage == 1
+
+
+def test_near_miss_names_its_stage_once(demo_instance, demo_cascade):
+    """A stage failure reads "stage 1: ...", not "stage 1: stage 1: ..."."""
+    hit, _, miss = cascade_module.examine(3, demo_instance, demo_cascade)
+    assert hit is None
+    assert miss[1].startswith("stage 1: input outside the beta ball")
+    assert miss[1].count("stage") == 1
 
 
 def test_polar_forms_and_rotation_phase(demo_instance, demo_cascade):
@@ -318,6 +326,17 @@ def test_level_drift_and_polar_match_reference_routes(pattern, polar_reference):
                 assert abs(lv.drift - drift) <= 1e-15 * drift, (seed, n, lv.j)
                 if lv.polar is not None:
                     polar_reference(lv.X, *lv.polar, lv.eps_hat)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_every_stage_admits_at_n0_plus(pattern):
+    """The domination reserve never raises a stage's threshold above n0_plus,
+    so admitting at n0 alone refuses nothing that n0_plus admitted."""
+    for seed in range(4):
+        spec = sc.generate_instance(pattern, seed=seed)
+        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        for st in casc.stages:
+            assert st.constants.n0 == st.constants.n0_plus, (seed, st.j)
 
 
 def _former_sign(blk, n):

@@ -192,7 +192,7 @@ def test_split_refuses_what_cascade_refuses(tmp_path, seed3_file, level, k, n):
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("n", [53, 100, 3_000, 100_000])
 def test_split_at_large_n_verifies(tmp_path, seed3_file, level, n):
-    """From the threshold n0_plus = 53 on, a split that exits 0 verifies."""
+    """From the threshold n0 = 53 on, a split that exits 0 verifies."""
     out = tmp_path / "cert.json"
     assert _split(seed3_file, out, level, n) == 0
     assert run(["verify", "--artifact", out]) == 0

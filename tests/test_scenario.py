@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spectral_cascade.blocks import BlockStructure
+from spectral_cascade.cascade import choose_parameters
 from spectral_cascade.errors import (
     ConditionFailure,
     IndependenceFailure,
@@ -60,6 +61,17 @@ def test_conditions_on_equal_singular_values():
     report = check_L_conditions(L, s)
     names = [ln.name for ln in report.lines if not ln.passed]
     assert any("singular values" in n for n in names)
+
+
+def test_wrong_shape_L_raises_value_error(demo_instance):
+    """A 4x4 L on a (1,2,2) structure is a usage error, not a failed condition."""
+    model = demo_instance.model
+    assert model.structure.sizes == (1, 2, 2)
+    L = np.eye(4)
+    with pytest.raises(ValueError, match="5x5"):
+        check_L_conditions(L, model.structure)
+    with pytest.raises(ValueError, match="5x5"):
+        choose_parameters(model, L, 1e-3)
 
 
 def test_angle_independence_accepts_sqrt_primes():

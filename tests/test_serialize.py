@@ -7,6 +7,7 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade import serialize
 from spectral_cascade.cascade import cascade_decompose, choose_parameters
+from spectral_cascade.errors import VerificationFailure
 from spectral_cascade.graph_transform import invariant_pair
 from spectral_cascade.oracle import ScaledSpectrum, match_scaled
 from spectral_cascade.verify import verify_artifact
@@ -56,6 +57,9 @@ def test_certificate_roundtrip(demo_instance, demo_cascade):
     assert back_cert.constants == cert.constants
     assert back_problem.powers.model == stage.problem.powers.model
     assert back_problem.k1 == stage.problem.k1
+    assert back_problem.k2 == stage.problem.k2
+    assert back_problem.delta == stage.problem.delta
+    np.testing.assert_array_equal(back_problem.J0, stage.problem.J0)
     np.testing.assert_array_equal(back_problem.V, stage.problem.V)
 
 
@@ -92,6 +96,17 @@ STORED = ["cascade_122_seed3_k21_n1000.json", "prove_122_seed3_count3.json"]
 @pytest.mark.parametrize("name", STORED)
 def test_stored_artifacts_verify(name):
     assert verify_artifact(serialize.load_artifact(str(DATA / name)))["passed"]
+
+
+def test_verify_names_a_failed_stage_once():
+    """A stored index that fails stage 1 is reported with one stage prefix."""
+    obj = serialize.load_artifact(str(DATA / "prove_122_seed3_count3.json"))
+    obj["hits"][0].update(n=3, exponent=3)  # (1,2,2) seed 3 at n = 3 is outside the beta ball
+    with pytest.raises(VerificationFailure) as exc:
+        verify_artifact(obj)
+    msg = str(exc.value)
+    assert "is no hit on recompute: stage 1: input outside the beta ball" in msg
+    assert msg.count("stage") == 1
 
 
 def test_stored_cascade_result_recomputes():
