@@ -73,7 +73,6 @@ class PolarRef:
 
     level: int
     det_positive: bool
-    P: Optional[np.ndarray] = None
     alpha: Optional[float] = None
     eps_hat: Optional[float] = None
 
@@ -198,7 +197,7 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
             polar_refs[j] = PolarRef(level=j, det_positive=False)
             continue
         try:
-            P, alpha, eps_hat = polar_2x2(lam)
+            _, alpha, eps_hat = polar_2x2(lam)
         except DegeneratePolar as exc:
             raise EpsilonTooLarge(
                 f"level {j} limit has no rotation margin: {exc}"
@@ -209,8 +208,7 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "
                 f"{drift_cap:.3g} turns against a window of {eps_hat:.3g}; shrink eps0"
             )
-        polar_refs[j] = PolarRef(level=j, det_positive=True, P=P,
-                                 alpha=alpha, eps_hat=eps_hat)
+        polar_refs[j] = PolarRef(level=j, det_positive=True, alpha=alpha, eps_hat=eps_hat)
 
     return ParameterCascade(
         eps0=eps0, stages=stages, limits=tuple(limits),
@@ -323,7 +321,6 @@ class HitRecord:
 class SearchResult:
     hits: list
     examined: int
-    prefilter_pass: int
     near_misses: list
 
 
@@ -454,9 +451,7 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
             f"({len(candidates)} window candidates, {examined} examined)",
             near_misses=near_misses[-20:],
         )
-    return SearchResult(hits=hits, examined=examined,
-                        prefilter_pass=int(len(candidates)),
-                        near_misses=near_misses)
+    return SearchResult(hits=hits, examined=examined, near_misses=near_misses)
 
 
 @dataclass(eq=False)

@@ -91,14 +91,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_split(args) -> int:
     spec = _load_instance(args.instance)
-    levels = spec.model.structure.m - 1
-    if not 1 <= args.level <= levels:
-        print(f"error: --level {args.level} is not a split level 1..{levels} "
-              "of this instance", file=sys.stderr)
-        return USAGE_EXIT
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
+    k = cascade.k0 if args.k is None else args.k
+    J = stage_input(spec.L_n(k), args.n, cascade, args.level)
     stage = cascade.stages[args.level - 1]
-    J = stage_input(spec.L_n(args.k), args.n, cascade, args.level)
     cert = invariant_pair(stage.problem, J, args.n, stage.constants)
     serialize.save_artifact(args.out, serialize.certificate_to_json(cert, stage.problem))
     print(f"split certificate at level {args.level}, n={args.n} written to {args.out}")
@@ -110,11 +106,12 @@ def _cmd_split(args) -> int:
 def _cmd_cascade(args) -> int:
     spec = _load_instance(args.instance)
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
-    result = cascade_decompose(spec.L_n(args.k), args.n, spec.model, cascade)
+    k = cascade.k0 if args.k is None else args.k
+    result = cascade_decompose(spec.L_n(k), args.n, spec.model, cascade)
     serialize.save_artifact(
-        args.out, serialize.cascade_result_to_json(result, spec, args.eps0, args.k)
+        args.out, serialize.cascade_result_to_json(result, spec, args.eps0, k)
     )
-    print(f"decomposition at k={args.k}, n={args.n} written to {args.out}")
+    print(f"decomposition at k={k}, n={args.n} written to {args.out}")
     for lv in result.levels:
         print(f"  level {lv.j}: drift {lv.drift:.3g}, det {lv.det:.3g}")
     print(f"  limits_ok={result.limits_ok} domination_ok={result.domination_ok}")
@@ -177,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--level", type=int, default=1)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None)  # None: the scan floor k0
     p.add_argument("--n", type=_exponent, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
@@ -185,7 +182,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cascade", help="run the full decomposition at one (k, n)")
     p.add_argument("--instance", required=True)
     p.add_argument("--eps0", type=float, default=1e-3)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=None)  # None: the scan floor k0
     p.add_argument("--n", type=_exponent, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cascade)

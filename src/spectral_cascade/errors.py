@@ -32,11 +32,7 @@ class IllConditioned(NumericError):
 
 
 class ConvergenceFailure(NumericError):
-    """Eigenvalue iteration exceeded its cap."""
-
-
-class NoConvergence(NumericError):
-    """Fixed-point iteration exceeded its cap; constants are violated."""
+    """An iteration (fixed point, eigenvalues, oracle) exceeded its cap."""
 
 
 class PowerOverflow(NumericError):
@@ -72,12 +68,11 @@ class EpsilonTooLarge(ConditionError):
 
 
 class StageFailure(SpectralCascadeError):
-    """Recursive decomposition failed at a specific level."""
+    """Recursive decomposition failed at a specific level; ``cause`` sets the exit code."""
 
     def __init__(self, message, stage, cause=None):
         super().__init__(message)
         self.stage = stage
-        self.cause = cause
         self.exit_code = getattr(cause, "exit_code", 1)
 
 

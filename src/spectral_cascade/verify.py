@@ -11,6 +11,8 @@ subsequence reports by applying the search's own hit rule
 
 from __future__ import annotations
 
+import dataclasses
+
 from . import serialize
 from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine
 from .errors import SpectralCascadeError, VerificationFailure
@@ -41,11 +43,11 @@ def _verify_instance(obj) -> dict:
 def _verify_split_certificate(obj) -> dict:
     cert, problem = serialize.certificate_from_json(obj)
     fresh = derive_constants(problem)
-    for name in ("alpha", "beta", "gamma", "rho"):
-        stored = float(getattr(cert.constants, name))
-        val = float(getattr(fresh, name))
+    for f in dataclasses.fields(fresh):  # exact for the integer thresholds
+        stored = float(getattr(cert.constants, f.name))
+        val = float(getattr(fresh, f.name))
         if abs(stored - val) > 1e-9 * max(1.0, abs(val)):
-            _fail(f"constant {name} does not rederive: {stored} vs {val}")
+            _fail(f"constant {f.name} does not rederive: {stored} vs {val}")
     admit(problem, fresh, cert.J, cert.n)
     report = verify_certificate(cert, problem)
     if not report["passed"]:

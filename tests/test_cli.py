@@ -198,6 +198,28 @@ def test_split_at_large_n_verifies(tmp_path, seed3_file, level, n):
     assert run(["verify", "--artifact", out]) == 0
 
 
+@pytest.mark.parametrize("command,args", [("split", ["--level", 1, "--n", 100]),
+                                          ("cascade", ["--n", 1000])])
+def test_k_defaults_to_the_scan_floor(tmp_path, seed3_file, command, args):
+    """Without --k, split and cascade run at k0 = 21, the first k inside stage 1's ball."""
+    default, explicit = tmp_path / "default.json", tmp_path / "k21.json"
+    assert run([command, "--instance", seed3_file, *args, "--out", default]) == 0
+    assert run(["verify", "--artifact", default]) == 0
+    assert run([command, "--instance", seed3_file, *args, "--k", 21, "--out", explicit]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("name,value", [("n0", 0), ("n1", 0), ("n_dom", 7)])
+def test_verify_rederives_split_thresholds(tmp_path, seed3_file, name, value):
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, 1, 100) == 0
+    obj = json.loads(out.read_text())
+    assert obj["constants"][name] != value
+    obj["constants"][name] = value
+    out.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", out]) == 1
+
+
 def _flip_mantissa_bit(x: float, bit: int) -> float:
     bits = struct.unpack("<Q", struct.pack("<d", x))[0] ^ (1 << bit)
     return struct.unpack("<d", struct.pack("<Q", bits))[0]

@@ -49,6 +49,26 @@ def test_hypotheses_pass_and_fail():
         derive_constants(bad)
 
 
+def _dominated_V(DV):
+    return block_diag(np.array([[2.0]]), DV)
+
+
+# check_hypotheses reads no powers; DensePowers would invert a singular A(V)
+@pytest.mark.parametrize("V,J0,rho_inf", [
+    (block_diag(np.zeros((1, 1)), 0.1 * np.eye(2)), np.eye(3), True),
+    (_dominated_V(np.diag([0.1, 0.0])), np.eye(3), False),
+    # A(J0) = 0, so by Jacobi's identity D(J0^-1) = D(J0) is singular too
+    (_dominated_V(0.1 * np.eye(2)), np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]), False),
+], ids=["singular-A(V)", "singular-D(V)", "singular-A(J0)"])
+def test_hypotheses_fail_on_singular_blocks(V, J0, rho_inf):
+    p = SplitProblem(V=V, J0=J0, k1=1, k2=2, delta=0.05, powers=object())
+    report = check_hypotheses(p)
+    assert not report.passed
+    assert math.isinf(report.rho) == rho_inf
+    with pytest.raises(HypothesisFailure):
+        derive_constants(p)
+
+
 def test_threshold_minimality():
     p = make_problem(seed=4)
     c = derive_constants(p)

@@ -46,3 +46,38 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert out.stdout.strip() == "[]"
+
+
+ROOT = PACKAGE.parents[1]
+
+# dataclass fields that no code reads by attribute on purpose
+UNREAD_ALLOWED = {
+    # format-2 split certificates store it through dataclasses.asdict, and
+    # verify rederives it with every other TransformConstants field
+    ("TransformConstants", "n_dom"),
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    fields = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)}
+    read = set()
+    for top in ("src", "tests", "bench", "scripts"):
+        for path in (ROOT / top).rglob("*.py"):
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f for f in fields if f[1] not in read and f not in UNREAD_ALLOWED)
+    assert unread == []

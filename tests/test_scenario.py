@@ -14,7 +14,7 @@ from spectral_cascade.errors import (
     IndependenceFailure,
     PerturbationExhausted,
 )
-from spectral_cascade.linalg import op_norm
+from spectral_cascade.linalg import op_norm, singular_values
 from spectral_cascade.scenario import (
     _ANGLE_PRIMES,
     InstanceSpec,
@@ -25,6 +25,8 @@ from spectral_cascade.scenario import (
     perturb_to_generic,
     random_model_T,
 )
+
+PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]
 
 
 def test_law_validation_and_direction():
@@ -61,6 +63,35 @@ def test_conditions_on_equal_singular_values():
     report = check_L_conditions(L, s)
     names = [ln.name for ln in report.lines if not ln.passed]
     assert any("singular values" in n for n in names)
+
+
+def test_conditions_stop_at_singular_corners():
+    """A swap L on (1,2): A_1(L) and the corner of L^-1 = L from block 2 on are singular."""
+    L = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    report = check_L_conditions(L, BlockStructure((1, 2)))
+    assert [(ln.name, ln.passed) for ln in report.lines] == [
+        ("L invertible", True),
+        ("A_1(L) invertible", False),
+        ("D^(1)(L^-1) invertible", False),
+    ]
+    assert not report.passed
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=["".join(map(str, p)) for p in PATTERNS])
+def test_invertibility_margins_are_smallest_singular_values(pattern):
+    for seed in range(4):
+        L = generate_instance(pattern, seed=seed).L
+        structure = BlockStructure(pattern)
+        corners = {"L invertible": L,
+                   "A_1(L) invertible": L[: pattern[0], : pattern[0]]}
+        Li = np.linalg.inv(L)
+        for j, o in enumerate(structure.offsets[1:], start=1):
+            corners[f"D^({j})(L^-1) invertible"] = Li[o:, o:]
+        lines = [ln for ln in check_L_conditions(L, structure).lines
+                 if ln.name.endswith("invertible")]
+        assert [ln.name for ln in lines] == list(corners)
+        for ln in lines:
+            assert ln.margin == float(singular_values(corners[ln.name])[-1]), ln.name
 
 
 def test_wrong_shape_L_raises_value_error(demo_instance):
