@@ -4,7 +4,7 @@
 For each rotation level of a generated instance, the limit polar form has a
 real-simple window of half-width eps_hat (in turns) around phase zero.  By
 equidistribution of the irrational rotation, the fraction of exponents n
-whose phase lands inside the shrunken window |phase| < eps_hat - margin
+whose phase lands inside the search's shrunken window (``half_width``)
 should converge to the window length.  This script scans n = 1..n_max,
 prints predicted vs observed frequencies per level, and the joint frequency
 against the product of the per-level lengths.
@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 import spectral_cascade as sc
-from spectral_cascade.linalg import phase_mod1, signed_fraction
 
 
 def main(argv=None) -> int:
@@ -36,18 +35,17 @@ def main(argv=None) -> int:
     joint = np.ones(len(ns), dtype=bool)
     joint_pred = 1.0
     print(f"structure {sizes}, d = {spec.model.d}, scanning n <= {args.n_max}")
-    for level, ref in sorted(cascade.polar_refs.items()):
-        if not ref.det_positive:
+    for level in spec.model.structure.rotation_indices:
+        window = cascade.windows.get(level)
+        if window is None:
             print(f"level {level}: det < 0, spectrum real for every n")
             continue
-        margin = cascade.margin_factor * ref.eps_hat
-        half = ref.eps_hat - margin
+        half = window.half_width
         theta = spec.model.block(level).theta
-        phases = signed_fraction(phase_mod1(theta, ns, offset=ref.alpha))
-        inside = np.abs(phases) < half
+        inside = np.abs(window.phase(theta, ns)) < half
         joint &= inside
         joint_pred *= 2.0 * half
-        print(f"level {level}: theta = {theta:.6f}, eps_hat = {ref.eps_hat:.5f}"
+        print(f"level {level}: theta = {theta:.6f}, eps_hat = {window.eps_hat:.5f}"
               f"  predicted {2.0 * half:.5f}  observed {inside.mean():.5f}")
     print(f"joint window:  predicted {joint_pred:.5f}  "
           f"observed {joint.mean():.5f}")

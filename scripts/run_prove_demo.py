@@ -46,9 +46,10 @@ def main(argv=None) -> int:
     cascade = report.cascade
     print(f"parameters: n0 = {cascade.n0}, k0 = {cascade.k0}, "
           f"{len(cascade.stages)} stage(s)")
-    for level, ref in sorted(cascade.polar_refs.items()):
-        print(f"  level {level}: eps_hat = {ref.eps_hat:.4f} turns "
-              f"(det {'>' if ref.det_positive else '<'} 0)")
+    for level in spec.model.structure.rotation_indices:
+        window = cascade.windows.get(level)
+        print(f"  level {level}: " + ("no window (det < 0)" if window is None else
+                                      f"eps_hat = {window.eps_hat:.4f} turns (det > 0)"))
 
     print(f"\nexamined {report.search.examined} exponents, "
           f"{len(report.search.hits)} certified hits:")

@@ -10,11 +10,11 @@ from .blocks import BlockStructure
 from .cascade import (
     CascadeResult,
     ParameterCascade,
+    PhaseWindow,
     cascade_decompose,
     choose_parameters,
     find_subsequence,
     prove_instance,
-    rotation_phase,
 )
 from .graph_transform import (
     SplitCertificate,
@@ -48,6 +48,7 @@ __all__ = [
     "InstanceSpec",
     "ParameterCascade",
     "PerturbationLaw",
+    "PhaseWindow",
     "RotationBlock",
     "ScalarBlock",
     "ScaledSpectrum",
@@ -67,7 +68,6 @@ __all__ = [
     "product_spectrum",
     "prove_instance",
     "random_model_T",
-    "rotation_phase",
     "solve_eta",
     "solve_xi",
     "verify_certificate",

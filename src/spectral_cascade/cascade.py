@@ -9,10 +9,10 @@ from the target accuracy eps0; decomposition at a concrete (k, n) then certifies
 
     spectrum(L_k T^n) = union_j spectrum(X^(j) T_j^n)
 
-with every X^(j) within eps0 of its n-independent limit.  On 2x2 rotation
-levels the limit's polar angle opens an explicit phase window inside which
-X^(j) T_j^n has real simple eigenvalues, which drives the subsequence
-search for exponents where the whole product has real simple spectrum.
+with every X^(j) within eps0 of its n-independent limit.  A 2x2 level with
+det > 0 has a ``PhaseWindow``: X^(j) T_j^n has real simple eigenvalues while
+the phase (alpha + n theta_j) mod 1 stays inside it, and the limits' windows
+drive the search for exponents where the whole product has real simple spectrum.
 
 One private loop, ``_chain``, walks the stages for both ``cascade_decompose``
 and ``stage_input``; it admits each stage input through
@@ -67,14 +67,26 @@ MARGIN_FACTOR = 0.05
 ORACLE_TOL = 1e-6  # largest relative mismatch against the oracle in a hit
 
 
-@dataclass(frozen=True)
-class PolarRef:
-    """Limit polar data of a 2x2 level: window or direct-route marker."""
+def _signed_phase(alpha: float, theta: float, n) -> np.ndarray:
+    # private, so that a span trace of the public methods books the
+    # prefilter's phase_mod1 and signed_fraction calls to find_subsequence
+    return signed_fraction(phase_mod1(theta, n, offset=alpha))
 
-    level: int
-    det_positive: bool
-    alpha: Optional[float] = None
-    eps_hat: Optional[float] = None
+
+@dataclass(frozen=True)
+class PhaseWindow:
+    """Phases |eps| < eps_hat (turns) where P R_(alpha + eps) is real simple."""
+
+    alpha: float
+    eps_hat: float
+
+    @property
+    def half_width(self) -> float:
+        return self.eps_hat - MARGIN_FACTOR * self.eps_hat  # the search's window
+
+    def phase(self, theta: float, n) -> np.ndarray:
+        """(alpha + n theta) mod 1 in [-1/2, 1/2) for a block of angle theta; n may be an array."""
+        return _signed_phase(self.alpha, theta, n)
 
 
 @dataclass(eq=False)
@@ -93,10 +105,9 @@ class ParameterCascade:
     eps0: float
     stages: tuple
     limits: tuple  # per level 1..m
-    polar_refs: dict
+    windows: dict  # rotation level -> its limit's PhaseWindow, where det > 0
     n0: int
     k0: int
-    margin_factor: float
 
     @property
     def m(self) -> int:
@@ -110,8 +121,8 @@ class LevelData:
     spectrum: ScaledSpectrum
     det: float
     drift: float
-    polar: Optional[tuple] = None  # (P, alpha) when det > 0
-    eps_hat: Optional[float] = None
+    P: Optional[np.ndarray] = None  # the polar factor beside its window
+    window: Optional[PhaseWindow] = None  # only where det > 0
 
 
 @dataclass(eq=False)
@@ -124,14 +135,9 @@ class CascadeResult:
 
     @property
     def spectrum(self) -> ScaledSpectrum:
-        out = self.levels[0].spectrum
-        for lv in self.levels[1:]:
-            out = out.concat(lv.spectrum)
-        return out
-
-    @property
-    def drifts(self) -> list:
-        return [lv.drift for lv in self.levels]
+        specs = [lv.spectrum for lv in self.levels]
+        return ScaledSpectrum(unit=np.concatenate([s.unit for s in specs]),
+                              log_mod=np.concatenate([s.log_mod for s in specs]))
 
 
 def stage_problem(tail: DiagonalModel, J0: np.ndarray, delta: float) -> SplitProblem:
@@ -189,31 +195,24 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
         if budget < 1.0:
             k0 = int(math.ceil(math.log(budget) / math.log(law.rho)))
 
-    polar_refs = {}
+    windows = {}
     for j in structure.rotation_indices:
         lam = limits[j - 1]
-        det = float(np.linalg.det(lam))
-        if det < 0:
-            polar_refs[j] = PolarRef(level=j, det_positive=False)
-            continue
         try:
             _, alpha, eps_hat = polar_2x2(lam)
+        except NegativeDeterminant:
+            continue  # an opposite-sign real pair at every exponent
         except DegeneratePolar as exc:
-            raise EpsilonTooLarge(
-                f"level {j} limit has no rotation margin: {exc}"
-            ) from exc
+            raise EpsilonTooLarge(f"level {j} limit has no rotation margin: {exc}") from exc
+        windows[j] = PhaseWindow(alpha=alpha, eps_hat=eps_hat)
         drift_cap = eps0 * op_norm(invert(lam)) / math.pi
-        if eps_hat * (1.0 - MARGIN_FACTOR) <= drift_cap:
+        if windows[j].half_width <= drift_cap:
             raise EpsilonTooLarge(
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "
-                f"{drift_cap:.3g} turns against a window of {eps_hat:.3g}; shrink eps0"
-            )
-        polar_refs[j] = PolarRef(level=j, det_positive=True, alpha=alpha, eps_hat=eps_hat)
+                f"{drift_cap:.3g} turns against a window of {eps_hat:.3g}; shrink eps0")
 
-    return ParameterCascade(
-        eps0=eps0, stages=stages, limits=tuple(limits),
-        polar_refs=polar_refs, n0=n0, k0=k0, margin_factor=MARGIN_FACTOR,
-    )
+    return ParameterCascade(eps0=eps0, stages=stages, limits=tuple(limits),
+                            windows=windows, n0=n0, k0=k0)
 
 
 def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
@@ -230,17 +229,14 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
     drift = 0.5 * (math.hypot(e00 + e11, e10 - e01) + math.hypot(e00 - e11, e01 + e10))
     spec = ScaledSpectrum.from_values(eigenvalues(XU), log_scale=log_scale)
     (a, b), (c, d) = X.tolist()
-    det = a * d - b * c
-    polar = None
-    eps_hat = None
-    if det > 0:
-        try:
-            P, alpha, eps_hat = polar_2x2(X)
-            polar = (P, alpha)
-        except (SingularMatrix, NegativeDeterminant, DegeneratePolar):
-            pass
-    return LevelData(j=j, X=X, spectrum=spec, det=det, drift=drift,
-                     polar=polar, eps_hat=eps_hat)
+    P = window = None
+    try:
+        P, alpha, eps_hat = polar_2x2(X)
+        window = PhaseWindow(alpha=alpha, eps_hat=eps_hat)
+    except (SingularMatrix, NegativeDeterminant, DegeneratePolar):
+        pass
+    return LevelData(j=j, X=X, spectrum=spec, det=a * d - b * c, drift=drift,
+                     P=P, window=window)
 
 
 def _chain(current: np.ndarray, n: int, stages):
@@ -290,20 +286,6 @@ def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> n
     for _, _, current in _chain(current, n, cascade.stages[: j - 1]):
         pass
     return current
-
-
-def rotation_phase(model: DiagonalModel, result: CascadeResult, j: int) -> float:
-    """Signed total phase of level j at the result's exponent.
-
-    This is (alpha_j + n theta_j) mod 1 reduced to [-1/2, 1/2); the level's
-    unit part is P_j R applied through this angle, so real simple spectrum
-    holds exactly when it beats the polar margin.
-    """
-    lv = next((l for l in result.levels if l.j == j), None)
-    if lv is None or lv.polar is None:
-        raise ValueError(f"level {j} carries no rotation phase")
-    theta = model.block(j).theta
-    return float(signed_fraction(phase_mod1(theta, result.n, offset=lv.polar[1])))
 
 
 @dataclass(eq=False)
@@ -358,12 +340,9 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
     except StageFailure as exc:
         row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
         return None, row, (n, str(exc))
-    phases = {}
-    for j in structure.rotation_indices:
-        try:
-            phases[j] = rotation_phase(model, result, j)
-        except ValueError:
-            phases[j] = math.nan
+    windows = {j: result.levels[j - 1].window for j in structure.rotation_indices}
+    phases = {j: math.nan if w is None else float(w.phase(model.block(j).theta, N))
+              for j, w in windows.items()}  # NaN: no window, real at every n
     spec = result.spectrum
     ok, min_gap = spec.real_simple()
     ok = ok and result.limits_ok and result.domination_ok
@@ -417,13 +396,9 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     ns = np.arange(n_start, n_max + 1, dtype=np.int64)
     exps = instance.a * ns + instance.b
     mask = np.ones(len(ns), dtype=bool)
-    for j, ref in cascade.polar_refs.items():
-        if not ref.det_positive:
-            continue  # opposite-sign real pair at every exponent
-        theta = model.block(j).theta
-        margin = cascade.margin_factor * ref.eps_hat
-        ph = signed_fraction(phase_mod1(theta, exps, offset=ref.alpha))
-        mask &= np.abs(ph) < (ref.eps_hat - margin)
+    for j, window in cascade.windows.items():  # not window.phase: see _signed_phase
+        ph = _signed_phase(window.alpha, model.block(j).theta, exps)
+        mask &= np.abs(ph) < window.half_width
     candidates = ns[mask]
 
     hits = []
@@ -459,10 +434,6 @@ class ProveReport:
     instance: InstanceSpec
     cascade: ParameterCascade
     search: SearchResult
-
-    @property
-    def exponents(self) -> list:
-        return [h.exponent for h in self.search.hits]
 
 
 def prove_instance(instance: InstanceSpec, eps0: float = 1e-3,

@@ -93,12 +93,6 @@ class ScaledSpectrum:
                 ok = False
         return ok, min_gap
 
-    def concat(self, other: "ScaledSpectrum") -> "ScaledSpectrum":
-        return ScaledSpectrum(
-            unit=np.concatenate([self.unit, other.unit]),
-            log_mod=np.concatenate([self.log_mod, other.log_mod]),
-        )
-
 
 def match_scaled(a: ScaledSpectrum, b: ScaledSpectrum) -> float:
     """Maximal relative mismatch between two split-form spectra.

@@ -168,10 +168,9 @@ def cascade_result_to_json(result: CascadeResult, instance: InstanceSpec,
             "drift": lv.drift,
             "spectrum": spectrum_to_json(lv.spectrum),
         }
-        if lv.polar is not None:
-            P, alpha = lv.polar
-            entry["polar"] = {"P": matrix_to_json(P), "alpha": alpha,
-                              "eps_hat": lv.eps_hat}
+        if lv.window is not None:
+            entry["polar"] = {"P": matrix_to_json(lv.P), "alpha": lv.window.alpha,
+                              "eps_hat": lv.window.eps_hat}
         levels.append(entry)
     return {
         "kind": KIND_CASCADE,

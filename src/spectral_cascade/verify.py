@@ -6,18 +6,21 @@ recomputed residuals and rederived constants, admitted through the
 split's own admission check, decomposition results by rerunning the
 decomposition and comparing against the independent oracle, and
 subsequence reports by applying the search's own hit rule
-(``cascade.examine``) at every stored exponent.
+(``cascade.examine``) at every stored exponent.  ``_agree`` compares
+every stored number that can be recomputed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from . import serialize
 from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine
 from .errors import SpectralCascadeError, VerificationFailure
 from .graph_transform import admit, derive_constants, verify_certificate
-from .linalg import op_norm
+from .linalg import op_norm, signed_fraction
 from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
 
@@ -26,6 +29,25 @@ _MATCH_TOL = 1e-8
 
 def _fail(msg: str):
     raise VerificationFailure(msg)
+
+
+def _agree(what: str, stored, fresh, tol: float) -> None:
+    """Fail unless |stored - fresh| <= tol max(1, |fresh|) entrywise.
+
+    A NaN agrees with a NaN only (a det < 0 level's phase is NaN).  A dict
+    ``fresh`` needs a ``stored`` with the same keys, compared key by key.
+    """
+    if isinstance(fresh, dict):
+        if not isinstance(stored, dict) or stored.keys() != fresh.keys():
+            _fail(f"{what}: stored {sorted(stored)}, recomputed {sorted(fresh)}")
+        for key, value in fresh.items():
+            _agree(f"{what} {key}", stored[key], value, tol)
+        return
+    s, f = np.asarray(stored, dtype=float), np.asarray(fresh, dtype=float)
+    close = s.shape == f.shape and np.all(
+        (np.abs(s - f) <= tol * np.maximum(1.0, np.abs(f))) | (np.isnan(s) & np.isnan(f)))
+    if not close:
+        _fail(f"{what} does not recompute: stored {stored}, recomputed {fresh}")
 
 
 def _verify_instance(obj) -> dict:
@@ -43,16 +65,15 @@ def _verify_instance(obj) -> dict:
 def _verify_split_certificate(obj) -> dict:
     cert, problem = serialize.certificate_from_json(obj)
     fresh = derive_constants(problem)
-    for f in dataclasses.fields(fresh):  # exact for the integer thresholds
-        stored = float(getattr(cert.constants, f.name))
-        val = float(getattr(fresh, f.name))
-        if abs(stored - val) > 1e-9 * max(1.0, abs(val)):
-            _fail(f"constant {f.name} does not rederive: {stored} vs {val}")
+    _agree("constant", obj["constants"], dataclasses.asdict(fresh), 1e-9)  # exact for integers
     admit(problem, fresh, cert.J, cert.n)
     report = verify_certificate(cert, problem)
     if not report["passed"]:
         bad = [k for k, v in report.items() if isinstance(v, dict) and not v["passed"]]
         _fail(f"certificate bounds fail: {bad}")
+    values = {k: v["value"] if isinstance(v, dict) else v
+              for k, v in report.items() if k != "passed"}
+    _agree("certificate", {**cert.residuals, **cert.bounds}, values, 1e-9)
     return {"kind": obj["kind"], "passed": True, "report": report}
 
 
@@ -70,10 +91,19 @@ def _verify_cascade_result(obj) -> dict:
         mism = match_scaled(lv.spectrum, serialize.spectrum_from_json(stored["spectrum"]))
         if mism > _MATCH_TOL:
             _fail(f"level {lv.j} spectrum mismatch {mism:.3g}")
-    if bool(obj["limits_ok"]) != result.limits_ok:
-        _fail("limit-drift flag does not recompute")
-    if bool(obj["domination_ok"]) != result.domination_ok:
-        _fail("domination flag does not recompute")
+        _agree(f"level {lv.j} det", stored["det"], lv.det, 1e-9)
+        _agree(f"level {lv.j} drift", stored["drift"], lv.drift, 1e-9)
+        if ("polar" in stored) != (lv.window is not None):
+            _fail(f"level {lv.j} must store a polar form exactly when it has a window")
+        if lv.window is not None:
+            polar = stored["polar"]
+            _agree(f"level {lv.j} polar P", serialize.matrix_from_json(polar["P"]), lv.P, 1e-9)
+            _agree(f"level {lv.j} polar alpha mod 1",
+                   signed_fraction(float(polar["alpha"]) - lv.window.alpha), 0.0, 1e-9)
+            _agree(f"level {lv.j} polar eps_hat", polar["eps_hat"], lv.window.eps_hat, 1e-9)
+    _agree("result", {k: obj[k] for k in ("limits_ok", "domination_ok", "domination_margin")},
+           {"limits_ok": result.limits_ok, "domination_ok": result.domination_ok,
+            "domination_margin": result.domination_margin}, 1e-9)
     oracle_mismatch = match_scaled(result.spectrum, product_spectrum(spec.L_n(k), spec.model, n))
     if oracle_mismatch > ORACLE_TOL:
         _fail(f"decomposed spectrum disagrees with the oracle ({oracle_mismatch:.3g})")
@@ -95,9 +125,12 @@ def _verify_prove_report(obj) -> dict:
         fresh, _, miss = examine(n, spec, cascade)
         if fresh is None:
             _fail(f"hit n={n} is no hit on recompute: {miss[1]}")
-        stored_gap = float(hit["min_gap"])
-        if abs(fresh.min_gap - stored_gap) > 1e-6 * max(1.0, abs(stored_gap)):
-            _fail(f"hit n={n}: stored gap {stored_gap} does not recompute ({fresh.min_gap})")
+        _agree(f"hit n={n} min_gap", hit["min_gap"], fresh.min_gap, 1e-6)
+        _agree(f"hit n={n} phase", hit["phases"],
+               {str(j): p for j, p in fresh.phases.items()}, 1e-9)
+        _agree(f"hit n={n} oracle_mismatch", hit["oracle_mismatch"], fresh.oracle_mismatch, 1e-9)
+        if hit["oracle_checked"] is not True:
+            _fail(f"hit n={n} is not marked oracle-checked")
         mism = match_scaled(fresh.spectrum, serialize.spectrum_from_json(hit["spectrum"]))
         if mism > _MATCH_TOL:
             _fail(f"hit n={n}: stored spectrum mismatch {mism:.3g}")

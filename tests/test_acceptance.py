@@ -29,9 +29,7 @@ from spectral_cascade.graph_transform import (
 from spectral_cascade.linalg import (
     eigenvalues,
     op_norm,
-    phase_mod1,
     rotation_matrix,
-    signed_fraction,
 )
 from spectral_cascade.model import DiagonalModel, RotationBlock, ScalarBlock
 from spectral_cascade.oracle import ScaledSpectrum, match_scaled, product_spectrum
@@ -136,14 +134,11 @@ def test_criterion_5_window_hit_frequency_equidistributes():
     """d=3, one rotation block: empirical window frequency vs window length."""
     spec = sc.generate_instance((1, 2), seed=5)
     casc = sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
-    (ref,) = casc.polar_refs.values()
-    assert ref.det_positive
-    margin = casc.margin_factor * ref.eps_hat
-    window_len = 2.0 * (ref.eps_hat - margin)
-    theta = spec.model.block(ref.level).theta
+    ((level, window),) = casc.windows.items()
+    window_len = 2.0 * window.half_width
+    theta = spec.model.block(level).theta
     ns = np.arange(1, 100_001)
-    phases = signed_fraction(phase_mod1(theta, ns, offset=ref.alpha))
-    freq = float(np.mean(np.abs(phases) < (ref.eps_hat - margin)))
+    freq = float(np.mean(np.abs(window.phase(theta, ns)) < window.half_width))
     assert window_len / 2.0 <= freq <= window_len * 2.0, (freq, window_len)
 
 

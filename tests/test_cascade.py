@@ -13,7 +13,6 @@ from spectral_cascade.cascade import (
     choose_parameters,
     find_subsequence,
     prove_instance,
-    rotation_phase,
     stage_input,
 )
 from spectral_cascade.errors import (
@@ -30,7 +29,6 @@ from spectral_cascade.linalg import (
     op_norm,
     phase_mod1,
     rotation_matrix,
-    signed_fraction,
 )
 from spectral_cascade.model import DiagonalModel, DiagonalPowers, ScalarBlock
 from spectral_cascade.oracle import (
@@ -82,7 +80,7 @@ def test_cascade_drifts_shrink_with_n(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     early = cascade_decompose(spec.L, casc.n0, spec.model, casc)
     late = cascade_decompose(spec.L, casc.n0 + 30, spec.model, casc)
-    assert max(late.drifts) < max(early.drifts)
+    assert max(lv.drift for lv in late.levels) < max(lv.drift for lv in early.levels)
 
 
 def test_cascade_rejects_outside_ball(demo_instance, demo_cascade):
@@ -150,7 +148,7 @@ def test_near_miss_names_its_stage_once(demo_instance, demo_cascade):
     assert miss[1].count("stage") == 1
 
 
-def test_polar_forms_and_rotation_phase(demo_instance, demo_cascade):
+def test_polar_forms_and_window_phase(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     n = casc.n0 + 3
     res = cascade_decompose(spec.L, n, spec.model, casc)
@@ -158,13 +156,12 @@ def test_polar_forms_and_rotation_phase(demo_instance, demo_cascade):
     assert [lv.j for lv in rotation_levels] == [2, 3]
     for level in rotation_levels:
         assert level.det > 0
-        P, alpha = level.polar
-        np.testing.assert_allclose(P, P.T, atol=1e-12)
-        phase = rotation_phase(spec.model, res, level.j)
+        np.testing.assert_allclose(level.P, level.P.T, atol=1e-12)
+        phase = float(level.window.phase(spec.model.block(level.j).theta, n))
         assert -0.5 <= phase < 0.5
         # the phase decides realness of that level's unit-part spectrum
         is_real = np.abs(level.spectrum.unit.imag).max() < 1e-9
-        assert is_real == (abs(phase) < level.eps_hat)
+        assert is_real == (abs(phase) < level.window.eps_hat)
 
 
 def test_find_subsequence_hits_verify(demo_instance, demo_cascade, tmp_path):
@@ -199,7 +196,7 @@ def test_find_subsequence_rejects_count_below_one(demo_instance, demo_cascade, c
 def test_prove_instance_end_to_end():
     spec = sc.generate_instance((1, 2), seed=99, a=2, b=1)
     report = prove_instance(spec, eps0=1e-3, count=3, n_max=50_000)
-    assert len(report.exponents) == 3
+    assert len(report.search.hits) == 3
     for h in report.search.hits:
         assert h.exponent == 2 * h.n + 1
 
@@ -324,8 +321,8 @@ def test_level_drift_and_polar_match_reference_routes(pattern, polar_reference):
             for lv in cascade_decompose(L_k, n, spec.model, casc).levels:
                 drift = op_norm(lv.X - casc.limits[lv.j - 1])
                 assert abs(lv.drift - drift) <= 1e-15 * drift, (seed, n, lv.j)
-                if lv.polar is not None:
-                    polar_reference(lv.X, *lv.polar, lv.eps_hat)
+                if lv.window is not None:
+                    polar_reference(lv.X, lv.P, lv.window.alpha, lv.window.eps_hat)
 
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import struct
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from spectral_cascade import serialize
+from spectral_cascade.cascade import choose_parameters
 from spectral_cascade.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -209,7 +212,9 @@ def test_k_defaults_to_the_scan_floor(tmp_path, seed3_file, command, args):
     assert default.read_bytes() == explicit.read_bytes()
 
 
-@pytest.mark.parametrize("name,value", [("n0", 0), ("n1", 0), ("n_dom", 7)])
+@pytest.mark.parametrize("name,value", [("n0", 0), ("n1", 0), ("n_dom", 7), ("n0", math.nan),
+                                        ("n1", math.nan), ("beta", math.nan),
+                                        ("alpha", math.nan), ("rho", math.nan)])
 def test_verify_rederives_split_thresholds(tmp_path, seed3_file, name, value):
     out = tmp_path / "cert.json"
     assert _split(seed3_file, out, 1, 100) == 0
@@ -218,6 +223,64 @@ def test_verify_rederives_split_thresholds(tmp_path, seed3_file, name, value):
     obj["constants"][name] = value
     out.write_text(json.dumps(obj))
     assert run(["verify", "--artifact", out]) == 1
+
+
+@pytest.mark.parametrize("section,name,value", [("residuals", "forward_invariance", 123.0),
+                                                ("bounds", "xi_norm", -5.0),
+                                                ("bounds", "eta_norm", math.nan)])
+def test_verify_recomputes_split_residuals_and_bounds(tmp_path, seed3_file, section,
+                                                      name, value):
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, 1, 100) == 0
+    obj = json.loads(out.read_text())
+    obj[section][name] = value
+    out.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", out]) == 1
+
+
+# each edit of the stored (1,2,2) seed-3 decomposition at k = 21, n = 1000,
+# whose levels 2 and 3 carry a window
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj["levels"][0].update(drift=9.0),
+    lambda obj: obj["levels"][0].update(det=-1.0),
+    lambda obj: obj["levels"][1].update(drift=math.nan),
+    lambda obj: obj.update(domination_margin=-3.0),
+    lambda obj: obj["levels"][1]["polar"].update(alpha=obj["levels"][1]["polar"]["alpha"] + 0.5),
+    lambda obj: obj["levels"][2]["polar"].update(eps_hat=math.nan),
+    lambda obj: obj["levels"][2]["polar"]["P"].update(data=[[1.0, 0.0], [0.0, 1.0]]),
+    lambda obj: obj["levels"][1].pop("polar"),
+    lambda obj: obj["levels"][0].update(polar=obj["levels"][1]["polar"]),
+], ids=["drift", "det", "drift-nan", "domination_margin", "alpha", "eps_hat-nan", "P",
+        "polar-dropped", "polar-added"])
+def test_verify_recomputes_cascade_numbers(tmp_path, edit):
+    obj = json.loads((DATA / "cascade_122_seed3_k21_n1000.json").read_text())
+    edit(obj)
+    bad = tmp_path / "casc.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", bad]) == 1
+
+
+def test_verify_compares_window_offset_modulo_one(tmp_path):
+    obj = json.loads((DATA / "cascade_122_seed3_k21_n1000.json").read_text())
+    obj["levels"][1]["polar"]["alpha"] -= 1.0
+    shifted = tmp_path / "casc.json"
+    shifted.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", shifted]) == 0
+
+
+# each edit of the first hit of the stored (1,2,2) seed-3 prove report
+@pytest.mark.parametrize("edit", [
+    lambda hit: hit.update(min_gap=math.nan),
+    lambda hit: hit["phases"].update({"2": 5.0}),
+    lambda hit: hit.update(oracle_mismatch=-1.0),
+    lambda hit: hit.update(oracle_checked=False),
+], ids=["min_gap-nan", "phase", "oracle_mismatch", "oracle_checked"])
+def test_verify_recomputes_prove_report_numbers(tmp_path, edit):
+    obj = json.loads((DATA / "prove_122_seed3_count3.json").read_text())
+    edit(obj["hits"][0])
+    bad = tmp_path / "prove.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", bad]) == 1
 
 
 def _flip_mantissa_bit(x: float, bit: int) -> float:
@@ -255,3 +318,35 @@ def test_verify_rejects_nan_in_stored_hit_spectrum(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     assert run(["verify", "--artifact", bad]) == 1
     assert "malformed" in capsys.readouterr().err
+
+
+# S L with S = diag(1, ..., 1, -1) keeps every genericity condition, since S is
+# orthogonal, and flips the sign of the last level's limit determinant
+@pytest.mark.parametrize("structure,seed,hits", [("1,2", 5, [37, 38, 39]),
+                                                 ("1,2,2", 3, [54, 65, 69])],
+                         ids=["12", "122"])
+def test_negative_determinant_level_has_no_window(tmp_path, structure, seed, hits):
+    inst, out, scan = tmp_path / "inst.json", tmp_path / "prove.json", tmp_path / "scan.csv"
+    assert run(["gen", "--structure", structure, "--seed", seed, "--out", inst]) == 0
+    obj = json.loads(inst.read_text())
+    obj["L"]["data"][-1] = [-x for x in obj["L"]["data"][-1]]
+    inst.write_text(json.dumps(obj))
+    assert run(["check", "--instance", inst]) == 0
+    assert run(["prove", "--instance", inst, "--count", 3, "--csv", scan, "--out", out]) == 0
+    m = structure.count(",") + 1
+    report = json.loads(out.read_text())
+    assert [h["n"] for h in report["hits"]] == hits
+    assert all(math.isnan(h["phases"][str(m)]) for h in report["hits"])
+    assert run(["verify", "--artifact", out]) == 0
+
+    spec = serialize.instance_from_json(obj)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    assert m not in casc.windows
+    # the scan examines every index that the other levels' windows admit
+    floor = max(casc.n0, casc.k0, 1)
+    with open(scan) as fh:
+        examined = [int(row["n"]) for row in csv.DictReader(fh)]
+    admitted = [n for n in range(floor, examined[-1] + 1)
+                if all(abs(w.phase(spec.model.block(j).theta, spec.a * n + spec.b)) < w.half_width
+                       for j, w in casc.windows.items())]
+    assert examined == admitted
