@@ -14,34 +14,37 @@ characteristic polynomial of (L R) D by principal minors (Cauchy-Binet):
 
     c_k = sum_{|S| = k} det((L R)_SS) * prod_{i in S} d_i.
 
-Everything runs at GRADED_DIGITS digits in private per-thread mpmath
-contexts; mpf's unbounded exponent absorbs the spread.  The coefficients are
-intervals: the rotation entries and the d_i are enclosed in interval
-arithmetic, and each minor is the exact fraction-free minor of the rounded
-entries widened by a Hadamard perturbation bound.  Each block of the ladder
-is one segment of the Newton polygon, so a linear or quadratic in
-consecutive coefficients seeds that block's roots, which are then polished
-on the midpoint polynomial (Newton steps with the Ehrlich-Aberth correction,
-which keeps the roots apart).  Weierstrass inclusion disks (Braess and
-Hadeler 1973; Bini and Fiorentino 2000), bounded over the coefficient
-intervals, then certify the result: pairwise disjoint disks hold one root
-each, or ConvergenceFailure is raised.  The same disks prove a spectrum real
-with distinct moduli.  The route shares no numerics with the cascade and has
-no digit cap.
+Everything runs on Python integers, in midpoint-radius balls: an integer
+centre times a power of two, with a radius rounded outward (F. Johansson,
+"Arb", IEEE Trans. Comput. 66, 2017), at GRADED_DIGITS digits.  mpmath is
+called at libmp level for the elementary enclosures only: the logs and
+exps of the weights d_i and the cosines and sines of the phases.  The
+rotation entries of L R are enclosed in exact integer interval arithmetic
+and rounded; each principal minor is the exact minor of the rounded entries,
+widened by a Hadamard perturbation bound.  Minors come from Sylvester's
+identity along the prefix tree of subsets, formed only for the terms that
+are not negligible against the largest of their coefficient.  Each block of
+the ladder is one segment of the Newton polygon, so a linear or quadratic in
+consecutive coefficients seeds that block's roots.  One loop then evaluates
+p at every centre as a ball and forms the Weierstrass corrections W_i,
+stepping z_i <- z_i - mid W_i (Durand-Kerner) until they are small; the
+last corrections give Weierstrass inclusion disks (Braess and Hadeler 1973;
+Bini and Fiorentino 2000), bounded over the coefficient balls.  Pairwise
+disjoint disks hold one root each, or ConvergenceFailure is raised.  The
+same disks prove a spectrum real with distinct moduli.  The route shares no
+numerics with the cascade and has no digit cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import mpmath
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import mpf_shift, to_int
+from mpmath import libmp
 
 from .blocks import block_diag
 from .errors import ConvergenceFailure
@@ -49,11 +52,13 @@ from .linalg import eigenvalues
 from .model import DiagonalModel
 
 GAP_TOL = 1e-9  # imaginary part and relative modulus gap of a real simple spectrum
-NUMPY_DIGIT_CAP = 20.0  # the QR route loses accuracy from ~28 digits of spread on
+NUMPY_DIGIT_CAP = 20.0  # QR agrees with the graded route to 1e-11 up to here; from
+# ~28 digits of spread on it is off by up to 1e-3 on (1,1,2) and (2,2)
 GRADED_DIGITS = 40
 _LN10 = math.log(10.0)
+_PREC = libmp.dps_to_prec(GRADED_DIGITS)  # 136 bits
 _MAX_POLISH_STEPS = 60
-_thread_contexts = threading.local()
+_ONE, _ZERO = (1, 0, 0, 0), (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -194,76 +199,147 @@ def certified_spectrum(L: np.ndarray, model: DiagonalModel, n: int):
     pairwise distinct moduli.  Raises ConvergenceFailure when the disks do
     not isolate the roots to half the working digits.
     """
-    roots, _, real_simple = _inclusion_disks(L, model, n)
-    mods = [abs(z) for z in roots]
-    spectrum = ScaledSpectrum(
-        unit=np.array([complex(z / m) for z, m in zip(roots, mods)]),
-        log_mod=np.array([float(m.context.log(m)) for m in mods]),
-    )
+    centres, _, real_simple = _inclusion_disks(L, model, n)
+    parts = [_split_form(z) for z in centres]
+    spectrum = ScaledSpectrum(unit=np.array([u for u, _ in parts], dtype=complex),
+                              log_mod=np.array([m for _, m in parts], dtype=float))
     return spectrum, real_simple
 
 
 def _inclusion_disks(L: np.ndarray, model: DiagonalModel, n: int) -> tuple:
-    """Roots of det(x - L T^n) as (centres, radius intervals, proved real simple)."""
-    ctx, iv = _contexts()
-    coeffs = _charpoly_coeffs(iv, np.asarray(L, dtype=float), model, n)
-    mids = [ctx.make_mpf(c.mid._mpi_[0]) for c in coeffs]
+    """Roots of det(x - L T^n) as (centre balls, radius bounds, proved real simple)."""
+    coeffs = _charpoly_coeffs(np.asarray(L, dtype=float), model, n)
     try:
-        roots = _polish(ctx, mids, _newton_polygon_seeds(ctx, mids, model))
-        radii, real_simple = _certify(iv, coeffs, roots)
+        centres, corrections = _refine(coeffs, _newton_polygon_seeds(coeffs, model))
+        radii, real_simple = _certify(centres, corrections)
     except ZeroDivisionError as exc:
         raise ConvergenceFailure(f"graded oracle at n={n}: vanishing denominator") from exc
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(f"graded oracle at n={n}: {exc}") from exc
-    return roots, radii, real_simple
+    return centres, radii, real_simple
 
 
-def _contexts():
-    """This thread's private mpmath contexts at GRADED_DIGITS: (mpf, interval)."""
-    pair = getattr(_thread_contexts, "pair", None)
-    if pair is None:
-        ctx = mpmath.MPContext()
-        ctx.dps = GRADED_DIGITS
-        iv = MPIntervalContext()
-        iv.prec = ctx.prec
-        pair = _thread_contexts.pair = (ctx, iv)
-    return pair
+# A ball (x, y, r, e) is the disk of centre (x + iy) 2^e and radius r 2^e,
+# for integers x, y and r >= 0; a real ball has y = 0 and an exact one r = 0.
+# Each operation encloses its exact result and rounds the centre to _PREC
+# bits, adding the rounding error to the radius.  A bound (m, e) is m 2^e.
+
+def _trim(x, y, r, e) -> tuple:
+    s = max(abs(x) | abs(y), r).bit_length() - _PREC
+    if s <= 0:
+        return x, y, r, e
+    return x >> s, y >> s, -(-r >> s) + _floor_error(x | y, s), e + s
 
 
-def _charpoly_coeffs(iv, L: np.ndarray, model: DiagonalModel, n: int) -> list:
-    """Intervals [c_0, ..., c_d] holding the exact coefficients of
+def _floor_error(v: int, s: int) -> int:
+    """Units that x >> s and y >> s may move x + iy by, for v = x | y."""
+    return 2 if 0 < (v & -v).bit_length() <= s else 0  # a set bit below 2^s
+
+
+def _sum(*balls) -> tuple:
+    """The sum, at most _PREC + log2(len(balls)) bits of centre."""
+    e = None
+    for x, y, r, f in balls:
+        if x or y or r:
+            top = f + max(abs(x) | abs(y), r).bit_length()
+            e = top if e is None or top > e else e
+    if e is None:
+        return _ZERO
+    e -= _PREC
+    X = Y = R = 0
+    for x, y, r, f in balls:
+        s = e - f
+        if s <= 0:
+            X, Y, R = X + (x << -s), Y + (y << -s), R + (r << -s)
+        else:
+            X, Y, R = X + (x >> s), Y + (y >> s), R - (-r >> s) + _floor_error(x | y, s)
+    return X, Y, R, e
+
+
+def _neg(b: tuple) -> tuple:
+    return -b[0], -b[1], b[2], b[3]
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    ax, ay, ar, ae = a
+    bx, by, br, be = b
+    r = ar * (abs(bx) + abs(by) + br) + br * (abs(ax) + abs(ay))
+    if ay or by:
+        return _trim(ax * bx - ay * by, ax * by + ay * bx, r, ae + be)
+    return _trim(ax * bx, 0, r, ae + be)
+
+
+def _div(a: tuple, b: tuple) -> tuple:
+    """a / b; ZeroDivisionError when the ball b holds 0."""
+    ax, ay, ar, ae = a
+    bx, by, br, be = b
+    den = bx * bx + by * by
+    low = math.isqrt(den) - br  # |b| >= low 2^be
+    if low <= 0:
+        raise ZeroDivisionError("divisor ball holds 0")
+    nx, ny = ax * bx + ay * by, ay * bx - ax * by
+    k = max(0, _PREC + den.bit_length() - (abs(nx) | abs(ny)).bit_length())
+    qx, rx = divmod(nx << k, den)
+    qy, ry = divmod(ny << k, den)
+    # |a'/b' - a/b| <= (ar + |a/b| br) / (|b| - br), in units 2^(ae - be - k)
+    r = -(-((ar << k) + (abs(qx) + abs(qy) + 2) * br) // low) + (2 if rx or ry else 0)
+    return _trim(qx, qy, r, ae - be - k)
+
+
+def _mag(b: tuple) -> tuple:
+    """Upper bound of |z| over the ball."""
+    x, y, r, e = b
+    return (abs(x) if y == 0 else math.isqrt(x * x + y * y) + 1) + r, e
+
+
+def _mig(b: tuple) -> tuple:
+    """Lower bound, at least 0, of |z| over the ball."""
+    x, y, r, e = b
+    return max((abs(x) if y == 0 else math.isqrt(x * x + y * y)) - r, 0), e
+
+
+def _minus(bound: tuple) -> tuple:
+    return -bound[0], bound[1]
+
+
+def _sign(*bounds) -> int:
+    """Sign of the exact sum of the bounds (m, e)."""
+    e = min(f for _, f in bounds)
+    total = sum(m << (f - e) for m, f in bounds)
+    return (total > 0) - (total < 0)
+
+
+def _charpoly_coeffs(L: np.ndarray, model: DiagonalModel, n: int) -> list:
+    """Real balls [c_0, ..., c_d] holding the exact coefficients of
     det(x - L T^n) = sum_k (-1)^k c_k x^(d-k).
 
     The rotation entries of L R are enclosed in exact integer interval
-    arithmetic around interval cosines and sines, then rounded to the working
-    precision.  Each principal minor is the exact minor of the rounded
+    arithmetic around enclosures of their cosines and sines, then rounded to
+    _PREC bits.  Each principal minor is the exact minor of the rounded
     entries, widened by the multilinear Hadamard bound
     prod(|a_i| + |e_i|) - prod |a_i| for its rows a_i with rounding errors
-    e_i.  Minors whose coordinates lie in the same blocks share one interval
-    weight prod d_i, so they are summed exactly before it is applied.
+    e_i.  Minors whose coordinates lie in the same blocks share one weight
+    ball prod d_i, so they are summed exactly before it is applied.
     """
     d = model.d
-    prec = iv.prec
+    prec = _PREC
     ratios = [[float(x).as_integer_ratio() for x in row] for row in L]
     F = max(den.bit_length() - 1 for row in ratios for _, den in row)
     A = [[num << (F - den.bit_length() + 1) for num, den in row] for row in ratios]
     lo = [[a << prec for a in row] for row in A]  # entries of L R, units 2^-(F+prec)
     hi = [row[:] for row in lo]
-    power = []  # 2^-prec d_b per block
+    power = []  # d_b 2^-prec per block
     owner = []  # block of each coordinate
     pos = 0
     for b, blk in enumerate(model.diag_blocks):
-        power.append(iv.ldexp(iv.exp(n * iv.log(iv.mpf(blk.modulus))), -prec))
+        power.append(_weight(blk.modulus, n))
         owner += [b] * blk.size
         if blk.size == 1:
             if blk.value < 0 and n % 2 == 1:
                 for rl, rh in zip(lo, hi):
                     rl[pos], rh[pos] = -rh[pos], -rl[pos]
         else:
-            turns = Fraction(blk.theta) * n % 1
-            angle = 2 * iv.pi * turns.numerator / turns.denominator
-            cl, ch = _int_bounds(iv.cos(angle), prec)
-            sl, sh = _int_bounds(iv.sin(angle), prec)
+            (cl, ch), (sl, sh) = _cos_sin(Fraction(blk.theta) * n % 1)
             for a, rl, rh in zip(A, lo, hi):  # B <- B R on columns pos, pos+1
                 uc, us = _times(a[pos], cl, ch), _times(a[pos], sl, sh)
                 vc, vs = _times(a[pos + 1], cl, ch), _times(a[pos + 1], sl, sh)
@@ -279,36 +355,124 @@ def _charpoly_coeffs(iv, L: np.ndarray, model: DiagonalModel, n: int) -> list:
     norm = [math.isqrt(sum(a * a for a in row)) + 1 for row in Bint]
     slack = [math.isqrt(sum(e * e for e in row)) + 1 for row in err]
 
-    prefix = {(): (1, 1)}  # S -> (prod (norm + slack), prod norm) over its rows
-    sums = {}  # blocks of S -> exact [low, high] sums of its minors
+    prefix = {(): (1, 1, ())}  # S -> prod (norm + slack), prod norm over its rows; its blocks
+    members = [{} for _ in range(d + 1)]  # |S| -> blocks of S -> the subsets S
     for k in range(1, d + 1):
         for S in combinations(range(d), k):
-            wide, tight = prefix[S[:-1]]
+            wide, tight, key = prefix[S[:-1]]
             i = S[-1]
-            wide, tight = wide * (norm[i] + slack[i]), tight * norm[i]
-            prefix[S] = (wide, tight)
-            minor = _bareiss_det([[Bint[r][c] for c in S] for r in S])
-            bounds = sums.setdefault(tuple(owner[i] for i in S), [0, 0])
-            bounds[0] += minor - (wide - tight)
-            bounds[1] += minor + (wide - tight)
+            prefix[S] = (wide * (norm[i] + slack[i]), tight * norm[i], key + (owner[i],))
+            members[k].setdefault(prefix[S][2], []).append(S)
 
-    weight = {(): iv.one}
-    coeffs = [iv.one] + [iv.zero] * d
-    for key, (low, high) in sums.items():  # every key comes after its prefix
-        weight[key] = weight[key[:-1]] * power[key[-1]]
-        coeffs[len(key)] += iv.mpf([low, high]) * weight[key]
-    return coeffs
+    # A term is an exact [low, high] sum of minors times its weight ball.  By
+    # Hadamard |low|, |high| <= sum prod (norm + slack), so |term| < 2^bound.
+    # The terms whose bound lies below cut, 2 _PREC bits under the largest
+    # exact term of their c_k, never form their minors: together they only
+    # widen the radius, as the disk of radius (their count) 2^cut about 0.
+    exps = [e + (x + r).bit_length() for x, _, r, e in power]
+    minor = _principal_minors(Bint)
+    weight = {(): _ONE}
+
+    def weight_of(key):
+        if key not in weight:
+            weight[key] = _mul(weight_of(key[:-1]), power[key[-1]])
+        return weight[key]
+
+    terms = [[_ONE]] + [[] for _ in range(d)]
+    scale = {(): 0}  # blocks -> bit bound of their weight
+    for k in range(1, d + 1):
+        bound = {}
+        for key, group in members[k].items():  # every key after its prefix
+            scale[key] = scale[key[:-1]] + exps[key[-1]]
+            bound[key] = sum(prefix[S][0] for S in group).bit_length() + scale[key]
+        cut, dropped = -math.inf, 0
+        for key in sorted(bound, key=bound.get, reverse=True):
+            if bound[key] < cut:
+                dropped += 1
+                continue
+            low = high = 0
+            for S in members[k][key]:
+                wide, tight, _ = prefix[S]
+                m = minor(S)
+                low, high = low + m - (wide - tight), high + m + (wide - tight)
+            cut = max(cut, max(-low, high).bit_length() + scale[key] - 2 * _PREC)
+            terms[k].append(_mul((low + high, 0, high - low, -1), weight_of(key)))
+        if dropped:
+            terms[k].append((0, 0, dropped, cut))
+    return [_sum(*balls) for balls in terms]
 
 
-def _int_bounds(x, prec: int) -> tuple:
-    """floor(a 2^prec) and ceil(b 2^prec) for the interval x = [a, b]."""
-    a, b = x._mpi_
-    return to_int(mpf_shift(a, prec), "f"), to_int(mpf_shift(b, prec), "c")
+@functools.lru_cache(maxsize=64)
+def _log_bounds(modulus: float) -> tuple:
+    """Enclosure of log(modulus), to 64 bits more than the working precision."""
+    x = libmp.from_float(modulus)
+    return libmp.mpi_log((x, x), _PREC + 64)
+
+
+def _weight(modulus: float, n: int) -> tuple:
+    """Real ball of modulus^n 2^-_PREC."""
+    lo, hi = libmp.mpi_exp(libmp.mpi_mul(_log_bounds(modulus), (libmp.from_int(n),) * 2),
+                           _PREC + 8)
+    (_, ml, el, _), (_, mh, eh, _) = lo, hi  # both positive; gmpy2 mpz or int
+    el, eh = int(el), int(eh)
+    e = min(el, eh)
+    ml, mh = int(ml) << (el - e), int(mh) << (eh - e)
+    return _trim(ml + mh, 0, mh - ml, e - 1 - _PREC)
+
+
+def _cos_sin(turns: Fraction) -> tuple:
+    """Integer bounds of 2^_PREC cos and 2^_PREC sin of the angle 2 pi turns."""
+    wp = _PREC + 8
+    p, q = libmp.from_int(2 * turns.numerator), libmp.from_int(turns.denominator)
+    angle = tuple(libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp, rnd), p), q, wp, rnd)
+                  for rnd in ("f", "c"))
+    return tuple((int(libmp.to_int(libmp.mpf_shift(a, _PREC), "f")),
+                  int(libmp.to_int(libmp.mpf_shift(b, _PREC), "c")))
+                 for a, b in libmp.mpi_cos_sin(angle, wp))
 
 
 def _times(u: int, lo: int, hi: int) -> tuple:
     """The interval u [lo, hi] for an exact integer u."""
     return (u * lo, u * hi) if u >= 0 else (u * hi, u * lo)
+
+
+def _principal_minors(B: list):
+    """The function S -> det B[S, S] for nonempty sorted S, on demand.
+
+    The state of a prefix P holds a_rc = det B[P+r, P+c] for r, c > max P;
+    child P+i has minor a_ii, and by Sylvester's identity its state is
+    (a_ii a_rc - a_ri a_ic) / det B_PP, an exact division (K. Griffin,
+    M. J. Tsatsomeros, "Principal minors, Part I", Linear Algebra Appl. 419,
+    2006).  States are formed once, for the prefixes asked for; below a
+    prefix whose minor is 0, each subset is eliminated on its own.
+    """
+    states = {(): (1, B)}  # P -> (det B_PP, its state), or None below a zero minor
+
+    def place(S):  # row of S's last index in the state of S[:-1]
+        return S[-1] - (S[-2] + 1 if len(S) > 1 else 0)
+
+    def state(P):
+        if P not in states:
+            up = state(P[:-1])
+            if up is None or up[0] == 0:
+                states[P] = None
+            else:
+                det, rows = up
+                a = place(P)
+                row = rows[a]
+                pivot, tail = row[a], row[a + 1:]
+                states[P] = (pivot, [[(pivot * x - other[a] * y) // det
+                                      for x, y in zip(other[a + 1:], tail)]
+                                     for other in rows[a + 1:]])
+        return states[P]
+
+    def minor(S):
+        up = state(S[:-1])
+        if up is None:
+            return _bareiss_det([[B[r][c] for c in S] for r in S])
+        return up[1][place(S)][place(S)]
+
+    return minor
 
 
 def _bareiss_det(A: list) -> int:
@@ -329,101 +493,121 @@ def _bareiss_det(A: list) -> int:
     return sign * A[k - 1][k - 1]
 
 
-def _newton_polygon_seeds(ctx, coeffs: list, model: DiagonalModel) -> list:
+def _newton_polygon_seeds(coeffs: list, model: DiagonalModel) -> list:
     """One root cluster per block of the ladder, from its polygon segment.
 
     Block j owns the coefficients c_{K-size} .. c_K (K its last coordinate);
     all others are smaller at its scale by powers of the modulus ratios.
     """
+    mids = [(x, 0, 0, e) for x, _, _, e in coeffs]
     seeds = []
     K = 0
     for blk in model.diag_blocks:
         K += blk.size
         if blk.size == 1:
-            seeds.append(ctx.mpc(coeffs[K] / coeffs[K - 1]))
+            seeds.append(_div(mids[K], mids[K - 1]))
             continue
-        a, b, c = coeffs[K - 2], coeffs[K - 1], coeffs[K]  # a x^2 - b x + c
-        root = ctx.sqrt(ctx.mpc(b * b - 4 * a * c))
-        q = (b + root if abs(b + root) >= abs(b - root) else b - root) / 2
-        seeds += [q / a, c / q]
-    return seeds
+        a, b, c = mids[K - 2], mids[K - 1], mids[K]  # a x^2 - b x + c
+        x, _, _, e = _sum(_mul(b, b), _mul((-4, 0, 0, 0), _mul(a, c)))
+        s = max(0, 2 * _PREC - x.bit_length())
+        s += (e - s) % 2
+        root = math.isqrt(abs(x) << s)
+        if x < 0:
+            root = (0, root, 0, (e - s) // 2)
+        else:
+            root = (root if b[0] >= 0 else -root, 0, 0, (e - s) // 2)
+        q = _mul(_sum(b, root), (1, 0, 0, -1))  # the larger of (b +- root) / 2
+        seeds += [_div(q, a), _div(c, q)]
+    return [(x, y, 0, e) for x, y, _, e in seeds]
 
 
-def _monic(coeffs: list) -> list:
-    return [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+def _refine(coeffs: list, centres: list) -> tuple:
+    """Durand-Kerner steps on the monic p: (centres, Weierstrass corrections).
 
-
-def _horner(poly: list, z):
-    """(p(z), p'(z)) for p given by its coefficients, leading first."""
-    p, dp = poly[0], 0
-    for a in poly[1:]:
-        dp = dp * z + p
-        p = p * z + a
-    return p, dp
-
-
-def _polish(ctx, coeffs: list, roots: list) -> list:
-    """Newton steps with the Ehrlich-Aberth correction on the full polynomial."""
-    poly = _monic(coeffs)
-    roots = list(roots)
-    tol = ctx.ldexp(1, 8 - ctx.prec)
-    for _ in range(_MAX_POLISH_STEPS):
-        worst = ctx.zero
-        for i, z in enumerate(roots):
-            p, dp = _horner(poly, z)
-            if p == 0:
-                continue
-            ratio = p / dp
-            pull = ctx.fsum(1 / (z - w) for j, w in enumerate(roots) if j != i)
-            step = ratio / (1 - ratio * pull)
-            roots[i] = z - step
-            worst = max(worst, abs(step) / abs(roots[i]))
-        if worst <= tol:
-            break
-    return roots
-
-
-def _certify(iv, coeffs: list, roots: list) -> tuple:
-    """Prove each root isolated: (radius intervals, real with distinct moduli).
-
-    ``coeffs`` are intervals holding [c_0, ..., c_d], ``roots`` the polished
-    approximations z_i.  With W_i = p(z_i) / prod_{j != i} (z_i - z_j) the
-    Weierstrass corrections of the monic p, the roots of p are the
-    eigenvalues of diag(z) - 1 W^T, whose Gerschgorin column disks
-    D(z_i - W_i, (d-1)|W_i|) lie inside D(z_i, d|W_i|).  |W_i| is bounded
-    above over every polynomial in the intervals.  Pairwise disjoint disks
-    hold exactly one root each.  When the modulus ranges |z_i| +- r_i are
-    pairwise disjoint too, the moduli are distinct and every root is real:
-    the conjugate of a root is a root of the same modulus, which only the
-    root's own disk can hold.  Raises ConvergenceFailure when two disks
-    meet or a disk is wider than half the working digits.
+    Each pass evaluates p at every centre as a ball and forms the
+    corrections W_i = p(z_i) / prod_{j != i} (z_i - z_j) (None where the
+    divisor holds 0); it stops once every |mid W_i| <= 2^(8-prec) |z_i|, or
+    after _MAX_POLISH_STEPS steps z_i <- z_i - mid W_i.
     """
-    d = len(roots)
-    poly = _monic(coeffs)
-    # centres on the real axis keep the interval arithmetic real
-    zs = [iv.mpf(z.real) if z.imag == 0 else iv.mpc(z.real, z.imag) for z in roots]
-    gap = {}
-    for i, j in combinations(range(d), 2):
-        gap[i, j] = gap[j, i] = abs(zs[i] - zs[j])
-    mods = [abs(z) for z in zs]
-    tol = iv.mpf(10) ** (-(iv.dps // 2))
-    radii = []
-    for i, z in enumerate(zs):
+    for _ in range(_MAX_POLISH_STEPS):
+        W = _corrections(coeffs, centres)
+        if None in W or all(_sign(_mig(z), _minus(_mag((w[0], w[1], 0, w[3] + _PREC - 8)))) >= 0
+                            for z, w in zip(centres, W)):
+            return centres, W
+        # a real centre takes a real step: the exact W_i of conjugate centres is real
+        centres = [(x, y, 0, e) for x, y, _, e in
+                   (_sum(z, (-w[0], -w[1] if z[1] else 0, 0, w[3])) for z, w in zip(centres, W))]
+    return centres, _corrections(coeffs, centres)
+
+
+def _corrections(coeffs: list, centres: list) -> list:
+    poly = [c if k % 2 == 0 else _neg(c) for k, c in enumerate(coeffs)]  # monic p
+    diff = {}
+    for i, j in combinations(range(len(centres)), 2):
+        diff[i, j] = _sum(centres[i], _neg(centres[j]))
+        diff[j, i] = _neg(diff[i, j])
+    out = []
+    for i, z in enumerate(centres):
         p = poly[0]
         for a in poly[1:]:
-            p = p * z + a
-        r = d * abs(p) / iv.fprod(gap[i, j] for j in range(d) if j != i)
-        if not r.b <= (tol * mods[i]).a:
-            raise ConvergenceFailure(f"root {i} is not isolated to {iv.dps // 2} digits")
-        radii.append(r)
+            p = _sum(_mul(p, z), a)
+        q = _ONE
+        for j in range(len(centres)):
+            if j != i:
+                q = _mul(q, diff[i, j])
+        try:
+            out.append(_div(p, q))
+        except ZeroDivisionError:
+            out.append(None)
+    return out
 
-    def apart(x, y):  # every point of x above every point of y
-        return x.a > y.b
 
+def _certify(centres: list, corrections: list) -> tuple:
+    """Prove each root isolated: (radius bounds, real with distinct moduli).
+
+    ``centres`` are exact balls z_i and ``corrections`` the balls W_i of
+    _refine at them.  The roots of p are the eigenvalues of
+    diag(z) - 1 W^T, whose Gerschgorin column disks D(z_i - W_i, (d-1)|W_i|)
+    lie inside D(z_i, d|W_i|), for every polynomial in the coefficient
+    balls.  Pairwise disjoint disks hold exactly one root each.  When the
+    modulus ranges |z_i| +- r_i are pairwise disjoint too, the moduli are
+    distinct and every root is real: the conjugate of a root is a root of
+    the same modulus, which only the root's own disk can hold.  Raises
+    ConvergenceFailure when two disks meet or a disk is wider than half the
+    working digits.
+    """
+    d = len(centres)
+    digits = GRADED_DIGITS // 2
+    radii = []
+    for i, (z, w) in enumerate(zip(centres, corrections)):
+        m, e = (0, 0) if w is None else _mag(w)
+        if w is None or _sign(_mig(z), (-(10 ** digits) * d * m, e)) < 0:
+            raise ConvergenceFailure(f"root {i} is not isolated to {digits} digits")
+        radii.append((d * m, e))
     real_simple = True
     for i, j in combinations(range(d), 2):
-        if not apart(gap[i, j], radii[i] + radii[j]):
+        ri, rj = _minus(radii[i]), _minus(radii[j])
+        if _sign(_mig(_sum(centres[i], _neg(centres[j]))), ri, rj) <= 0:
             raise ConvergenceFailure(f"inclusion disks of roots {i} and {j} meet")
-        real_simple = real_simple and (apart(mods[i] - radii[i], mods[j] + radii[j])
-                                       or apart(mods[j] - radii[j], mods[i] + radii[i]))
+        real_simple = real_simple and (
+            _sign(_mig(centres[i]), ri, _minus(_mag(centres[j])), rj) > 0
+            or _sign(_mig(centres[j]), rj, _minus(_mag(centres[i])), ri) > 0)
     return radii, real_simple
+
+
+def _split_form(z: tuple) -> tuple:
+    """(unit, natural log of the modulus) of an exact centre, as floats."""
+    x, y, _, e = z
+    if y == 0:
+        if x == 0:
+            return 0j, -math.inf
+        square = libmp.from_man_exp(x * x, 2 * e)
+        unit = complex(1.0 if x > 0 else -1.0)
+    else:
+        s = x * x + y * y
+        square = libmp.from_man_exp(s, 2 * e)
+        k = max(0, 2 * _PREC - s.bit_length() // 2)
+        root = math.isqrt(s << 2 * k)  # |x + iy| 2^k
+        unit = complex((x << k) / root, (y << k) / root)
+    log_mod = libmp.mpf_shift(libmp.mpf_log(square, _PREC, "n"), -1)
+    return unit, libmp.to_float(log_mod, rnd="n")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spectral_cascade as sc
 from spectral_cascade import oracle
@@ -170,8 +170,7 @@ def test_product_spectrum_mp_path_consistent():
 
 
 def test_interval_coefficients_hold_the_characteristic_polynomial():
-    """Each c_k interval holds the sum of principal k-minors of L T^n at spread + 60 digits."""
-    _, iv = oracle._contexts()
+    """Each c_k ball holds the sum of principal k-minors of L T^n at spread + 60 digits."""
     for i, pattern in enumerate(PATTERNS):
         spec, casc = _criterion_1_case(i)
         L = spec.L_n(casc.k0)
@@ -179,11 +178,11 @@ def test_interval_coefficients_hold_the_characteristic_polynomial():
             mp = mpmath.MPContext()
             mp.dps = int(spread_digits(spec.model, n)) + 60
             M = mp.matrix(L.tolist()) * _mp_power(mp, spec.model, n)
-            coeffs = oracle._charpoly_coeffs(iv, L, spec.model, n)
-            for k, c in enumerate(coeffs):
+            coeffs = oracle._charpoly_coeffs(L, spec.model, n)
+            for k, (x, _, rad, e) in enumerate(coeffs):
                 ref = mp.fsum(mp.det(mp.matrix([[M[r, col] for col in S] for r in S])) if S else 1
                               for S in itertools.combinations(range(spec.model.d), k))
-                low, high = (mp.make_mpf(x) for x in c._mpi_)
+                low, high = mp.ldexp(x - rad, e), mp.ldexp(x + rad, e)
                 assert low <= ref <= high, (pattern, n, k)
                 assert high - low <= abs(ref) * mp.mpf(10) ** -30, (pattern, n, k)
 
@@ -196,7 +195,8 @@ def test_certified_disks_hold_the_reference_roots():
         for n in _criterion_1_exponents(casc, casc.k0):
             centres, radii, _ = oracle._inclusion_disks(L_k, spec.model, n)
             mp, vals = _mp_eig_values(i, casc.k0, n)
-            disks = [(mp.mpc(z), mp.make_mpf(r._mpi_[1])) for z, r in zip(centres, radii)]
+            disks = [(mp.mpc(mp.ldexp(x, e), mp.ldexp(y, e)), mp.ldexp(m, f))
+                     for (x, y, _, e), (m, f) in zip(centres, radii)]
             for v in vals:
                 holding = [abs(v - z) <= r for z, r in disks]
                 assert sum(holding) == 1, (pattern, n, v)
@@ -234,37 +234,59 @@ def test_graded_route_checks_raise(demo_instance, monkeypatch):
     """Unpolished seeds and a root found twice fail the inclusion certificate."""
     L, model, n = demo_instance.L, demo_instance.model, 120
     assert spread_digits(model, n) > NUMPY_DIGIT_CAP
-    polish = oracle._polish
+    refine, steps = oracle._refine, oracle._MAX_POLISH_STEPS
 
-    monkeypatch.setattr(oracle, "_polish", lambda ctx, coeffs, roots: list(roots))
+    monkeypatch.setattr(oracle, "_MAX_POLISH_STEPS", 0)
     with pytest.raises(ConvergenceFailure, match="not isolated"):
         product_spectrum(L, model, n)
+    monkeypatch.setattr(oracle, "_MAX_POLISH_STEPS", steps)
 
-    def twice(ctx, coeffs, roots):
-        out = polish(ctx, coeffs, roots)
-        return [out[0], out[0]] + out[2:]
+    def twice(coeffs, centres):
+        out, _ = refine(coeffs, centres)
+        out = [out[0], out[0]] + out[2:]
+        return out, oracle._corrections(coeffs, out)
 
-    monkeypatch.setattr(oracle, "_polish", twice)
+    monkeypatch.setattr(oracle, "_refine", twice)
     with pytest.raises(ConvergenceFailure, match="not isolated"):
         certified_spectrum(L, model, n)
 
 
-def _interval_poly(iv, roots):
-    """Enclosures of [c_0, ..., c_d] for prod (x - r), with det(x - M) = sum (-1)^k c_k x^(d-k)."""
-    coeffs = [iv.one]
+def _exact_ball(value) -> tuple:
+    """An exact ball (x, y, 0, e) at the dyadic nearest below a number."""
+    re, im = (Fraction(str(value.real)), Fraction(str(value.imag))) if isinstance(value, complex) \
+        else (Fraction(value), Fraction(0))
+    top = max(abs(re), abs(im))
+    e = top.numerator.bit_length() - top.denominator.bit_length() - 2 * oracle._PREC
+    return math.floor(re / Fraction(2) ** e), math.floor(im / Fraction(2) ** e), 0, e
+
+
+def _ball_poly(roots):
+    """Balls of [c_0, ..., c_d] for prod (x - r), with det(x - M) = sum (-1)^k c_k x^(d-k).
+
+    Each c_k is exact in Fraction arithmetic, then enclosed to the working
+    precision, as an interval of the decimal roots would be.
+    """
+    coeffs = [(Fraction(1), Fraction(0))]
     for r in roots:  # times (x - r): c_k += r c_(k-1)
-        r = iv.mpc(*r) if isinstance(r, tuple) else iv.mpf(r)
-        coeffs = [a + r * b for a, b in zip(coeffs + [iv.zero], [iv.zero] + coeffs)]
-    return [c.real if hasattr(c, "imag") else c for c in coeffs]
+        r = tuple(map(Fraction, r)) if isinstance(r, tuple) else (Fraction(r), Fraction(0))
+        coeffs = [(a + r[0] * c - r[1] * s, b + r[0] * s + r[1] * c)
+                  for (a, b), (c, s) in zip(coeffs + [(0, 0)], [(0, 0)] + coeffs)]
+    balls = []
+    for c, s in coeffs:
+        assert s == 0
+        if c == 0:
+            balls.append((0, 0, 0, 0))
+            continue
+        e = abs(c).numerator.bit_length() - abs(c).denominator.bit_length() - oracle._PREC
+        balls.append((math.floor(c / Fraction(2) ** e), 0, 1, e))
+    return balls
 
 
 def _certify_roots(roots, seeds):
-    """The certificate on the interval polynomial prod (x - r), from polished seeds."""
-    ctx, iv = oracle._contexts()
-    coeffs = _interval_poly(iv, roots)
-    mids = [ctx.make_mpf(c.mid._mpi_[0]) for c in coeffs]
-    approx = oracle._polish(ctx, mids, [ctx.mpc(s) for s in seeds])
-    return oracle._certify(iv, coeffs, approx)
+    """The certificate on the ball polynomial prod (x - r), refined from seeds."""
+    coeffs = _ball_poly(roots)
+    centres, corrections = oracle._refine(coeffs, [_exact_ball(s) for s in seeds])
+    return oracle._certify(centres, corrections)
 
 
 def test_certificate_proves_distinct_real_roots():
@@ -294,10 +316,156 @@ def test_certificate_rejects_a_double_root():
         _certify_roots(["1", "2", "2"], [0.9, 1.9, 2.1])
     # centres 2 -+ t, t = 2^-66: Horner is exact, |W| = t^2 / 2t, so each disk
     # has radius t, narrow enough to pass the width limit, and the two touch
-    ctx, iv = oracle._contexts()
-    t = ctx.ldexp(1, -66)
+    coeffs = [(1, 0, 0, 0), (1, 0, 0, 2), (1, 0, 0, 2)]  # x^2 - 4x + 4
+    centres = [((2 << 66) - 1, 0, 0, -66), ((2 << 66) + 1, 0, 0, -66)]
     with pytest.raises(ConvergenceFailure, match="meet"):
-        oracle._certify(iv, _interval_poly(iv, ["2", "2"]), [ctx.mpc(2 - t), ctx.mpc(2 + t)])
+        oracle._certify(centres, oracle._corrections(coeffs, centres))
+
+
+# Ball arithmetic: every operation holds the exact result for every point of
+# its operand disks, at any exponent gap.
+
+_mantissas = st.integers(-2**200, 2**200)
+_balls = st.builds(lambda x, y, r, e, real: (x, 0 if real else y, r, e),
+                   _mantissas, _mantissas, st.integers(0, 2**150) | st.just(0),
+                   st.integers(-1500, 1500), st.booleans())
+# offsets / 1415 lie inside the unit disk
+_offsets = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+_GAP = ((1 << 199) + 12345, 77, 3, -1200), (-(1 << 150) - 1, 0, 5, 40)  # exponents 1,240 bits apart
+
+
+def _point(ball, offset):
+    """An exact complex point of the ball, as (re, im) Fractions."""
+    x, y, r, e = ball
+    scale = Fraction(2) ** e
+    return (x + Fraction(r * offset[0], 1415)) * scale, (y + Fraction(r * offset[1], 1415)) * scale
+
+
+def _holds(ball, point) -> bool:
+    x, y, r, e = ball
+    scale = Fraction(2) ** e
+    return (point[0] - x * scale) ** 2 + (point[1] - y * scale) ** 2 <= (r * scale) ** 2
+
+
+def _cmul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_balls, _balls, _balls, _offsets, _offsets, _offsets)
+@example(*_GAP, (1, 0, 0, 0), (1000, 0), (-1000, 0), (0, 0))
+@example((2**136 - 1, 0, 0, 0), (1, 0, 0, 200), (0, 0, 0, 0), (0, 0), (0, 0), (0, 0))  # drops a unit
+def test_ball_sum_holds_the_exact_sum(a, b, c, u, v, w):
+    p, q, s = _point(a, u), _point(b, v), _point(c, w)
+    assert _holds(oracle._sum(a, b), (p[0] + q[0], p[1] + q[1]))
+    assert _holds(oracle._sum(a, b, c), (p[0] + q[0] + s[0], p[1] + q[1] + s[1]))
+    assert _holds(oracle._sum(a, oracle._neg(a)), (p[0] - p[0], 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_balls, _balls, _offsets, _offsets)
+@example(*_GAP, (1000, 0), (-1000, 0))
+def test_ball_product_holds_the_exact_product(a, b, u, v):
+    p, q = _point(a, u), _point(b, v)
+    assert _holds(oracle._mul(a, b), _cmul(p, q))
+    exact = (b[0], b[1], 0, b[3])  # times an exact complex number
+    assert _holds(oracle._mul(a, exact), _cmul(p, _point(exact, (0, 0))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_balls, _balls, _offsets, _offsets)
+@example(*_GAP, (1000, 0), (-1000, 0))
+def test_ball_quotient_holds_the_exact_quotient(a, b, u, v):
+    p, q = _point(a, u), _point(b, v)
+    bx, by, br, _ = b
+    if bx * bx + by * by <= br * br:  # the divisor ball holds 0
+        with pytest.raises(ZeroDivisionError):
+            oracle._div(a, b)
+        return
+    if bx * bx + by * by <= 4 * br * br:  # near 0: refusing is allowed
+        try:
+            quotient = oracle._div(a, b)
+        except ZeroDivisionError:
+            return
+    else:
+        quotient = oracle._div(a, b)
+    norm = q[0] ** 2 + q[1] ** 2
+    assert _holds(quotient, _cmul(p, (q[0] / norm, -q[1] / norm)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_balls, _offsets)
+@example(_GAP[0], (1000, 1000))
+def test_ball_moduli_bound_every_point(a, u):
+    p = _point(a, u)
+    square = p[0] ** 2 + p[1] ** 2
+    (m, e), (g, f) = oracle._mag(a), oracle._mig(a)
+    assert square <= (m * Fraction(2) ** e) ** 2
+    assert g >= 0 and (g * Fraction(2) ** f) ** 2 <= square
+
+
+def _minors_by_bareiss(B) -> dict:
+    d = len(B)
+    return {S: oracle._bareiss_det([[B[r][c] for c in S] for r in S])
+            for k in range(1, d + 1) for S in itertools.combinations(range(d), k)}
+
+
+def _sylvester_minors(B, order=1) -> dict:
+    """Every minor from _principal_minors, asked for in lexicographic order or reversed."""
+    minor = oracle._principal_minors(B)
+    subsets = [S for k in range(1, len(B) + 1) for S in itertools.combinations(range(len(B)), k)]
+    return {S: minor(S) for S in subsets[::order]}
+
+
+def _check_minors(B, monkeypatch) -> int:
+    """Sylvester's identity against per-subset elimination: the Bareiss calls it made."""
+    calls = []
+    bareiss = oracle._bareiss_det
+    monkeypatch.setattr(oracle, "_bareiss_det", lambda A: calls.append(1) or bareiss(A))
+    got = _sylvester_minors(B)
+    monkeypatch.setattr(oracle, "_bareiss_det", bareiss)
+    assert got == _minors_by_bareiss(B)
+    return len(calls)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_principal_minors_match_bareiss(d, monkeypatch):
+    rng = np.random.default_rng(d)
+    B = [[int(v) for v in row] for row in rng.integers(-2**62, 2**62, (d, d))]
+    B = [[v << 74 | int(rng.integers(0, 2**62)) for v in row] for row in B]  # 136-bit entries
+    assert _check_minors(B, monkeypatch) == 0
+    # a vanishing prefix minor: every subset below it is eliminated on its own
+    zero = [row[:] for row in B]
+    zero[0][0] = 0
+    assert _check_minors(zero, monkeypatch) == (2 ** (d - 1) - d if d > 1 else 0)
+    if d >= 2:
+        singular = [row[:] for row in B]
+        singular[1][:2] = [3 * v for v in singular[0][:2]]  # det B[:2, :2] = 0
+        assert _check_minors(singular, monkeypatch) == 2 ** (d - 2) - d + 1
+
+
+def test_negligible_terms_form_no_minors(monkeypatch):
+    """At a wide spread each c_k needs only the minor of its leading coordinates."""
+    spec = sc.generate_instance((1,) * 8, seed=3)
+    asked = []
+    make = oracle._principal_minors
+
+    def counting(B):
+        minor = make(B)
+        return lambda S: asked.append(S) or minor(S)
+
+    monkeypatch.setattr(oracle, "_principal_minors", counting)
+    _, real_simple = certified_spectrum(spec.L, spec.model, 1_000)
+    assert real_simple
+    assert asked == [tuple(range(k)) for k in range(1, 9)]  # 8 of the 255 minors
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_principal_minors_of_small_entries(B):
+    """Small entries make zero minors at every depth, asked for in any order."""
+    assert _sylvester_minors(B) == _sylvester_minors(B, -1) == _minors_by_bareiss(B)
 
 
 def test_product_spectrum_is_thread_safe(demo_instance):
