@@ -65,6 +65,7 @@ from .scenario import InstanceSpec, check_L_conditions
 
 MARGIN_FACTOR = 0.05
 ORACLE_TOL = 1e-6  # largest relative mismatch against the oracle in a hit
+SCAN_RANGE = 4096  # exponents per prefilter range; one range bounds the scan's memory
 
 
 def _signed_phase(alpha: float, theta: float, n) -> np.ndarray:
@@ -216,10 +217,11 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
 
 
 def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
-                limit: np.ndarray) -> LevelData:
+                limit: np.ndarray, unit: np.ndarray) -> LevelData:
+    """Level j's record; ``unit`` is U_j(n), the unit part of T_j^n."""
     blk = model.block(j)
     log_scale = n * math.log(blk.modulus)
-    XU = X @ blk.unit_power(n)  # the spectrum of X T_j^n, up to |lambda_j|^n
+    XU = X @ unit  # the spectrum of X T_j^n, up to |lambda_j|^n
     if blk.size == 1:
         spec = ScaledSpectrum.from_values(XU[0], log_scale=log_scale)
         return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]),
@@ -257,11 +259,15 @@ def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
     current = np.asarray(L_k, dtype=float)
     if current.shape != (model.d, model.d):
         raise ValueError(f"matrix must be {model.d}x{model.d}, got {current.shape}")
+    units = [blk.unit_power(n) for blk in model.diag_blocks]  # each U_j(n) formed once
+    for stage in cascade.stages:
+        stage.problem.powers.share_units(n, units[stage.j - 1:])
     levels = []
     for stage, X, current in _chain(current, n, cascade.stages):
-        levels.append(_level_data(stage.j, X, n, model, cascade.limits[stage.j - 1]))
+        levels.append(_level_data(stage.j, X, n, model, cascade.limits[stage.j - 1],
+                                  units[stage.j - 1]))
     m = cascade.m
-    levels.append(_level_data(m, current, n, model, cascade.limits[m - 1]))
+    levels.append(_level_data(m, current, n, model, cascade.limits[m - 1], units[m - 1]))
 
     # each drift is within a few ulp (relative) of the exact sigma_max(X - limit)
     limits_ok = all(lv.drift < cascade.eps0 for lv in levels)
@@ -370,6 +376,21 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
     return hit, row, None
 
 
+def _window_candidates(instance: InstanceSpec, cascade: ParameterCascade,
+                       n_start: int, n_max: int):
+    """Yield the n in [n_start, n_max] whose limit phases all fall inside their
+    windows, in increasing n, prefiltering SCAN_RANGE exponents at a time."""
+    model = instance.model
+    for lo in range(n_start, n_max + 1, SCAN_RANGE):
+        ns = np.arange(lo, min(lo + SCAN_RANGE, n_max + 1), dtype=np.int64)
+        exps = instance.a * ns + instance.b
+        mask = np.ones(len(ns), dtype=bool)
+        for j, window in cascade.windows.items():  # not window.phase: see _signed_phase
+            ph = _signed_phase(window.alpha, model.block(j).theta, exps)
+            mask &= np.abs(ph) < window.half_width
+        yield from ns[mask].tolist()
+
+
 def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
                      count: int = 3, n_max: int = 100_000,
                      csv_path: Optional[str] = None) -> SearchResult:
@@ -378,7 +399,10 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     A vectorized limit-phase prefilter keeps only exponents whose rotation
     phases (predicted from the limit polar angles) fall inside the
     real-simple windows; survivors are decomposed exactly and every hit is
-    confirmed against the independent oracle (``examine``).  With
+    confirmed against the independent oracle (``examine``).  The prefilter
+    runs over consecutive ranges of SCAN_RANGE exponents, and the search
+    stops at the ``count``-th hit: its cost follows the last hit, not
+    ``n_max``, and one range bounds its memory.  With
     ``csv_path``, one row per examined exponent is written as it is
     examined.  Raises ValueError for ``count`` below 1 and
     SearchExhausted (with the near misses) when fewer than ``count`` hits
@@ -386,20 +410,12 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    model = instance.model
-    structure = model.structure
+    structure = instance.model.structure
     n_start = max(cascade.n0, cascade.k0, 1)
     if n_start > n_max:
         raise SearchExhausted(
             f"scan floor {n_start} already beyond the cap {n_max}"
         )
-    ns = np.arange(n_start, n_max + 1, dtype=np.int64)
-    exps = instance.a * ns + instance.b
-    mask = np.ones(len(ns), dtype=bool)
-    for j, window in cascade.windows.items():  # not window.phase: see _signed_phase
-        ph = _signed_phase(window.alpha, model.block(j).theta, exps)
-        mask &= np.abs(ph) < window.half_width
-    candidates = ns[mask]
 
     hits = []
     near_misses = []
@@ -408,8 +424,8 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
         if csv_path is not None:
             writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
             writer.writerow(_csv_rows_header(structure))
-        for n in candidates:
-            hit, row, miss = examine(int(n), instance, cascade)
+        for n in _window_candidates(instance, cascade, n_start, n_max):
+            hit, row, miss = examine(n, instance, cascade)
             if writer is not None:
                 writer.writerow(row)
             if miss is not None:
@@ -421,9 +437,10 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
 
     examined = len(hits) + len(near_misses)  # examine returns a hit or a miss
     if len(hits) < count:
+        # short of count hits, the loop examined every candidate of every range
         raise SearchExhausted(
             f"found {len(hits)} of {count} exponents below {n_max} "
-            f"({len(candidates)} window candidates, {examined} examined)",
+            f"({examined} window candidates, {examined} examined)",
             near_misses=near_misses[-20:],
         )
     return SearchResult(hits=hits, examined=examined, near_misses=near_misses)

@@ -6,7 +6,8 @@ blocks.  Powers are evaluated in closed form, |lambda|^n * R_{n theta mod 1},
 with the modulus handled in log space so exponents up to ~1e5 stay exact.
 Each block's ``unit_power`` is the one place that forms the unit part
 U_j(n) of T_j^n; the sandwich factors, the cascade's level spectra and the
-oracle's numpy route all read it from there.
+oracle's numpy route all read it from there.  A decomposition forms each
+U_j(n) once and shares it with every stage (``DiagonalPowers.share_units``).
 """
 
 from __future__ import annotations
@@ -145,21 +146,26 @@ class DiagonalPowers:
         if model.structure.m < 2:
             raise ValueError("need at least two blocks to split")
         self.model = model
-        self.head = model.block(1)
-        self.tail_model = model.tail(2)
         # log-modulus per tail coordinate, relative to the head modulus
-        self._rel = self.tail_model.coordinate_log_moduli() - math.log(self.head.modulus)
+        self._rel = model.tail(2).coordinate_log_moduli() - math.log(model.block(1).modulus)
         self._cache = (None,)
+
+    def share_units(self, n: int, units) -> None:
+        """Build the factors at n from unit parts U_j(n) formed by the caller,
+        one per block of the model, head first; factors already at n are kept."""
+        if self._cache[0] == n:
+            return
+        head, *tail = units
+        unit_tail = block_diag(*tail)
+        scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))
+        # the inverse of a rotation or a sign is its transpose
+        self._cache = (n, scale[:, None] * unit_tail, unit_tail * scale[None, :], head.T)
 
     def _factors(self, n: int):
         """(n, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and H
         are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale."""
         if self._cache[0] != n:
-            unit_tail = block_diag(*(b.unit_power(n) for b in self.tail_model.diag_blocks))
-            scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))
-            # the inverse of a rotation or a sign is its transpose
-            self._cache = (n, scale[:, None] * unit_tail, unit_tail * scale[None, :],
-                           self.head.unit_power(n).T)
+            self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
         return self._cache
 
     def dvn_u_avmn(self, u: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,12 @@ from spectral_cascade.errors import (
 from spectral_cascade.graph_transform import dominated_split
 from spectral_cascade.linalg import (
     eigenvalues,
+    invert,
     op_norm,
     phase_mod1,
     rotation_matrix,
 )
-from spectral_cascade.model import DiagonalModel, DiagonalPowers, ScalarBlock
+from spectral_cascade.model import DiagonalModel, DiagonalPowers, RotationBlock, ScalarBlock
 from spectral_cascade.oracle import (
     NUMPY_DIGIT_CAP,
     ScaledSpectrum,
@@ -402,3 +404,144 @@ def test_closed_forms_match_their_former_formulas(pattern):
                         x = complex(lv.X[0, 0] * _former_sign(blk, n))
                         _assert_same_spectrum(lv.spectrum, ScaledSpectrum.from_values(
                             np.array([x]), log_scale=n * math.log(blk.modulus)), where)
+
+
+@pytest.mark.parametrize("pattern", [(1, 2, 2), (2, 2, 2)], ids=["122", "222"])
+def test_decomposition_forms_each_unit_power_once(pattern, monkeypatch):
+    """One unit_power call per rotation block and decomposition, shared by every
+    stage's sandwich factors and the level spectra, and bit for bit the factors
+    each stage forms on its own."""
+    calls = []
+    unit_power = RotationBlock.unit_power
+
+    def counted(self, n):
+        calls.append(n)
+        return unit_power(self, n)
+
+    spec = sc.generate_instance(pattern, seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    alone = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)  # forms its own
+    L_k = spec.L_n(casc.k0)
+    for n in range(1_000, 1_010):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(RotationBlock, "unit_power", counted)
+            res = cascade_decompose(L_k, n, spec.model, casc)
+        assert calls == [n] * pattern.count(2)
+        for stage, level in zip(alone.stages, res.levels):
+            cert, _ = dominated_split(stage.problem, stage_input(L_k, n, alone, stage.j), n)
+            np.testing.assert_array_equal(level.X, cert.X)
+        np.testing.assert_array_equal(res.levels[-1].X, invert(cert.Y_inv))
+        for level in res.levels:
+            blk = spec.model.block(level.j)
+            XU = level.X @ blk.unit_power(n)
+            _assert_same_spectrum(level.spectrum, ScaledSpectrum.from_values(
+                XU[0] if blk.size == 1 else eigenvalues(XU),
+                log_scale=n * math.log(blk.modulus)), (pattern, n, level.j))
+
+
+def _reference_candidates(instance, cascade, n_start, n_max):
+    """The window candidates of one prefilter over all of [n_start, n_max]."""
+    ns = np.arange(n_start, n_max + 1, dtype=np.int64)
+    exps = instance.a * ns + instance.b
+    mask = np.ones(len(ns), dtype=bool)
+    for j, window in cascade.windows.items():
+        mask &= np.abs(window.phase(instance.model.block(j).theta, exps)) < window.half_width
+    return ns[mask]
+
+
+def _reference_search(instance, cascade, count=3, n_max=100_000, csv_path=None):
+    """The search with one prefilter over the whole range, as it ran before the
+    ranges; the reference for the ranged search's results."""
+    model = instance.model
+    candidates = _reference_candidates(instance, cascade, max(cascade.n0, cascade.k0, 1), n_max)
+    hits, near_misses = [], []
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cascade_module._csv_rows_header(model.structure))
+        for n in candidates:
+            hit, row, miss = cascade_module.examine(int(n), instance, cascade)
+            writer.writerow(row)
+            if miss is not None:
+                near_misses.append(miss)
+            if hit is not None:
+                hits.append(hit)
+                if len(hits) >= count:
+                    break
+    examined = len(hits) + len(near_misses)
+    if len(hits) < count:
+        raise SearchExhausted(
+            f"found {len(hits)} of {count} exponents below {n_max} "
+            f"({len(candidates)} window candidates, {examined} examined)",
+            near_misses=near_misses[-20:])
+    return cascade_module.SearchResult(hits=hits, examined=examined, near_misses=near_misses)
+
+
+def _search_outcome(search, instance, cascade, csv_path, **kwargs):
+    """Everything a search reports: hits, examined, near misses and CSV bytes,
+    or the SearchExhausted message and near misses."""
+    try:
+        res = search(instance, cascade, csv_path=str(csv_path), **kwargs)
+    except SearchExhausted as exc:
+        outcome = ("exhausted", str(exc), exc.near_misses)
+    else:
+        hits = [(h.n, h.exponent, h.phases, h.spectrum.unit.tolist(),
+                 h.spectrum.log_mod.tolist(), h.min_gap, h.oracle_mismatch) for h in res.hits]
+        outcome = ("found", hits, res.examined, res.near_misses)
+    return outcome, csv_path.read_bytes()
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_ranged_candidates_match_full_range_scan(pattern):
+    """The same candidates over [n_start, 1e5], and at both ends of a range:
+    each candidate c beyond the first range is tested as the last exponent of
+    a range and as the first exponent of the last range."""
+    span = cascade_module.SCAN_RANGE
+    for seed in range(4):
+        spec = sc.generate_instance(pattern, seed=seed)
+        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        n_start = max(casc.n0, casc.k0, 1)
+        reference = _reference_candidates(spec, casc, n_start, 100_000)
+        assert list(cascade_module._window_candidates(spec, casc, n_start, 100_000)) == \
+            reference.tolist(), seed
+        for c in reference[reference >= n_start + span][:5].tolist():
+            for lo, hi in ((c - span + 1, c + span), (c - span, c)):
+                inside = reference[(reference >= lo) & (reference <= hi)].tolist()
+                assert list(cascade_module._window_candidates(spec, casc, lo, hi)) == inside, \
+                    (seed, lo, hi)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_ranged_search_matches_full_range_scan(pattern, tmp_path):
+    for seed in range(4):
+        spec = sc.generate_instance(pattern, seed=seed)
+        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        assert (_search_outcome(find_subsequence, spec, casc, tmp_path / "ranged.csv")
+                == _search_outcome(_reference_search, spec, casc, tmp_path / "full.csv")), seed
+
+
+@pytest.mark.parametrize("extra", [cascade_module.SCAN_RANGE - 1, cascade_module.SCAN_RANGE, 9_000],
+                         ids=["one-range", "one-past", "three-ranges"])
+def test_exhausted_ranged_search_counts_every_candidate(extra, tmp_path):
+    """An exhausted search reports the candidates of all its ranges."""
+    spec = sc.generate_instance((2, 2, 2), seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    n_max = max(casc.n0, casc.k0, 1) + extra
+    ranged = _search_outcome(find_subsequence, spec, casc, tmp_path / "ranged.csv",
+                             count=10, n_max=n_max)
+    assert ranged[0][0] == "exhausted"
+    assert ranged == _search_outcome(_reference_search, spec, casc, tmp_path / "full.csv",
+                                     count=10, n_max=n_max)
+
+
+def test_search_memory_is_bounded_by_one_range(demo_instance, demo_cascade):
+    """A cap of 1e6 exponents costs no more memory than the hits need."""
+    find_subsequence(demo_instance, demo_cascade, count=3, n_max=1_000)  # warm caches
+    tracemalloc.start()
+    try:
+        res = find_subsequence(demo_instance, demo_cascade, count=3, n_max=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [h.exponent for h in res.hits] == DEMO_HITS[:3]
+    assert peak < 2 * 2 ** 20, peak
