@@ -48,15 +48,14 @@ class BlockStructure:
 
 
 def split_blocks(J: np.ndarray, k1: int):
-    """Partition a square matrix into (A, B, C, D) along the split k1 | k2."""
+    """Partition a square matrix into (A, B, C, D) along the split k1 | k2.
+
+    The blocks are views of J: writing to one writes to J.
+    """
     d = J.shape[0]
     if J.shape != (d, d) or not 0 < k1 < d:
         raise ValueError(f"bad split {k1} for shape {J.shape}")
-    A = np.array(J[:k1, :k1], copy=True)
-    B = np.array(J[:k1, k1:], copy=True)
-    C = np.array(J[k1:, :k1], copy=True)
-    D = np.array(J[k1:, k1:], copy=True)
-    return A, B, C, D
+    return J[:k1, :k1], J[:k1, k1:], J[k1:, :k1], J[k1:, k1:]
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

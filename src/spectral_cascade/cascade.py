@@ -58,6 +58,7 @@ from .linalg import (
     phase_mod1,
     polar_2x2,
     signed_fraction,
+    singular_values_2x2,
 )
 from .model import DiagonalModel, DiagonalPowers
 from .oracle import ScaledSpectrum, certified_spectrum, match_scaled
@@ -226,9 +227,7 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
         spec = ScaledSpectrum.from_values(XU[0], log_scale=log_scale)
         return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]),
                          drift=abs(float(X[0, 0] - limit[0, 0])))
-    # sigma_max of a 2x2 matrix E, exact in real arithmetic
-    (e00, e01), (e10, e11) = (X - limit).tolist()
-    drift = 0.5 * (math.hypot(e00 + e11, e10 - e01) + math.hypot(e00 - e11, e01 + e10))
+    drift = singular_values_2x2(X - limit)[0]
     spec = ScaledSpectrum.from_values(eigenvalues(XU), log_scale=log_scale)
     (a, b), (c, d) = X.tolist()
     P = window = None

@@ -51,7 +51,13 @@ from typing import Optional
 import numpy as np
 
 from .blocks import split_blocks
-from .errors import CertificateFailure, ConvergenceFailure, HypothesisFailure, SingularMatrix
+from .errors import (
+    CertificateFailure,
+    ConvergenceFailure,
+    HypothesisFailure,
+    IllConditioned,
+    SingularMatrix,
+)
 from .linalg import invert, matrix_power_checked, op_norm
 
 FIXED_POINT_STEP_TOL = 1e-13
@@ -188,7 +194,7 @@ def check_hypotheses(problem: SplitProblem) -> HypothesisReport:
         for M in (problem.A0, DV, problem.D0i):
             invert(M)
         passed = rho < 1.0
-    except SingularMatrix:
+    except (SingularMatrix, IllConditioned):
         pass
     return HypothesisReport(rho, passed)
 
@@ -275,26 +281,31 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     )
 
 
-def _converged(u_new: np.ndarray, u: np.ndarray) -> bool:
+def _converged(u_new: np.ndarray, step: np.ndarray) -> bool:
     """Stopping test on Frobenius norms; it implies the 2-norm test, by
     ||M||_2 <= ||M||_F <= sqrt(min(M.shape)) ||M||_2."""
-    scale = max(1.0, math.hypot(*u_new.flat) / math.sqrt(min(u.shape)))
-    return math.hypot(*(u_new - u).flat) < FIXED_POINT_STEP_TOL * scale
+    scale = max(1.0, math.hypot(*u_new.ravel().tolist()) / math.sqrt(min(u_new.shape)))
+    return math.hypot(*step.ravel().tolist()) < FIXED_POINT_STEP_TOL * scale
 
 
 def _fixed_point(first, left, right, outer, sandwich, n: int, name: str) -> np.ndarray:
-    """Iterate u <- first + (right - u left) sandwich(u, n) outer from u = 0."""
-    u = np.zeros_like(first)
-    for _ in range(FIXED_POINT_MAX_ITER):
+    """Iterate u <- first + (right - u left) sandwich(u, n) outer from u = first.
+
+    ``first`` is exactly the step from u = 0, which FIXED_POINT_MAX_ITER counts.
+    """
+    u = first
+    if _converged(u, u):
+        return u
+    for _ in range(FIXED_POINT_MAX_ITER - 1):
         u_new = first + (right - u @ left) @ sandwich(u, n) @ outer
-        if _converged(u_new, u):
+        if _converged(u_new, u_new - u):
             return u_new
         u = u_new
     raise ConvergenceFailure(f"{name} iteration did not converge at n={n}; constants violated")
 
 
 def solve_xi(problem: SplitProblem, J: np.ndarray, n: int) -> np.ndarray:
-    """Fixed point of the forward operator, iterated from u = 0."""
+    """Fixed point of the forward operator."""
     A, B, C, D = split_blocks(np.asarray(J, dtype=float), problem.k1)
     Ainv = invert(A)
     return _fixed_point(C @ Ainv, B, D, Ainv, problem.powers.dvn_u_avmn, n, "xi")

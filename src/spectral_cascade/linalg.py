@@ -54,28 +54,58 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _as_matrix(M) -> np.ndarray:
+    """M as a float array, wrapped by atleast_2d only when it is not 2-D."""
+    M = np.asarray(M, dtype=float)
+    return M if M.ndim == 2 else np.atleast_2d(M)
+
+
 def op_norm(M: np.ndarray) -> float:
     """Operator (spectral) norm."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = _as_matrix(M)
     if M.size == 0:
         return 0.0
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def singular_values_2x2(M: np.ndarray) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of a 2x2 matrix in closed form.
+
+    For M = [[a, b], [c, d]], sigma_max = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2,
+    exact in real arithmetic, and sigma_min = |ad - bc| / sigma_max (0 for M = 0).
+    """
+    (a, b), (c, d) = M.tolist()
+    smax = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
+    return smax, (abs(a * d - b * c) / smax if smax else 0.0)
+
+
 def _singular_threshold(J: np.ndarray) -> float:
-    row_norms = np.sqrt((J * J).sum(axis=1))  # np.linalg.norm(J, axis=1), bit for bit
-    scale = float(np.prod(np.maximum(row_norms, 1e-300)))
+    """SINGULAR_SCALE_TOL times the product of the row norms of J.
+
+    The explicit left-to-right sums equal numpy's row norms bit for bit up to
+    7 columns (numpy sums 8 or more terms pairwise; builtin ``sum``
+    compensates from Python 3.12 on).
+    """
+    scale = 1.0
+    for row in J.tolist():
+        s = 0.0
+        for x in row:
+            s += x * x
+        scale *= max(math.sqrt(s), 1e-300)
     return SINGULAR_SCALE_TOL * scale
 
 
 def invert(J: np.ndarray) -> np.ndarray:
     """Matrix inverse with scale-invariant singularity / conditioning guards."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
+    J = _as_matrix(J)
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"invert: matrix not square: {J.shape}")
-    sv = np.linalg.svd(J, compute_uv=False)
-    if np.prod(sv) < _singular_threshold(J):  # the product is |det J|
-        raise SingularMatrix(f"|determinant| {np.prod(sv):g} below scale threshold")
+    sv = singular_values_2x2(J) if J.shape[0] == 2 else None
+    if sv is None or not 0.0 < sv[1] < math.inf:  # SVD where ad - bc is 0 or out of range
+        sv = np.linalg.svd(J, compute_uv=False).tolist()
+    abs_det = math.prod(sv)
+    if abs_det < _singular_threshold(J):
+        raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / max(sv[-1], 1e-300):.3g} above cap")
     return np.linalg.inv(J)
@@ -83,13 +113,13 @@ def invert(J: np.ndarray) -> np.ndarray:
 
 def singular_values(J: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
+    J = _as_matrix(J)
     return np.linalg.svd(J, compute_uv=False)
 
 
 def eigenvalues(J: np.ndarray) -> np.ndarray:
     """All eigenvalues (complex, conjugate-paired) via the QR eigensolver."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
+    J = _as_matrix(J)
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"eigenvalues: matrix not square: {J.shape}")
     try:
@@ -131,7 +161,7 @@ def polar_2x2(M: np.ndarray):
 
 def matrix_power_checked(M: np.ndarray, n: int) -> np.ndarray:
     """M^n by binary powering with an overflow guard on the running norm."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = _as_matrix(M)
     if n < 0:
         raise ValueError("negative power; invert first")
     d = M.shape[0]
@@ -161,8 +191,9 @@ def phase_mod1(theta: float, n, offset: float = 0.0) -> np.ndarray:
     """(n * theta + offset) mod 1 with compensated reduction.
 
     ``n`` may be a scalar or an integer array; exact for |n| < 2**26 up to
-    ~1e-11 absolute error, as required for scans up to n ~ 1e5.  Raises
-    ValueError for any |n| >= PHASE_EXPONENT_LIMIT.
+    ~1e-11 absolute error, so the ranged search may scan every exponent
+    below PHASE_EXPONENT_LIMIT.  Raises ValueError for any |n| >=
+    PHASE_EXPONENT_LIMIT.
     """
     n = np.asarray(n, dtype=float)
     top = abs(float(n)) if n.ndim == 0 else float(np.abs(n).max(initial=0.0))

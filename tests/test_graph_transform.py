@@ -6,11 +6,18 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks
 from spectral_cascade.cascade import stage_input
-from spectral_cascade.errors import CertificateFailure, HypothesisFailure, PowerOverflow
+from spectral_cascade.errors import (
+    CertificateFailure,
+    ConvergenceFailure,
+    HypothesisFailure,
+    PowerOverflow,
+)
 from spectral_cascade.graph_transform import (
+    FIXED_POINT_MAX_ITER,
     FIXED_POINT_STEP_TOL,
     DensePowers,
     SplitProblem,
+    _fixed_point,
     check_hypotheses,
     derive_constants,
     invariant_pair,
@@ -65,6 +72,21 @@ def test_hypotheses_fail_on_singular_blocks(V, J0, rho_inf):
     report = check_hypotheses(p)
     assert not report.passed
     assert math.isinf(report.rho) == rho_inf
+    with pytest.raises(HypothesisFailure):
+        derive_constants(p)
+
+
+def test_hypotheses_fail_on_ill_conditioned_block():
+    """An ill-conditioned A(J0) fails the hypotheses as a singular one does.
+
+    J0 itself has condition number 5.8, but its 2x2 corner A(J0) has 4e13.
+    """
+    J0 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 1.0], [0.0, 1.0, 1.0]])
+    V = block_diag(2.0 * np.eye(2), np.array([[0.1]]))
+    p = SplitProblem(V=V, J0=J0, k1=2, k2=1, delta=0.05)
+    report = check_hypotheses(p)
+    assert not report.passed
+    assert report.rho == pytest.approx(0.05)
     with pytest.raises(HypothesisFailure):
         derive_constants(p)
 
@@ -253,3 +275,58 @@ def test_fixed_points_pass_the_two_norm_stopping_test(pattern):
             eta_next = Bi @ Dinv + (Ai - eta_hat @ Ci) @ p.powers.avmn_u_dvn(eta_hat, n) @ Dinv
             for u, u_next in ((xi, xi_next), (eta_hat, eta_next)):
                 assert op_norm(u_next - u) < FIXED_POINT_STEP_TOL * max(1.0, op_norm(u)), (j, n)
+
+
+def _fixed_point_from_zero(first, left, right, outer, sandwich, n):
+    """The fixed-point loop started from u = 0, with its stopping test written out."""
+    u = np.zeros_like(first)
+    for _ in range(FIXED_POINT_MAX_ITER):
+        u_new = first + (right - u @ left) @ sandwich(u, n) @ outer
+        scale = max(1.0, math.hypot(*u_new.flat) / math.sqrt(min(u.shape)))
+        if math.hypot(*(u_new - u).flat) < FIXED_POINT_STEP_TOL * scale:
+            return u_new
+        u = u_new
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 2), (2, 1), (2, 2), (2, 4)])
+def test_fixed_point_matches_the_loop_from_zero(k1, k2):
+    """Starting from first, the exact step from u = 0, gives the same xi and
+    eta_hat bit for bit with one sandwich call fewer; a first iterate already
+    below the step tolerance (C(J) ~ 0 or = 0) is returned as it is.  A loop
+    that never converges gives up after FIXED_POINT_MAX_ITER steps, the step
+    from u = 0 counted."""
+    calls = [0]
+
+    def counted(sandwich):
+        def wrapper(u, n):
+            calls[0] += 1
+            return sandwich(u, n)
+        return wrapper
+
+    for seed in range(4):
+        p = make_problem(seed, k1=k1, k2=k2)
+        constants = derive_constants(p)
+        J = ball_sample(p, constants, np.random.default_rng(seed))
+        Ji = np.linalg.inv(J)
+        A, B, C, D = split_blocks(J, k1)
+        Ai, Bi, Ci, Di = split_blocks(Ji, k1)
+        Ainv, Dinv = invert(A), invert(Di)
+        cases = [(C @ Ainv, B, D, Ainv, p.powers.dvn_u_avmn),
+                 (Bi @ Dinv, Ci, Ai, Dinv, p.powers.avmn_u_dvn),
+                 (1e-15 * C @ Ainv, B, D, Ainv, p.powers.dvn_u_avmn),
+                 (0.0 * C @ Ainv, B, D, Ainv, p.powers.dvn_u_avmn)]
+        for n in (constants.n0, constants.n0 + 7, 1_000):
+            for first, left, right, outer, sandwich in cases:
+                calls[0] = 0
+                want = _fixed_point_from_zero(first, left, right, outer, counted(sandwich), n)
+                ref_calls, calls[0] = calls[0], 0
+                got = _fixed_point(first, left, right, outer, counted(sandwich), n, "u")
+                assert got.tobytes() == want.tobytes(), (seed, n)
+                assert calls[0] == ref_calls - 1, (seed, n)
+
+    flip = (np.ones((2, 2)), np.zeros((2, 2)), -np.eye(2), np.eye(2))  # u <- first - u
+    calls[0] = 0
+    with pytest.raises(ConvergenceFailure):
+        _fixed_point(*flip, counted(lambda u, n: u), 0, "u")
+    assert calls[0] == FIXED_POINT_MAX_ITER - 1

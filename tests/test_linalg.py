@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,8 @@ from spectral_cascade.linalg import (
     short_vectors,
     signed_fraction,
     sin_turns,
+    singular_values,
+    singular_values_2x2,
 )
 from spectral_cascade.oracle import ScaledSpectrum, match_scaled
 
@@ -302,11 +305,13 @@ def test_invert_condition_cap_edges(factor):
         np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e-100])
+@pytest.mark.parametrize("scale", [1e100, 1e-100, 1e200, 1e-200])
 def test_invert_is_scale_free(scale):
-    """A well-conditioned 3x3 stays invertible at any scale, and invert is numpy's inverse."""
-    M = scale * _mixed([3.0, 2.0, 1.0])
-    np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
+    """A well-conditioned 3x3 or 2x2 stays invertible at any scale, and invert is
+    numpy's inverse; at 1e+-200, ad - bc of the 2x2 leaves the float range."""
+    for sigmas in ([3.0, 2.0, 1.0], [3.0, 2.0]):
+        M = scale * _mixed(sigmas)
+        np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
@@ -319,3 +324,139 @@ def test_singular_threshold_is_numpy_row_norm_product(rng, scale):
         with np.errstate(over="ignore"):  # the product is inf at 1e150 from d = 3 on
             expected = SINGULAR_SCALE_TOL * float(np.prod(np.maximum(norms, 1e-300)))
             assert _singular_threshold(J) == expected
+
+
+# The plain numpy expressions the lean kernels replace, kept as the reference.
+def _numpy_singular_threshold(J):
+    row_norms = np.sqrt((J * J).sum(axis=1))
+    return SINGULAR_SCALE_TOL * float(np.prod(np.maximum(row_norms, 1e-300)))
+
+
+def _numpy_invert(J):
+    J = np.atleast_2d(np.asarray(J, dtype=float))
+    sv = np.linalg.svd(J, compute_uv=False)
+    if np.prod(sv) < _numpy_singular_threshold(J):
+        raise SingularMatrix("reference")
+    if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
+        raise IllConditioned("reference")
+    return np.linalg.inv(J)
+
+
+def _outcome(fn, J):
+    """The inverse's bytes, or the type of the guard error raised."""
+    try:
+        return fn(J).tobytes()
+    except (SingularMatrix, IllConditioned) as exc:
+        return type(exc)
+
+
+def _scaled_rows(rng, d):
+    return 10.0 ** rng.uniform(-5, 5, (d, 1)) * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_lean_guards_match_numpy(rng, d):
+    """_singular_threshold and invert equal the numpy expressions bit for bit,
+    raised errors included, on rows scaled by 1e-5..1e5.
+
+    Besides generic matrices, the last row is made a combination of the
+    others plus a relative perturbation of 1e-9 (invertible), 1e-13 (ill
+    conditioned), 1e-16 or 0 (singular), a decade or more from either guard.
+    """
+    mats = []
+    for _ in range(60):
+        J = _scaled_rows(rng, d)
+        mats.append(J)
+        if d == 1:
+            continue
+        combo = rng.standard_normal(d - 1) @ J[:-1]
+        for rel in (1e-9, 1e-13, 1e-16, 0.0):
+            K = J.copy()
+            K[-1] = combo + rel * np.linalg.norm(combo) * rng.standard_normal(d)
+            mats.append(K)
+    outcomes = set()
+    for J in mats:
+        assert _singular_threshold(J) == _numpy_singular_threshold(J)
+        got = _outcome(invert, J)
+        assert got == _outcome(_numpy_invert, J)
+        outcomes.add(got if isinstance(got, type) else bytes)
+    assert outcomes == ({bytes} if d == 1 else {bytes, SingularMatrix, IllConditioned})
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_lean_spectra_match_numpy(rng, d):
+    """op_norm, singular_values and eigenvalues are numpy's, bit for bit, on
+    matrices, on non-contiguous views and (d = 1) on scalars and vectors."""
+    J = _scaled_rows(rng, d + 1)
+    for M in (J[:d, :d], np.ascontiguousarray(J[1:, 1:]), J[1:, 1:].T):
+        assert op_norm(M) == float(np.linalg.svd(M, compute_uv=False)[0])
+        assert singular_values(M).tobytes() == np.linalg.svd(M, compute_uv=False).tobytes()
+        assert eigenvalues(M).tobytes() == np.linalg.eigvals(M).tobytes()
+    if d == 1:
+        for x in (J[0, 0], J[0, :1]):
+            assert op_norm(x) == float(np.linalg.svd(np.atleast_2d(x), compute_uv=False)[0])
+            assert eigenvalues(x).tobytes() == np.linalg.eigvals(np.atleast_2d(x)).tobytes()
+            assert invert(x).tobytes() == np.linalg.inv(np.atleast_2d(x)).tobytes()
+
+
+def _random_2x2(rng, cond):
+    """Q1 diag(s, s / cond) Q2^T, one per condition number, with random
+    rotations, reflections and scales s in 1e-5..1e5."""
+    count = len(cond)
+    t = rng.uniform(0.0, 2.0 * math.pi, (2, count))
+    Q = np.stack([np.stack([np.cos(t), -np.sin(t)], -1), np.stack([np.sin(t), np.cos(t)], -1)], -2)
+    Q[1, :, :, 1] *= rng.choice([-1.0, 1.0], count)[:, None]
+    s = 10.0 ** rng.uniform(-5, 5, count)
+    sigma = np.zeros((count, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = s, s / np.asarray(cond)
+    return Q[0] @ sigma @ np.swapaxes(Q[1], -1, -2)
+
+
+def test_singular_values_2x2_match_lapack(rng):
+    """Over condition numbers 1..1e13: sigma_max within 8 ulps of LAPACK's and
+    sigma_min within 3 eps sigma_max (3 eps cond, relative).  LAPACK's sigma_max
+    is itself up to ~5 ulps off; against 60-digit arithmetic the closed form is
+    within 2 ulps and 2 eps sigma_max."""
+    eps = np.finfo(float).eps
+    M = _random_2x2(rng, 10.0 ** rng.uniform(0, 13, 20_000))
+    ref = np.linalg.svd(M, compute_uv=False)
+    got = np.array([singular_values_2x2(m) for m in M])
+    assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 8 * np.spacing(ref[:, 0]))
+    assert np.all(np.abs(got[:, 1] - ref[:, 1]) <= 3 * eps * ref[:, 0])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for m, (smax, smin) in zip(M[:2_000], got):
+            (a, b), (c, d) = [[Decimal(x) for x in row] for row in m.tolist()]
+            exact = (((a + d) ** 2 + (c - b) ** 2).sqrt()
+                     + ((a - d) ** 2 + (b + c) ** 2).sqrt()) / 2
+            assert abs(Decimal(smax) - exact) <= 2 * Decimal(math.ulp(smax))
+            assert abs(Decimal(smin) - abs(a * d - b * c) / exact) <= 2 * Decimal(eps) * exact
+    assert singular_values_2x2(np.zeros((2, 2))) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_2x2_condition_guard_matches_lapack(rng, factor):
+    """At condition numbers 1% below and above CONDITION_CAP the closed-form
+    guard decides as the SVD one, over random rotations, reflections and scales."""
+    for M in _random_2x2(rng, np.full(2_000, factor * CONDITION_CAP)):
+        assert _outcome(invert, M) == _outcome(_numpy_invert, M)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_2x2_singular_guard_is_exact_at_the_threshold(factor):
+    """|det| / prod(row norms) 1% below or above SINGULAR_SCALE_TOL on 2x2
+    matrices whose determinant is exact in floating point: invert raises
+    SingularMatrix below and IllConditioned above (the condition number is
+    ~1e14 either way).  LAPACK's product of singular values errs by about
+    eps cond ~ 2% here, so the SVD guard is no reference at this edge.
+    """
+    expected = SingularMatrix if factor < 1.0 else IllConditioned
+    eps = factor * SINGULAR_SCALE_TOL
+    for base in ([[1.0, 0.0], [1.0, eps]], [[1.0, 1.0], [1.0, 1.0 + 2.0 * eps]]):
+        for flips in itertools.product((False, True), repeat=3):
+            M = np.array(base)
+            M = M[::-1] if flips[0] else M
+            M = M[:, ::-1] if flips[1] else M
+            M = -M if flips[2] else M
+            for e in (-60, 0, 60):
+                assert _outcome(invert, 2.0 ** e * M) is expected

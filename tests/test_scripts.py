@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/, run as a user runs them."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -32,3 +33,14 @@ def _run_script(name: str, *args: str) -> str:
 ])
 def test_script_runs(name, args, line):
     assert line in _run_script(name, *args)
+
+
+def test_output_digest_prints_one_sha256_per_output(tmp_path):
+    out = _run_script("output_digest.py", "--out", str(tmp_path), "--count", "1", "--n", "100")
+    lines = out.splitlines()
+    names = [f"{stem}{tag}{ext}" for tag in ("122", "222") for stem, ext in
+             (("instance", ".json"), ("prove", ".json"), ("scan", ".csv"), ("cascade", "_100.json"))]
+    assert [line.split("  ")[1] for line in lines] == names
+    for line, name in zip(lines, names):
+        digest = line.split("  ")[0]
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
