@@ -168,9 +168,8 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     report = check_L_conditions(L, structure)
     if not report.passed:
         raise ConditionFailure(f"L fails genericity conditions: {report.failures()}")
-    Li = invert(L)
-
-    J0s = [invert(Li[o:, o:]) for o in structure.offsets]
+    # the checks inverted L and each corner of L^-1 from block 2 on already
+    J0s = [invert(report.L_inv), *report.corner_inverses]
     limits = [J0[:s, :s] for J0, s in zip(J0s, structure.sizes)]
 
     stages_rev = []

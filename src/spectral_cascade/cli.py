@@ -8,6 +8,7 @@ exhausted, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -148,7 +149,13 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on first use and shared by every later ``main`` call.
+
+    ``parse_args`` leaves the parser as it is and fills a fresh namespace, so
+    calls stay independent; the handlers read module globals when they run.
+    """
     parser = _Parser(prog="spectral-cascade",
                      description="Recursive spectrum decomposition toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

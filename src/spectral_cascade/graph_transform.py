@@ -138,8 +138,12 @@ class SplitProblem:
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """rho and the verdict; when the blocks invert, also A(J0)^-1 and D(J0^-1)^-1."""
+
     rho: float
     passed: bool
+    A0_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    D0i_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -188,15 +192,16 @@ def check_hypotheses(problem: SplitProblem) -> HypothesisReport:
     rho = ||D(V)|| ||A(V)^{-1}|| is infinite only when A(V) is singular.
     """
     AV, _, _, DV = split_blocks(problem.V, problem.k1)
-    rho, passed = math.inf, False
+    rho, passed, A0_inv, D0i_inv = math.inf, False, None, None
     try:
         rho = op_norm(DV) * op_norm(invert(AV))
-        for M in (problem.A0, DV, problem.D0i):
-            invert(M)
+        A0_inv = invert(problem.A0)
+        invert(DV)
+        D0i_inv = invert(problem.D0i)
         passed = rho < 1.0
     except (SingularMatrix, IllConditioned):
         pass
-    return HypothesisReport(rho, passed)
+    return HypothesisReport(rho, passed, A0_inv, D0i_inv)
 
 
 def _min_n(predicate) -> int:
@@ -222,12 +227,12 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     rho = report.rho
     delta = problem.delta
 
-    A0, B0, C0, D0 = split_blocks(problem.J0, problem.k1)
-    Ai0, Bi0, Ci0, Di0 = split_blocks(problem.J0i, problem.k1)
+    _, B0, C0, D0 = split_blocks(problem.J0, problem.k1)
+    Ai0, Bi0, Ci0, _ = split_blocks(problem.J0i, problem.k1)
 
     r0 = op_norm(problem.J0i)
-    a0inv = op_norm(invert(A0))
-    d0i_inv = op_norm(invert(Di0))
+    a0inv = op_norm(report.A0_inv)  # the guard's inverses of A(J0) and D(J0^-1)
+    d0i_inv = op_norm(report.D0i_inv)
 
     beta = 0.5 * min(
         delta / 2.0,

@@ -18,14 +18,17 @@ Everything runs on Python integers, in midpoint-radius balls: an integer
 centre times a power of two, with a radius rounded outward (F. Johansson,
 "Arb", IEEE Trans. Comput. 66, 2017), at GRADED_DIGITS digits.  mpmath is
 called at libmp level for the elementary enclosures only: the logs and
-exps of the weights d_i and the cosines and sines of the phases.  The
-rotation entries of L R are enclosed in exact integer interval arithmetic
-and rounded; each principal minor is the exact minor of the rounded entries,
-widened by a Hadamard perturbation bound.  Minors come from Sylvester's
-identity along the prefix tree of subsets, formed only for the terms that
-are not negligible against the largest of their coefficient.  Each block of
-the ladder is one segment of the Newton polygon, so a linear or quadratic in
-consecutive coefficients seeds that block's roots.  One loop then evaluates
+exps of the weights d_i and the cosines and sines of the phases.  A phase
+turn n*theta mod 1 is an exact dyadic rational, so its cosine and sine come
+from one evaluation at that turn, widened outward as libmp's own interval
+cosine widens its evaluations.  The rotation entries of L R are enclosed
+in exact integer interval arithmetic and rounded; each principal minor is
+the exact minor of the rounded entries, widened by a Hadamard
+perturbation bound.  Minors come from Sylvester's identity along the
+prefix tree of subsets, formed only for the terms that are not negligible
+against the largest of their coefficient.  Each block of the ladder is one
+segment of the Newton polygon, so a linear or quadratic in consecutive
+coefficients seeds that block's roots.  One loop then evaluates
 p at every centre as a ball and forms the Weierstrass corrections W_i,
 stepping z_i <- z_i - mid W_i (Durand-Kerner) until they are small; the
 last corrections give Weierstrass inclusion disks (Braess and Hadeler 1973;
@@ -421,14 +424,30 @@ def _weight(modulus: float, n: int) -> tuple:
 
 
 def _cos_sin(turns: Fraction) -> tuple:
-    """Integer bounds of 2^_PREC cos and 2^_PREC sin of the angle 2 pi turns."""
-    wp = _PREC + 8
-    p, q = libmp.from_int(2 * turns.numerator), libmp.from_int(turns.denominator)
-    angle = tuple(libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp, rnd), p), q, wp, rnd)
-                  for rnd in ("f", "c"))
-    return tuple((int(libmp.to_int(libmp.mpf_shift(a, _PREC), "f")),
-                  int(libmp.to_int(libmp.mpf_shift(b, _PREC), "c")))
-                 for a, b in libmp.mpi_cos_sin(angle, wp))
+    """Integer bounds of 2^_PREC cos and 2^_PREC sin of the angle 2 pi turns.
+
+    A dyadic turn is exact in libmp, so one evaluation at wp = _PREC + 20
+    bits encloses each value once widened outward by the factor
+    1 +- 2^(10 - wp), the factor with which libmp.mpi_cos_sin widens its own
+    evaluations.  Raises ValueError on a turn that is not dyadic.
+    """
+    q = turns.denominator
+    if q & (q - 1):
+        raise ValueError(f"turn {turns} is not dyadic")
+    wp = _PREC + 20
+    x = libmp.from_man_exp(2 * turns.numerator, 1 - q.bit_length())  # 2 turns, exactly
+    one, more = 1 << wp, 1 << 10
+    bounds = []
+    for sign, man, exp, _ in libmp.mpf_cos_sin(x, wp, pi=True):
+        v = -int(man) if sign else int(man)  # value v 2^exp; gmpy2 mpz or int
+        lo, hi = sorted((v * (one - more), v * (one + more)))  # units 2^(exp - wp)
+        shift = int(exp) - wp + _PREC
+        if shift >= 0:
+            lo, hi = lo << shift, hi << shift
+        else:
+            lo, hi = lo >> -shift, -(-hi >> -shift)  # floor and ceiling
+        bounds.append((max(lo, -1 << _PREC), min(hi, 1 << _PREC)))
+    return tuple(bounds)
 
 
 def _times(u: int, lo: int, hi: int) -> tuple:

@@ -9,9 +9,11 @@ perturbation sequence L_n -> L.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 # numpy loads numpy.random lazily; import it with the package, not in the first draw
@@ -52,9 +54,17 @@ class PerturbationLaw:
             raise ValueError(f"decay rate must lie in (0,1), got {self.rho}")
 
     def direction(self, d: int) -> np.ndarray:
-        rng = default_rng(self.seed)
-        G = rng.standard_normal((d, d))
-        return G / max(op_norm(G), 1e-300)
+        """The unit direction G, drawn once per (seed, d) and read-only."""
+        return _unit_direction(self.seed, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_direction(seed: int, d: int) -> np.ndarray:
+    rng = default_rng(seed)
+    G = rng.standard_normal((d, d))
+    G = G / max(op_norm(G), 1e-300)
+    G.flags.writeable = False
+    return G
 
 
 @dataclass(frozen=True)
@@ -66,8 +76,14 @@ class ConditionLine:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The condition lines, with the inverses the checks computed: L^-1 once
+    L inverts, and the inverse of each corner of L^-1 from block 2 on (None
+    where that corner does not invert)."""
+
     lines: tuple[ConditionLine, ...]
     passed: bool
+    L_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    corner_inverses: tuple = field(default=(), repr=False, compare=False)
 
     def failures(self) -> list[ConditionLine]:
         return [ln for ln in self.lines if not ln.passed]
@@ -138,13 +154,16 @@ def check_L_conditions(L: np.ndarray, structure: BlockStructure,
     if A1inv is not None and sizes[0] == 2:
         lines.append(_sv_gap_line("A_1(L) distinct singular values", A1, sv_gap_tol))
 
+    corner_inverses = []
     for j, (o, size) in enumerate(zip(structure.offsets[1:], sizes[1:]), start=1):
         line, Winv = _invertible_line(f"D^({j})(L^-1) invertible", Li[o:, o:])
         lines.append(line)
+        corner_inverses.append(Winv)
         if Winv is not None and size == 2:
             lines.append(_sv_gap_line(f"level-{j + 1} corner block distinct singular values",
                                       Winv[:2, :2], sv_gap_tol))
-    return ConditionReport(tuple(lines), all(ln.passed for ln in lines))
+    return ConditionReport(tuple(lines), all(ln.passed for ln in lines),
+                           L_inv=Li, corner_inverses=tuple(corner_inverses))
 
 
 def _coeff_threshold(max_abs_coeff: int, n_angles: int) -> Fraction:

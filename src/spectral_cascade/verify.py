@@ -6,8 +6,8 @@ recomputed residuals and rederived constants, admitted through the
 split's own admission check, decomposition results by rerunning the
 decomposition and comparing against the independent oracle, and
 subsequence reports by applying the search's own hit rule
-(``cascade.examine``) at every stored exponent.  ``_agree`` compares
-every stored number that can be recomputed.
+(``cascade.examine``) at every stored exponent, whose indices must strictly
+increase.  ``_agree`` compares every stored number that can be recomputed.
 """
 
 from __future__ import annotations
@@ -117,6 +117,10 @@ def _verify_prove_report(obj) -> dict:
         _fail("scan thresholds n0/k0 do not rederive")
     if not obj["hits"]:
         _fail("report carries no exponents")
+    ns = [int(hit["n"]) for hit in obj["hits"]]
+    for prev, n in zip(ns, ns[1:]):
+        if n <= prev:
+            _fail(f"hit indices must be strictly increasing: n={n} follows n={prev}")
     checked = []
     for hit in obj["hits"]:
         n, N = int(hit["n"]), int(hit["exponent"])

@@ -7,7 +7,7 @@ import pytest
 
 import spectral_cascade as sc
 from spectral_cascade import cascade as cascade_module
-from spectral_cascade import graph_transform, serialize
+from spectral_cascade import graph_transform, scenario, serialize
 from spectral_cascade.blocks import block_diag
 from spectral_cascade.cascade import (
     cascade_decompose,
@@ -301,6 +301,43 @@ def test_decomposition_call_budget(pattern, monkeypatch):
         assert counts["op_norm"] <= 6 and counts["invert"] <= 8, (n, counts)
         assert counts["sandwich"] == 12, (n, counts)
         assert counts["eigenvalues"] == pattern.count(2), (n, counts)
+
+
+# (2,2,2) seed 3 at eps0 = 1e-3, stages 1 and 2, as computed before the
+# parameters reused the inverses of the genericity and hypothesis checks
+CONSTANTS_222 = [
+    graph_transform.TransformConstants(
+        alpha=1.3840966852670262, beta=7.06315513734533e-08, gamma=2.7681933705340525,
+        rho=0.7407407407407409, n1=9, n2=9, n3=53, n_dom=3, n0_plus=53, n0=53),
+    graph_transform.TransformConstants(
+        alpha=1.380712418733139, beta=8.430352476529918e-06, gamma=2.761424837466278,
+        rho=0.7407407407407408, n1=9, n2=9, n3=37, n_dom=3, n0_plus=37, n0=37),
+]
+
+
+@pytest.mark.parametrize("pattern,calls", [((1, 2, 2), 17), ((2, 2, 2), 18)],
+                         ids=["122", "222"])
+def test_choose_parameters_inverts_each_matrix_once(pattern, calls, monkeypatch):
+    """The checks' inverses of L, of the corners of L^-1 and of the hypothesis
+    blocks are reused, not recomputed; the parameters stay bit for bit."""
+    spec = sc.generate_instance(pattern, seed=3)
+    count = [0]
+
+    def counted(J):
+        count[0] += 1
+        return invert(J)
+
+    for mod in (cascade_module, graph_transform, scenario):
+        monkeypatch.setattr(mod, "invert", counted)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    assert count[0] == calls
+    Li = invert(spec.L)
+    for stage in casc.stages:
+        o = spec.model.structure.offsets[stage.j - 1]
+        np.testing.assert_array_equal(stage.problem.J0, invert(Li[o:, o:]))
+    if pattern == (2, 2, 2):
+        assert [st.constants for st in casc.stages] == CONSTANTS_222
+        assert (casc.n0, casc.k0) == (53, 21)
 
 
 PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]

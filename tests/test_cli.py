@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spectral_cascade import serialize
+from spectral_cascade import cli, serialize
 from spectral_cascade.cascade import choose_parameters
 from spectral_cascade.cli import main
 
@@ -212,6 +212,29 @@ def test_k_defaults_to_the_scan_floor(tmp_path, seed3_file, command, args):
     assert default.read_bytes() == explicit.read_bytes()
 
 
+def test_main_builds_one_parser(seed3_file):
+    cli.build_parser.cache_clear()
+    assert run(["bogus"]) == 64
+    assert run(["check", "--instance", seed3_file]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_calls_independent(tmp_path, seed3_file):
+    """An option of one call does not carry over to the next."""
+    out, k0 = tmp_path / "out.json", tmp_path / "k21.json"
+    assert run(["cascade", "--instance", seed3_file, "--k", 25, "--n", 1000, "--out", out]) == 0
+    assert json.loads(out.read_text())["k"] == 25
+    assert run(["cascade", "--instance", seed3_file, "--n", 1000, "--out", out]) == 0
+    assert run(["cascade", "--instance", seed3_file, "--k", 21, "--n", 1000, "--out", k0]) == 0
+    assert out.read_bytes() == k0.read_bytes()  # the scan floor k0 = 21
+    assert run(["prove", "--instance", seed3_file, "--count", 5, "--out", out]) == 0
+    assert len(json.loads(out.read_text())["hits"]) == 5
+    assert run(["prove", "--instance", seed3_file, "--out", out]) == 0
+    assert [h["n"] for h in json.loads(out.read_text())["hits"]] == [65, 95, 125]
+
+
 @pytest.mark.parametrize("name,value", [("n0", 0), ("n1", 0), ("n_dom", 7), ("n0", math.nan),
                                         ("n1", math.nan), ("beta", math.nan),
                                         ("alpha", math.nan), ("rho", math.nan)])
@@ -281,6 +304,18 @@ def test_verify_recomputes_prove_report_numbers(tmp_path, edit):
     bad = tmp_path / "prove.json"
     bad.write_text(json.dumps(obj))
     assert run(["verify", "--artifact", bad]) == 1
+
+
+@pytest.mark.parametrize("order", [[0, 0, 2, 1], [0, 2, 1], [1, 1]],
+                         ids=["repeat-then-back", "back", "repeat"])
+def test_verify_rejects_hits_out_of_order(tmp_path, capsys, order):
+    """Stored hits n = 65, 95, 125 pass only in strictly increasing order."""
+    obj = json.loads((DATA / "prove_122_seed3_count3.json").read_text())
+    obj["hits"] = [obj["hits"][i] for i in order]
+    bad = tmp_path / "prove.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", bad]) == 1
+    assert "strictly increasing" in capsys.readouterr().err
 
 
 def _flip_mantissa_bit(x: float, bit: int) -> float:

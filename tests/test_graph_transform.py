@@ -52,8 +52,12 @@ def test_hypotheses_pass_and_fail():
     bad = SplitProblem(V=np.eye(3), J0=p.J0, k1=1, k2=2, delta=0.05)
     report = check_hypotheses(bad)
     assert not report.passed and report.rho >= 1.0
-    with pytest.raises(HypothesisFailure):
+    with pytest.raises(HypothesisFailure) as info:
         derive_constants(bad)
+    # the report's repr shows rho and the verdict only, not the inverses it carries
+    expected = f"split hypotheses fail: HypothesisReport(rho={report.rho!r}, passed=False)"
+    assert str(info.value) == expected
+    assert report == type(report)(report.rho, False)
 
 
 def _dominated_V(DV):

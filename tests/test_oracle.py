@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -185,6 +186,58 @@ def test_interval_coefficients_hold_the_characteristic_polynomial():
                 low, high = mp.ldexp(x - rad, e), mp.ldexp(x + rad, e)
                 assert low <= ref <= high, (pattern, n, k)
                 assert high - low <= abs(ref) * mp.mpf(10) ** -30, (pattern, n, k)
+
+
+def _interval_cos_sin(turns: Fraction) -> tuple:
+    """The former phase enclosure: libmp.mpi_cos_sin over an interval of
+    2 pi turns built from a pi enclosure, at _PREC + 8 bits."""
+    wp = oracle._PREC + 8
+    p, q = mpmath.libmp.from_int(2 * turns.numerator), mpmath.libmp.from_int(turns.denominator)
+    angle = tuple(mpmath.libmp.mpf_div(mpmath.libmp.mpf_mul(mpmath.libmp.mpf_pi(wp, rnd), p),
+                                       q, wp, rnd) for rnd in ("f", "c"))
+    return tuple((int(mpmath.libmp.to_int(mpmath.libmp.mpf_shift(a, oracle._PREC), "f")),
+                  int(mpmath.libmp.to_int(mpmath.libmp.mpf_shift(b, oracle._PREC), "c")))
+                 for a, b in mpmath.libmp.mpi_cos_sin(angle, wp))
+
+
+def _phase_turns() -> list:
+    """0, 1/8, the quarter turns and their 2^-60 neighbourhoods, float phases
+    n theta mod 1 and 128-bit turns: 1,000 and more dyadic turns."""
+    quarters = [Fraction(k, 4) for k in range(4)]
+    turns = quarters + [Fraction(1, 8), Fraction(3, 8)]
+    for t in quarters:
+        for k in (1, 3, 2 ** 6, 2 ** 40, 2 ** 67):
+            turns += [(t + Fraction(k, 2 ** 127)) % 1, (t - Fraction(k, 2 ** 127)) % 1]
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 5, 7):
+        theta = Fraction(math.sqrt(p) % 1.0)
+        turns += [theta * int(n) % 1 for n in rng.integers(0, 2 ** 26, size=150)]
+    bits = random.Random(7)
+    turns += [Fraction(bits.getrandbits(128), 2 ** 128) for _ in range(150)]
+    turns += [Fraction(k, 2 ** 12) for k in range(0, 2 ** 12, 13)]
+    return turns
+
+
+def test_phase_enclosures_hold_400_bit_values():
+    """One evaluation at the exact turn, widened outward, holds cos and sin
+    of 2 pi turns within two units of 2^-_PREC; so does the interval route."""
+    turns = _phase_turns()
+    assert len(turns) >= 1_000
+    mp = mpmath.MPContext()
+    mp.prec = 400
+    unit = mp.ldexp(1, oracle._PREC)
+    for t in turns:
+        x = mp.mpf(2 * t.numerator) / t.denominator  # exact: t is dyadic
+        exact = (mp.cospi(x) * unit, mp.sinpi(x) * unit)
+        for route in (oracle._cos_sin, _interval_cos_sin):
+            for (lo, hi), v in zip(route(t), exact):
+                assert lo <= v <= hi, (route.__name__, t)
+                assert hi - lo <= 2, (route.__name__, t)
+
+
+def test_phase_enclosure_refuses_a_non_dyadic_turn():
+    with pytest.raises(ValueError, match="dyadic"):
+        oracle._cos_sin(Fraction(1, 3))
 
 
 def test_certified_disks_hold_the_reference_roots():

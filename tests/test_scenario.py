@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from spectral_cascade import scenario
 from spectral_cascade.blocks import BlockStructure
 from spectral_cascade.cascade import choose_parameters
 from spectral_cascade.errors import (
@@ -38,6 +39,41 @@ def test_law_validation_and_direction():
     G = law.direction(4)
     assert op_norm(G) == pytest.approx(1.0)
     np.testing.assert_array_equal(G, law.direction(4))  # deterministic
+
+
+def _former_L_n(spec, n):
+    """L_n with the unit direction drawn afresh on every call."""
+    d = spec.model.d
+    G = np.random.default_rng(spec.law.seed).standard_normal((d, d))
+    G = G / max(op_norm(G), 1e-300)
+    return spec.L @ (np.eye(d) + spec.law.c * spec.law.rho ** n * G)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=["".join(map(str, p)) for p in PATTERNS])
+def test_L_n_matches_the_former_draw(pattern):
+    for seed in range(4):
+        spec = generate_instance(pattern, seed=seed)
+        for n in (0, 1, 50, 10_000):
+            assert spec.L_n(n).tobytes() == _former_L_n(spec, n).tobytes(), (seed, n)
+
+
+def test_direction_is_drawn_once_and_read_only(monkeypatch):
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return np.random.default_rng(seed)
+
+    monkeypatch.setattr(scenario, "default_rng", counted)
+    scenario._unit_direction.cache_clear()
+    law, twin = PerturbationLaw(0.05, 0.5, 11), PerturbationLaw(0.02, 0.25, 11)
+    G = law.direction(4)
+    assert twin.direction(4) is G and law.direction(4) is G
+    law.direction(5)
+    assert draws == [11, 11]  # one draw per (seed, d)
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.0
 
 
 def test_sequence_converges_geometrically(demo_instance):
