@@ -47,6 +47,7 @@ from .graph_transform import (
     SplitProblem,
     TransformConstants,
     admit,
+    check_hypotheses,
     derive_constants,
     dominated_split,
     solve_xi,  # unused here; bench/tests checks that the tracer wraps this second binding
@@ -175,13 +176,16 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     stages_rev = []
     next_beta = None
     next_delta = None
+    limit_invs = {}  # level j < m -> stage j's guard inverse of A(J0), which is limit j
     for j in range(m - 1, 0, -1):
         target = eps0 if j == m - 1 else next_beta
         upper = eps0 if j == m - 1 else next_delta
         r = op_norm(J0s[j])  # norm of the inverse of L^{-1}'s corner from block j+1 on
         delta_j = 0.5 * min(upper, 1.0 / (2.0 * r), target / (2.0 * r * r))
         problem = stage_problem(model.tail(j), J0s[j - 1], delta_j)
-        constants = derive_constants(problem)
+        hypotheses = check_hypotheses(problem)
+        constants = derive_constants(problem, hypotheses)
+        limit_invs[j] = hypotheses.A0_inv
         stages_rev.append(CascadeStage(j=j, problem=problem, constants=constants))
         next_beta = constants.beta
         next_delta = delta_j
@@ -206,7 +210,8 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
         except DegeneratePolar as exc:
             raise EpsilonTooLarge(f"level {j} limit has no rotation margin: {exc}") from exc
         windows[j] = PhaseWindow(alpha=alpha, eps_hat=eps_hat)
-        drift_cap = eps0 * op_norm(invert(lam)) / math.pi
+        lam_inv = limit_invs[j] if j in limit_invs else invert(lam)
+        drift_cap = eps0 * op_norm(lam_inv) / math.pi
         if windows[j].half_width <= drift_cap:
             raise EpsilonTooLarge(
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "

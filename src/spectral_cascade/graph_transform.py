@@ -58,7 +58,7 @@ from .errors import (
     IllConditioned,
     SingularMatrix,
 )
-from .linalg import invert, matrix_power_checked, op_norm
+from .linalg import _det, invert, matrix_power_checked, op_norm
 
 FIXED_POINT_STEP_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 500
@@ -211,7 +211,8 @@ def _min_n(predicate) -> int:
     raise HypothesisFailure("threshold scan exhausted; constants diverge")
 
 
-def derive_constants(problem: SplitProblem) -> TransformConstants:
+def derive_constants(problem: SplitProblem,
+                     report: Optional[HypothesisReport] = None) -> TransformConstants:
     """Ball radius, uniform norm bound, and iteration thresholds.
 
     beta is chosen (with a 0.5 safety factor) so that on the beta-ball the
@@ -219,9 +220,11 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     Lipschitz, and the blocks that get inverted keep a Neumann margin.
     The thresholds are the minimal integers satisfying the self-mapping,
     contraction and delta/2 tail conditions; they are found by direct scan
-    rather than closed-form ceilings.
+    rather than closed-form ceilings.  ``report`` is check_hypotheses(problem)
+    when the caller has it already.
     """
-    report = check_hypotheses(problem)
+    if report is None:
+        report = check_hypotheses(problem)
     if not report.passed:
         raise HypothesisFailure(f"split hypotheses fail: {report}")
     rho = report.rho
@@ -388,7 +391,7 @@ def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray) -> dic
     back /= op_norm(Ji)
     xi_norm = op_norm(cert.xi)
     eta_hat_norm = op_norm(cert.eta_hat)
-    trans = abs(float(np.linalg.det(np.block([[I1, eta], [cert.xi, I2]]))))
+    trans = abs(float(_det(np.block([[I1, eta], [cert.xi, I2]]))))
     item3 = op_norm(cert.X - problem.A0)
     item4 = op_norm(cert.Y_inv - problem.D0i)
     gamma, delta = cert.constants.gamma, problem.delta

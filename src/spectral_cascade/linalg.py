@@ -4,6 +4,16 @@ All matrices are numpy float arrays of dimension up to ~10.  Angles are in
 turns (theta in [0, 1), rotation by 2*pi*theta) throughout the package.
 The lattice routines at the end work on rows of Python integers instead,
 exactly.
+
+This is the package's one LAPACK caller.  It calls the gufuncs behind
+numpy.linalg (``svd``, ``inv``, ``eigvals``, ``det``) directly, bound once
+at import, because numpy's per-call wrappers cost more than LAPACK itself
+on these small matrices.  It keeps what the wrappers guarantee: the same
+LAPACK routine, hence the same values bit for bit; LinAlgError on a NaN or
+infinite entry (numpy's svd and inv would return NaN or a wrong inverse
+for an infinite one); numpy's own error state around svd, inv and eigvals,
+so a LAPACK failure raises numpy's LinAlgError and no RuntimeWarning; and
+a real eigvals result when every imaginary part is 0.
 """
 
 from __future__ import annotations
@@ -22,10 +32,79 @@ from .errors import (
     SingularMatrix,
 )
 
+try:  # numpy 1.x has svd_n/svd_m here instead of svd, and no numpy._core
+    from numpy._core._ufunc_config import _extobj_contextvar
+    from numpy._core.umath import _make_extobj
+    from numpy.linalg._umath_linalg import det as _det_gufunc
+    from numpy.linalg._umath_linalg import eigvals as _eigvals_gufunc
+    from numpy.linalg._umath_linalg import inv as _inv_gufunc
+    from numpy.linalg._umath_linalg import svd as _svd_gufunc
+except ImportError as exc:
+    raise ImportError(f"spectral_cascade needs numpy>=2.0 for the LAPACK gufuncs behind "
+                      f"numpy.linalg; numpy {np.__version__} is installed") from exc
+
 SINGULAR_SCALE_TOL = 1e-14
 CONDITION_CAP = 1e12
 PHASE_EXPONENT_LIMIT = 2 ** 26  # phase_mod1's exact range
 _OVERFLOW_NORM = 1e300
+
+
+def _failing_with(message: str):
+    """numpy.linalg's error state around one gufunc: a LAPACK failure (which
+    sets the invalid flag) raises LinAlgError(message), and overflow,
+    division and underflow inside LAPACK are ignored."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+_SVD_FAILS = _failing_with("SVD did not converge")
+_INV_FAILS = _failing_with("Singular matrix")
+_EIGVALS_FAILS = _failing_with("Eigenvalues did not converge")
+
+
+def _finite(M: np.ndarray) -> np.ndarray:
+    """M, after raising LinAlgError if an entry is NaN or infinite.
+
+    The sum of squares is finite exactly when every entry is, unless it
+    overflows (entries beyond ~1e154); only then are the entries tested.
+    """
+    if not math.isfinite(np.vdot(M, M)) and not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return M
+
+
+def _lapack(gufunc, M: np.ndarray, signature: str, state) -> np.ndarray:
+    """gufunc(M) of a finite M, under the error state numpy.linalg sets for it."""
+    token = _extobj_contextvar.set(state)
+    try:
+        return gufunc(M, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+def _svd(M: np.ndarray) -> np.ndarray:
+    """numpy.linalg.svd(M, compute_uv=False) of a 2-D float array."""
+    return _lapack(_svd_gufunc, _finite(M), "d->d", _SVD_FAILS)
+
+
+def _inv(M: np.ndarray) -> np.ndarray:
+    """numpy.linalg.inv(M) of a finite square float array: invert's guards
+    have checked M (the 2x2 closed form holds only for finite entries, and
+    _svd tests them)."""
+    return _lapack(_inv_gufunc, M, "d->d", _INV_FAILS)
+
+
+def _eigvals(M: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvals(M) of a square float array: real when every
+    imaginary part is 0, complex otherwise."""
+    w = _lapack(_eigvals_gufunc, _finite(M), "d->D", _EIGVALS_FAILS)
+    return w if np.count_nonzero(w.imag) else w.real
+
+
+def _det(M: np.ndarray) -> float:
+    """numpy.linalg.det(M) of a square float array (numpy sets no error state)."""
+    return _det_gufunc(_finite(M), signature="d->d")
 
 
 def cos_turns(theta: float) -> float:
@@ -65,7 +144,7 @@ def op_norm(M: np.ndarray) -> float:
     M = _as_matrix(M)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    return float(_svd(M)[0])
 
 
 def singular_values_2x2(M: np.ndarray) -> tuple[float, float]:
@@ -102,19 +181,18 @@ def invert(J: np.ndarray) -> np.ndarray:
         raise ValueError(f"invert: matrix not square: {J.shape}")
     sv = singular_values_2x2(J) if J.shape[0] == 2 else None
     if sv is None or not 0.0 < sv[1] < math.inf:  # SVD where ad - bc is 0 or out of range
-        sv = np.linalg.svd(J, compute_uv=False).tolist()
+        sv = _svd(J).tolist()
     abs_det = math.prod(sv)
     if abs_det < _singular_threshold(J):
         raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / max(sv[-1], 1e-300):.3g} above cap")
-    return np.linalg.inv(J)
+    return _inv(J)
 
 
 def singular_values(J: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
-    J = _as_matrix(J)
-    return np.linalg.svd(J, compute_uv=False)
+    return _svd(_as_matrix(J))
 
 
 def eigenvalues(J: np.ndarray) -> np.ndarray:
@@ -123,8 +201,8 @@ def eigenvalues(J: np.ndarray) -> np.ndarray:
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"eigenvalues: matrix not square: {J.shape}")
     try:
-        return np.linalg.eigvals(J)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
+        return _eigvals(J)
+    except np.linalg.LinAlgError as exc:  # a NaN or infinite entry, or no convergence
         raise ConvergenceFailure(str(exc)) from exc
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,37 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+LAPACK_NAME = re.compile(r"\b(np|numpy)\.linalg\b|_umath_linalg")
+
+
+def _lapack_references(path: Path) -> list:
+    """(line, dotted name) of every attribute, name and import in the module
+    that reaches numpy.linalg or its gufuncs."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if LAPACK_NAME.search(name)]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_linalg_calls_lapack(path):
+    """linalg.py is the one module that reaches numpy.linalg, so every LAPACK
+    call goes through its gufunc bindings."""
+    found = _lapack_references(path)
+    if path.stem == "linalg":
+        assert any("_umath_linalg" in name for _, name in found)
+    else:
+        assert found == []
 
 
 def test_cli_import_loads_no_scipy():

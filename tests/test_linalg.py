@@ -1,13 +1,19 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spectral_cascade
 from spectral_cascade.errors import (
+    ConvergenceFailure,
     DegeneratePolar,
     IllConditioned,
     NegativeDeterminant,
@@ -17,6 +23,8 @@ from spectral_cascade.errors import (
 from spectral_cascade.linalg import (
     CONDITION_CAP,
     SINGULAR_SCALE_TOL,
+    _det,
+    _inv,
     _singular_threshold,
     cos_turns,
     eigenvalues,
@@ -460,3 +468,105 @@ def test_2x2_singular_guard_is_exact_at_the_threshold(factor):
             M = -M if flips[2] else M
             for e in (-60, 0, 60):
                 assert _outcome(invert, 2.0 ** e * M) is expected
+
+
+KERNEL_SCALES = (1e-200, 1.0, 1e200)
+
+
+def _kernel_inputs(rng, p, q):
+    """Generic p x q matrices, their transposed views when square, and exactly
+    singular ones: zero, rank one, a zero row and a repeated row."""
+    M = rng.standard_normal((p, q))
+    mats = [M, np.zeros((p, q)), np.outer(rng.standard_normal(p), rng.standard_normal(q))]
+    if p == q:
+        mats.append(M.T)
+    if p > 1:
+        for row in (np.zeros(q), M[0]):
+            K = M.copy()
+            K[-1] = row
+            mats.append(K)
+    return mats
+
+
+def _same_array(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", range(1, 8))
+def test_kernels_match_numpy_linalg(rng, d):
+    """op_norm, singular_values, invert, eigenvalues and _det equal numpy.linalg's
+    results bit for bit, dtype included, at scales 1e-200, 1 and 1e200, on
+    generic and exactly singular matrices; singular values also on every
+    non-square block that fits in d = 7.  invert's guard errors are the
+    numpy reference's.  Warnings are errors."""
+    shapes = [(d, d)] + [(d, q) for q in range(1, 8 - d) if q != d]
+    for (p, q), scale in itertools.product(shapes, KERNEL_SCALES):
+        for M in _kernel_inputs(rng, p, q):
+            M = scale * M
+            sv = np.linalg.svd(M, compute_uv=False)
+            assert _same_array(singular_values(M), sv)
+            assert op_norm(M) == float(sv[0])
+            if p != q:
+                continue
+            assert _same_array(eigenvalues(M), np.linalg.eigvals(M))
+            with np.errstate(all="ignore"):  # the reference's np.prod meets inf * 0
+                want = _outcome(_numpy_invert, M)
+            assert _outcome(invert, M) == want
+            with np.errstate(over="ignore"):  # numpy.linalg.det sets no error state
+                det = _det(M)
+                assert type(det) is np.float64 and det == np.linalg.det(M)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_raise_on_non_finite_entries(bad):
+    """A NaN or infinite entry anywhere raises LinAlgError (ConvergenceFailure
+    with numpy's message from eigenvalues), with no warning.  numpy.linalg.svd
+    and inv would return NaN or a wrong inverse for an infinite entry."""
+    for p, q in [(d, d) for d in range(1, 8)] + [(1, 2), (2, 1), (2, 4), (4, 2)]:
+        for i, j in {(0, 0), (0, q - 1), (p - 1, 0), (p - 1, q - 1), (p // 2, q // 2)}:
+            M = np.eye(p, q) + 0.5
+            M[i, j] = bad
+            for fn in (op_norm, singular_values):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(M)
+            if p != q:
+                continue
+            for fn in (invert, _det):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(M)
+            with pytest.raises(ConvergenceFailure, match="must not contain infs or NaNs"):
+                eigenvalues(M)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state", ["raise", "warn", "ignore"])
+def test_lapack_failure_is_numpys_error_whatever_the_error_state(state):
+    """A LAPACK failure on finite input (inv's zero pivot) raises numpy's
+    LinAlgError and no warning, under any error state of the caller, as
+    numpy.linalg.inv does."""
+    for M in (np.zeros((1, 1)), np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+        with np.errstate(all=state):
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                np.linalg.inv(M)
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                _inv(M)
+        assert str(got.value) == str(want.value) == "Singular matrix"
+
+
+def test_import_names_the_numpy_floor():
+    """Without the unsuffixed svd gufunc (numpy 1.x) the import fails and names
+    the floor that pyproject.toml declares."""
+    probe = ("import sys, types, numpy.linalg._umath_linalg as u\n"
+             "stub = types.ModuleType(u.__name__)\n"
+             "stub.__dict__.update({k: v for k, v in vars(u).items() if k != 'svd'})\n"
+             "sys.modules[u.__name__] = stub\n"
+             "import spectral_cascade.linalg\n")
+    src = Path(spectral_cascade.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode != 0
+    assert "ImportError: spectral_cascade needs numpy>=2.0" in out.stderr
+    pyproject = (src.parent / "pyproject.toml").read_text()
+    assert '"numpy>=2.0",' in pyproject
