@@ -6,6 +6,7 @@ command line in-process:
 
     gen, then prove --count C --csv --out   (C = 40 and 10 by default)
     cascade --n N at k = k0                 (N = 1e2, 1e3, 1e4, 1e5)
+    split --level l --n N at k = k0         (every level l = 1..m-1)
 
 and prints one sha256 per file written to --out.  Run it on two checkouts
 and compare the printed lines:
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
     ap.add_argument("--count", type=int, default=None,
                     help="hits per prove run (default: 40 for (1,2,2), 10 for (2,2,2))")
     ap.add_argument("--n", type=int, nargs="+", default=list(CASCADE_NS),
-                    help="cascade exponents")
+                    help="cascade and split exponents")
     args = ap.parse_args(argv)
 
     out = Path(args.out)
@@ -59,6 +60,10 @@ def main(argv=None) -> int:
             path = out / f"cascade{tag}_{n}.json"
             _run(["cascade", "--instance", inst, "--n", n, "--out", path])
             written.append(path)
+            for level in range(1, structure.count(",") + 1):
+                path = out / f"split{tag}_level{level}_{n}.json"
+                _run(["split", "--instance", inst, "--level", level, "--n", n, "--out", path])
+                written.append(path)
     for path in written:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0

@@ -47,7 +47,6 @@ from .graph_transform import (
     SplitProblem,
     TransformConstants,
     admit,
-    check_hypotheses,
     derive_constants,
     dominated_split,
     solve_xi,  # unused here; bench/tests checks that the tracer wraps this second binding
@@ -151,7 +150,7 @@ def stage_problem(tail: DiagonalModel, J0: np.ndarray, delta: float) -> SplitPro
 
 
 def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
-                      law=None) -> ParameterCascade:
+                      law) -> ParameterCascade:
     """Backward induction of per-stage radii from the target accuracy.
 
     Stage m-1 must deliver a remainder whose inverse is eps0-close to the
@@ -174,26 +173,19 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     limits = [J0[:s, :s] for J0, s in zip(J0s, structure.sizes)]
 
     stages_rev = []
-    next_beta = None
-    next_delta = None
-    limit_invs = {}  # level j < m -> stage j's guard inverse of A(J0), which is limit j
+    target = upper = eps0
     for j in range(m - 1, 0, -1):
-        target = eps0 if j == m - 1 else next_beta
-        upper = eps0 if j == m - 1 else next_delta
         r = op_norm(J0s[j])  # norm of the inverse of L^{-1}'s corner from block j+1 on
         delta_j = 0.5 * min(upper, 1.0 / (2.0 * r), target / (2.0 * r * r))
         problem = stage_problem(model.tail(j), J0s[j - 1], delta_j)
-        hypotheses = check_hypotheses(problem)
-        constants = derive_constants(problem, hypotheses)
-        limit_invs[j] = hypotheses.A0_inv
+        constants = derive_constants(problem)
         stages_rev.append(CascadeStage(j=j, problem=problem, constants=constants))
-        next_beta = constants.beta
-        next_delta = delta_j
+        target, upper = constants.beta, delta_j
     stages = tuple(reversed(stages_rev))
 
     n0 = max(st.constants.n0 for st in stages)
     k0 = 0
-    if law is not None and law.c > 0:
+    if law.c > 0:
         # smallest k with ||L_k - L|| <= ||L|| c rho^k safely inside the
         # first stage's ball
         budget = 0.9 * stages[0].constants.beta / (op_norm(L) * law.c)
@@ -210,8 +202,7 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
         except DegeneratePolar as exc:
             raise EpsilonTooLarge(f"level {j} limit has no rotation margin: {exc}") from exc
         windows[j] = PhaseWindow(alpha=alpha, eps_hat=eps_hat)
-        lam_inv = limit_invs[j] if j in limit_invs else invert(lam)
-        drift_cap = eps0 * op_norm(lam_inv) / math.pi
+        drift_cap = eps0 / (math.pi * singular_values_2x2(lam)[1])  # ||lam^-1|| = 1/sigma_min
         if windows[j].half_width <= drift_cap:
             raise EpsilonTooLarge(
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "

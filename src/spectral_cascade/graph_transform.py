@@ -211,8 +211,7 @@ def _min_n(predicate) -> int:
     raise HypothesisFailure("threshold scan exhausted; constants diverge")
 
 
-def derive_constants(problem: SplitProblem,
-                     report: Optional[HypothesisReport] = None) -> TransformConstants:
+def derive_constants(problem: SplitProblem) -> TransformConstants:
     """Ball radius, uniform norm bound, and iteration thresholds.
 
     beta is chosen (with a 0.5 safety factor) so that on the beta-ball the
@@ -220,11 +219,9 @@ def derive_constants(problem: SplitProblem,
     Lipschitz, and the blocks that get inverted keep a Neumann margin.
     The thresholds are the minimal integers satisfying the self-mapping,
     contraction and delta/2 tail conditions; they are found by direct scan
-    rather than closed-form ceilings.  ``report`` is check_hypotheses(problem)
-    when the caller has it already.
+    rather than closed-form ceilings.
     """
-    if report is None:
-        report = check_hypotheses(problem)
+    report = check_hypotheses(problem)
     if not report.passed:
         raise HypothesisFailure(f"split hypotheses fail: {report}")
     rho = report.rho
@@ -319,21 +316,15 @@ def solve_xi(problem: SplitProblem, J: np.ndarray, n: int) -> np.ndarray:
     return _fixed_point(C @ Ainv, B, D, Ainv, problem.powers.dvn_u_avmn, n, "xi")
 
 
-def solve_eta(problem: SplitProblem, J: np.ndarray, n: int,
-              return_hat: bool = False, Ji: Optional[np.ndarray] = None):
-    """Fixed point of the inverse-side operator, conjugated back.
+def solve_eta(problem: SplitProblem, Ji: np.ndarray, n: int) -> np.ndarray:
+    """Fixed point eta_hat of the inverse-side operator, given Ji = J^{-1}.
 
-    The operator acts on the hat variable; the returned eta is
-    A(V)^{-n} eta_hat D(V)^n, which decays like rho^n.  ``Ji`` is J^{-1}
-    when the caller has it already.
+    The graph itself is eta = A(V)^{-n} eta_hat D(V)^n, which decays like
+    rho^n.
     """
-    if Ji is None:
-        Ji = invert(np.asarray(J, dtype=float))
     Ai, Bi, Ci, Di = split_blocks(Ji, problem.k1)
     Dinv = invert(Di)
-    eta_hat = _fixed_point(Bi @ Dinv, Ci, Ai, Dinv, problem.powers.avmn_u_dvn, n, "eta")
-    eta = problem.powers.avmn_u_dvn(eta_hat, n)
-    return (eta, eta_hat) if return_hat else eta
+    return _fixed_point(Bi @ Dinv, Ci, Ai, Dinv, problem.powers.avmn_u_dvn, n, "eta")
 
 
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
@@ -358,11 +349,11 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n: int):
     J = np.asarray(J, dtype=float)
     Ji = invert(J)
     xi = solve_xi(problem, J, n)
-    eta, eta_hat = solve_eta(problem, J, n, return_hat=True, Ji=Ji)
+    eta_hat = solve_eta(problem, Ji, n)
     A, B, _, _ = split_blocks(J, problem.k1)
     _, _, Ci, Di = split_blocks(Ji, problem.k1)
     X = A + B @ problem.powers.dvn_u_avmn(xi, n)
-    Y_inv = Ci @ eta + Di
+    Y_inv = Ci @ problem.powers.avmn_u_dvn(eta_hat, n) + Di
     x_drift = op_norm(X - problem.A0)
     if x_drift >= problem.delta:
         raise CertificateFailure(

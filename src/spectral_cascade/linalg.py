@@ -1,6 +1,6 @@
 """Dense small-matrix primitives: rotations, inverses, spectra, polar forms.
 
-All matrices are numpy float arrays of dimension up to ~10.  Angles are in
+All matrices are 2-D numpy float arrays of dimension up to ~10.  Angles are in
 turns (theta in [0, 1), rotation by 2*pi*theta) throughout the package.
 The lattice routines at the end work on rows of Python integers instead,
 exactly.
@@ -133,15 +133,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _as_matrix(M) -> np.ndarray:
-    """M as a float array, wrapped by atleast_2d only when it is not 2-D."""
-    M = np.asarray(M, dtype=float)
-    return M if M.ndim == 2 else np.atleast_2d(M)
-
-
 def op_norm(M: np.ndarray) -> float:
     """Operator (spectral) norm."""
-    M = _as_matrix(M)
+    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
     return float(_svd(M)[0])
@@ -176,7 +170,7 @@ def _singular_threshold(J: np.ndarray) -> float:
 
 def invert(J: np.ndarray) -> np.ndarray:
     """Matrix inverse with scale-invariant singularity / conditioning guards."""
-    J = _as_matrix(J)
+    J = np.asarray(J, dtype=float)
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"invert: matrix not square: {J.shape}")
     sv = singular_values_2x2(J) if J.shape[0] == 2 else None
@@ -192,12 +186,12 @@ def invert(J: np.ndarray) -> np.ndarray:
 
 def singular_values(J: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
-    return _svd(_as_matrix(J))
+    return _svd(np.asarray(J, dtype=float))
 
 
 def eigenvalues(J: np.ndarray) -> np.ndarray:
     """All eigenvalues (complex, conjugate-paired) via the QR eigensolver."""
-    J = _as_matrix(J)
+    J = np.asarray(J, dtype=float)
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"eigenvalues: matrix not square: {J.shape}")
     try:
@@ -239,7 +233,7 @@ def polar_2x2(M: np.ndarray):
 
 def matrix_power_checked(M: np.ndarray, n: int) -> np.ndarray:
     """M^n by binary powering with an overflow guard on the running norm."""
-    M = _as_matrix(M)
+    M = np.asarray(M, dtype=float)
     if n < 0:
         raise ValueError("negative power; invert first")
     d = M.shape[0]

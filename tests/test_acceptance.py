@@ -28,6 +28,7 @@ from spectral_cascade.graph_transform import (
 )
 from spectral_cascade.linalg import (
     eigenvalues,
+    invert,
     op_norm,
     rotation_matrix,
 )
@@ -154,7 +155,7 @@ def test_criterion_6_trivial_cases_are_exact():
     c = derive_constants(p)
     n = c.n0 + 1
     xi = solve_xi(p, J0, n)
-    eta = solve_eta(p, J0, n)
+    eta = p.powers.avmn_u_dvn(solve_eta(p, invert(J0), n), n)
     assert op_norm(xi) == 0.0
     assert op_norm(eta) == 0.0
     AJ, B, C, DJ = split_blocks(J0, 2)

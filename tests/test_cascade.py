@@ -31,6 +31,7 @@ from spectral_cascade.linalg import (
     op_norm,
     phase_mod1,
     rotation_matrix,
+    singular_values_2x2,
 )
 from spectral_cascade.model import DiagonalModel, DiagonalPowers, RotationBlock, ScalarBlock
 from spectral_cascade.oracle import (
@@ -56,17 +57,17 @@ def test_choose_parameters_orders_radii(demo_cascade):
 
 def test_choose_parameters_rejects_bad_inputs(demo_instance):
     with pytest.raises(ValueError):
-        choose_parameters(demo_instance.model, demo_instance.L, -1.0)
+        choose_parameters(demo_instance.model, demo_instance.L, -1.0, law=demo_instance.law)
     with pytest.raises(ConditionFailure):
-        choose_parameters(demo_instance.model, np.zeros((5, 5)), 1e-3)
+        choose_parameters(demo_instance.model, np.zeros((5, 5)), 1e-3, law=demo_instance.law)
     with pytest.raises(EpsilonTooLarge):
-        choose_parameters(demo_instance.model, demo_instance.L, 0.5)
+        choose_parameters(demo_instance.model, demo_instance.L, 0.5, law=demo_instance.law)
 
 
 @pytest.mark.parametrize("eps0", [math.nan, math.inf, -math.inf])
 def test_choose_parameters_rejects_non_finite_eps0(demo_instance, eps0):
     with pytest.raises(ValueError, match="eps0"):
-        choose_parameters(demo_instance.model, demo_instance.L, eps0)
+        choose_parameters(demo_instance.model, demo_instance.L, eps0, law=demo_instance.law)
 
 
 def test_cascade_matches_oracle(demo_instance, demo_cascade):
@@ -346,12 +347,12 @@ CONSTANTS_222 = [
 ]
 
 
-@pytest.mark.parametrize("pattern,calls", [((1, 2, 2), 16), ((2, 2, 2), 16)],
+@pytest.mark.parametrize("pattern,calls", [((1, 2, 2), 15), ((2, 2, 2), 15)],
                          ids=["122", "222"])
 def test_choose_parameters_inverts_each_matrix_once(pattern, calls, monkeypatch):
     """The checks' inverses of L, of the corners of L^-1 and of the hypothesis
-    blocks are reused, not recomputed, and so is each stage's inverse of A(J0)
-    for its limit's drift cap; the parameters stay bit for bit."""
+    blocks are reused, not recomputed, and no limit is inverted for its drift
+    cap (||lambda^-1|| = 1/sigma_min); the parameters stay bit for bit."""
     spec = sc.generate_instance(pattern, seed=3)
     count = [0]
 
@@ -374,6 +375,33 @@ def test_choose_parameters_inverts_each_matrix_once(pattern, calls, monkeypatch)
 
 PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]
 PATTERN_IDS = ["".join(map(str, p)) for p in PATTERNS]
+DRIFT_CAP_PATTERNS = [*PATTERNS, (2, 1, 2), (1, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("pattern", DRIFT_CAP_PATTERNS,
+                         ids=["".join(map(str, p)) for p in DRIFT_CAP_PATTERNS])
+def test_drift_cap_refuses_eps0_exactly_past_each_window(pattern):
+    """choose_parameters raises EpsilonTooLarge exactly when some rotation
+    level's search window is no wider than the reference drift cap
+    eps0 ||lambda^-1|| / pi, on both sides of each level's boundary eps0, and
+    the closed form eps0 / (pi sigma_min(lambda)) is within 4 eps of it."""
+    for seed in range(4):
+        spec = sc.generate_instance(pattern, seed=seed)
+        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        inv_norms = {j: op_norm(invert(casc.limits[j - 1])) for j in casc.windows}
+        for j, inv_norm in inv_norms.items():
+            boundary = casc.windows[j].half_width * math.pi / inv_norm
+            for eps0 in (boundary * (1 - 1e-9), boundary * (1 + 1e-9)):
+                reference = eps0 * inv_norm / math.pi
+                closed = eps0 / (math.pi * singular_values_2x2(casc.limits[j - 1])[1])
+                assert abs(closed - reference) <= 4 * np.finfo(float).eps * reference
+                refused = any(w.half_width <= eps0 * inv_norms[i] / math.pi
+                              for i, w in casc.windows.items())
+                if refused:
+                    with pytest.raises(EpsilonTooLarge):
+                        choose_parameters(spec.model, spec.L, eps0, law=spec.law)
+                else:
+                    choose_parameters(spec.model, spec.L, eps0, law=spec.law)
 
 
 def _sweep(spec, model):

@@ -138,7 +138,7 @@ def test_wrong_shape_L_raises_value_error(demo_instance):
     with pytest.raises(ValueError, match="5x5"):
         check_L_conditions(L, model.structure)
     with pytest.raises(ValueError, match="5x5"):
-        choose_parameters(model, L, 1e-3)
+        choose_parameters(model, L, 1e-3, law=demo_instance.law)
 
 
 def test_angle_independence_accepts_sqrt_primes():
