@@ -58,7 +58,7 @@ from .errors import (
     IllConditioned,
     SingularMatrix,
 )
-from .linalg import _det, invert, matrix_power_checked, op_norm
+from .linalg import _det, invert, matrix_power_checked, norm_below, op_norm
 
 FIXED_POINT_STEP_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 500
@@ -137,16 +137,6 @@ class SplitProblem:
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """rho and the verdict; when the blocks invert, also A(J0)^-1 and D(J0^-1)^-1."""
-
-    rho: float
-    passed: bool
-    A0_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    D0i_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class TransformConstants:
     """Uniform constants of one dominated-split application.
 
@@ -186,24 +176,6 @@ class SplitCertificate:
     bounds: dict = field(default_factory=dict)
 
 
-def check_hypotheses(problem: SplitProblem) -> HypothesisReport:
-    """Invertibility of the four corner blocks plus the domination ratio.
-
-    rho = ||D(V)|| ||A(V)^{-1}|| is infinite only when A(V) is singular.
-    """
-    AV, _, _, DV = split_blocks(problem.V, problem.k1)
-    rho, passed, A0_inv, D0i_inv = math.inf, False, None, None
-    try:
-        rho = op_norm(DV) * op_norm(invert(AV))
-        A0_inv = invert(problem.A0)
-        invert(DV)
-        D0i_inv = invert(problem.D0i)
-        passed = rho < 1.0
-    except (SingularMatrix, IllConditioned):
-        pass
-    return HypothesisReport(rho, passed, A0_inv, D0i_inv)
-
-
 def _min_n(predicate) -> int:
     for n in range(_SCAN_CAP):
         if predicate(n):
@@ -220,19 +192,30 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     The thresholds are the minimal integers satisfying the self-mapping,
     contraction and delta/2 tail conditions; they are found by direct scan
     rather than closed-form ceilings.
+
+    Raises HypothesisFailure unless the four corner blocks A(V), A(J0),
+    D(V) and D(J0^-1) invert and rho = ||D(V)|| ||A(V)^-1|| < 1.
     """
-    report = check_hypotheses(problem)
-    if not report.passed:
-        raise HypothesisFailure(f"split hypotheses fail: {report}")
-    rho = report.rho
+    AV, _, _, DV = split_blocks(problem.V, problem.k1)
+    dv = op_norm(DV)
+    inverses = {}
+    for name, block in (("A(V)", AV), ("A(J0)", problem.A0), ("D(V)", DV),
+                        ("D(J0^-1)", problem.D0i)):
+        try:
+            inverses[name] = invert(block)
+        except (SingularMatrix, IllConditioned) as exc:
+            raise HypothesisFailure(f"split hypotheses fail: {name} does not invert ({exc})") from exc
+    rho = dv * op_norm(inverses["A(V)"])
+    if not rho < 1.0:
+        raise HypothesisFailure(f"split hypotheses fail: rho = {rho!r} >= 1")
     delta = problem.delta
 
     _, B0, C0, D0 = split_blocks(problem.J0, problem.k1)
     Ai0, Bi0, Ci0, _ = split_blocks(problem.J0i, problem.k1)
 
     r0 = op_norm(problem.J0i)
-    a0inv = op_norm(report.A0_inv)  # the guard's inverses of A(J0) and D(J0^-1)
-    d0i_inv = op_norm(report.D0i_inv)
+    a0inv = op_norm(inverses["A(J0)"])
+    d0i_inv = op_norm(inverses["D(J0^-1)"])
 
     beta = 0.5 * min(
         delta / 2.0,
@@ -330,10 +313,10 @@ def solve_eta(problem: SplitProblem, Ji: np.ndarray, n: int) -> np.ndarray:
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
           n: int) -> None:
     """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n0."""
-    dist = op_norm(J - problem.J0)
-    if dist >= constants.beta:
+    offset = J - problem.J0
+    if not norm_below(offset, constants.beta):
         raise HypothesisFailure(
-            f"input outside the beta ball ({dist:.3g} >= {constants.beta:.3g})"
+            f"input outside the beta ball ({op_norm(offset):.3g} >= {constants.beta:.3g})"
         )
     if n < constants.n0:
         raise HypothesisFailure(f"exponent {n} below threshold {constants.n0}")
@@ -354,15 +337,15 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n: int):
     _, _, Ci, Di = split_blocks(Ji, problem.k1)
     X = A + B @ problem.powers.dvn_u_avmn(xi, n)
     Y_inv = Ci @ problem.powers.avmn_u_dvn(eta_hat, n) + Di
-    x_drift = op_norm(X - problem.A0)
-    if x_drift >= problem.delta:
+    if not norm_below(X - problem.A0, problem.delta):
         raise CertificateFailure(
-            f"top block drifts {x_drift:.3g} >= delta {problem.delta:.3g}", item=3
+            f"top block drifts {op_norm(X - problem.A0):.3g} >= delta {problem.delta:.3g}",
+            item=3,
         )
-    y_drift = op_norm(Y_inv - problem.D0i)
-    if y_drift >= problem.delta:
+    if not norm_below(Y_inv - problem.D0i, problem.delta):
         raise CertificateFailure(
-            f"inverse bottom block drifts {y_drift:.3g} >= delta {problem.delta:.3g}", item=4
+            f"inverse bottom block drifts {op_norm(Y_inv - problem.D0i):.3g} "
+            f">= delta {problem.delta:.3g}", item=4
         )
     return SplitCertificate(n=n, J=J, xi=xi, eta_hat=eta_hat, X=X, Y_inv=Y_inv), Ji
 

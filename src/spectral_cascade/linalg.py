@@ -14,6 +14,21 @@ infinite entry (numpy's svd and inv would return NaN or a wrong inverse
 for an infinite one); numpy's own error state around svd, inv and eigvals,
 so a LAPACK failure raises numpy's LinAlgError and no RuntimeWarning; and
 a real eigvals result when every imaginary part is 0.
+
+Norms that are only compared, never stored, skip the SVD when a Frobenius
+bound settles them (||M||_2 <= ||M||_F).  ``norm_below(M, bound)`` is True
+when sqrt(vdot(M, M)) < bound (1 - 1e-12); for matrices of this size the
+computed Frobenius norm and LAPACK's sigma_max each err by a few hundred
+eps at most, far below the 1e-12 slack, so the answer is op_norm's, which
+decides when the bound does not.  ``invert`` of a d x d matrix, d >= 3,
+returns LAPACK's inverse at once when f^2 = ||J||_F^2 ||J^-1||_F^2 <=
+min(d^2 (1 / (4 SINGULAR_SCALE_TOL))^(2/d), CONDITION_CAP^2 / 4).  By AM-GM
+and Hadamard's inequality the product of the row norms is then at most
+|det J| / (4 SINGULAR_SCALE_TOL), and cond_2 J <= f <= CONDITION_CAP / 2:
+the guards pass with a factor 4 and 2 to spare, which covers the rounding
+of f, of the inverse (cond_2 J < 1e5 under this limit) and of the guards.
+A larger f runs the guards on the LU determinant and the SVD.  Every
+value that is stored or printed still comes from the SVD.
 """
 
 from __future__ import annotations
@@ -61,6 +76,7 @@ def _failing_with(message: str):
 _SVD_FAILS = _failing_with("SVD did not converge")
 _INV_FAILS = _failing_with("Singular matrix")
 _EIGVALS_FAILS = _failing_with("Eigenvalues did not converge")
+_QUIET = _make_extobj(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 
 
 def _finite(M: np.ndarray) -> np.ndarray:
@@ -89,9 +105,9 @@ def _svd(M: np.ndarray) -> np.ndarray:
 
 
 def _inv(M: np.ndarray) -> np.ndarray:
-    """numpy.linalg.inv(M) of a finite square float array: invert's guards
-    have checked M (the 2x2 closed form holds only for finite entries, and
-    _svd tests them)."""
+    """numpy.linalg.inv(M) of a finite square float array: its callers have
+    checked M (the 2x2 closed form holds only for finite entries, _svd tests
+    them, and _certified_inverse needs a finite sum of squares)."""
     return _lapack(_inv_gufunc, M, "d->d", _INV_FAILS)
 
 
@@ -141,26 +157,38 @@ def op_norm(M: np.ndarray) -> float:
     return float(_svd(M)[0])
 
 
+def norm_below(M: np.ndarray, bound: float) -> bool:
+    """op_norm(M) < bound, without an SVD when ||M||_F settles it (see the
+    module docstring for the 1e-12 slack)."""
+    M = np.asarray(M, dtype=float)
+    return math.sqrt(np.vdot(M, M)) < bound * (1.0 - 1e-12) or op_norm(M) < bound
+
+
 def singular_values_2x2(M: np.ndarray) -> tuple[float, float]:
     """(sigma_max, sigma_min) of a 2x2 matrix in closed form.
 
     For M = [[a, b], [c, d]], sigma_max = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2,
     exact in real arithmetic, and sigma_min = |ad - bc| / sigma_max (0 for M = 0).
     """
-    (a, b), (c, d) = M.tolist()
+    return _singular_values_2x2(M.tolist())
+
+
+def _singular_values_2x2(rows: list) -> tuple[float, float]:
+    (a, b), (c, d) = rows
     smax = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
     return smax, (abs(a * d - b * c) / smax if smax else 0.0)
 
 
-def _singular_threshold(J: np.ndarray) -> float:
-    """SINGULAR_SCALE_TOL times the product of the row norms of J.
+def _singular_threshold(rows: list) -> float:
+    """SINGULAR_SCALE_TOL times the product of the row norms of a matrix,
+    given as its rows (``J.tolist()``).
 
     The explicit left-to-right sums equal numpy's row norms bit for bit up to
     7 columns (numpy sums 8 or more terms pairwise; builtin ``sum``
     compensates from Python 3.12 on).
     """
     scale = 1.0
-    for row in J.tolist():
+    for row in rows:
         s = 0.0
         for x in row:
             s += x * x
@@ -168,20 +196,56 @@ def _singular_threshold(J: np.ndarray) -> float:
     return SINGULAR_SCALE_TOL * scale
 
 
+def _certified_inverse(J: np.ndarray):
+    """LAPACK's inverse of a d x d matrix J, d >= 3, when ||J||_F ||J^-1||_F
+    proves that invert's guards pass (see the module docstring); else None."""
+    d = J.shape[0]
+    fro2 = float(np.vdot(J, J))
+    if not math.isfinite(fro2):
+        return None
+    try:
+        Ji = _inv(J)
+    except np.linalg.LinAlgError:  # an exact zero pivot: the guards decide
+        return None
+    limit = min(d * d * (0.25 / SINGULAR_SCALE_TOL) ** (2.0 / d), 0.25 * CONDITION_CAP ** 2)
+    return Ji if fro2 * float(np.vdot(Ji, Ji)) <= limit else None
+
+
 def invert(J: np.ndarray) -> np.ndarray:
-    """Matrix inverse with scale-invariant singularity / conditioning guards."""
+    """Matrix inverse with scale-invariant singularity / conditioning guards.
+
+    SingularMatrix when |det J| is below the scale threshold, IllConditioned
+    when sigma_max / sigma_min passes CONDITION_CAP.  A 1x1 inverse is 1/x;
+    a 2x2 matrix is guarded by its closed-form singular values; a larger one
+    is returned at once when its Frobenius norms certify both guards, and is
+    guarded by its LU determinant and its SVD otherwise.
+    """
     J = np.asarray(J, dtype=float)
-    if J.shape[0] != J.shape[1]:
+    d = J.shape[0]
+    if d != J.shape[1]:
         raise ValueError(f"invert: matrix not square: {J.shape}")
-    sv = singular_values_2x2(J) if J.shape[0] == 2 else None
-    if sv is None or not 0.0 < sv[1] < math.inf:  # SVD where ad - bc is 0 or out of range
+    if d >= 3:
+        Ji = _certified_inverse(J)
+        if Ji is not None:
+            return Ji
         sv = _svd(J).tolist()
-    abs_det = math.prod(sv)
-    if abs_det < _singular_threshold(J):
+        # the LU determinant, quiet where it saturates at 0 or inf as the product would
+        abs_det = abs(float(_lapack(_det_gufunc, J, "d->d", _QUIET)))
+        rows = J.tolist()
+    else:
+        rows = J.tolist()
+        if d == 2:
+            sv = _singular_values_2x2(rows)
+            if not 0.0 < sv[1] < math.inf:  # SVD where ad - bc is 0 or out of range
+                sv = _svd(J).tolist()
+        else:
+            sv = [abs(_finite(J).item())]
+        abs_det = math.prod(sv)
+    if abs_det < _singular_threshold(rows):
         raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / max(sv[-1], 1e-300):.3g} above cap")
-    return _inv(J)
+    return np.array([[1.0 / rows[0][0]]]) if d == 1 else _inv(J)
 
 
 def singular_values(J: np.ndarray) -> np.ndarray:
@@ -213,9 +277,10 @@ def polar_2x2(M: np.ndarray):
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"polar decomposition needs a 2x2 matrix, got {M.shape}")
-    (a, b), (c, d) = M.tolist()
+    rows = M.tolist()
+    (a, b), (c, d) = rows
     det = a * d - b * c
-    if abs(det) < _singular_threshold(M) or det == 0:  # the threshold underflows at M = 0
+    if abs(det) < _singular_threshold(rows) or det == 0:  # the threshold underflows at M = 0
         raise SingularMatrix(f"determinant {det:g} below scale threshold")
     if det < 0:
         raise NegativeDeterminant(f"determinant {det:g} < 0: reflection case")

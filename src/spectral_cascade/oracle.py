@@ -75,8 +75,12 @@ class ScaledSpectrum:
     def from_values(cls, values, log_scale: float = 0.0) -> "ScaledSpectrum":
         values = np.asarray(values, dtype=complex)
         mods = np.abs(values)
-        unit = np.where(mods > 0, values / np.maximum(mods, 1e-300), 0.0)
-        log_mod = np.where(mods > 0, np.log(np.maximum(mods, 1e-300)) + log_scale, -np.inf)
+        positive = mods > 0
+        safe = np.maximum(mods, 1e-300)
+        if positive.all():  # the same values as below, without the masks
+            return cls(unit=values / safe, log_mod=np.log(safe) + log_scale)
+        unit = np.where(positive, values / safe, 0.0)
+        log_mod = np.where(positive, np.log(safe) + log_scale, -np.inf)
         return cls(unit=unit, log_mod=np.asarray(log_mod, dtype=float))
 
     def __len__(self) -> int:

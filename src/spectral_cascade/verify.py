@@ -13,6 +13,7 @@ increase.  ``_agree`` compares every stored number that can be recomputed.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import serialize
 from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine
 from .errors import SpectralCascadeError, VerificationFailure
 from .graph_transform import admit, derive_constants, verify_certificate
-from .linalg import op_norm, signed_fraction
+from .linalg import norm_below, op_norm, signed_fraction
 from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
 
@@ -86,7 +87,8 @@ def _verify_cascade_result(obj) -> dict:
         _fail("level count mismatch")
     for lv, stored in zip(result.levels, obj["levels"]):
         X0 = serialize.matrix_from_json(stored["X"])
-        if op_norm(lv.X - X0) > _MATCH_TOL * max(1.0, op_norm(X0)):
+        tol = _MATCH_TOL * max(1.0, op_norm(X0))
+        if not norm_below(lv.X - X0, math.nextafter(tol, math.inf)):  # <= tol passes
             _fail(f"level {lv.j} block does not recompute")
         mism = match_scaled(lv.spectrum, serialize.spectrum_from_json(stored["spectrum"]))
         if mism > _MATCH_TOL:

@@ -18,9 +18,9 @@ import pytest
 
 import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks
+from spectral_cascade.errors import HypothesisFailure
 from spectral_cascade.graph_transform import (
     SplitProblem,
-    check_hypotheses,
     derive_constants,
     invariant_pair,
     solve_eta,
@@ -54,12 +54,15 @@ def _random_split_problem(rng):
 
 
 def _split_problems(count, seed=0):
+    """count (problem, constants) pairs whose split hypotheses hold."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         p = _random_split_problem(rng)
-        if check_hypotheses(p).passed:
-            out.append(p)
+        try:
+            out.append((p, derive_constants(p)))
+        except HypothesisFailure:
+            pass
     return out
 
 
@@ -84,8 +87,7 @@ def test_criterion_1_spectrum_union_matches_oracle():
 def test_criterion_2_certificate_suite_zero_failures():
     """50 problems x 50 J x n in [n0, n0+10]: every certified bound holds."""
     rng = np.random.default_rng(77)
-    for p in _split_problems(50, seed=7):
-        constants = derive_constants(p)
+    for p, constants in _split_problems(50, seed=7):
         rho_pow = [constants.rho ** n for n in range(constants.n0, constants.n0 + 11)]
         for _ in range(50):
             G = rng.standard_normal((p.d, p.d))
@@ -104,8 +106,7 @@ def test_criterion_2_certificate_suite_zero_failures():
 def test_criterion_3_n0_is_uniform_over_the_ball():
     """One n0 per problem certifies every sampled J; no per-J re-derivation."""
     rng = np.random.default_rng(88)
-    for p in _split_problems(50, seed=11):
-        constants = derive_constants(p)  # the only derivation for this problem
+    for p, constants in _split_problems(50, seed=11):  # one derivation per problem
         for _ in range(50):
             G = rng.standard_normal((p.d, p.d))
             J = p.J0 + 0.9 * constants.beta * G / op_norm(G)

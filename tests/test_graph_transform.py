@@ -18,7 +18,6 @@ from spectral_cascade.graph_transform import (
     DensePowers,
     SplitProblem,
     _fixed_point,
-    check_hypotheses,
     derive_constants,
     invariant_pair,
     solve_eta,
@@ -47,37 +46,31 @@ def ball_sample(problem, constants, rng):
 
 def test_hypotheses_pass_and_fail():
     p = make_problem()
-    assert check_hypotheses(p).passed
+    assert derive_constants(p).rho < 1.0
     # undominated V: tail as large as the head
     bad = SplitProblem(V=np.eye(3), J0=p.J0, k1=1, k2=2, delta=0.05)
-    report = check_hypotheses(bad)
-    assert not report.passed and report.rho >= 1.0
     with pytest.raises(HypothesisFailure) as info:
         derive_constants(bad)
-    # the report's repr shows rho and the verdict only, not the inverses it carries
-    expected = f"split hypotheses fail: HypothesisReport(rho={report.rho!r}, passed=False)"
-    assert str(info.value) == expected
-    assert report == type(report)(report.rho, False)
+    assert str(info.value) == "split hypotheses fail: rho = 1.0 >= 1"
 
 
 def _dominated_V(DV):
     return block_diag(np.array([[2.0]]), DV)
 
 
-# check_hypotheses reads no powers; DensePowers would invert a singular A(V)
-@pytest.mark.parametrize("V,J0,rho_inf", [
-    (block_diag(np.zeros((1, 1)), 0.1 * np.eye(2)), np.eye(3), True),
-    (_dominated_V(np.diag([0.1, 0.0])), np.eye(3), False),
+# derive_constants reads no powers; DensePowers would invert a singular A(V)
+@pytest.mark.parametrize("V,J0,block", [
+    (block_diag(np.zeros((1, 1)), 0.1 * np.eye(2)), np.eye(3), "A(V)"),
+    (_dominated_V(np.diag([0.1, 0.0])), np.eye(3), "D(V)"),
     # A(J0) = 0, so by Jacobi's identity D(J0^-1) = D(J0) is singular too
-    (_dominated_V(0.1 * np.eye(2)), np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]), False),
+    (_dominated_V(0.1 * np.eye(2)), np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]), "A(J0)"),
 ], ids=["singular-A(V)", "singular-D(V)", "singular-A(J0)"])
-def test_hypotheses_fail_on_singular_blocks(V, J0, rho_inf):
+def test_hypotheses_fail_on_singular_blocks(V, J0, block):
     p = SplitProblem(V=V, J0=J0, k1=1, k2=2, delta=0.05, powers=object())
-    report = check_hypotheses(p)
-    assert not report.passed
-    assert math.isinf(report.rho) == rho_inf
-    with pytest.raises(HypothesisFailure):
+    with pytest.raises(HypothesisFailure) as info:
         derive_constants(p)
+    assert str(info.value) == (f"split hypotheses fail: {block} does not invert "
+                               "(|determinant| 0 below scale threshold)")
 
 
 def test_hypotheses_fail_on_ill_conditioned_block():
@@ -88,10 +81,8 @@ def test_hypotheses_fail_on_ill_conditioned_block():
     J0 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 1.0], [0.0, 1.0, 1.0]])
     V = block_diag(2.0 * np.eye(2), np.array([[0.1]]))
     p = SplitProblem(V=V, J0=J0, k1=2, k2=1, delta=0.05)
-    report = check_hypotheses(p)
-    assert not report.passed
-    assert report.rho == pytest.approx(0.05)
-    with pytest.raises(HypothesisFailure):
+    with pytest.raises(HypothesisFailure, match=r"^split hypotheses fail: A\(J0\) does not "
+                       r"invert \(condition number 4e\+13 above cap\)$"):
         derive_constants(p)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -20,6 +21,7 @@ from spectral_cascade.errors import (
     PowerOverflow,
     SingularMatrix,
 )
+from spectral_cascade import linalg
 from spectral_cascade.linalg import (
     CONDITION_CAP,
     SINGULAR_SCALE_TOL,
@@ -31,6 +33,7 @@ from spectral_cascade.linalg import (
     invert,
     lll_reduce,
     matrix_power_checked,
+    norm_below,
     op_norm,
     phase_mod1,
     polar_2x2,
@@ -143,7 +146,7 @@ def test_polar_singular_threshold_edge():
     for e, singular in ((1.8e-14, True), (2.2e-14, False)):
         M = np.array([[1.0, 1.0], [1.0, 1.0 + e]])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        assert (det < _singular_threshold(M)) == singular
+        assert (det < _singular_threshold(M.tolist())) == singular
         if singular:
             with pytest.raises(SingularMatrix):
                 polar_2x2(M)
@@ -331,7 +334,7 @@ def test_singular_threshold_is_numpy_row_norm_product(rng, scale):
         norms = np.linalg.norm(J, axis=1)
         with np.errstate(over="ignore"):  # the product is inf at 1e150 from d = 3 on
             expected = SINGULAR_SCALE_TOL * float(np.prod(np.maximum(norms, 1e-300)))
-            assert _singular_threshold(J) == expected
+            assert _singular_threshold(J.tolist()) == expected
 
 
 # The plain numpy expressions the lean kernels replace, kept as the reference.
@@ -341,9 +344,12 @@ def _numpy_singular_threshold(J):
 
 
 def _numpy_invert(J):
+    """The guards on |det J| (the LU determinant from d = 3 on) and the SVD."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     sv = np.linalg.svd(J, compute_uv=False)
-    if np.prod(sv) < _numpy_singular_threshold(J):
+    with np.errstate(all="ignore"):  # det saturates at 0 or inf as the product does
+        abs_det = abs(np.linalg.det(J)) if len(J) >= 3 else np.prod(sv)
+    if abs_det < _numpy_singular_threshold(J):
         raise SingularMatrix("reference")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned("reference")
@@ -384,7 +390,7 @@ def test_lean_guards_match_numpy(rng, d):
             mats.append(K)
     outcomes = set()
     for J in mats:
-        assert _singular_threshold(J) == _numpy_singular_threshold(J)
+        assert _singular_threshold(J.tolist()) == _numpy_singular_threshold(J)
         got = _outcome(invert, J)
         assert got == _outcome(_numpy_invert, J)
         outcomes.add(got if isinstance(got, type) else bytes)
@@ -463,6 +469,117 @@ def test_2x2_singular_guard_is_exact_at_the_threshold(factor):
             M = -M if flips[2] else M
             for e in (-60, 0, 60):
                 assert _outcome(invert, 2.0 ** e * M) is expected
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_singular_guard_is_exact_at_the_threshold_from_3x3(factor):
+    """The same edge on diag(B, 1), with B the exact-determinant 2x2 matrices
+    above: the LU determinant of each is exact, so invert raises SingularMatrix
+    below the threshold and IllConditioned above it, as on B itself.  A product
+    of LAPACK's singular values would err by about 2% and decide by rounding.
+    """
+    expected = SingularMatrix if factor < 1.0 else IllConditioned
+    eps = factor * SINGULAR_SCALE_TOL
+    for base in ([[1.0, 0.0], [1.0, eps]], [[1.0, 1.0], [1.0, 1.0 + 2.0 * eps]]):
+        for flips in itertools.product((False, True), repeat=3):
+            B = np.array(base)
+            B = B[::-1] if flips[0] else B
+            B = B[:, ::-1] if flips[1] else B
+            B = -B if flips[2] else B
+            M = np.eye(3)
+            M[:2, :2] = B
+            for e in (-60, 0, 60):
+                assert _outcome(invert, 2.0 ** e * M) is expected, (B, e)
+
+
+def test_norm_below_is_the_op_norm_comparison(rng):
+    """norm_below(M, b) == (op_norm(M) < b) at the bounds where a rounding
+    error would show: sigma_max and its neighbours, sigma_max (1 +- 1e-12),
+    ||M||_F and the float below it, and the Frobenius shortcut's own edge
+    ||M||_F / (1 - 1e-12) with its neighbours.  Rank-one matrices have
+    sigma_max = ||M||_F, so there the edge is tight."""
+    settled = 0
+    for _ in range(1_000):
+        p, q = rng.integers(1, 7, 2)
+        M = rng.standard_normal((p, q))
+        if rng.integers(2):
+            M = np.outer(M[:, 0], M[0])
+        M *= 10.0 ** rng.uniform(-100, 100)
+        s, fro = op_norm(M), math.sqrt(np.vdot(M, M))
+        edge = fro / (1.0 - 1e-12)
+        for b in (s, math.nextafter(s, math.inf), math.nextafter(s, -math.inf),
+                  s * (1.0 + 1e-12), s * (1.0 - 1e-12), fro, math.nextafter(fro, -math.inf),
+                  edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf),
+                  edge * (1.0 + 1e-15)):
+            assert norm_below(M, b) == (s < b), (M, b)
+            settled += fro < b * (1.0 - 1e-12)
+    assert settled > 2_000
+    with pytest.raises(np.linalg.LinAlgError):
+        norm_below(np.array([[1.0, math.nan]]), 10.0)
+
+
+def _guard_outcome(J):
+    """invert's inverse bytes, or the type and message of the guard error."""
+    try:
+        return invert(J).tobytes()
+    except (SingularMatrix, IllConditioned) as exc:
+        return type(exc), str(exc)
+
+
+def _orthogonal(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_certified_inverse_changes_no_outcome(rng, d, monkeypatch):
+    """invert returns the same inverse bytes, or raises the same error with the
+    same message, with and without its Frobenius shortcut: on near-singular
+    and condition-cap sweeps and at f^2 within 1e-9 of the shortcut's limit."""
+    limit = min(d * d * (0.25 / SINGULAR_SCALE_TOL) ** (2.0 / d), 0.25 * CONDITION_CAP ** 2)
+    mats = []
+    for _ in range(100):
+        J = _scaled_rows(rng, d)
+        combo = rng.standard_normal(d - 1) @ J[:-1]
+        J[-1] = combo + 10.0 ** rng.uniform(-17, -2) * np.linalg.norm(combo) * rng.standard_normal(d)
+        mats.append(J)
+        sigma = np.append(10.0 ** rng.uniform(-1, 1, d - 1), 10.0 ** -rng.uniform(0, 14))
+        mats.append(10.0 ** rng.uniform(-5, 5) * _orthogonal(rng, d) @ np.diag(sigma)
+                    @ _orthogonal(rng, d).T)
+        # sigma = (1, ..., 1, t): f^2 = (a + t^2)(a + t^-2) with a = d - 1
+        a, target = d - 1, limit * (1.0 + rng.uniform(-1e-9, 1e-9))
+        b = a * a + 1.0 - target
+        t = math.sqrt(2.0 * a / (-b + math.sqrt(b * b - 4.0 * a * a)))
+        mats.append(_orthogonal(rng, d) @ np.diag([1.0] * a + [t]) @ _orthogonal(rng, d).T)
+    taken = [0]
+
+    def counted(J):
+        Ji = certified(J)
+        taken[0] += Ji is not None
+        return Ji
+
+    certified = linalg._certified_inverse
+    monkeypatch.setattr(linalg, "_certified_inverse", counted)
+    fast = [_guard_outcome(J) for J in mats]
+    monkeypatch.setattr(linalg, "_certified_inverse", lambda J: None)
+    assert fast == [_guard_outcome(J) for J in mats]
+    assert {o[0] for o in fast if not isinstance(o, bytes)} == {SingularMatrix, IllConditioned}
+    assert 0 < taken[0] < len(mats)
+
+
+def test_1x1_inverse_is_lapacks():
+    """A 1x1 inverse is 1/x, LAPACK's bytes; below 1e-314 (the threshold's
+    1e-300 floor times SINGULAR_SCALE_TOL) it is singular, as the SVD guard said,
+    and so it is from 1.4e154 on, where the threshold's x * x overflows."""
+    for x in (1.0, -3.0, 7.0, 0.1, 1.0 / 3.0, 1e-300, -1e-310, 2e-314, 1e300, -1.7e308,
+              0.0, -0.0, 5e-324, 1e-315):
+        for y in (x, -x):
+            J = np.array([[y]])
+            with np.errstate(over="ignore"):  # the reference's row norm at 1e300
+                want = _outcome(_numpy_invert, J)
+            assert _outcome(invert, J) == want
+            if want is SingularMatrix:
+                with pytest.raises(SingularMatrix, match=re.escape(f"|determinant| {abs(y):g} below")):
+                    invert(J)
 
 
 KERNEL_SCALES = (1e-200, 1.0, 1e200)

@@ -37,6 +37,28 @@ def test_scaled_spectrum_roundtrip():
     assert np.allclose(np.abs(s.unit), 1.0)
 
 
+def test_from_values_without_zeros_matches_the_masked_form(rng):
+    """With no zero modulus, from_values skips its masks; the arrays stay the
+    masked form's bit for bit, tiny, huge and NaN moduli included."""
+    def masked(values, log_scale):
+        values = np.asarray(values, dtype=complex)
+        mods = np.abs(values)
+        unit = np.where(mods > 0, values / np.maximum(mods, 1e-300), 0.0)
+        log_mod = np.where(mods > 0, np.log(np.maximum(mods, 1e-300)) + log_scale, -np.inf)
+        return unit, np.asarray(log_mod, dtype=float)
+
+    cases = [rng.standard_normal(k) * 10.0 ** rng.uniform(-300, 300, k) for k in range(1, 7)]
+    cases += [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in range(1, 7)]
+    cases += [np.array([1e-310, 5e-324, -2e-300]), np.array([1e308, -1e308 + 1e308j]),
+              np.array([0.0, 2.0]), np.array([math.nan, 1.0]), np.array([], dtype=complex)]
+    for values, log_scale in itertools.product(cases, (0.0, -731.25, 1e3)):
+        with np.errstate(invalid="ignore"):  # NaN / NaN
+            got = ScaledSpectrum.from_values(values, log_scale=log_scale)
+            unit, log_mod = masked(values, log_scale)
+        assert got.unit.dtype == unit.dtype and got.unit.tobytes() == unit.tobytes()
+        assert got.log_mod.dtype == log_mod.dtype and got.log_mod.tobytes() == log_mod.tobytes()
+
+
 def test_real_simple_in_log_space():
     # moduli separated by a factor e at enormous scale
     s = ScaledSpectrum(unit=np.array([1.0, -1.0], dtype=complex),
