@@ -4,7 +4,8 @@
 For the pinned (1,2,2) and (2,2,2) seed-3 instances this runs, through the
 command line in-process:
 
-    gen, then prove --count C --csv --out   (C = 40 and 10 by default)
+    gen, then check --instance              (its output holds the margins)
+    prove --count C --csv --out             (C = 40 and 10 by default)
     cascade --n N at k = k0                 (N = 1e2, 1e3, 1e4, 1e5)
     split --level l --n N at k = k0         (every level l = 1..m-1)
 
@@ -27,13 +28,15 @@ INSTANCES = (("1,2,2", 3, 40), ("2,2,2", 3, 10))  # structure, seed, prove count
 CASCADE_NS = (100, 1_000, 10_000, 100_000)
 
 
-def _run(argv) -> None:
-    """Run one command quietly; raise with its error output on exit != 0."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv) -> str:
+    """Run one command and return its standard output; raise with its error
+    output on exit != 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
     if code != 0:
         raise RuntimeError(f"{argv[0]} exited {code}: {err.getvalue().strip()}")
+    return out.getvalue()
 
 
 def main(argv=None) -> int:
@@ -52,10 +55,12 @@ def main(argv=None) -> int:
         tag = structure.replace(",", "")
         inst = out / f"instance{tag}.json"
         _run(["gen", "--structure", structure, "--seed", seed, "--out", inst])
+        check = out / f"check{tag}.txt"
+        check.write_text(_run(["check", "--instance", inst]))
         prove, scan = out / f"prove{tag}.json", out / f"scan{tag}.csv"
         _run(["prove", "--instance", inst, "--count", args.count or count,
               "--csv", scan, "--out", prove])
-        written += [inst, prove, scan]
+        written += [inst, check, prove, scan]
         for n in args.n:
             path = out / f"cascade{tag}_{n}.json"
             _run(["cascade", "--instance", inst, "--n", n, "--out", path])

@@ -34,7 +34,6 @@ value that is stored or printed still comes from the SVD.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -185,14 +184,15 @@ def _singular_threshold(rows: list) -> float:
 
     The explicit left-to-right sums equal numpy's row norms bit for bit up to
     7 columns (numpy sums 8 or more terms pairwise; builtin ``sum``
-    compensates from Python 3.12 on).
+    compensates from Python 3.12 on).  A sum that overflows, for a row norm
+    above ~1.3e154, is replaced by the row's norm from ``math.hypot``.
     """
     scale = 1.0
     for row in rows:
         s = 0.0
         for x in row:
             s += x * x
-        scale *= max(math.sqrt(s), 1e-300)
+        scale *= max(math.sqrt(s) if s != math.inf else math.hypot(*row), 1e-300)
     return SINGULAR_SCALE_TOL * scale
 
 
@@ -387,22 +387,26 @@ def short_vectors(d: list, lam: list, radius2: int):
     """Fincke-Pohst enumeration over the Gram-Schmidt data of lll_reduce.
 
     Yields every integer coefficient vector x (the zero vector included)
-    with ||sum_i x_i b_i||^2 <= radius2.  With N_i = d[i+1] x_i +
-    sum_{j>i} lam[j][i] x_j the squared norm is sum_i N_i^2 / (d[i] d[i+1]),
-    so each level's range of x_i follows from an integer square root, exactly.
+    with ||sum_i x_i b_i||^2 <= radius2, the last coefficient outermost.
+    With N_i = d[i+1] x_i + sum_{j>i} lam[j][i] x_j the squared norm is
+    sum_i N_i^2 / (d[i] d[i+1]); every term and the remaining radius are
+    kept over the common denominator Q = prod_i d[i] d[i+1], so each level's
+    range of x_i follows from an integer square root, exactly.
     """
     n = len(d) - 1
     x = [0] * n
+    Q = math.prod(d[i] * d[i + 1] for i in range(n))
+    w = [Q // (d[i] * d[i + 1]) for i in range(n)]  # N_i^2 / (d[i] d[i+1]) = w[i] N_i^2 / Q
 
     def level(i, rest):
         if i < 0:
             yield list(x)
             return
         s = sum(lam[j][i] * x[j] for j in range(i + 1, n))
-        m = math.isqrt(math.floor(rest * d[i] * d[i + 1]))  # |N_i| <= m
+        m = math.isqrt(rest // w[i])  # |N_i| <= m
         for x[i] in range(-((m + s) // d[i + 1]), (m - s) // d[i + 1] + 1):
             N = d[i + 1] * x[i] + s
-            yield from level(i - 1, rest - Fraction(N * N, d[i] * d[i + 1]))
+            yield from level(i - 1, rest - w[i] * N * N)
         x[i] = 0
 
-    yield from level(n - 1, Fraction(radius2))
+    yield from level(n - 1, radius2 * Q)

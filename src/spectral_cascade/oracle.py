@@ -595,7 +595,10 @@ def _certify(centres: list, corrections: list) -> tuple:
     balls.  Pairwise disjoint disks hold exactly one root each.  When the
     modulus ranges |z_i| +- r_i are pairwise disjoint too, the moduli are
     distinct and every root is real: the conjugate of a root is a root of
-    the same modulus, which only the root's own disk can hold.  Raises
+    the same modulus, which only the root's own disk can hold.  The ranges
+    are disjoint when, sorted by their exact lower ends, each lies strictly
+    below the next; then the disks, which lie in them, are disjoint as well,
+    and only otherwise are the disks compared pair by pair.  Raises
     ConvergenceFailure when two disks meet or a disk is wider than half the
     working digits.
     """
@@ -607,14 +610,16 @@ def _certify(centres: list, corrections: list) -> tuple:
         if w is None or _sign(_mig(z), (-(10 ** digits) * d * m, e)) < 0:
             raise ConvergenceFailure(f"root {i} is not isolated to {digits} digits")
         radii.append((d * m, e))
-    real_simple = True
-    for i, j in combinations(range(d), 2):
-        ri, rj = _minus(radii[i]), _minus(radii[j])
-        if _sign(_mig(_sum(centres[i], _neg(centres[j]))), ri, rj) <= 0:
-            raise ConvergenceFailure(f"inclusion disks of roots {i} and {j} meet")
-        real_simple = real_simple and (
-            _sign(_mig(centres[i]), ri, _minus(_mag(centres[j])), rj) > 0
-            or _sign(_mig(centres[j]), rj, _minus(_mag(centres[i])), ri) > 0)
+    low = [(_mig(z), _minus(r)) for z, r in zip(centres, radii)]  # |z_i| - r_i
+    order = sorted(range(d), key=functools.cmp_to_key(
+        lambda i, j: _sign(*low[i], *map(_minus, low[j]))))
+    real_simple = all(_sign(*low[j], _minus(_mag(centres[i])), _minus(radii[i])) > 0
+                      for i, j in zip(order, order[1:]))
+    if not real_simple:
+        for i, j in combinations(range(d), 2):
+            if _sign(_mig(_sum(centres[i], _neg(centres[j]))),
+                     _minus(radii[i]), _minus(radii[j])) <= 0:
+                raise ConvergenceFailure(f"inclusion disks of roots {i} and {j} meet")
     return radii, real_simple
 
 

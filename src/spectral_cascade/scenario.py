@@ -166,25 +166,30 @@ def check_L_conditions(L: np.ndarray, structure: BlockStructure,
                            L_inv=Li, corner_inverses=tuple(corner_inverses))
 
 
-def _coeff_threshold(max_abs_coeff: int, n_angles: int) -> Fraction:
-    # Diophantine margin: an exact relation sits at distance ~0 while, for
-    # almost every angle tuple, |q + p . theta| stays above C / |p|^t
-    # (t = number of angles).  The allowance |p|^-(t+1) is safely below
-    # that generic floor, so pseudo-random near-hits are not flagged.
-    return Fraction(1, 1000 * (1 + max_abs_coeff) ** (n_angles + 1))
+def _smaller_ratio(u: tuple, v: tuple) -> tuple:
+    """The smaller of two fractions num / den > 0 given as (num, den); den = 0 is +inf."""
+    return v if v[0] * u[1] < u[0] * v[1] else u
 
 
 def check_angle_independence(thetas) -> float:
     """Exact rational-independence test for (1, theta_1, ..., theta_t).
 
     Raises IndependenceFailure when some integer p with 0 < max|p_i| <=
-    MAX_COEFF puts p . theta within _coeff_threshold(max|p|, t) of an
-    integer.  Exhaustive, one shell max|p| in [P, 2P) at a time: with
-    theta_i = a_i / D (float angles are dyadic) and the integer
-    K = 2P / threshold(P), such a p gives a vector (D p, K (p . a + q D))
-    of squared norm below D^2 (t+1) (2P)^2 in the lattice of the rows
-    (D e_i, K a_i) and (0, K D).  Every lattice vector in that radius is
-    enumerated from an LLL-reduced basis and tested exactly; no step rounds.
+    MAX_COEFF puts p . theta within threshold(max|p|) = 1 / (1000 (1 +
+    max|p|)^(t+1)) of an integer.  The threshold is a Diophantine margin:
+    an exact relation sits at distance ~0 while, for almost every angle
+    tuple, |q + p . theta| stays above C / |p|^t, so pseudo-random near-hits
+    are not flagged.
+
+    Exhaustive, one shell max|p| in [P, 2P) at a time: with theta_i = a_i / D
+    (float angles are dyadic) and the integer K = 2P / threshold(P), such a p
+    gives a vector (D p, K (p . a + q D)) of squared norm below
+    D^2 (t+1) (2P)^2 in the lattice of the rows (D e_i, K a_i) and (0, K D).
+    Every lattice vector in that radius is enumerated from an LLL-reduced
+    basis and tested exactly, on integers throughout.  A nonzero vector
+    sum_i x_i b_i, with k the last index of x_k != 0, is at least as long as
+    b*_k, so a shell whose shortest Gram-Schmidt norm exceeds the radius
+    holds none and is not enumerated.
 
     Returns the smallest, over shells, of the shortest Gram-Schmidt norm
     of the reduced basis over the radius, a lower bound on the shortest
@@ -196,26 +201,27 @@ def check_angle_independence(thetas) -> float:
     D = math.lcm(*(th.denominator for th in thetas))
     a = [th.numerator * (D // th.denominator) % D for th in thetas]
     basis = [[D * (i == j) for j in range(t)] + [a[i]] for i in range(t)] + [[0] * t + [D]]
-    K, margin, P = 1, math.inf, 1
-    while P <= MAX_COEFF:
-        K_shell = int(2 * P / _coeff_threshold(P, t))
+    K, margin2 = 1, (1, 0)
+    for P in (2 ** k for k in range(MAX_COEFF.bit_length())):  # P <= MAX_COEFF
+        K_shell = 2000 * P * (1 + P) ** (t + 1)  # 2P / threshold(P)
         for row in basis:  # the last coordinate is K times an integer
             row[t] = row[t] // K * K_shell
         K = K_shell
         d, lam = lll_reduce(basis)
         radius2 = D * D * (t + 1) * (2 * P) ** 2
-        shortest = min(Fraction(d[i + 1], d[i]) for i in range(t + 1))
-        margin = min(margin, math.sqrt(shortest / radius2))
+        shortest, den = functools.reduce(_smaller_ratio, zip(d[1:], d))  # min ||b*_i||^2
+        margin2 = _smaller_ratio(margin2, (shortest, den * radius2))
+        if shortest > den * radius2:  # no nonzero vector within the radius
+            continue
         for x in short_vectors(d, lam, radius2):
             p = [sum(xi * row[j] for xi, row in zip(x, basis)) // D for j in range(t)]
             r = sum(pi * ai for pi, ai in zip(p, a)) % D
-            dist, top = Fraction(min(r, D - r), D), max(map(abs, p), default=0)
-            if 0 < top <= MAX_COEFF and dist < _coeff_threshold(top, t):
+            r, top = min(r, D - r), max(map(abs, p), default=0)  # distance r / D
+            if 0 < top <= MAX_COEFF and 1000 * (1 + top) ** (t + 1) * r < D:
                 raise IndependenceFailure(
-                    f"relation with coefficients {p} ~ integer (distance {float(dist):.3g})"
+                    f"relation with coefficients {p} ~ integer (distance {r / D:.3g})"
                 )
-        P *= 2
-    return margin
+    return math.sqrt(Fraction(*margin2))
 
 
 def random_model_T(structure: BlockStructure, moduli, seed: int = 0) -> DiagonalModel:

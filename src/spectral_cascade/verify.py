@@ -86,6 +86,8 @@ def _verify_cascade_result(obj) -> dict:
     if len(result.levels) != len(obj["levels"]):
         _fail("level count mismatch")
     for lv, stored in zip(result.levels, obj["levels"]):
+        if int(stored["j"]) != lv.j:
+            _fail(f"level {lv.j} is stored as level {stored['j']}")
         X0 = serialize.matrix_from_json(stored["X"])
         tol = _MATCH_TOL * max(1.0, op_norm(X0))
         if not norm_below(lv.X - X0, math.nextafter(tol, math.inf)):  # <= tol passes

@@ -273,8 +273,9 @@ def test_verify_recomputes_split_residuals_and_bounds(tmp_path, seed3_file, sect
     lambda obj: obj["levels"][2]["polar"]["P"].update(data=[[1.0, 0.0], [0.0, 1.0]]),
     lambda obj: obj["levels"][1].pop("polar"),
     lambda obj: obj["levels"][0].update(polar=obj["levels"][1]["polar"]),
+    lambda obj: obj["levels"][1].update(j=obj["levels"][1]["j"] + 1),
 ], ids=["drift", "det", "drift-nan", "domination_margin", "alpha", "eps_hat-nan", "P",
-        "polar-dropped", "polar-added"])
+        "polar-dropped", "polar-added", "j"])
 def test_verify_recomputes_cascade_numbers(tmp_path, edit):
     obj = json.loads((DATA / "cascade_122_seed3_k21_n1000.json").read_text())
     edit(obj)

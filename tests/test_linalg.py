@@ -47,6 +47,7 @@ from spectral_cascade.linalg import (
 from spectral_cascade.oracle import ScaledSpectrum, match_scaled
 
 from charpoly import eigenvalues_charpoly
+from lattice_reference import reference_short_vectors
 
 
 def _real_simple(values):
@@ -276,6 +277,27 @@ def test_short_vectors_matches_brute_force(seed):
     assert set(got) == want
 
 
+def test_short_vectors_matches_the_fraction_reference():
+    """The same vectors in the same order as the enumeration that carries its
+    remaining radius as a Fraction, on reduced lattices of dimension 3 to 9
+    whose Gram-Schmidt norms grow geometrically, at radii 2 to 20 times the
+    shortest Gram-Schmidt norm."""
+    rng = np.random.default_rng(7)
+    total = 0
+    for case in range(63):
+        n = 3 + case % 7
+        g = rng.uniform(1.6, 4.0)
+        s = [int(1000 * g ** i * rng.uniform(1, 2)) for i in range(n)]
+        rows = [[int(rng.integers(-5 * s[j], 5 * s[j] + 1)) if j < i else s[i] * (i == j)
+                 for j in range(n)] for i in range(n)]
+        d, lam = lll_reduce(rows)
+        radius2 = math.floor(rng.uniform(2, 20) ** 2 * min(Fraction(d[i + 1], d[i]) for i in range(n)))
+        want = list(reference_short_vectors(d, lam, radius2))
+        assert list(short_vectors(d, lam, radius2)) == want, case
+        total += len(want)
+    assert total == 105_533
+
+
 def _mixed(sigmas):
     """Q1 diag(sigmas) Q2^T for two fixed orthogonal matrices that mix every row."""
     d = len(sigmas)
@@ -337,9 +359,21 @@ def test_singular_threshold_is_numpy_row_norm_product(rng, scale):
             assert _singular_threshold(J.tolist()) == expected
 
 
+@pytest.mark.parametrize("M", [np.array([[1e300]]), np.diag([1e155, 1e145])],
+                         ids=["1x1-1e300", "2x2-1e155"])
+def test_invert_rows_beyond_the_squared_float_range(M):
+    """A row norm above ~1.3e154 squares past the float range; the threshold
+    still holds its norm, so a well-conditioned matrix inverts."""
+    assert _singular_threshold(M.tolist()) == SINGULAR_SCALE_TOL * math.prod(M.max(axis=1))
+    np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
+
+
 # The plain numpy expressions the lean kernels replace, kept as the reference.
 def _numpy_singular_threshold(J):
-    row_norms = np.sqrt((J * J).sum(axis=1))
+    with np.errstate(over="ignore"):
+        row_norms = np.sqrt((J * J).sum(axis=1))
+    # a row norm above ~1.3e154, whose squares overflow, by repeated hypot
+    row_norms = np.where(row_norms == np.inf, np.hypot.reduce(np.abs(J), axis=1), row_norms)
     return SINGULAR_SCALE_TOL * float(np.prod(np.maximum(row_norms, 1e-300)))
 
 
@@ -568,15 +602,15 @@ def test_certified_inverse_changes_no_outcome(rng, d, monkeypatch):
 
 def test_1x1_inverse_is_lapacks():
     """A 1x1 inverse is 1/x, LAPACK's bytes; below 1e-314 (the threshold's
-    1e-300 floor times SINGULAR_SCALE_TOL) it is singular, as the SVD guard said,
-    and so it is from 1.4e154 on, where the threshold's x * x overflows."""
+    1e-300 floor times SINGULAR_SCALE_TOL) it is singular, as the SVD guard said.
+    From 1.4e154 on, where x * x overflows, the threshold still holds |x|."""
     for x in (1.0, -3.0, 7.0, 0.1, 1.0 / 3.0, 1e-300, -1e-310, 2e-314, 1e300, -1.7e308,
               0.0, -0.0, 5e-324, 1e-315):
         for y in (x, -x):
             J = np.array([[y]])
-            with np.errstate(over="ignore"):  # the reference's row norm at 1e300
-                want = _outcome(_numpy_invert, J)
+            want = _outcome(_numpy_invert, J)
             assert _outcome(invert, J) == want
+            assert (want is SingularMatrix) == (abs(y) < 1e-314)
             if want is SingularMatrix:
                 with pytest.raises(SingularMatrix, match=re.escape(f"|determinant| {abs(y):g} below")):
                     invert(J)

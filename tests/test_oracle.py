@@ -1,11 +1,13 @@
 import functools
 import itertools
+import json
 import math
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -357,11 +359,14 @@ def _ball_poly(roots):
     return balls
 
 
+def _certificate_input(roots, seeds):
+    """Centres and corrections on the ball polynomial prod (x - r), refined from seeds."""
+    return oracle._refine(_ball_poly(roots), [_exact_ball(s) for s in seeds])
+
+
 def _certify_roots(roots, seeds):
     """The certificate on the ball polynomial prod (x - r), refined from seeds."""
-    coeffs = _ball_poly(roots)
-    centres, corrections = oracle._refine(coeffs, [_exact_ball(s) for s in seeds])
-    return oracle._certify(centres, corrections)
+    return oracle._certify(*_certificate_input(roots, seeds))
 
 
 def test_certificate_proves_distinct_real_roots():
@@ -395,6 +400,71 @@ def test_certificate_rejects_a_double_root():
     centres = [((2 << 66) - 1, 0, 0, -66), ((2 << 66) + 1, 0, 0, -66)]
     with pytest.raises(ConvergenceFailure, match="meet"):
         oracle._certify(centres, oracle._corrections(coeffs, centres))
+
+
+def _pairwise_certify(centres, corrections):
+    """oracle._certify with every pair of disks and of modulus ranges compared."""
+    d = len(centres)
+    digits = oracle.GRADED_DIGITS // 2
+    radii = []
+    for i, (z, w) in enumerate(zip(centres, corrections)):
+        m, e = (0, 0) if w is None else oracle._mag(w)
+        if w is None or oracle._sign(oracle._mig(z), (-(10 ** digits) * d * m, e)) < 0:
+            raise ConvergenceFailure(f"root {i} is not isolated to {digits} digits")
+        radii.append((d * m, e))
+    real_simple = True
+    for i, j in itertools.combinations(range(d), 2):
+        ri, rj = oracle._minus(radii[i]), oracle._minus(radii[j])
+        if oracle._sign(oracle._mig(oracle._sum(centres[i], oracle._neg(centres[j]))), ri, rj) <= 0:
+            raise ConvergenceFailure(f"inclusion disks of roots {i} and {j} meet")
+        real_simple = real_simple and (
+            oracle._sign(oracle._mig(centres[i]), ri, oracle._minus(oracle._mag(centres[j])), rj) > 0
+            or oracle._sign(oracle._mig(centres[j]), rj, oracle._minus(oracle._mag(centres[i])), ri) > 0)
+    return radii, real_simple
+
+
+def _certificate_outcome(certify, centres, corrections):
+    try:
+        return certify(centres, corrections)
+    except ConvergenceFailure as exc:
+        return str(exc)
+
+
+def _bench_hit_inputs():
+    """Centres and corrections at the hits listed in bench/reference.json."""
+    reference = json.loads((Path(__file__).resolve().parent.parent / "bench" / "reference.json")
+                           .read_text())
+    for key, hits in reference.items():
+        structure, seed = key.split("@")
+        spec = sc.generate_instance(tuple(map(int, structure.split(","))), seed=int(seed))
+        assert (spec.a, spec.b) == (1, 0)
+        for n in hits:
+            coeffs = oracle._charpoly_coeffs(spec.L_n(n), spec.model, n)
+            yield oracle._refine(coeffs, oracle._newton_polygon_seeds(coeffs, spec.model))
+
+
+def test_sorted_certificate_matches_the_pairwise_one():
+    """Same radii, flag and messages as comparing every pair, on the
+    certificate cases above and at the 50 hits of the benchmark."""
+    coeffs = [(1, 0, 0, 0), (1, 0, 0, 2), (1, 0, 0, 2)]  # x^2 - 4x + 4, touching disks
+    touching = [((2 << 66) - 1, 0, 0, -66), ((2 << 66) + 1, 0, 0, -66)]
+    cases = [_certificate_input(roots, seeds) for roots, seeds in (
+        (["1", "2", "3"], [0.9, 2.2, 3.1]),
+        (["3e-500", "-2", "7e400"], ["2.5e-500", -1.5, "7.2e400"]),
+        (["-2", "2", "5"], [-2.1, 2.1, 4.9]),
+        (["1", ("3", "3e-12"), ("3", "-3e-12")], [1.1, 3 + 1e-11j, 3 - 1e-11j]),
+        (["1", "2", "2"], [0.9, 1.9, 2.1]),
+    )] + [(touching, oracle._corrections(coeffs, touching))]
+    hits = list(_bench_hit_inputs())
+    assert len(hits) == 50
+    outcomes = []
+    for centres, corrections in cases + hits:
+        want = _certificate_outcome(_pairwise_certify, centres, corrections)
+        assert _certificate_outcome(oracle._certify, centres, corrections) == want
+        outcomes.append(want if isinstance(want, str) else want[1])
+    assert outcomes[:6] == [True, True, False, False, "root 1 is not isolated to 20 digits",
+                            "inclusion disks of roots 0 and 1 meet"]
+    assert outcomes[6:] == [True] * 50
 
 
 # Ball arithmetic: every operation holds the exact result for every point of

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import lattice_reference
 from spectral_cascade import scenario
 from spectral_cascade.blocks import BlockStructure
 from spectral_cascade.cascade import choose_parameters
@@ -15,9 +16,10 @@ from spectral_cascade.errors import (
     IndependenceFailure,
     PerturbationExhausted,
 )
-from spectral_cascade.linalg import op_norm, singular_values
+from spectral_cascade.linalg import lll_reduce, op_norm, singular_values
 from spectral_cascade.scenario import (
     _ANGLE_PRIMES,
+    MAX_COEFF,
     InstanceSpec,
     PerturbationLaw,
     check_angle_independence,
@@ -233,6 +235,53 @@ def test_angle_independence_allocates_no_large_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def _independence_outcome(check, thetas):
+    try:
+        return "margin", check(thetas)
+    except IndependenceFailure as exc:
+        return "failure", str(exc)
+
+
+def _angle_tuples(rng):
+    """sqrt(p) tuples of 1 to 4 angles, random dyadic angles, and planted
+    relations theta_t = sum c_i theta_i mod 1 with max|c_i| in [P, 2P), for
+    every shell P = 1, ..., 8192 and once beyond MAX_COEFF."""
+    tuples = [_sqrt_angles(rng.choice(_ANGLE_PRIMES, size=t, replace=False))
+              for t in (1, 2, 3, 4) for _ in range(8)]
+    tuples += [[int(rng.integers(1, 2 ** b)) / 2 ** b for b in rng.integers(4, 54, size=t)]
+               for t in rng.integers(1, 4, size=16)]
+    for P in (2 ** k for k in range(15)):
+        for t in (2, 2, 3, 3):
+            base = _sqrt_angles(rng.choice(_ANGLE_PRIMES, size=t - 1, replace=False))
+            c = [int(v) for v in rng.integers(-P, P, size=t - 1)]
+            top = min(2 * P, MAX_COEFF + 1) if P <= MAX_COEFF else 2 * P
+            c[int(rng.integers(t - 1))] = int(rng.choice([-1, 1]) * rng.integers(P, top))
+            last = sum(ci * Fraction(th) for ci, th in zip(c, base)) % 1
+            assert Fraction(float(last)) == last
+            tuples.append(base + [float(last)])
+    return tuples
+
+
+def test_angle_independence_matches_the_unpruned_reference(monkeypatch):
+    """Same margin bits and same failure messages as the check that enumerates
+    every shell in Fraction arithmetic, with failures raised in every shell
+    that these relations reach."""
+    shells = []
+    monkeypatch.setattr(lattice_reference, "lll_reduce", lambda b: shells.append(b) or lll_reduce(b))
+    failed_in = set()
+    tuples = _angle_tuples(np.random.default_rng(22))
+    for thetas in tuples:
+        shells.clear()
+        want = _independence_outcome(lattice_reference.reference_angle_independence, thetas)
+        assert _independence_outcome(check_angle_independence, thetas) == want, thetas
+        if want[0] == "failure":
+            failed_in.add(len(shells) - 1)
+    # the last shell adds only vectors longer than the previous radius,
+    # D sqrt(t + 1) 8192, and none of these relations is that long
+    assert failed_in == set(range(13))
+    assert len(tuples) == 108
 
 
 def test_random_model_T_shape_and_angles():

@@ -39,7 +39,8 @@ def test_output_digest_prints_one_sha256_per_output(tmp_path):
     out = _run_script("output_digest.py", "--out", str(tmp_path), "--count", "1", "--n", "100")
     lines = out.splitlines()
     names = [f"{stem}{tag}{ext}" for tag in ("122", "222") for stem, ext in
-             (("instance", ".json"), ("prove", ".json"), ("scan", ".csv"), ("cascade", "_100.json"),
+             (("instance", ".json"), ("check", ".txt"), ("prove", ".json"), ("scan", ".csv"),
+              ("cascade", "_100.json"),
               ("split", "_level1_100.json"), ("split", "_level2_100.json"))]
     assert [line.split("  ")[1] for line in lines] == names
     for line, name in zip(lines, names):
