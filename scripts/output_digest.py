@@ -9,8 +9,11 @@ command line in-process:
     cascade --n N at k = k0                 (N = 1e2, 1e3, 1e4, 1e5)
     split --level l --n N at k = k0         (every level l = 1..m-1)
 
-and prints one sha256 per file written to --out.  Run it on two checkouts
-and compare the printed lines:
+and prints one sha256 per file written to --out.  Each JSON artifact it
+writes (instance, prove report, cascade result, split certificate) is then
+run through ``verify --artifact``; if one is rejected, the script names it
+on standard error and exits 1.  Run it on two checkouts and compare the
+printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py --out /tmp/digest
 """
@@ -69,9 +72,18 @@ def main(argv=None) -> int:
                 path = out / f"split{tag}_level{level}_{n}.json"
                 _run(["split", "--instance", inst, "--level", level, "--n", n, "--out", path])
                 written.append(path)
+    rejected = []
+    for path in written:
+        if path.suffix == ".json":
+            try:
+                _run(["verify", "--artifact", path])
+            except RuntimeError as exc:
+                rejected.append(f"{path.name}: {exc}")
     for path in written:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
-    return 0
+    for line in rejected:
+        print(f"verify rejects {line}", file=sys.stderr)
+    return 1 if rejected else 0
 
 
 if __name__ == "__main__":

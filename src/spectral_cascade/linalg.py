@@ -61,6 +61,7 @@ SINGULAR_SCALE_TOL = 1e-14
 CONDITION_CAP = 1e12
 PHASE_EXPONENT_LIMIT = 2 ** 26  # phase_mod1's exact range
 _OVERFLOW_NORM = 1e300
+_FLOAT_MIN = 2.0 ** -1022  # the least normal float
 
 
 def _failing_with(message: str):
@@ -184,16 +185,27 @@ def _singular_threshold(rows: list) -> float:
 
     The explicit left-to-right sums equal numpy's row norms bit for bit up to
     7 columns (numpy sums 8 or more terms pairwise; builtin ``sum``
-    compensates from Python 3.12 on).  A sum that overflows, for a row norm
-    above ~1.3e154, is replaced by the row's norm from ``math.hypot``.
+    compensates from Python 3.12 on).  A sum that overflows or leaves the
+    normal range, for a row norm above ~1.3e154 or below ~1.5e-154, is
+    replaced by the row's norm from ``math.hypot``.  The product is carried
+    as a mantissa and a binary exponent (``math.frexp``), so only its end
+    value can leave the float range; wherever the plain running product
+    stays normal the result is that product's, bit for bit.
     """
-    scale = 1.0
+    mant, exp = 1.0, 0
     for row in rows:
         s = 0.0
         for x in row:
             s += x * x
-        scale *= max(math.sqrt(s) if s != math.inf else math.hypot(*row), 1e-300)
-    return SINGULAR_SCALE_TOL * scale
+        norm = math.sqrt(s) if _FLOAT_MIN <= s < math.inf else math.hypot(*row)
+        mant, e = math.frexp(mant * max(norm, 1e-300))
+        exp += e
+    if -1021 <= exp <= 1024:  # the product mant 2^exp is a normal float
+        return SINGULAR_SCALE_TOL * math.ldexp(mant, exp)
+    try:
+        return math.ldexp(SINGULAR_SCALE_TOL * mant, exp)
+    except OverflowError:
+        return math.inf
 
 
 def _certified_inverse(J: np.ndarray):

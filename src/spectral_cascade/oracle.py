@@ -14,24 +14,30 @@ characteristic polynomial of (L R) D by principal minors (Cauchy-Binet):
 
     c_k = sum_{|S| = k} det((L R)_SS) * prod_{i in S} d_i.
 
+Minors whose coordinates fall in the same blocks, one key, share their
+weight prod d_i, and each key's minor sum is sum_eps C_eps prod (c_b or s_b)
+over the rotation blocks it cuts in half, with integers C_eps that depend
+only on the bits of L (see the minors module); a negative scalar adds a
+factor -1 at odd n.  The tables of C_eps and of each key's Hadamard bound,
+which decides with the weights whether the key is formed, are kept per L.
+Per exponent only the weights, the phases and one exact evaluation and
+rounding per formed key are new.
+
 Everything runs on Python integers, in midpoint-radius balls: an integer
 centre times a power of two, with a radius rounded outward (F. Johansson,
-"Arb", IEEE Trans. Comput. 66, 2017), at GRADED_DIGITS digits.  mpmath is
-called at libmp level for the elementary enclosures only: the logs and
-exps of the weights d_i and the cosines and sines of the phases.  A phase
-turn n*theta mod 1 is an exact dyadic rational, so its cosine and sine come
+"Arb", IEEE Trans. Comput. 66, 2017), at GRADED_DIGITS digits.  A weight
+d_i = modulus^n comes from binary powering of the exact dyadic modulus,
+rounded down and up.  Among the enclosures, mpmath (at libmp level)
+serves the cosines and sines of the phases only: a phase turn
+n*theta mod 1 is an exact dyadic rational, so its cosine and sine come
 from one evaluation at that turn, widened outward as libmp's own interval
-cosine widens its evaluations.  The rotation entries of L R are enclosed
-in exact integer interval arithmetic and rounded; each principal minor is
-the exact minor of the rounded entries, widened by a Hadamard
-perturbation bound.  Minors come from Sylvester's identity along the
-prefix tree of subsets, formed only for the terms that are not negligible
-against the largest of their coefficient.  Each block of the ladder is one
-segment of the Newton polygon, so a linear or quadratic in consecutive
-coefficients seeds that block's roots.  One loop then evaluates
-p at every centre as a ball and forms the Weierstrass corrections W_i,
-stepping z_i <- z_i - mid W_i (Durand-Kerner) until they are small; the
-last corrections give Weierstrass inclusion disks (Braess and Hadeler 1973;
+cosine widens its evaluations.  Terms that are negligible against the
+largest of their coefficient are not formed.  Each block of the ladder is
+one segment of the Newton polygon, so a linear or quadratic in consecutive
+coefficients seeds that block's roots.  One loop then evaluates p at every
+centre as a ball and forms the Weierstrass corrections W_i, stepping
+z_i <- z_i - mid W_i (Durand-Kerner) until they are small; the last
+corrections give Weierstrass inclusion disks (Braess and Hadeler 1973;
 Bini and Fiorentino 2000), bounded over the coefficient balls.  Pairwise
 disjoint disks hold one root each, or ConvergenceFailure is raised.  The
 same disks prove a spectrum real with distinct moduli.  The route shares no
@@ -49,6 +55,7 @@ from itertools import combinations
 import numpy as np
 from mpmath import libmp
 
+from . import minors
 from .blocks import block_diag
 from .errors import ConvergenceFailure
 from .linalg import eigenvalues
@@ -320,64 +327,36 @@ def _charpoly_coeffs(L: np.ndarray, model: DiagonalModel, n: int) -> list:
     """Real balls [c_0, ..., c_d] holding the exact coefficients of
     det(x - L T^n) = sum_k (-1)^k c_k x^(d-k).
 
-    The rotation entries of L R are enclosed in exact integer interval
-    arithmetic around enclosures of their cosines and sines, then rounded to
-    _PREC bits.  Each principal minor is the exact minor of the rounded
-    entries, widened by the multilinear Hadamard bound
-    prod(|a_i| + |e_i|) - prod |a_i| for its rows a_i with rounding errors
-    e_i.  Minors whose coordinates lie in the same blocks share one weight
-    ball prod d_i, so they are summed exactly before it is applied.
+    Each term is a key's minor sum, evaluated exactly in the midpoint-radius
+    enclosures of its phases' cosines and sines, times the key's weight
+    ball.  Terms go in decreasing order of their bound; a term whose bound
+    lies below cut, 2 _PREC bits under the largest term formed for its c_k,
+    is not formed: together they only widen the radius, as the disk of
+    radius (their count) 2^cut about 0.
     """
-    d = model.d
-    prec = _PREC
-    ratios = [[float(x).as_integer_ratio() for x in row] for row in L]
-    F = max(den.bit_length() - 1 for row in ratios for _, den in row)
-    A = [[num << (F - den.bit_length() + 1) for num, den in row] for row in ratios]
-    lo = [[a << prec for a in row] for row in A]  # entries of L R, units 2^-(F+prec)
-    hi = [row[:] for row in lo]
-    power = []  # d_b 2^-prec per block
-    owner = []  # block of each coordinate
-    pos = 0
+    table = minors.minor_table(L, tuple(blk.size for blk in model.diag_blocks))
+    power = [_weight(blk.modulus, n) for blk in model.diag_blocks]
+    exps = [e + (x + r).bit_length() for x, _, r, e in power]  # |d_b| < 2^exps[b]
+    phase = {}  # rotation block -> (cos, sin) as (mid, rad), units 2^-(_PREC+1)
     for b, blk in enumerate(model.diag_blocks):
-        power.append(_weight(blk.modulus, n))
-        owner += [b] * blk.size
-        if blk.size == 1:
-            if blk.value < 0 and n % 2 == 1:
-                for rl, rh in zip(lo, hi):
-                    rl[pos], rh[pos] = -rh[pos], -rl[pos]
-        else:
-            (cl, ch), (sl, sh) = _cos_sin(Fraction(blk.theta) * n % 1)
-            for a, rl, rh in zip(A, lo, hi):  # B <- B R on columns pos, pos+1
-                uc, us = _times(a[pos], cl, ch), _times(a[pos], sl, sh)
-                vc, vs = _times(a[pos + 1], cl, ch), _times(a[pos + 1], sl, sh)
-                rl[pos], rh[pos] = uc[0] + vs[0], uc[1] + vs[1]
-                rl[pos + 1], rh[pos + 1] = vc[0] - us[1], vc[1] - us[0]
-        pos += blk.size
-    # rounded entries and their rounding errors, units 2^-prec
-    Bint, err = [], []
-    for rl, rh in zip(lo, hi):
-        low, high = [x >> F for x in rl], [-(-x >> F) for x in rh]
-        Bint.append([(a + b) // 2 for a, b in zip(low, high)])
-        err.append([b - r for b, r in zip(high, Bint[-1])])
-    norm = [math.isqrt(sum(a * a for a in row)) + 1 for row in Bint]
-    slack = [math.isqrt(sum(e * e for e in row)) + 1 for row in err]
+        if blk.size == 2:
+            phase[b] = [(lo + hi, hi - lo) for lo, hi in _cos_sin(Fraction(blk.theta) * n % 1)]
+    monomials = {(): [(1, 0)]}  # halves -> per eps, prod (cos or sin) as (mid, rad)
 
-    prefix = {(): (1, 1, ())}  # S -> prod (norm + slack), prod norm over its rows; its blocks
-    members = [{} for _ in range(d + 1)]  # |S| -> blocks of S -> the subsets S
-    for k in range(1, d + 1):
-        for S in combinations(range(d), k):
-            wide, tight, key = prefix[S[:-1]]
-            i = S[-1]
-            prefix[S] = (wide * (norm[i] + slack[i]), tight * norm[i], key + (owner[i],))
-            members[k].setdefault(prefix[S][2], []).append(S)
+    def monomials_of(halves):
+        if halves not in monomials:
+            out = []
+            for eps in range(1 << len(halves)):
+                mid = wide = 1
+                for i, b in enumerate(halves):
+                    m, w = phase[b][eps >> i & 1]
+                    mid, wide = mid * m, wide * (abs(m) + w)
+                out.append((mid, wide - abs(mid)))
+            monomials[halves] = out
+        return monomials[halves]
 
-    # A term is an exact [low, high] sum of minors times its weight ball.  By
-    # Hadamard |low|, |high| <= sum prod (norm + slack), so |term| < 2^bound.
-    # The terms whose bound lies below cut, 2 _PREC bits under the largest
-    # exact term of their c_k, never form their minors: together they only
-    # widen the radius, as the disk of radius (their count) 2^cut about 0.
-    exps = [e + (x + r).bit_length() for x, _, r, e in power]
-    minor = _principal_minors(Bint)
+    flips = {b for b, blk in enumerate(model.diag_blocks)
+             if n % 2 == 1 and blk.size == 1 and blk.value < 0}
     weight = {(): _ONE}
 
     def weight_of(key):
@@ -385,46 +364,53 @@ def _charpoly_coeffs(L: np.ndarray, model: DiagonalModel, n: int) -> list:
             weight[key] = _mul(weight_of(key[:-1]), power[key[-1]])
         return weight[key]
 
-    terms = [[_ONE]] + [[] for _ in range(d)]
-    scale = {(): 0}  # blocks -> bit bound of their weight
-    for k in range(1, d + 1):
-        bound = {}
-        for key, group in members[k].items():  # every key after its prefix
-            scale[key] = scale[key[:-1]] + exps[key[-1]]
-            bound[key] = sum(prefix[S][0] for S in group).bit_length() + scale[key]
+    terms = [[_ONE]] + [[] for _ in range(model.d)]
+    for k in range(1, model.d + 1):
+        keys = table.keys[k]
+        scale = {key: sum(exps[b] for b in key) for key in keys}  # |weight| < 2^scale
+        bound = {key: bits - table.F * k + scale[key] for key, (bits, _) in keys.items()}
         cut, dropped = -math.inf, 0
         for key in sorted(bound, key=bound.get, reverse=True):
             if bound[key] < cut:
                 dropped += 1
                 continue
-            low = high = 0
-            for S in members[k][key]:
-                wide, tight, _ = prefix[S]
-                m = minor(S)
-                low, high = low + m - (wide - tight), high + m + (wide - tight)
-            cut = max(cut, max(-low, high).bit_length() + scale[key] - 2 * _PREC)
-            terms[k].append(_mul((low + high, 0, high - low, -1), weight_of(key)))
+            halves = keys[key][1]
+            x = r = 0  # the minor sum, units 2^e
+            for C, (mid, rad) in zip(table.sums(key), monomials_of(halves)):
+                x, r = x + C * mid, r + abs(C) * rad
+            if len(flips.intersection(key)) % 2:
+                x = -x
+            e = -table.F * k - (_PREC + 1) * len(halves)
+            cut = max(cut, (abs(x) + r).bit_length() + e + scale[key] - 2 * _PREC)
+            terms[k].append(_mul((x, 0, r, e), weight_of(key)))
         if dropped:
             terms[k].append((0, 0, dropped, cut))
     return [_sum(*balls) for balls in terms]
 
 
-@functools.lru_cache(maxsize=64)
-def _log_bounds(modulus: float) -> tuple:
-    """Enclosure of log(modulus), to 64 bits more than the working precision."""
-    x = libmp.from_float(modulus)
-    return libmp.mpi_log((x, x), _PREC + 64)
-
-
 def _weight(modulus: float, n: int) -> tuple:
-    """Real ball of modulus^n 2^-_PREC."""
-    lo, hi = libmp.mpi_exp(libmp.mpi_mul(_log_bounds(modulus), (libmp.from_int(n),) * 2),
-                           _PREC + 8)
-    (_, ml, el, _), (_, mh, eh, _) = lo, hi  # both positive; gmpy2 mpz or int
-    el, eh = int(el), int(eh)
-    e = min(el, eh)
-    ml, mh = int(ml) << (el - e), int(mh) << (eh - e)
-    return _trim(ml + mh, 0, mh - ml, e - 1 - _PREC)
+    """Real ball of modulus^n.
+
+    The modulus is an exact dyadic m 2^f; binary powering keeps a lower and
+    an upper bound of modulus^n, truncated to wp bits by floor and by
+    ceiling after each step.  Each truncation moves a bound by a relative
+    2^(2-wp) at most, and a squaring doubles the log ratio of the bounds, so
+    after the bits(n) steps that ratio is below n 2^(4-wp): 2^-(_PREC+4) at
+    wp = _PREC + bits(n) + 8.
+    """
+    m, den = modulus.as_integer_ratio()
+    f = 1 - den.bit_length()
+    wp = _PREC + n.bit_length() + 8
+    lo = hi = 1
+    e = 0
+    for bit in bin(n)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi, e = lo * m, hi * m, e + f
+        s = hi.bit_length() - wp
+        if s > 0:
+            lo, hi, e = lo >> s, -(-hi >> s), e + s
+    return _trim(lo + hi, 0, hi - lo, e - 1)
 
 
 def _cos_sin(turns: Fraction) -> tuple:
@@ -452,68 +438,6 @@ def _cos_sin(turns: Fraction) -> tuple:
             lo, hi = lo >> -shift, -(-hi >> -shift)  # floor and ceiling
         bounds.append((max(lo, -1 << _PREC), min(hi, 1 << _PREC)))
     return tuple(bounds)
-
-
-def _times(u: int, lo: int, hi: int) -> tuple:
-    """The interval u [lo, hi] for an exact integer u."""
-    return (u * lo, u * hi) if u >= 0 else (u * hi, u * lo)
-
-
-def _principal_minors(B: list):
-    """The function S -> det B[S, S] for nonempty sorted S, on demand.
-
-    The state of a prefix P holds a_rc = det B[P+r, P+c] for r, c > max P;
-    child P+i has minor a_ii, and by Sylvester's identity its state is
-    (a_ii a_rc - a_ri a_ic) / det B_PP, an exact division (K. Griffin,
-    M. J. Tsatsomeros, "Principal minors, Part I", Linear Algebra Appl. 419,
-    2006).  States are formed once, for the prefixes asked for; below a
-    prefix whose minor is 0, each subset is eliminated on its own.
-    """
-    states = {(): (1, B)}  # P -> (det B_PP, its state), or None below a zero minor
-
-    def place(S):  # row of S's last index in the state of S[:-1]
-        return S[-1] - (S[-2] + 1 if len(S) > 1 else 0)
-
-    def state(P):
-        if P not in states:
-            up = state(P[:-1])
-            if up is None or up[0] == 0:
-                states[P] = None
-            else:
-                det, rows = up
-                a = place(P)
-                row = rows[a]
-                pivot, tail = row[a], row[a + 1:]
-                states[P] = (pivot, [[(pivot * x - other[a] * y) // det
-                                      for x, y in zip(other[a + 1:], tail)]
-                                     for other in rows[a + 1:]])
-        return states[P]
-
-    def minor(S):
-        up = state(S[:-1])
-        if up is None:
-            return _bareiss_det([[B[r][c] for c in S] for r in S])
-        return up[1][place(S)][place(S)]
-
-    return minor
-
-
-def _bareiss_det(A: list) -> int:
-    """Exact determinant of an integer matrix (fraction-free; A is consumed)."""
-    k = len(A)
-    sign, prev = 1, 1
-    for c in range(k - 1):
-        if A[c][c] == 0:
-            swap = next((r for r in range(c + 1, k) if A[r][c] != 0), None)
-            if swap is None:
-                return 0
-            A[c], A[swap] = A[swap], A[c]
-            sign = -sign
-        for r in range(c + 1, k):
-            for col in range(c + 1, k):
-                A[r][col] = (A[r][col] * A[c][c] - A[r][c] * A[c][col]) // prev
-        prev = A[c][c]
-    return sign * A[k - 1][k - 1]
 
 
 def _newton_polygon_seeds(coeffs: list, model: DiagonalModel) -> list:

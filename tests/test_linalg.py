@@ -368,6 +368,30 @@ def test_invert_rows_beyond_the_squared_float_range(M):
     np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
 
 
+def test_threshold_product_leaves_the_float_range_only_at_its_end():
+    """A running row-norm product that overflows or underflows before its last
+    factor decides no guard: diag(1e200, 1e200, 1e-100) has |det| equal to
+    that product, 1e300, and condition number 1e300; the rank-two matrix
+    with rows near 2^-664 and 2^664 is as singular as its twin with rows
+    scaled to 1."""
+    wide = np.diag([1e200, 1e200, 1e-100])
+    assert _singular_threshold(wide.tolist()) == pytest.approx(SINGULAR_SCALE_TOL * 1e300,
+                                                               rel=1e-15)
+    with pytest.raises(IllConditioned):
+        invert(wide)
+    t = 2.0 ** -664
+    rank_two = np.array([[t, t, 0.0], [t, t, 0.0], [0.0, 0.0, 1.0 / t]])
+    # its row norms square below the float range, and are taken by hypot
+    assert _singular_threshold(rank_two.tolist()) == pytest.approx(
+        SINGULAR_SCALE_TOL * 2.0 ** -663, rel=1e-15)
+    for M in (rank_two, rank_two / np.abs(rank_two).max(axis=1, keepdims=True)):
+        with pytest.raises(SingularMatrix):
+            invert(M)
+    # past the float range at the end the threshold is inf or 0, as before
+    assert _singular_threshold(np.diag([1e200, 1e200, 1e100]).tolist()) == math.inf
+    assert _singular_threshold(np.diag([1e-200, 1e-200, 1e-100]).tolist()) == 0.0
+
+
 # The plain numpy expressions the lean kernels replace, kept as the reference.
 def _numpy_singular_threshold(J):
     with np.errstate(over="ignore"):

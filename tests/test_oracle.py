@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spectral_cascade as sc
-from spectral_cascade import oracle
+from spectral_cascade import minors, oracle
 from spectral_cascade.errors import ConvergenceFailure
 from spectral_cascade.linalg import eigenvalues
+from spectral_cascade.model import DiagonalModel, ScalarBlock
 from spectral_cascade.oracle import (
     GAP_TOL,
     NUMPY_DIGIT_CAP,
@@ -194,22 +195,62 @@ def test_product_spectrum_mp_path_consistent():
                 assert match_scaled(got, ref) <= 1e-10, (pattern, k, n)
 
 
-def test_interval_coefficients_hold_the_characteristic_polynomial():
-    """Each c_k ball holds the sum of principal k-minors of L T^n at spread + 60 digits."""
+def _negated_scalars(model):
+    """The model with every scalar block negated: its sign alternates with n."""
+    return DiagonalModel(model.structure, tuple(
+        ScalarBlock(-b.value) if b.size == 1 else b for b in model.diag_blocks))
+
+
+def _coefficient_cases():
+    """(pattern, L, model, exponents): the criterion-1 instances at k0, also
+    with their scalar blocks negated, and (1,)*6 at seed 3; each at an odd
+    and an even exponent near n0 and near 1,000."""
     for i, pattern in enumerate(PATTERNS):
         spec, casc = _criterion_1_case(i)
-        L = spec.L_n(casc.k0)
-        for n in (casc.n0, 1_000):
+        models = [spec.model] + ([_negated_scalars(spec.model)] if 1 in pattern else [])
+        for model in models:
+            yield pattern, spec.L_n(casc.k0), model, (casc.n0, casc.n0 + 1, 1_000, 1_001)
+    spec = sc.generate_instance((1,) * 6, seed=3)
+    for model in (spec.model, _negated_scalars(spec.model)):
+        yield (1,) * 6, spec.L, model, (40, 41, 1_000, 1_001)
+
+
+def test_interval_coefficients_hold_the_characteristic_polynomial():
+    """Each c_k ball holds the sum of principal k-minors of L T^n at spread + 60 digits."""
+    checked = set()
+    for pattern, L, model, exponents in _coefficient_cases():
+        for n in exponents:
             mp = mpmath.MPContext()
-            mp.dps = int(spread_digits(spec.model, n)) + 60
-            M = mp.matrix(L.tolist()) * _mp_power(mp, spec.model, n)
-            coeffs = oracle._charpoly_coeffs(L, spec.model, n)
+            mp.dps = int(spread_digits(model, n)) + 60
+            M = mp.matrix(L.tolist()) * _mp_power(mp, model, n)
+            coeffs = oracle._charpoly_coeffs(L, model, n)
             for k, (x, _, rad, e) in enumerate(coeffs):
                 ref = mp.fsum(mp.det(mp.matrix([[M[r, col] for col in S] for r in S])) if S else 1
-                              for S in itertools.combinations(range(spec.model.d), k))
+                              for S in itertools.combinations(range(model.d), k))
                 low, high = mp.ldexp(x - rad, e), mp.ldexp(x + rad, e)
-                assert low <= ref <= high, (pattern, n, k)
+                assert low <= ref <= high, (pattern, model.diag_blocks[0], n, k)
                 assert high - low <= abs(ref) * mp.mpf(10) ** -30, (pattern, n, k)
+            checked.add((pattern, any(b.size == 1 and b.value < 0 for b in model.diag_blocks),
+                         n % 2))
+    # every pattern with a scalar block ran negated at both parities
+    assert {(p, True, parity) for p in PATTERNS + [(1,) * 6] if 1 in p for parity in (0, 1)} <= checked
+
+
+def test_weight_balls_hold_the_powers_of_every_modulus():
+    """Each weight ball holds modulus^n at 400 bits, within 2^-130 relative."""
+    moduli = {blk.modulus for pattern in PATTERNS + [(1,) * 6] for seed in range(4)
+              for blk in sc.generate_instance(pattern, seed=seed).model.diag_blocks}
+    moduli |= {blk.modulus for i in range(len(PATTERNS))
+               for blk in _criterion_1_case(i)[0].model.diag_blocks}
+    mp = mpmath.MPContext()
+    mp.prec = 400
+    for modulus in sorted(moduli):
+        for n in (1, 2, 3, 65, 4331, 2 ** 26 - 1):
+            x, y, r, e = oracle._weight(modulus, n)
+            value = mp.mpf(modulus) ** n
+            low, high = mp.ldexp(x - r, e), mp.ldexp(x + r, e)
+            assert y == 0 and low <= value <= high, (modulus, n)
+            assert high - low <= value * mp.ldexp(1, -130), (modulus, n)
 
 
 def _interval_cos_sin(turns: Fraction) -> tuple:
@@ -551,66 +592,174 @@ def test_ball_moduli_bound_every_point(a, u):
 
 def _minors_by_bareiss(B) -> dict:
     d = len(B)
-    return {S: oracle._bareiss_det([[B[r][c] for c in S] for r in S])
+    return {S: minors._bareiss_det([[B[r][c] for c in S] for r in S])
             for k in range(1, d + 1) for S in itertools.combinations(range(d), k)}
 
 
 def _sylvester_minors(B, order=1) -> dict:
-    """Every minor from _principal_minors, asked for in lexicographic order or reversed."""
-    minor = oracle._principal_minors(B)
+    """Every principal minor from _schur_blocks, asked for in lexicographic
+    order or reversed; None below a vanishing prefix minor."""
+    block = minors._schur_blocks(B, [])
     subsets = [S for k in range(1, len(B) + 1) for S in itertools.combinations(range(len(B)), k)]
-    return {S: minor(S) for S in subsets[::order]}
+    got = {}
+    for S in subsets[::order]:
+        schur = block(S[:-1], S[-1:])
+        got[S] = None if schur is None else schur[1][0][0]
+    return got
 
 
-def _check_minors(B, monkeypatch) -> int:
-    """Sylvester's identity against per-subset elimination: the Bareiss calls it made."""
-    calls = []
-    bareiss = oracle._bareiss_det
-    monkeypatch.setattr(oracle, "_bareiss_det", lambda A: calls.append(1) or bareiss(A))
+def _check_minors(B) -> int:
+    """Sylvester's identity against per-subset elimination: the minors left
+    to elimination below a vanishing prefix minor."""
     got = _sylvester_minors(B)
-    monkeypatch.setattr(oracle, "_bareiss_det", bareiss)
-    assert got == _minors_by_bareiss(B)
-    return len(calls)
+    want = _minors_by_bareiss(B)
+    assert all(got[S] == want[S] for S in got if got[S] is not None)
+    return sum(v is None for v in got.values())
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_principal_minors_match_bareiss(d, monkeypatch):
+def test_principal_minors_match_bareiss(d):
     rng = np.random.default_rng(d)
     B = [[int(v) for v in row] for row in rng.integers(-2**62, 2**62, (d, d))]
     B = [[v << 74 | int(rng.integers(0, 2**62)) for v in row] for row in B]  # 136-bit entries
-    assert _check_minors(B, monkeypatch) == 0
+    assert _check_minors(B) == 0
     # a vanishing prefix minor: every subset below it is eliminated on its own
     zero = [row[:] for row in B]
     zero[0][0] = 0
-    assert _check_minors(zero, monkeypatch) == (2 ** (d - 1) - d if d > 1 else 0)
+    assert _check_minors(zero) == (2 ** (d - 1) - d if d > 1 else 0)
     if d >= 2:
         singular = [row[:] for row in B]
         singular[1][:2] = [3 * v for v in singular[0][:2]]  # det B[:2, :2] = 0
-        assert _check_minors(singular, monkeypatch) == 2 ** (d - 2) - d + 1
+        assert _check_minors(singular) == 2 ** (d - 2) - d + 1
+
+
+def _bareiss(B, rows, cols) -> int:
+    return minors._bareiss_det([[B[r][c] for c in cols] for r in rows])
+
+
+@pytest.mark.parametrize("sizes", [(2, 1, 2), (2, 2, 2), (1, 2, 1, 2)], ids=str)
+def test_schur_blocks_hold_bordered_minors(sizes):
+    """Each Schur block of P holds det B[P+r, P+c] over the rest of P (the
+    indices above max P and the pairs P leaves untouched), and the minors
+    with several bordering rows follow by Sylvester's determinant identity."""
+    rng = np.random.default_rng(len(sizes))
+    d = sum(sizes)
+    B = [[int(v) for v in row] for row in rng.integers(-2**60, 2**60, (d, d))]
+    starts = [sum(sizes[:b]) for b, size in enumerate(sizes) if size == 2]
+    pairs = {i: (p, p + 1) for p in starts for i in (p, p + 1)}
+    block = minors._schur_blocks(B, starts)
+    for k in range(d):
+        for P in itertools.combinations(range(d), k):
+            rest = [r for r in range(d) if r not in P and (
+                r > max(P, default=-1) or (r in pairs and not set(pairs[r]) & set(P)))]
+            det, G = block(P, rest)
+            assert det == (_bareiss(B, P, P) if P else 1)
+            assert G == [[_bareiss(B, P + (r,), P + (c,)) for c in rest] for r in rest]
+            for R, C in itertools.product(itertools.combinations(range(len(rest)), 2), repeat=2):
+                bordered = G[R[0]][C[0]] * G[R[1]][C[1]] - G[R[0]][C[1]] * G[R[1]][C[0]]
+                rows, cols = tuple(rest[i] for i in R), tuple(rest[i] for i in C)
+                assert bordered == _bareiss(B, P + rows, P + cols) * det
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda h: st.lists(
+    st.lists(st.integers(-50, 50), min_size=2 * h, max_size=2 * h), min_size=2 * h, max_size=2 * h)))
+def test_transversal_sums_expand_each_determinant(G):
+    """The trace form of _transversal_sums against one determinant per
+    transversal of the turned matrix."""
+    h = len(G) // 2
+    want = []
+    for eps in range(1 << h):
+        T = [row[:] for row in G]
+        for i in range(h):
+            if eps >> i & 1:
+                for row in T:
+                    row[2 * i], row[2 * i + 1] = row[2 * i + 1], -row[2 * i]
+        want.append(sum(_bareiss(T, J, J) for J in itertools.product(
+            *((2 * i, 2 * i + 1) for i in range(h)))))
+    assert minors._transversal_sums(G) == want
+
+
+def _turned_minor_sums(table, sizes, A, key):
+    """A key's sums of det (A Q_eps)_SS, one Bareiss elimination per subset."""
+    halves = table.keys[len(key)][key][1]
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    subsets = [S for S in itertools.combinations(range(len(A)), len(key))
+               if tuple(owner[i] for i in S) == key]
+    sums = []
+    for eps in range(1 << len(halves)):
+        T = [row[:] for row in A]
+        for i, b in enumerate(halves):
+            if eps >> i & 1:
+                for row in T:
+                    row[starts[b]], row[starts[b] + 1] = row[starts[b] + 1], -row[starts[b]]
+        sums.append(sum(_bareiss(T, S, S) for S in subsets))
+    return sums
+
+
+@pytest.mark.parametrize("pattern", PATTERNS + [(1,) * 6], ids=str)
+def test_minor_table_matches_per_subset_elimination(pattern):
+    """Every key's sums and Hadamard bound, from Schur blocks and block
+    factors, equal the per-subset values; so do they when the leading entry
+    of L is 0 and every key below it falls back to elimination."""
+    spec = sc.generate_instance(pattern, seed=2)
+    sizes = tuple(blk.size for blk in spec.model.diag_blocks)
+    for L in (spec.L, np.where(np.arange(spec.model.d ** 2).reshape(spec.L.shape) == 0, 0.0, spec.L)):
+        table = minors.MinorTable(L, sizes)
+        A = table._A
+        assert [[Fraction(a, 2 ** table.F) for a in row] for row in A] == \
+            [[Fraction(x) for x in row] for row in L.tolist()]
+        norm = [math.isqrt(sum(a * a for a in row)) + 1 for row in A]
+        owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+        for k in range(1, spec.model.d + 1):
+            hadamard = {}
+            for S in itertools.combinations(range(spec.model.d), k):
+                key = tuple(owner[i] for i in S)
+                hadamard[key] = hadamard.get(key, 0) + math.prod(norm[i] for i in S)
+            assert {key: bits for key, (bits, _) in table.keys[k].items()} == \
+                {key: bound.bit_length() for key, bound in hadamard.items()}
+            for key in table.keys[k]:
+                assert table.sums(key) == _turned_minor_sums(table, sizes, A, key), (L[0, 0], key)
 
 
 def test_negligible_terms_form_no_minors(monkeypatch):
     """At a wide spread each c_k needs only the minor of its leading coordinates."""
     spec = sc.generate_instance((1,) * 8, seed=3)
     asked = []
-    make = oracle._principal_minors
+    make = minors._schur_blocks
 
-    def counting(B):
-        minor = make(B)
-        return lambda S: asked.append(S) or minor(S)
+    def counting(B, pairs):
+        block = make(B, pairs)
+        return lambda P, idx: asked.append(P + tuple(idx)) or block(P, idx)
 
-    monkeypatch.setattr(oracle, "_principal_minors", counting)
+    minors._tables.clear()
+    monkeypatch.setattr(minors, "_schur_blocks", counting)
     _, real_simple = certified_spectrum(spec.L, spec.model, 1_000)
+    minors._tables.clear()  # drop the table that counts
     assert real_simple
     assert asked == [tuple(range(k)) for k in range(1, 9)]  # 8 of the 255 minors
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6).flatmap(
-    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)))
-def test_principal_minors_of_small_entries(B):
-    """Small entries make zero minors at every depth, asked for in any order."""
-    assert _sylvester_minors(B) == _sylvester_minors(B, -1) == _minors_by_bareiss(B)
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)),
+    st.lists(st.booleans(), min_size=6, max_size=6))
+def test_principal_minors_of_small_entries(B, paired):
+    """Small entries make zero minors at every depth, asked for in any order;
+    the table's sums stay exact on any block layout, by elimination where a
+    Schur block is missing or would divide by 0."""
+    forward, backward, want = _sylvester_minors(B), _sylvester_minors(B, -1), _minors_by_bareiss(B)
+    assert forward == backward
+    assert all(forward[S] == want[S] for S in forward if forward[S] is not None)
+    sizes, i = [], 0
+    while i < len(B):
+        sizes.append(2 if i + 1 < len(B) and paired[i] else 1)
+        i += sizes[-1]
+    table = minors.MinorTable(np.array(B, dtype=float), tuple(sizes))
+    for keys in table.keys:
+        for key in keys:
+            assert table.sums(key) == _turned_minor_sums(table, sizes, B, key), (sizes, key)
 
 
 def test_product_spectrum_is_thread_safe(demo_instance):
@@ -637,6 +786,75 @@ def test_product_spectrum_is_thread_safe(demo_instance):
         np.testing.assert_array_equal(a.unit, b.unit)
         np.testing.assert_array_equal(a.log_mod, b.log_mod)
     assert mpmath.mp.dps == dps
+
+
+def test_cold_table_fills_each_key_once_under_threads(monkeypatch):
+    """Threads that meet one cold table form each key's sums once, and give
+    the coefficients of serial calls."""
+    spec = sc.generate_instance((2, 2, 2), seed=3)
+    ns = (100, 101, 2_000, 7_197)  # more threads than a small box has cores
+    minors._tables.clear()
+    serial = [oracle._charpoly_coeffs(spec.L, spec.model, n) for n in ns]
+    formed = []
+    form = minors.MinorTable._form
+    monkeypatch.setattr(minors.MinorTable, "_form",
+                        lambda self, key: formed.append(key) or form(self, key))
+    barrier = threading.Barrier(len(ns))
+
+    def call(n):
+        barrier.wait(timeout=60)
+        return oracle._charpoly_coeffs(spec.L, spec.model, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):  # a race shows in some rounds only
+            minors._tables.clear()
+            formed.clear()
+            with ThreadPoolExecutor(max_workers=len(ns)) as pool:
+                threaded = list(pool.map(call, ns, timeout=120))
+            assert threaded == serial
+            assert len(formed) == len(set(formed)) == 26  # every key of (2,2,2) at n = 100
+    finally:
+        sys.setswitchinterval(interval)
+        minors._tables.clear()
+
+
+@pytest.mark.parametrize("order", [(100, 1_000), (1_000, 100)], ids=["up", "down"])
+def test_memo_changes_no_coefficient(order):
+    """A cold call, a warm call and a call after another exponent give the
+    same coefficient balls and spectra."""
+    spec = sc.generate_instance((1, 2, 2), seed=3)
+    minors._tables.clear()
+    first, second = order
+    cold = oracle._charpoly_coeffs(spec.L, spec.model, first), certified_spectrum(
+        spec.L, spec.model, first)
+    warm = oracle._charpoly_coeffs(spec.L, spec.model, first), certified_spectrum(
+        spec.L, spec.model, first)
+    other = oracle._charpoly_coeffs(spec.L, spec.model, second)
+    after = oracle._charpoly_coeffs(spec.L, spec.model, first), certified_spectrum(
+        spec.L, spec.model, first)
+    minors._tables.clear()
+    assert oracle._charpoly_coeffs(spec.L, spec.model, second) == other
+    for coeffs, (spectrum, real_simple) in (warm, after):
+        assert coeffs == cold[0] and real_simple == cold[1][1]
+        assert spectrum.unit.tobytes() == cold[1][0].unit.tobytes()
+        assert spectrum.log_mod.tobytes() == cold[1][0].log_mod.tobytes()
+
+
+def test_memo_holds_at_most_its_cap():
+    """The memo keeps the _TABLE_CAP most recently used tables."""
+    spec = sc.generate_instance((2, 2, 2), seed=3)
+    minors._tables.clear()
+    mats = [spec.L * (1.0 + j * 2.0 ** -40) for j in range(minors.TABLE_CAP + 5)]
+    for j, L in enumerate(mats):
+        oracle._charpoly_coeffs(L, spec.model, 5_000)
+        assert len(minors._tables) == min(j + 1, minors.TABLE_CAP)
+    oracle._charpoly_coeffs(mats[5], spec.model, 5_000)  # used again: kept, now the newest
+    oracle._charpoly_coeffs(mats[0], spec.model, 5_000)  # built again: mats[6] goes
+    assert len(minors._tables) == minors.TABLE_CAP
+    assert list(minors._tables) == [(L.tobytes(), (2, 2, 2)) for L in mats[7:] + [mats[5], mats[0]]]
+    minors._tables.clear()
 
 
 def test_spread_digits_linear_in_n(demo_instance):

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/, run as a user runs them."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import spectral_cascade as sc
+from spectral_cascade import cli, serialize
+from spectral_cascade.errors import VerificationFailure
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -46,3 +49,27 @@ def test_output_digest_prints_one_sha256_per_output(tmp_path):
     for line, name in zip(lines, names):
         digest = line.split("  ")[0]
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_output_digest_fails_when_verify_rejects_an_artifact(tmp_path, monkeypatch, capsys):
+    """Every JSON artifact the digest script writes goes through verify; a
+    rejected one is named on standard error and the script exits 1."""
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    verify, kinds = cli.verify_artifact, []
+
+    def reject_cascades(obj):
+        kinds.append(obj["kind"])
+        if obj["kind"] == serialize.KIND_CASCADE:
+            raise VerificationFailure("planted defect")
+        return verify(obj)
+
+    monkeypatch.setattr(cli, "verify_artifact", reject_cascades)
+    assert script.main(["--out", str(tmp_path), "--count", "1", "--n", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 14
+    assert sorted(kinds) == sorted([serialize.KIND_INSTANCE, serialize.KIND_PROVE,
+                                    serialize.KIND_CASCADE] * 2 + [serialize.KIND_SPLIT_CERT] * 4)
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "verify rejects cascade122_100.json", "verify rejects cascade222_100.json"]
