@@ -16,12 +16,20 @@ on standard error and exits 1.  Run it on two checkouts and compare the
 printed lines:
 
     PYTHONPATH=src python scripts/output_digest.py --out /tmp/digest
+
+When the digests differ, ``--compare BASE HEAD`` tells layout from content:
+for each output of HEAD whose bytes differ from BASE's, it prints whether
+a JSON output parses to the same object on both sides (NaN-aware), then a
+summary line:
+
+    PYTHONPATH=src python scripts/output_digest.py --compare /tmp/base /tmp/head
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -42,14 +50,54 @@ def _run(argv) -> str:
     return out.getvalue()
 
 
+def _content(path: Path) -> str:
+    """The parsed object of a JSON file in one canonical text: sorted keys,
+    floats by repr, so NaN equals NaN and 1 differs from 1.0."""
+    return json.dumps(json.loads(path.read_text()), sort_keys=True)
+
+
+def compare(base: Path, head: Path) -> list:
+    """Lines naming each output of head whose bytes differ from base's: for
+    a JSON output, whether both parse to the same object; then a summary."""
+    lines, changed, json_changed, content_changed = [], 0, 0, 0
+    names = sorted(p.name for p in head.iterdir() if p.is_file())
+    for name in names:
+        old, new = base / name, head / name
+        if old.is_file() and old.read_bytes() == new.read_bytes():
+            continue
+        changed += 1
+        if not old.is_file():
+            verdict = "missing on base"
+        elif new.suffix != ".json":
+            verdict = "bytes differ"
+        else:
+            json_changed += 1
+            try:
+                same = _content(old) == _content(new)
+            except ValueError:
+                same = False
+            content_changed += not same
+            verdict = "same content" if same else "content differs"
+        lines.append(f"{name}: {verdict}")
+    lines.append(f"{changed} of {len(names)} outputs differ in bytes; "
+                 f"{content_changed} of the {json_changed} JSON outputs among them differ in content")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="directory for the outputs")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="directory for the outputs")
+    mode.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                      help="compare two --out directories instead")
     ap.add_argument("--count", type=int, default=None,
                     help="hits per prove run (default: 40 for (1,2,2), 10 for (2,2,2))")
     ap.add_argument("--n", type=int, nargs="+", default=list(CASCADE_NS),
                     help="cascade and split exponents")
     args = ap.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*map(Path, args.compare))))
+        return 0
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -339,9 +339,13 @@ def signed_fraction(x) -> np.ndarray:
 def phase_mod1(theta: float, n, offset: float = 0.0) -> np.ndarray:
     """(n * theta + offset) mod 1 with compensated reduction.
 
-    ``n`` may be a scalar or an integer array; exact for |n| < 2**26 up to
-    ~1e-11 absolute error, so the ranged search may scan every exponent
-    below PHASE_EXPONENT_LIMIT.  Raises ValueError for any |n| >=
+    ``n`` may be a scalar or an integer array.  For theta in [0, 1) and
+    |n| < 2**26, n * hi is exact (hi keeps theta's leading 26 fractional
+    bits), and n * lo, the two additions and the reduction of a negative
+    offset round once each, so the result lies within 4 * 2**-53 of the
+    exact (n theta + offset) mod 1, measured around the circle (3.5 * 2**-53
+    for an offset in [0, 1)).  The ranged search may therefore scan every
+    exponent below PHASE_EXPONENT_LIMIT.  Raises ValueError for any |n| >=
     PHASE_EXPONENT_LIMIT.
     """
     n = np.asarray(n, dtype=float)

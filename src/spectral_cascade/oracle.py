@@ -375,21 +375,35 @@ def _charpoly_coeffs(L: np.ndarray, model: DiagonalModel, n: int) -> list:
                 dropped += 1
                 continue
             halves = keys[key][1]
-            x = r = 0  # the minor sum, units 2^e
-            for C, (mid, rad) in zip(table.sums(key), monomials_of(halves)):
-                x, r = x + C * mid, r + abs(C) * rad
-            if len(flips.intersection(key)) % 2:
-                x = -x
-            e = -table.F * k - (_PREC + 1) * len(halves)
+            ball = _minor_sum(table, key, halves, monomials_of(halves),
+                              len(flips.intersection(key)) % 2)
+            x, _, r, e = ball
             cut = max(cut, (abs(x) + r).bit_length() + e + scale[key] - 2 * _PREC)
-            terms[k].append(_mul((x, 0, r, e), weight_of(key)))
+            terms[k].append(_mul(ball, weight_of(key)))
         if dropped:
             terms[k].append((0, 0, dropped, cut))
     return [_sum(*balls) for balls in terms]
 
 
+def _minor_sum(table: minors.MinorTable, key: tuple, halves: tuple, monomials: list,
+               negate: bool) -> tuple:
+    """Exact real ball (x, 0, r, e) of a key's minor sum over its phase
+    enclosures: sum_eps C_eps prod (cos or sin), each product given as
+    (mid, rad) in units 2^-(_PREC+1) per half; negated when ``negate``."""
+    x = r = 0
+    for C, (mid, rad) in zip(table.sums(key), monomials):
+        x, r = x + C * mid, r + abs(C) * rad
+    return -x if negate else x, 0, r, -table.F * len(key) - (_PREC + 1) * len(halves)
+
+
 def _weight(modulus: float, n: int) -> tuple:
-    """Real ball of modulus^n.
+    """Real ball of modulus^n, from the exact bounds of _power_bounds."""
+    lo, hi, e = _power_bounds(modulus, n)
+    return _trim(lo + hi, 0, hi - lo, e - 1)
+
+
+def _power_bounds(modulus: float, n: int) -> tuple:
+    """Integers (lo, hi, e) with lo 2^e <= modulus^n <= hi 2^e.
 
     The modulus is an exact dyadic m 2^f; binary powering keeps a lower and
     an upper bound of modulus^n, truncated to wp bits by floor and by
@@ -410,7 +424,7 @@ def _weight(modulus: float, n: int) -> tuple:
         s = hi.bit_length() - wp
         if s > 0:
             lo, hi, e = lo >> s, -(-hi >> s), e + s
-    return _trim(lo + hi, 0, hi - lo, e - 1)
+    return lo, hi, e
 
 
 def _cos_sin(turns: Fraction) -> tuple:

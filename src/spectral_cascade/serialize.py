@@ -211,11 +211,16 @@ def prove_report_to_json(report: ProveReport, eps0: float) -> dict:
 
 
 def save_artifact(path: str, obj: dict) -> None:
+    """Write obj as one line of JSON (``python -m json.tool`` pretty-prints it).
+
+    The object is encoded before the file is opened, so an object that does
+    not encode raises with an existing file at ``path`` left untouched.
+    """
     if "kind" not in obj:
         raise ValueError("artifact must carry a 'kind' field")
+    text = json.dumps(obj) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_artifact(path: str) -> dict:

@@ -214,6 +214,33 @@ def test_phase_mod1_rejects_exponents_beyond_exact_range():
             phase_mod1(theta, n)
 
 
+def test_phase_mod1_error_bound():
+    """Within 4 * 2**-53 of the exact phase around the circle, for scalar and
+    array n up to 2**26 - 1 in size, with and without an offset."""
+    rng = np.random.default_rng(26)
+    ulp = Fraction(1, 2 ** 53)
+
+    def error(got, theta, n, offset):
+        d = abs(Fraction(float(got)) - (n * Fraction(theta) + Fraction(offset)) % 1)
+        return min(d, 1 - d)
+
+    worst = 0
+    for i in range(3000):
+        theta = float(rng.random())
+        n = 2 ** 26 - 1 - int(rng.integers(100)) if i % 3 == 0 else int(rng.integers(1, 2 ** 26))
+        n = -n if i % 5 == 0 else n
+        offset = (0.0, float(rng.random()), float(rng.uniform(-3, 3)))[i % 3]
+        got = phase_mod1(theta, n, offset=offset) if offset else phase_mod1(theta, n)
+        worst = max(worst, error(got, theta, n, offset))
+    for i in range(60):
+        theta, offset = float(rng.random()), (0.0, float(rng.uniform(-3, 3)))[i % 2]
+        ns = rng.integers(-(2 ** 26) + 1, 2 ** 26, size=50)
+        ns[0] = 2 ** 26 - 1
+        for got, n in zip(phase_mod1(theta, ns, offset=offset), ns.tolist()):
+            worst = max(worst, error(got, theta, n, offset))
+    assert worst <= 4 * ulp, float(worst / ulp)
+
+
 def _gram_schmidt(rows):
     """Squared Gram-Schmidt norms and mu, from scratch in Fractions."""
     star, mu = [], [[Fraction(0)] * len(rows) for _ in rows]

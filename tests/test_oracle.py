@@ -138,12 +138,13 @@ def _criterion_1_case(i: int):
     return spec, sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
 
 
-def _mp_power(mp, model, n: int, center: float = 0.0):
-    """T^n exp(-center) in the mpmath context mp."""
+def _mp_power(mp, model, n: int, center: float = 0.0, unit: bool = False):
+    """T^n exp(-center) in the mpmath context mp; with ``unit``, only its
+    rotations and signs R, where T^n = R D with D diagonal positive."""
     Tn = mp.zeros(model.d, model.d)
     pos = 0
     for blk in model.diag_blocks:
-        mag = mp.exp(n * mp.log(blk.modulus) - center)
+        mag = mp.mpf(1) if unit else mp.exp(n * mp.log(blk.modulus) - center)
         if blk.size == 1:
             Tn[pos, pos] = -mag if (blk.value < 0 and n % 2 == 1) else mag
         else:
@@ -236,21 +237,84 @@ def test_interval_coefficients_hold_the_characteristic_polynomial():
     assert {(p, True, parity) for p in PATTERNS + [(1,) * 6] if 1 in p for parity in (0, 1)} <= checked
 
 
-def test_weight_balls_hold_the_powers_of_every_modulus():
-    """Each weight ball holds modulus^n at 400 bits, within 2^-130 relative."""
+def _moduli():
+    """The block moduli of every pattern at seeds 0-3, of (1,)*6 and of the
+    criterion-1 instances."""
     moduli = {blk.modulus for pattern in PATTERNS + [(1,) * 6] for seed in range(4)
               for blk in sc.generate_instance(pattern, seed=seed).model.diag_blocks}
-    moduli |= {blk.modulus for i in range(len(PATTERNS))
-               for blk in _criterion_1_case(i)[0].model.diag_blocks}
+    return sorted(moduli | {blk.modulus for i in range(len(PATTERNS))
+                            for blk in _criterion_1_case(i)[0].model.diag_blocks})
+
+
+def test_weight_balls_hold_the_powers_of_every_modulus():
+    """Each weight ball holds modulus^n at 400 bits, within 2^-130 relative."""
     mp = mpmath.MPContext()
     mp.prec = 400
-    for modulus in sorted(moduli):
+    for modulus in _moduli():
         for n in (1, 2, 3, 65, 4331, 2 ** 26 - 1):
             x, y, r, e = oracle._weight(modulus, n)
             value = mp.mpf(modulus) ** n
             low, high = mp.ldexp(x - r, e), mp.ldexp(x + r, e)
             assert y == 0 and low <= value <= high, (modulus, n)
             assert high - low <= value * mp.ldexp(1, -130), (modulus, n)
+
+
+def test_power_bounds_hold_the_exact_power():
+    """Before rounding, lo 2^e <= modulus^n <= hi 2^e in exact integers
+    (modulus^n = m^n / den^n, den a power of two), and the bounds lie within
+    a relative n 2^(4 - wp) of each other, wp = _PREC + bits(n) + 8."""
+    for modulus in _moduli():
+        m, den = modulus.as_integer_ratio()
+        for n in (1, 2, 3, 65, 4331, 20_001, 2 ** 26 - 1):
+            lo, hi, e = oracle._power_bounds(modulus, n)
+            wp = oracle._PREC + n.bit_length() + 8
+            assert 0 < lo <= hi and (hi - lo) << (wp - 4) <= n * lo, (modulus, n)
+            if n <= 20_001:  # lo 2^g <= m^n <= hi 2^g, g = e + bits of den^n
+                power, g = m ** n, e + n * (den.bit_length() - 1)
+                if g >= 0:
+                    assert lo << g <= power <= hi << g, (modulus, n)
+                else:
+                    assert lo <= power << -g <= hi, (modulus, n)
+
+
+def test_key_minor_sums_hold_the_400_bit_reference(monkeypatch):
+    """Before rounding, each formed key's exact ball [x - r, x + r] 2^e holds
+    the sum of det((L R)_SS) over the key's subsets S at 400 bits, R the
+    rotations and signs of T^n = R D."""
+    formed = []
+    minor_sum = oracle._minor_sum
+
+    def recording(table, key, *rest):
+        formed.append((key, minor_sum(table, key, *rest)))
+        return formed[-1][1]
+
+    monkeypatch.setattr(oracle, "_minor_sum", recording)
+    mp = mpmath.MPContext()
+    mp.prec = 400
+    cut_in_half = 0
+    for pattern, L, model, exponents in _coefficient_cases():
+        owner = [b for b, blk in enumerate(model.diag_blocks) for _ in range(blk.size)]
+        subsets = {}
+        for k in range(1, model.d + 1):
+            for S in itertools.combinations(range(model.d), k):
+                subsets.setdefault(tuple(owner[i] for i in S), []).append(S)
+        for n in exponents:
+            formed.clear()
+            oracle._charpoly_coeffs(L, model, n)
+            M = mp.matrix(L.tolist()) * _mp_power(mp, model, n, unit=True)
+            for key, (x, y, r, e) in formed:
+                dets, slack = [], 0
+                for S in subsets[key]:
+                    sub = mp.matrix([[M[i, j] for j in S] for i in S])
+                    dets.append(mp.det(sub))
+                    slack += mp.fprod(mp.norm(sub[i, :]) for i in range(len(S)))  # Hadamard
+                ref, slack = mp.fsum(dets), mp.ldexp(slack, -380)
+                assert y == 0, (pattern, n, key)
+                assert mp.ldexp(x - r, e) - slack <= ref <= mp.ldexp(x + r, e) + slack, \
+                    (pattern, model.diag_blocks[0], n, key)
+                cut_in_half += any(model.diag_blocks[b].size == 2 and key.count(b) == 1
+                                   for b in key)
+    assert cut_in_half > 100  # keys whose ball has a phase radius
 
 
 def _interval_cos_sin(turns: Fraction) -> tuple:

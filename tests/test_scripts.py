@@ -73,3 +73,28 @@ def test_output_digest_fails_when_verify_rejects_an_artifact(tmp_path, monkeypat
                                     serialize.KIND_CASCADE] * 2 + [serialize.KIND_SPLIT_CERT] * 4)
     assert [line.split(":")[0] for line in err.splitlines()] == [
         "verify rejects cascade122_100.json", "verify rejects cascade222_100.json"]
+
+
+def test_output_digest_compare_tells_layout_from_content(tmp_path):
+    """--compare names each output whose bytes differ and, for JSON, whether
+    both sides parse to the same object (NaN-aware; 1 and 1.0 differ)."""
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    files = {  # name -> (base text, head text)
+        "same.json": ('{"a": 1}\n', '{"a": 1}\n'),
+        "layout.json": ('{\n  "x": NaN,\n  "y": [\n    0.1\n  ]\n}\n', '{"x": NaN, "y": [0.1]}\n'),
+        "number.json": ('{"a": 1}\n', '{"a": 1.0}\n'),
+        "check.txt": ("margin 0.5\n", "margin 0.25\n"),
+    }
+    for name, (old, new) in files.items():
+        (base / name).write_text(old)
+        (head / name).write_text(new)
+    (head / "new.json").write_text('{"b": 2}\n')
+    assert _run_script("output_digest.py", "--compare", str(base), str(head)).splitlines() == [
+        "check.txt: bytes differ",
+        "layout.json: same content",
+        "new.json: missing on base",
+        "number.json: content differs",
+        "4 of 5 outputs differ in bytes; 1 of the 2 JSON outputs among them differ in content",
+    ]

@@ -80,6 +80,29 @@ def test_save_requires_kind(tmp_path):
         serialize.save_artifact(str(tmp_path / "x.json"), {"no": "kind"})
 
 
+def test_artifact_is_one_line_that_parses_back(tmp_path):
+    """One line of JSON and a newline; floats, NaN and infinities read back."""
+    obj = {"kind": "instance", "x": [0.1, -2.5e-300, 1e300, math.inf, -math.inf],
+           "nested": {"n": 3, "ok": True, "s": "a\nb"}}
+    path = tmp_path / "a.json"
+    serialize.save_artifact(str(path), {**obj, "nan": math.nan})
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    back = serialize.load_artifact(str(path))
+    assert math.isnan(back.pop("nan")) and back == obj
+
+
+def test_failed_encode_leaves_the_old_artifact(tmp_path):
+    """An object that does not encode raises, and the artifact already at
+    the path survives byte for byte."""
+    path = tmp_path / "inst.json"
+    serialize.save_artifact(str(path), {"kind": "instance", "n": 3})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        serialize.save_artifact(str(path), {"kind": "instance", "n": np.int64(3)})
+    assert path.read_bytes() == before
+
+
 def test_load_rejects_kindless(tmp_path):
     p = tmp_path / "y.json"
     p.write_text("[1, 2, 3]")
