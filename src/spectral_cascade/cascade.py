@@ -60,7 +60,7 @@ from .linalg import (
     signed_fraction,
     singular_values_2x2,
 )
-from .model import DiagonalModel, DiagonalPowers
+from .model import DiagonalModel
 from .oracle import ScaledSpectrum, certified_spectrum, match_scaled
 from .scenario import InstanceSpec, check_L_conditions
 
@@ -142,13 +142,6 @@ class CascadeResult:
                               log_mod=np.concatenate([s.log_mod for s in specs]))
 
 
-def stage_problem(tail: DiagonalModel, J0: np.ndarray, delta: float) -> SplitProblem:
-    """The split of a tail model's first block off the rest, around J0."""
-    k1 = tail.structure.sizes[0]
-    return SplitProblem(V=tail.matrix(), J0=J0, k1=k1, k2=tail.d - k1, delta=delta,
-                        powers=DiagonalPowers(tail))
-
-
 def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                       law) -> ParameterCascade:
     """Backward induction of per-stage radii from the target accuracy.
@@ -177,7 +170,7 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     for j in range(m - 1, 0, -1):
         r = op_norm(J0s[j])  # norm of the inverse of L^{-1}'s corner from block j+1 on
         delta_j = 0.5 * min(upper, 1.0 / (2.0 * r), target / (2.0 * r * r))
-        problem = stage_problem(model.tail(j), J0s[j - 1], delta_j)
+        problem = SplitProblem(model.tail(j), J0s[j - 1], delta_j)
         constants = derive_constants(problem)
         stages_rev.append(CascadeStage(j=j, problem=problem, constants=constants))
         target, upper = constants.beta, delta_j

@@ -56,7 +56,10 @@ def _load_instance(path: str):
     obj = serialize.load_artifact(path)
     if obj["kind"] != serialize.KIND_INSTANCE:
         raise ConditionFailure(f"{path}: expected an instance artifact, got {obj['kind']}")
-    return serialize.instance_from_json(obj)
+    try:
+        return serialize.instance_from_json(obj)
+    except (KeyError, TypeError) as exc:
+        raise ConditionFailure(f"{path}: malformed instance artifact: {exc!r}") from exc
 
 
 def _cmd_gen(args) -> int:

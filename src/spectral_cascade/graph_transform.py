@@ -1,7 +1,9 @@
 """Invariant graphs of J*V^n under a dominated split: one kernel, one check.
 
-Given a block-diagonal V = diag(A(V), D(V)) with ||D(V)|| < ||A(V)^{-1}||^{-1}
-and a reference J0, the operator
+V is the matrix of a diagonal model diag[T_j : ... : T_m] (a tail of the
+normal form), split into A(V) = T_j and D(V) = diag[T_j+1 : ... : T_m];
+its strictly decreasing moduli give ||D(V)|| < ||A(V)^{-1}||^{-1}.  Given a
+reference J0, the operator
 
     phi(u) = C(J) A(J)^{-1} + (D(J) - u B(J)) D(V)^n u A(V)^{-n} A(J)^{-1}
 
@@ -58,7 +60,8 @@ from .errors import (
     IllConditioned,
     SingularMatrix,
 )
-from .linalg import _det, invert, matrix_power_checked, norm_below, op_norm
+from .linalg import _det, invert, norm_below, op_norm
+from .model import DiagonalModel, DiagonalPowers
 
 FIXED_POINT_STEP_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 500
@@ -68,72 +71,44 @@ _RESIDUALS = ("forward_invariance", "backward_invariance")
 _SCAN_CAP = 200_000
 
 
-class DensePowers:
-    """Sandwich products of a block-diagonal V by repeated multiplication, kept for the last n."""
-
-    def __init__(self, V: np.ndarray, k1: int):
-        AV, _, _, DV = split_blocks(np.asarray(V, dtype=float), k1)
-        self._AVi = invert(AV)
-        self._DV = DV
-        self._cache = (None,)
-
-    def _powers(self, n: int):
-        """(n, D(V)^n, A(V)^{-n}), rebuilt only when n changes."""
-        if self._cache[0] != n:
-            DVn = matrix_power_checked(self._DV, n)
-            self._cache = (n, DVn, matrix_power_checked(self._AVi, n))
-        return self._cache
-
-    def dvn_u_avmn(self, u: np.ndarray, n: int) -> np.ndarray:
-        _, DVn, AVmn = self._powers(n)
-        return DVn @ u @ AVmn
-
-    def avmn_u_dvn(self, u: np.ndarray, n: int) -> np.ndarray:
-        _, DVn, AVmn = self._powers(n)
-        return AVmn @ u @ DVn
-
-
 @dataclass(eq=False)
 class SplitProblem:
-    """A dominated-split instance (V, J0, k1 | k2, delta).
+    """A dominated split (model, J0, delta): the first block of ``model`` off the rest.
 
-    V must be block-diagonal along k1 | k2.  J0^{-1} and the reference
-    blocks A(J0) and D(J0^{-1}) are computed once, here.
+    V is the model's matrix, split k1 | k2 after its first block, and its
+    sandwich products come from ``DiagonalPowers``.  J0^{-1} and the
+    reference blocks A(J0) and D(J0^{-1}) are computed once, here.
     """
 
-    V: np.ndarray
+    model: DiagonalModel
     J0: np.ndarray
-    k1: int
-    k2: int
     delta: float
-    powers: object = None
+    V: np.ndarray = field(init=False, repr=False)
+    k1: int = field(init=False)
+    k2: int = field(init=False)
+    powers: DiagonalPowers = field(init=False, repr=False)
     J0i: np.ndarray = field(init=False, repr=False)
     A0: np.ndarray = field(init=False, repr=False)
     D0i: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=float)
+        self.V = self.model.matrix()
+        self.powers = DiagonalPowers(self.model)
+        self.k1 = self.model.structure.sizes[0]
+        self.k2 = self.model.d - self.k1
         self.J0 = np.asarray(self.J0, dtype=float)
-        d = self.k1 + self.k2
-        if self.V.shape != (d, d) or self.J0.shape != (d, d):
-            raise ValueError(
-                f"V and J0 must be {d}x{d} for split {self.k1}|{self.k2}, "
-                f"got {self.V.shape} and {self.J0.shape}"
-            )
+        if self.J0.shape != self.V.shape:
+            raise ValueError(f"J0 must be {self.d}x{self.d} for split {self.k1}|{self.k2}, "
+                             f"got {self.J0.shape}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        _, BV, CV, _ = split_blocks(self.V, self.k1)
-        if np.any(BV) or np.any(CV):
-            raise ValueError(f"V must be block-diagonal along the split {self.k1}|{self.k2}")
         self.J0i = invert(self.J0)
         self.A0 = split_blocks(self.J0, self.k1)[0]
         self.D0i = split_blocks(self.J0i, self.k1)[3]
-        if self.powers is None:
-            self.powers = DensePowers(self.V, self.k1)
 
     @property
     def d(self) -> int:
-        return self.k1 + self.k2
+        return self.model.d
 
 
 @dataclass(frozen=True)
@@ -194,7 +169,8 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     rather than closed-form ceilings.
 
     Raises HypothesisFailure unless the four corner blocks A(V), A(J0),
-    D(V) and D(J0^-1) invert and rho = ||D(V)|| ||A(V)^-1|| < 1.
+    D(V) and D(J0^-1) invert and rho = ||D(V)|| ||A(V)^-1|| < 1; a model's
+    decreasing moduli give rho < 1, and the test stays as a safety check.
     """
     AV, _, _, DV = split_blocks(problem.V, problem.k1)
     dv = op_norm(DV)

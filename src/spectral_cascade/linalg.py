@@ -42,7 +42,6 @@ from .errors import (
     DegeneratePolar,
     IllConditioned,
     NegativeDeterminant,
-    PowerOverflow,
     SingularMatrix,
 )
 
@@ -60,7 +59,6 @@ except ImportError as exc:
 SINGULAR_SCALE_TOL = 1e-14
 CONDITION_CAP = 1e12
 PHASE_EXPONENT_LIMIT = 2 ** 26  # phase_mod1's exact range
-_OVERFLOW_NORM = 1e300
 _FLOAT_MIN = 2.0 ** -1022  # the least normal float
 
 
@@ -123,29 +121,20 @@ def _det(M: np.ndarray) -> float:
     return _det_gufunc(_finite(M), signature="d->d")
 
 
-def cos_turns(theta: float) -> float:
-    """cos(2*pi*theta), exact at quarter turns."""
+def _cos_sin_turns(theta: float) -> tuple[float, float]:
+    """(cos, sin) of 2*pi*theta, exact at quarter turns."""
     r = theta - math.floor(theta)
     q = 4.0 * r
     if q == round(q):
-        return (1.0, 0.0, -1.0, 0.0)[int(q) % 4]
-    return math.cos(2.0 * math.pi * r)
-
-
-def sin_turns(theta: float) -> float:
-    """sin(2*pi*theta), exact at quarter turns."""
-    r = theta - math.floor(theta)
-    q = 4.0 * r
-    if q == round(q):
-        return (0.0, 1.0, 0.0, -1.0)[int(q) % 4]
-    return math.sin(2.0 * math.pi * r)
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(q) % 4]
+    return math.cos(2.0 * math.pi * r), math.sin(2.0 * math.pi * r)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
     """2x2 rigid rotation by the angle ``theta`` in turns."""
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
-    c, s = cos_turns(theta), sin_turns(theta)
+    c, s = _cos_sin_turns(theta)
     return np.array([[c, -s], [s, c]])
 
 
@@ -306,29 +295,6 @@ def polar_2x2(M: np.ndarray):
                   [c * co - d * si, c * si + d * co]])
     alpha = math.atan2(skew, tr) / (2.0 * math.pi)
     return P, alpha % 1.0, math.acos(ratio) / (2.0 * math.pi)
-
-
-def matrix_power_checked(M: np.ndarray, n: int) -> np.ndarray:
-    """M^n by binary powering with an overflow guard on the running norm."""
-    M = np.asarray(M, dtype=float)
-    if n < 0:
-        raise ValueError("negative power; invert first")
-    d = M.shape[0]
-    result = np.eye(d)
-    base = np.array(M, copy=True)
-    e = n
-    with np.errstate(over="ignore", invalid="ignore"):
-        while e:
-            if e & 1:
-                result = result @ base
-                if not np.all(np.isfinite(result)) or np.abs(result).max() > _OVERFLOW_NORM:
-                    raise PowerOverflow(f"power {n} overflows the representable range")
-            e >>= 1
-            if e:
-                base = base @ base
-                if not np.all(np.isfinite(base)) or np.abs(base).max() > _OVERFLOW_NORM:
-                    raise PowerOverflow(f"power {n} overflows the representable range")
-    return result
 
 
 def signed_fraction(x) -> np.ndarray:

@@ -48,8 +48,8 @@ class PerturbationLaw:
     seed: int
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 <= self.c < math.inf:  # False for NaN as well
+            raise ValueError(f"amplitude must be non-negative and finite, got {self.c}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"decay rate must lie in (0,1), got {self.rho}")
 

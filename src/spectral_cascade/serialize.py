@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .blocks import BlockStructure
-from .cascade import CascadeResult, ProveReport, stage_problem
+from .cascade import CascadeResult, ProveReport
 from .graph_transform import SplitCertificate, SplitProblem, TransformConstants
-from .model import DiagonalModel, DiagonalPowers, RotationBlock, ScalarBlock
+from .model import DiagonalModel, RotationBlock, ScalarBlock
 from .oracle import ScaledSpectrum
 from .scenario import InstanceSpec, PerturbationLaw
 
@@ -113,12 +113,10 @@ def spectrum_from_json(obj) -> ScaledSpectrum:
 
 def certificate_to_json(cert: SplitCertificate, problem: SplitProblem) -> dict:
     """Format 2: the stage's diagonal model stands in for V."""
-    if not isinstance(problem.powers, DiagonalPowers):
-        raise ValueError("split certificates need a V given by a diagonal model")
     return {
         "kind": KIND_SPLIT_CERT,
         "format": SPLIT_CERT_FORMAT,
-        "model": model_to_json(problem.powers.model),
+        "model": model_to_json(problem.model),
         "J0": matrix_to_json(problem.J0),
         "k1": problem.k1,
         "delta": problem.delta,
@@ -142,7 +140,7 @@ def certificate_from_json(obj):
     k1 = int(obj["k1"])
     if k1 != model.structure.sizes[0]:
         raise ValueError(f"k1 = {k1} does not split off the model's first block")
-    problem = stage_problem(model, matrix_from_json(obj["J0"]), float(obj["delta"]))
+    problem = SplitProblem(model, matrix_from_json(obj["J0"]), float(obj["delta"]))
     cert = SplitCertificate(
         n=int(obj["n"]),
         J=matrix_from_json(obj["J"]),

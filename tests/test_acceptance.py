@@ -36,6 +36,7 @@ from spectral_cascade.model import DiagonalModel, RotationBlock, ScalarBlock
 from spectral_cascade.oracle import ScaledSpectrum, match_scaled, product_spectrum
 
 from charpoly import eigenvalues_charpoly
+from split_problems import random_split_problem, random_tail_model
 
 PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]
 
@@ -43,14 +44,7 @@ PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]
 def _random_split_problem(rng):
     k1 = int(rng.integers(1, 3))
     k2 = int(rng.integers(1, 3))
-    A = rng.standard_normal((k1, k1)) + 2.0 * np.eye(k1)
-    sA = np.linalg.svd(A, compute_uv=False)[-1]
-    D = rng.standard_normal((k2, k2))
-    D *= 0.4 * sA / max(op_norm(D), 1e-12)
-    V = block_diag(A, D)
-    d = k1 + k2
-    J0 = np.eye(d) + 0.2 * rng.standard_normal((d, d))
-    return SplitProblem(V=V, J0=J0, k1=k1, k2=k2, delta=0.05)
+    return random_split_problem(rng, k1, k2)
 
 
 def _split_problems(count, seed=0):
@@ -147,12 +141,10 @@ def test_criterion_5_window_hit_frequency_equidistributes():
 def test_criterion_6_trivial_cases_are_exact():
     """Block-diagonal inputs and quarter-turn rotations have exact outputs."""
     rng = np.random.default_rng(6)
-    A = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-    D = 0.3 * rng.standard_normal((2, 2))
-    V = block_diag(A, D)
+    model = random_tail_model(rng, 2, 2)
     J0 = block_diag(np.eye(2) + 0.1 * rng.standard_normal((2, 2)),
                     np.eye(2) + 0.1 * rng.standard_normal((2, 2)))
-    p = SplitProblem(V=V, J0=J0, k1=2, k2=2, delta=0.05)
+    p = SplitProblem(model, J0, 0.05)
     c = derive_constants(p)
     n = c.n0 + 1
     xi = solve_xi(p, J0, n)

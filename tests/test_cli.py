@@ -137,18 +137,57 @@ def test_usage_errors_exit_64(tmp_path):
     ["gen", "--structure", "1,2", "--a", "0"],
     ["gen", "--structure", "1,2", "--rho", "1.5"],
     ["gen", "--structure", "1,2", "--seed", "-1"],
+    ["gen", "--structure", "1,2", "--c", "nan"],
+    ["gen", "--structure", "1,2", "--c", "inf"],
     ["cascade", "--instance", "{inst}", "--eps0", "-1", "--n", "60"],
     ["cascade", "--instance", "{inst}", "--eps0", "inf", "--n", "60"],
     ["prove", "--instance", "{inst}", "--eps0", "nan"],
     ["prove", "--instance", "{inst}", "--count", "0"],
     ["find-n", "--instance", "{inst}", "--count", "-2"],
-], ids=["structure-3-1", "structure-1-1", "a-0", "rho-1.5", "seed-neg",
+], ids=["structure-3-1", "structure-1-1", "a-0", "rho-1.5", "seed-neg", "c-nan", "c-inf",
         "eps0-neg", "eps0-inf", "eps0-nan", "prove-count-0", "find-n-count-neg"])
 def test_bad_argument_values_exit_64(tmp_path, instance_file, capsys, args):
     out = tmp_path / "out.json"
     args = [instance_file if a == "{inst}" else a for a in args]
     assert run([*args, "--out", out]) == 64
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_verify_rejects_nan_perturbation_amplitude(tmp_path, instance_file, capsys):
+    obj = json.loads(instance_file.read_text())
+    obj["law"]["c"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(obj))
+    assert run(["verify", "--artifact", bad]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
+def _drop_progression(obj):
+    del obj["progression"]
+
+
+def _untyped_amplitude(obj):
+    obj["law"]["c"] = None
+
+
+@pytest.mark.parametrize("defect", [lambda obj: {"kind": "instance"}, _drop_progression,
+                                    _untyped_amplitude],
+                         ids=["kind-only", "no-progression", "null-amplitude"])
+@pytest.mark.parametrize("command", [["check"], ["split", "--n", "100", "--out", "{out}"],
+                                     ["cascade", "--n", "60", "--out", "{out}"], ["find-n"],
+                                     ["prove"]], ids=lambda c: c[0])
+def test_malformed_instance_exits_1(tmp_path, instance_file, capsys, defect, command):
+    """A missing or wrong-typed field is a bad artifact (exit 1), not a traceback."""
+    obj = json.loads(instance_file.read_text())
+    obj = defect(obj) or obj
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(obj))
+    args = [out if a == "{out}" else a for a in command]
+    assert run([args[0], "--instance", bad, *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed instance artifact: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

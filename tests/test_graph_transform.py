@@ -6,16 +6,10 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks
 from spectral_cascade.cascade import stage_input
-from spectral_cascade.errors import (
-    CertificateFailure,
-    ConvergenceFailure,
-    HypothesisFailure,
-    PowerOverflow,
-)
+from spectral_cascade.errors import CertificateFailure, ConvergenceFailure, HypothesisFailure
 from spectral_cascade.graph_transform import (
     FIXED_POINT_MAX_ITER,
     FIXED_POINT_STEP_TOL,
-    DensePowers,
     SplitProblem,
     _fixed_point,
     derive_constants,
@@ -25,18 +19,14 @@ from spectral_cascade.graph_transform import (
     verify_certificate,
 )
 from spectral_cascade.linalg import invert, op_norm
+from spectral_cascade.model import DiagonalModel, RotationBlock, ScalarBlock
+
+from split_problems import random_split_problem
 
 
 def make_problem(seed=0, k1=1, k2=2, delta=0.05, coupling=0.2):
-    """A dominated block-diagonal V with a generic J0 nearby."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((k1, k1)) + 2.0 * np.eye(k1)
-    sA = np.linalg.svd(A, compute_uv=False)[-1]
-    D = rng.standard_normal((k2, k2))
-    D *= 0.4 * sA / max(op_norm(D), 1e-12)
-    V = block_diag(A, D)
-    J0 = np.eye(k1 + k2) + coupling * rng.standard_normal((k1 + k2, k1 + k2))
-    return SplitProblem(V=V, J0=J0, k1=k1, k2=k2, delta=delta)
+    """The split of a random dominated diagonal model, with a generic J0 nearby."""
+    return random_split_problem(np.random.default_rng(seed), k1, k2, delta, coupling)
 
 
 def ball_sample(problem, constants, rng):
@@ -47,30 +37,28 @@ def ball_sample(problem, constants, rng):
 def test_hypotheses_pass_and_fail():
     p = make_problem()
     assert derive_constants(p).rho < 1.0
-    # undominated V: tail as large as the head
-    bad = SplitProblem(V=np.eye(3), J0=p.J0, k1=1, k2=2, delta=0.05)
-    with pytest.raises(HypothesisFailure) as info:
-        derive_constants(bad)
-    assert str(info.value) == "split hypotheses fail: rho = 1.0 >= 1"
+    # one block has no tail to split off
+    with pytest.raises(ValueError, match="^need at least two blocks to split$"):
+        SplitProblem(p.model.tail(2), p.J0[1:, 1:], 0.05)
 
 
-def _dominated_V(DV):
-    return block_diag(np.array([[2.0]]), DV)
+def _model(*blocks):
+    return DiagonalModel(sc.BlockStructure(tuple(b.size for b in blocks)), blocks)
 
 
-# derive_constants reads no powers; DensePowers would invert a singular A(V)
-@pytest.mark.parametrize("V,J0,block", [
-    (block_diag(np.zeros((1, 1)), 0.1 * np.eye(2)), np.eye(3), "A(V)"),
-    (_dominated_V(np.diag([0.1, 0.0])), np.eye(3), "D(V)"),
+# a model's blocks are nonzero, so of the four only A(J0) can be exactly singular
+@pytest.mark.parametrize("tail,J0,block,reason", [
     # A(J0) = 0, so by Jacobi's identity D(J0^-1) = D(J0) is singular too
-    (_dominated_V(0.1 * np.eye(2)), np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]), "A(J0)"),
-], ids=["singular-A(V)", "singular-D(V)", "singular-A(J0)"])
-def test_hypotheses_fail_on_singular_blocks(V, J0, block):
-    p = SplitProblem(V=V, J0=J0, k1=1, k2=2, delta=0.05, powers=object())
+    ((RotationBlock(0.1, 0.0),), np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]]), "A(J0)",
+     "|determinant| 0 below scale threshold"),
+    ((ScalarBlock(0.1), ScalarBlock(1e-14)), np.eye(3), "D(V)",
+     "condition number 1e+13 above cap"),
+], ids=["singular-A(J0)", "ill-conditioned-D(V)"])
+def test_hypotheses_fail_on_singular_blocks(tail, J0, block, reason):
+    model = _model(ScalarBlock(2.0), *tail)
     with pytest.raises(HypothesisFailure) as info:
-        derive_constants(p)
-    assert str(info.value) == (f"split hypotheses fail: {block} does not invert "
-                               "(|determinant| 0 below scale threshold)")
+        derive_constants(SplitProblem(model, J0, 0.05))
+    assert str(info.value) == f"split hypotheses fail: {block} does not invert ({reason})"
 
 
 def test_hypotheses_fail_on_ill_conditioned_block():
@@ -79,8 +67,7 @@ def test_hypotheses_fail_on_ill_conditioned_block():
     J0 itself has condition number 5.8, but its 2x2 corner A(J0) has 4e13.
     """
     J0 = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 1.0], [0.0, 1.0, 1.0]])
-    V = block_diag(2.0 * np.eye(2), np.array([[0.1]]))
-    p = SplitProblem(V=V, J0=J0, k1=2, k2=1, delta=0.05)
+    p = SplitProblem(_model(RotationBlock(2.0, 0.0), ScalarBlock(0.1)), J0, 0.05)
     with pytest.raises(HypothesisFailure, match=r"^split hypotheses fail: A\(J0\) does not "
                        r"invert \(condition number 4e\+13 above cap\)$"):
         derive_constants(p)
@@ -219,34 +206,6 @@ def test_split_certificates_hold_at_large_n(seed3, n):
         J = stage_input(L_k, n, casc, j)
         cert = invariant_pair(stage.problem, J, n, stage.constants)
         assert verify_certificate(cert, stage.problem)["passed"], (j, n)
-
-
-def test_split_problem_rejects_coupled_V():
-    """V enters only through A(V) and D(V), so its off-diagonal blocks must vanish."""
-    p = make_problem()
-    for i, j in ((0, 1), (2, 0)):
-        V = p.V.copy()
-        V[i, j] = 1e-3
-        with pytest.raises(ValueError):
-            SplitProblem(V=V, J0=p.J0, k1=p.k1, k2=p.k2, delta=p.delta)
-
-
-def test_dense_sandwich_cache_follows_the_exponent():
-    """One DensePowers queried at interleaved n equals a fresh one at each n."""
-    p = make_problem(seed=8)
-    rng = np.random.default_rng(9)
-    for i, n in enumerate((7, 3, 7, 0)):
-        u, v = rng.standard_normal((p.k2, p.k1)), rng.standard_normal((p.k1, p.k2))
-        calls = [("dvn_u_avmn", u), ("avmn_u_dvn", v)][:: 1 if i % 2 == 0 else -1]
-        for name, w in calls:
-            expected = getattr(DensePowers(p.V, p.k1), name)(w, n)
-            np.testing.assert_array_equal(getattr(p.powers, name)(w, n), expected)
-    # A(V)^-n overflows at n = 2000; the cache must still hold n = 7 afterwards
-    powers, u = DensePowers(np.diag([0.5, 0.25, 0.25]), 1), np.ones((2, 1))
-    before = powers.dvn_u_avmn(u, 7)
-    with pytest.raises(PowerOverflow):
-        powers.dvn_u_avmn(u, 2000)
-    np.testing.assert_array_equal(powers.dvn_u_avmn(u, 7), before)
 
 
 @pytest.mark.parametrize("pattern", [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)],

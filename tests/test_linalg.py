@@ -18,7 +18,6 @@ from spectral_cascade.errors import (
     DegeneratePolar,
     IllConditioned,
     NegativeDeterminant,
-    PowerOverflow,
     SingularMatrix,
 )
 from spectral_cascade import linalg
@@ -28,11 +27,9 @@ from spectral_cascade.linalg import (
     _det,
     _inv,
     _singular_threshold,
-    cos_turns,
     eigenvalues,
     invert,
     lll_reduce,
-    matrix_power_checked,
     norm_below,
     op_norm,
     phase_mod1,
@@ -40,7 +37,6 @@ from spectral_cascade.linalg import (
     rotation_matrix,
     short_vectors,
     signed_fraction,
-    sin_turns,
     singular_values,
     singular_values_2x2,
 )
@@ -55,12 +51,10 @@ def _real_simple(values):
 
 
 def test_quarter_turns_exact():
-    assert cos_turns(0.25) == 0.0
-    assert sin_turns(0.25) == 1.0
-    assert cos_turns(0.5) == -1.0
-    assert sin_turns(0.75) == -1.0
     np.testing.assert_array_equal(rotation_matrix(0.25), [[0.0, -1.0], [1.0, 0.0]])
     np.testing.assert_array_equal(rotation_matrix(0.5), [[-1.0, 0.0], [0.0, -1.0]])
+    np.testing.assert_array_equal(rotation_matrix(0.75), [[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(rotation_matrix(-1.0), np.eye(2))
 
 
 @given(st.floats(-3, 3))
@@ -173,14 +167,6 @@ def test_max_real_simple_angle_is_sharp():
     for scale in (1.0, 1e100, 1e-100):
         with pytest.raises(DegeneratePolar):
             polar_2x2(scale * 3.0 * rotation_matrix(0.3))
-
-
-def test_matrix_power_overflow():
-    with pytest.raises(PowerOverflow):
-        matrix_power_checked(np.diag([10.0, 0.1]), 400)
-    np.testing.assert_allclose(
-        matrix_power_checked(np.diag([2.0, 3.0]), 10), np.diag([1024.0, 59049.0])
-    )
 
 
 def test_signed_fraction_range():

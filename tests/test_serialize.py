@@ -55,7 +55,7 @@ def test_certificate_roundtrip(demo_instance, demo_cascade):
     for name in ("J", "xi", "eta_hat", "X", "Y_inv"):
         np.testing.assert_array_equal(getattr(back_cert, name), getattr(cert, name))
     assert back_cert.constants == cert.constants
-    assert back_problem.powers.model == stage.problem.powers.model
+    assert back_problem.model == stage.problem.model
     assert back_problem.k1 == stage.problem.k1
     assert back_problem.k2 == stage.problem.k2
     assert back_problem.delta == stage.problem.delta
