@@ -48,24 +48,25 @@ class BlockStructure:
 
 
 def split_blocks(J: np.ndarray, k1: int):
-    """Partition a square matrix into (A, B, C, D) along the split k1 | k2.
+    """Partition a square matrix, or each of a stack (N, d, d), into (A, B, C, D)
+    along the split k1 | k2.
 
     The blocks are views of J: writing to one writes to J.
     """
-    d = J.shape[0]
-    if J.shape != (d, d) or not 0 < k1 < d:
+    d = J.shape[-1]
+    if J.shape[-2:] != (d, d) or not 0 < k1 < d:
         raise ValueError(f"bad split {k1} for shape {J.shape}")
-    return J[:k1, :k1], J[:k1, k1:], J[k1:, :k1], J[k1:, k1:]
+    return J[..., :k1, :k1], J[..., :k1, k1:], J[..., k1:, :k1], J[..., k1:, k1:]
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """diag[B_1 : ... : B_k] for square blocks."""
-    mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-    n = sum(b.shape[0] for b in mats)
-    out = np.zeros((n, n))
+    """diag[B_1 : ... : B_k] for square blocks, or per item for stacks of them."""
+    mats = [np.asarray(b, dtype=float) for b in blocks]
+    n = sum(b.shape[-1] for b in mats)
+    out = np.zeros(mats[0].shape[:-2] + (n, n))
     pos = 0
     for b in mats:
-        k = b.shape[0]
-        out[pos : pos + k, pos : pos + k] = b
+        k = b.shape[-1]
+        out[..., pos : pos + k, pos : pos + k] = b
         pos += k
     return out

@@ -14,8 +14,9 @@ det > 0 has a ``PhaseWindow``: X^(j) T_j^n has real simple eigenvalues while
 the phase (alpha + n theta_j) mod 1 stays inside it, and the limits' windows
 drive the search for exponents where the whole product has real simple spectrum.
 
-One private loop, ``_chain``, walks the stages for both ``cascade_decompose``
-and ``stage_input``; it admits each stage input through
+One private loop, ``_chain``, walks the stages over a stack of (L_k, n)
+items for ``cascade_decompose`` (the stack of one), ``stage_input``, the
+search and ``verify``; it admits each stage input through
 ``graph_transform.admit`` before splitting it.  ``examine`` is the one hit
 rule: the search and ``verify`` both confirm a hit through it.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,6 +39,7 @@ from .errors import (
     ConvergenceFailure,
     DegeneratePolar,
     EpsilonTooLarge,
+    ItemFailures,
     NegativeDeterminant,
     NumericError,
     SearchExhausted,
@@ -205,18 +208,16 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                             windows=windows, n0=n0, k0=k0)
 
 
-def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
-                limit: np.ndarray, unit: np.ndarray) -> LevelData:
-    """Level j's record; ``unit`` is U_j(n), the unit part of T_j^n."""
+def _level_data(j: int, X: np.ndarray, values: np.ndarray, n: int, model: DiagonalModel,
+                limit: np.ndarray) -> LevelData:
+    """Level j's record; ``values`` are the eigenvalues of X U_j(n), with U_j(n)
+    the unit part of T_j^n, real when every imaginary part is 0."""
     blk = model.block(j)
-    log_scale = n * math.log(blk.modulus)
-    XU = X @ unit  # the spectrum of X T_j^n, up to |lambda_j|^n
+    spec = ScaledSpectrum.from_values(values, log_scale=n * math.log(blk.modulus))
     if blk.size == 1:
-        spec = ScaledSpectrum.from_values(XU[0], log_scale=log_scale)
         return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]),
                          drift=abs(float(X[0, 0] - limit[0, 0])))
     drift = singular_values_2x2(X - limit)[0]
-    spec = ScaledSpectrum.from_values(eigenvalues(XU), log_scale=log_scale)
     (a, b), (c, d) = X.tolist()
     P = window = None
     try:
@@ -228,43 +229,90 @@ def _level_data(j: int, X: np.ndarray, n: int, model: DiagonalModel,
                      P=P, window=window)
 
 
-def _chain(current: np.ndarray, n: int, stages):
-    """Admit, split and yield (stage, X, remainder Y) per stage; raises StageFailure."""
+def _chain(current: np.ndarray, ns, stages, units: list, failures: dict):
+    """Admit and split a stack (N, d, d) at exponents ns (N,) stage by stage; a
+    lone matrix at one exponent is the stack of one without its axis.
+
+    ``units`` holds each block's U_j(n), head first.  A stage drops the items
+    it refuses, puts the error each raises alone in ``failures`` under its
+    index, and reruns on the rest.  Returns the indices of the items that
+    pass, their X per stage, their last remainder and their units.
+    """
+    alive, Xs = list(range(len(current) if current.ndim == 3 else 1)), []
     for stage in stages:
-        try:
-            admit(stage.problem, stage.constants, current, n)
-            cert, _ = dominated_split(stage.problem, current, n)
-            current = invert(cert.Y_inv)
-        except (NumericError, ConditionError) as exc:
-            raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc) from exc
-        yield stage, cert.X, current
+        while True:
+            stage.problem.powers.share_units(ns, units[stage.j - 1:])
+            try:
+                admit(stage.problem, stage.constants, current, ns)
+                cert, _ = dominated_split(stage.problem, current, ns)
+                current = invert(cert.Y_inv)
+                break
+            except ItemFailures as exc:
+                errors = exc.failures
+            except (NumericError, ConditionError) as exc:
+                if current.ndim == 3:
+                    raise
+                errors = {0: exc}  # a lone matrix raises its own error
+            for i, e in errors.items():
+                failures[alive[i]] = (StageFailure(f"stage {stage.j}: {e}", stage=stage.j, cause=e)
+                                      if isinstance(e, (NumericError, ConditionError)) else e)
+            keep = [i for i in range(len(alive)) if i not in errors]
+            if not keep:
+                return [], [], current, units
+            alive, current, ns = [alive[i] for i in keep], current[keep], ns[keep]
+            units, Xs = [u[keep] for u in units], [X[keep] for X in Xs]
+        Xs.append(cert.X)
+    return alive, Xs, current, units
+
+
+def _decompose(L_ks: np.ndarray, ns, model: DiagonalModel, cascade: ParameterCascade) -> list:
+    """cascade_decompose over a stack (N, d, d) at exponents ns (N,), or over one
+    matrix at one exponent: per item, its CascadeResult or the error it raises."""
+    if isinstance(ns, np.ndarray) and len(ns) == 1:  # a stack of one runs as its lone matrix
+        L_ks, ns = L_ks[0], int(ns[0])
+    stacked = isinstance(ns, np.ndarray)
+    exponents = ns.tolist() if stacked else [ns]
+    units = [np.array([blk.unit_power(n) for n in exponents]) if stacked else blk.unit_power(ns)
+             for blk in model.diag_blocks]  # each U_j(n) formed once
+    outcomes = {}
+    alive, Xs, last, units = _chain(L_ks, ns, cascade.stages, units, outcomes)
+    levels = [[] for _ in alive]
+    for j, X in enumerate([*Xs, last] if alive else [], start=1):
+        XU = X @ units[j - 1]  # the spectrum of X T_j^n, up to |lambda_j|^n
+        values = XU[..., 0] if X.shape[-1] == 1 else eigenvalues(XU)
+        for item, i, Xi, w in zip(levels, alive, *((X, values) if stacked else ([X], [values]))):
+            item.append(_level_data(j, Xi, w if not stacked or np.count_nonzero(w.imag) else w.real,
+                                    exponents[i], model, cascade.limits[j - 1]))
+    for i, item in zip(alive, levels):
+        outcomes[i] = _result(exponents[i], item, cascade.eps0)
+    return [outcomes[i] for i in range(len(exponents))]
+
+
+def _result(n: int, levels: list, eps0: float) -> CascadeResult:
+    """One item's result, its limits and domination certified from its levels."""
+    # each drift is within a few ulp (relative) of the exact sigma_max(X - limit)
+    margin = math.inf
+    for a, b in zip(levels, levels[1:]):
+        margin = min(margin, float(a.spectrum.log_mod.min() - b.spectrum.log_mod.max()))
+    return CascadeResult(n=n, levels=levels, limits_ok=all(lv.drift < eps0 for lv in levels),
+                         domination_ok=margin > 0, domination_margin=margin)
+
+
+def _outcome(outcome):
+    """A stacked call's result for one item: the item's error is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def cascade_decompose(L_k: np.ndarray, n: int, model: DiagonalModel,
                       cascade: ParameterCascade) -> CascadeResult:
-    """Run the full chain at one (L_k, n); certify limits and domination."""
+    """Run the full chain at one (L_k, n), the stack of one of ``_decompose``;
+    certify limits and domination."""
     current = np.asarray(L_k, dtype=float)
     if current.shape != (model.d, model.d):
         raise ValueError(f"matrix must be {model.d}x{model.d}, got {current.shape}")
-    units = [blk.unit_power(n) for blk in model.diag_blocks]  # each U_j(n) formed once
-    for stage in cascade.stages:
-        stage.problem.powers.share_units(n, units[stage.j - 1:])
-    levels = []
-    for stage, X, current in _chain(current, n, cascade.stages):
-        levels.append(_level_data(stage.j, X, n, model, cascade.limits[stage.j - 1],
-                                  units[stage.j - 1]))
-    m = cascade.m
-    levels.append(_level_data(m, current, n, model, cascade.limits[m - 1], units[m - 1]))
-
-    # each drift is within a few ulp (relative) of the exact sigma_max(X - limit)
-    limits_ok = all(lv.drift < cascade.eps0 for lv in levels)
-    margin = math.inf
-    for a, b in zip(levels, levels[1:]):
-        margin = min(margin, float(a.spectrum.log_mod.min() - b.spectrum.log_mod.max()))
-    return CascadeResult(
-        n=n, levels=levels, limits_ok=limits_ok,
-        domination_ok=margin > 0, domination_margin=margin,
-    )
+    return _outcome(_decompose(current, n, model, cascade)[0])
 
 
 def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> np.ndarray:
@@ -276,9 +324,12 @@ def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> n
     if not 1 <= j <= len(cascade.stages):
         raise ValueError(f"stage {j} out of range 1..{len(cascade.stages)}")
     current = np.asarray(L_k, dtype=float)
-    for _, _, current in _chain(current, n, cascade.stages[: j - 1]):
-        pass
-    return current
+    if j == 1:
+        return current
+    failures = {}
+    _, _, current, _ = _chain(current, n, cascade.stages[: j - 1], [
+        b.unit_power(n) for b in cascade.stages[0].problem.model.diag_blocks], failures)
+    return _outcome(failures[0] if failures else current)
 
 
 @dataclass(eq=False)
@@ -317,19 +368,22 @@ def _spectrum_row(spec: ScaledSpectrum) -> list:
     return out
 
 
-def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
+def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decomposed=None):
     """The hit rule at index n; returns (hit_or_none, csv_row, miss_or_none).
 
     A hit needs limits and domination, a real simple spectrum at GAP_TOL, an
     oracle mismatch of at most ORACLE_TOL, and inclusion disks of the
     certified graded oracle that prove the spectrum real simple.
+    ``decomposed`` is the decomposition at n, or its error, when a stack has
+    run it already (``examine_stack``).
     """
     model = instance.model
     N = instance.a * n + instance.b
     structure = model.structure
     L_n = instance.L_n(n)
     try:
-        result = cascade_decompose(L_n, N, model, cascade)
+        result = _outcome(cascade_decompose(L_n, N, model, cascade) if decomposed is None
+                          else decomposed)
     except StageFailure as exc:
         row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
         return None, row, (n, str(exc))
@@ -363,6 +417,15 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade):
     return hit, row, None
 
 
+def examine_stack(ns: list, instance: InstanceSpec, cascade: ParameterCascade):
+    """``examine`` at each index of ns in turn, after one stacked decomposition
+    of them all; yields examine's triples."""
+    outcomes = _decompose(np.array([instance.L_n(n) for n in ns]),
+                          instance.a * np.array(ns) + instance.b, instance.model, cascade)
+    for n, decomposed in zip(ns, outcomes):
+        yield examine(n, instance, cascade, decomposed)
+
+
 def _window_candidates(instance: InstanceSpec, cascade: ParameterCascade,
                        n_start: int, n_max: int):
     """Yield the n in [n_start, n_max] whose limit phases all fall inside their
@@ -387,9 +450,11 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     phases (predicted from the limit polar angles) fall inside the
     real-simple windows; survivors are decomposed exactly and every hit is
     confirmed against the independent oracle (``examine``).  The prefilter
-    runs over consecutive ranges of SCAN_RANGE exponents, and the search
-    stops at the ``count``-th hit: its cost follows the last hit, not
-    ``n_max``, and one range bounds its memory.  With
+    runs over consecutive ranges of SCAN_RANGE exponents.  The next
+    count - len(hits) survivors are decomposed as one stack and examined in
+    turn, so the search stops at the ``count``-th hit with no survivor past
+    it decomposed: its cost follows the last hit, not ``n_max``, and one
+    range bounds its memory.  With
     ``csv_path``, one row per examined exponent is written as it is
     examined.  Raises ValueError for ``count`` below 1 and
     SearchExhausted (with the near misses) when fewer than ``count`` hits
@@ -411,16 +476,16 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
         if csv_path is not None:
             writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
             writer.writerow(_csv_rows_header(structure))
-        for n in _window_candidates(instance, cascade, n_start, n_max):
-            hit, row, miss = examine(n, instance, cascade)
-            if writer is not None:
-                writer.writerow(row)
-            if miss is not None:
-                near_misses.append(miss)
-            if hit is not None:
-                hits.append(hit)
-                if len(hits) >= count:
-                    break
+        candidates = _window_candidates(instance, cascade, n_start, n_max)
+        # a stack of count - len(hits) candidates ends at the count-th hit at the latest
+        while batch := list(itertools.islice(candidates, count - len(hits))):
+            for hit, row, miss in examine_stack(batch, instance, cascade):
+                if writer is not None:
+                    writer.writerow(row)
+                if miss is not None:
+                    near_misses.append(miss)
+                if hit is not None:
+                    hits.append(hit)
 
     examined = len(hits) + len(near_misses)  # examine returns a hit or a miss
     if len(hits) < count:

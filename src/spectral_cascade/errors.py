@@ -74,6 +74,7 @@ class StageFailure(SpectralCascadeError):
         super().__init__(message)
         self.stage = stage
         self.exit_code = getattr(cause, "exit_code", 1)
+        self.__cause__ = cause
 
 
 class IndependenceFailure(ConditionError):
@@ -96,3 +97,12 @@ class SearchExhausted(SpectralCascadeError):
 
 class VerificationFailure(ConditionError):
     """Independent re-validation of an artifact found a violated bound."""
+
+
+class ItemFailures(Exception):
+    """Items of a stack that failed a stacked call: ``failures`` maps the index
+    of each to the error it raises alone."""
+
+    def __init__(self, failures):
+        super().__init__(failures)
+        self.failures = failures

@@ -58,6 +58,7 @@ from .errors import (
     ConvergenceFailure,
     HypothesisFailure,
     IllConditioned,
+    ItemFailures,
     SingularMatrix,
 )
 from .linalg import _det, invert, norm_below, op_norm
@@ -245,37 +246,68 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
     )
 
 
-def _converged(u_new: np.ndarray, step: np.ndarray) -> bool:
-    """Stopping test on Frobenius norms; it implies the 2-norm test, by
-    ||M||_2 <= ||M||_F <= sqrt(min(M.shape)) ||M||_2."""
-    scale = max(1.0, math.hypot(*u_new.ravel().tolist()) / math.sqrt(min(u_new.shape)))
-    return math.hypot(*step.ravel().tolist()) < FIXED_POINT_STEP_TOL * scale
+def _converged(u_new: np.ndarray, step: np.ndarray) -> list:
+    """Stopping test on Frobenius norms, per item; it implies the 2-norm test,
+    by ||M||_2 <= ||M||_F <= sqrt(min(M.shape)) ||M||_2.  On a stack numpy's
+    norms settle the items outside a relative band of 1e-12 around the
+    tolerance, and the others take math.hypot's, as a lone matrix does."""
+    if u_new.ndim == 2:
+        fro = math.hypot(*u_new.ravel().tolist())
+        step_fro = fro if step is u_new else math.hypot(*step.ravel().tolist())
+        return [step_fro < FIXED_POINT_STEP_TOL * max(1.0, fro / math.sqrt(min(u_new.shape)))]
+    fro = np.sqrt(np.einsum("nij,nij->n", u_new, u_new))
+    tol = FIXED_POINT_STEP_TOL * np.maximum(1.0, fro / math.sqrt(min(u_new.shape[1:])))
+    step_fro = np.sqrt(np.einsum("nij,nij->n", step, step))
+    stop = (step_fro < tol * (1.0 - 1e-12)).tolist()
+    maybe = (step_fro <= tol * (1.0 + 1e-12)).tolist()
+    return [s or m and _converged(u, st)[0] for s, m, u, st in zip(stop, maybe, u_new, step)]
 
 
-def _fixed_point(first, left, right, outer, sandwich, n: int, name: str) -> np.ndarray:
+def _raise(failures: dict, stacked: bool) -> None:
+    """Raise ItemFailures on a stack, a lone matrix's own error otherwise."""
+    if failures:
+        raise ItemFailures(failures) if stacked else failures[0]
+
+
+def _items(stacked: bool, *values):
+    """Enumerate the values per item; a lone matrix's are its one item."""
+    return enumerate(zip(*values) if stacked else [values])
+
+
+def _fixed_point(first, left, right, outer, sandwich, n, name: str) -> np.ndarray:
     """Iterate u <- first + (right - u left) sandwich(u, n) outer from u = first.
 
     ``first`` is exactly the step from u = 0, which FIXED_POINT_MAX_ITER counts.
+    On a stack (N, r, c) at exponents n (N,), each item keeps the iterate at
+    which its own test first passed, until every item has stopped.
     """
-    u = first
-    if _converged(u, u):
-        return u
+    u = out = first
+    done = _converged(u, u)
     for _ in range(FIXED_POINT_MAX_ITER - 1):
+        if all(done):
+            return out
         u_new = first + (right - u @ left) @ sandwich(u, n) @ outer
-        if _converged(u_new, u_new - u):
-            return u_new
+        if any(done):  # the items still running take u_new, kept once they stop
+            out = np.where(np.array(done)[:, None, None], out, u_new)
+            done = np.logical_or(done, _converged(u_new, u_new - u)).tolist()
+        else:
+            out, done = u_new, _converged(u_new, u_new - u)
         u = u_new
-    raise ConvergenceFailure(f"{name} iteration did not converge at n={n}; constants violated")
+    if all(done):
+        return out
+    stacked = first.ndim == 3
+    _raise({i: ConvergenceFailure(f"{name} iteration did not converge at n={m}; constants violated")
+            for i, (ok, m) in _items(stacked, done if stacked else done[0], n) if not ok}, stacked)
 
 
-def solve_xi(problem: SplitProblem, J: np.ndarray, n: int) -> np.ndarray:
+def solve_xi(problem: SplitProblem, J: np.ndarray, n) -> np.ndarray:
     """Fixed point of the forward operator."""
     A, B, C, D = split_blocks(np.asarray(J, dtype=float), problem.k1)
     Ainv = invert(A)
     return _fixed_point(C @ Ainv, B, D, Ainv, problem.powers.dvn_u_avmn, n, "xi")
 
 
-def solve_eta(problem: SplitProblem, Ji: np.ndarray, n: int) -> np.ndarray:
+def solve_eta(problem: SplitProblem, Ji: np.ndarray, n) -> np.ndarray:
     """Fixed point eta_hat of the inverse-side operator, given Ji = J^{-1}.
 
     The graph itself is eta = A(V)^{-n} eta_hat D(V)^n, which decays like
@@ -287,23 +319,27 @@ def solve_eta(problem: SplitProblem, Ji: np.ndarray, n: int) -> np.ndarray:
 
 
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
-          n: int) -> None:
-    """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n0."""
+          n) -> None:
+    """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n0; on a stack
+    (N, d, d) at exponents n (N,), ItemFailures with each failing item's."""
     offset = J - problem.J0
-    if not norm_below(offset, constants.beta):
-        raise HypothesisFailure(
-            f"input outside the beta ball ({op_norm(offset):.3g} >= {constants.beta:.3g})"
-        )
-    if n < constants.n0:
-        raise HypothesisFailure(f"exponent {n} below threshold {constants.n0}")
+    stacked, inside = offset.ndim == 3, norm_below(offset, constants.beta)
+    if inside is True and n >= constants.n0:  # a lone matrix, admitted
+        return
+    _raise({i: HypothesisFailure(
+        f"exponent {m} below threshold {constants.n0}" if ok else
+        f"input outside the beta ball ({op_norm(M):.3g} >= {constants.beta:.3g})")
+        for i, (ok, m, M) in _items(stacked, inside, n, offset) if not ok or m < constants.n0},
+        stacked)
 
 
-def dominated_split(problem: SplitProblem, J: np.ndarray, n: int):
+def dominated_split(problem: SplitProblem, J: np.ndarray, n):
     """The split kernel: xi, eta_hat, X and Y^{-1} at one (J, n).
 
     Returns the unchecked certificate and J^{-1}, which it computes once.
     Raises CertificateFailure (item 3 or 4) when X drifts delta away from
-    A(J0) or Y^{-1} from D(J0^{-1}).
+    A(J0) or Y^{-1} from D(J0^{-1}).  On a stack J (N, d, d) at exponents n
+    (N,) the certificate holds stacks, and ItemFailures the items' errors.
     """
     J = np.asarray(J, dtype=float)
     Ji = invert(J)
@@ -313,16 +349,15 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n: int):
     _, _, Ci, Di = split_blocks(Ji, problem.k1)
     X = A + B @ problem.powers.dvn_u_avmn(xi, n)
     Y_inv = Ci @ problem.powers.avmn_u_dvn(eta_hat, n) + Di
-    if not norm_below(X - problem.A0, problem.delta):
-        raise CertificateFailure(
-            f"top block drifts {op_norm(X - problem.A0):.3g} >= delta {problem.delta:.3g}",
-            item=3,
-        )
-    if not norm_below(Y_inv - problem.D0i, problem.delta):
-        raise CertificateFailure(
-            f"inverse bottom block drifts {op_norm(Y_inv - problem.D0i):.3g} "
-            f">= delta {problem.delta:.3g}", item=4
-        )
+    dX, dY, delta = X - problem.A0, Y_inv - problem.D0i, problem.delta
+    okX, okY = norm_below(dX, delta), norm_below(dY, delta)
+    if okX is not True or okY is not True:  # on a stack, lists
+        stacked = J.ndim == 3
+        _raise({i: CertificateFailure(f"top block drifts {op_norm(x):.3g} >= delta {delta:.3g}",
+                                      item=3) if not ok3 else CertificateFailure(
+            f"inverse bottom block drifts {op_norm(y):.3g} >= delta {delta:.3g}", item=4)
+            for i, (ok3, ok4, x, y) in _items(stacked, okX, okY, dX, dY) if not (ok3 and ok4)},
+            stacked)
     return SplitCertificate(n=n, J=J, xi=xi, eta_hat=eta_hat, X=X, Y_inv=Y_inv), Ji
 
 

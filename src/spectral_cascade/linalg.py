@@ -27,12 +27,14 @@ and Hadamard's inequality the product of the row norms is then at most
 |det J| / (4 SINGULAR_SCALE_TOL), and cond_2 J <= f <= CONDITION_CAP / 2:
 the guards pass with a factor 4 and 2 to spare, which covers the rounding
 of f, of the inverse (cond_2 J < 1e5 under this limit) and of the guards.
-A larger f runs the guards on the LU determinant and the SVD.  Every
+A larger f runs the guards on the LU determinant and the SVD.  The same
+bounds hold for d = 2 (cond_2 J < 1e7), where a stack uses them too.  Every
 value that is stored or printed still comes from the SVD.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +43,7 @@ from .errors import (
     ConvergenceFailure,
     DegeneratePolar,
     IllConditioned,
+    ItemFailures,
     NegativeDeterminant,
     SingularMatrix,
 )
@@ -146,10 +149,15 @@ def op_norm(M: np.ndarray) -> float:
     return float(_svd(M)[0])
 
 
-def norm_below(M: np.ndarray, bound: float) -> bool:
+def norm_below(M: np.ndarray, bound: float):
     """op_norm(M) < bound, without an SVD when ||M||_F settles it (see the
-    module docstring for the 1e-12 slack)."""
+    module docstring for the 1e-12 slack).  On a stack (N, r, c) it answers
+    in a list, numpy's norms settling the items below the bound less twice
+    the slack, the other items one by one."""
     M = np.asarray(M, dtype=float)
+    if M.ndim == 3:
+        below = np.einsum("nij,nij->n", M, M) < (bound * (1.0 - 2e-12)) ** 2
+        return [ok or norm_below(Mi, bound) for ok, Mi in zip(below.tolist(), M)]
     return math.sqrt(np.vdot(M, M)) < bound * (1.0 - 1e-12) or op_norm(M) < bound
 
 
@@ -200,7 +208,6 @@ def _singular_threshold(rows: list) -> float:
 def _certified_inverse(J: np.ndarray):
     """LAPACK's inverse of a d x d matrix J, d >= 3, when ||J||_F ||J^-1||_F
     proves that invert's guards pass (see the module docstring); else None."""
-    d = J.shape[0]
     fro2 = float(np.vdot(J, J))
     if not math.isfinite(fro2):
         return None
@@ -208,23 +215,60 @@ def _certified_inverse(J: np.ndarray):
         Ji = _inv(J)
     except np.linalg.LinAlgError:  # an exact zero pivot: the guards decide
         return None
-    limit = min(d * d * (0.25 / SINGULAR_SCALE_TOL) ** (2.0 / d), 0.25 * CONDITION_CAP ** 2)
-    return Ji if fro2 * float(np.vdot(Ji, Ji)) <= limit else None
+    return Ji if fro2 * float(np.vdot(Ji, Ji)) <= _certificate_limit(J.shape[0]) else None
+
+
+@functools.cache
+def _certificate_limit(d: int) -> float:
+    return min(d * d * (0.25 / SINGULAR_SCALE_TOL) ** (2.0 / d), 0.25 * CONDITION_CAP ** 2)
+
+
+def _invert_stack(J: np.ndarray) -> np.ndarray:
+    """invert over a stack (N, d, d), raising ItemFailures with the error of each
+    item that invert refuses.  For d >= 2 one LAPACK call inverts the stack
+    and the Frobenius certificate passes an item with a 1e-12 slack; the other
+    items, all of them when the stacked call fails, and 1x1 items go one by one."""
+    d = J.shape[-1]
+    certified, Ji = [False] * len(J), np.empty_like(J)
+    if d > 1:
+        fro2 = np.einsum("nij,nij->n", J, J)
+        finite = np.isfinite(fro2)
+        try:
+            Ji = _inv(np.where(finite[:, None, None], J, np.eye(d)))
+            certified = (finite & (fro2 * np.einsum("nij,nij->n", Ji, Ji)
+                                   <= _certificate_limit(d) * (1.0 - 1e-12))).tolist()
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            pass
+    failures = {}
+    for i in [i for i, ok in enumerate(certified) if not ok]:
+        try:
+            Ji[i] = invert(J[i])
+        except Exception as exc:  # the item's own error, whatever it is
+            failures[i] = exc
+    if failures:
+        raise ItemFailures(failures)
+    return Ji
 
 
 def invert(J: np.ndarray) -> np.ndarray:
     """Matrix inverse with scale-invariant singularity / conditioning guards.
 
     SingularMatrix when |det J| is below the scale threshold, IllConditioned
-    when sigma_max / sigma_min passes CONDITION_CAP.  A 1x1 inverse is 1/x;
-    a 2x2 matrix is guarded by its closed-form singular values; a larger one
-    is returned at once when its Frobenius norms certify both guards, and is
-    guarded by its LU determinant and its SVD otherwise.
+    when sigma_max / sigma_min passes CONDITION_CAP.  A 1x1 inverse is 1/x,
+    at once for an entry of modulus 1e-290 or more; a 2x2 matrix is guarded
+    by its closed-form singular values; a larger one is returned at once when
+    its Frobenius norms certify both guards, and is guarded by its LU
+    determinant and its SVD otherwise.  A stack (N, d, d) is inverted item by
+    item, with one LAPACK call (see ``_invert_stack``).
     """
     J = np.asarray(J, dtype=float)
-    d = J.shape[0]
-    if d != J.shape[1]:
+    d = J.shape[-1]
+    if d != J.shape[-2]:
         raise ValueError(f"invert: matrix not square: {J.shape}")
+    if J.ndim == 3:
+        return _invert_stack(J)
+    if d == 1 and 1e-290 <= abs(J.item()) < math.inf:  # the guards pass
+        return np.array([[1.0 / J.item()]])
     if d >= 3:
         Ji = _certified_inverse(J)
         if Ji is not None:
@@ -257,7 +301,7 @@ def singular_values(J: np.ndarray) -> np.ndarray:
 def eigenvalues(J: np.ndarray) -> np.ndarray:
     """All eigenvalues (complex, conjugate-paired) via the QR eigensolver."""
     J = np.asarray(J, dtype=float)
-    if J.shape[0] != J.shape[1]:
+    if J.shape[-1] != J.shape[-2]:
         raise ValueError(f"eigenvalues: matrix not square: {J.shape}")
     try:
         return _eigvals(J)

@@ -7,7 +7,7 @@ with the modulus handled in log space so exponents up to ~1e5 stay exact.
 Each block's ``unit_power`` is the one place that forms the unit part
 U_j(n) of T_j^n; the sandwich factors, the cascade's level spectra and the
 oracle's numpy route all read it from there.  A decomposition forms each
-U_j(n) once and shares it with every stage (``DiagonalPowers.share_units``).
+item's U_j(n) once and shares it with every stage (``DiagonalPowers.share_units``).
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ class DiagonalPowers:
     D(V) the tail.  The sandwich products D(V)^n u A(V)^{-n} and
     A(V)^{-n} u D(V)^n are evaluated with combined log-scales so they stay
     bounded for arbitrarily large n (every tail modulus is below the head
-    modulus).  Their unit-modulus and scale factors are built once per n and
-    kept until a different n is asked for.
+    modulus).  The exponent is an int, or an array of them for a stack u
+    (N, r, c).  The unit-modulus and scale factors are built once and kept
+    until another exponent (for an array, another object) is asked for.
     """
 
     def __init__(self, model: DiagonalModel):
@@ -150,31 +151,36 @@ class DiagonalPowers:
         self._rel = model.tail(2).coordinate_log_moduli() - math.log(model.block(1).modulus)
         self._cache = (None,)
 
-    def share_units(self, n: int, units) -> None:
-        """Build the factors at n from unit parts U_j(n) formed by the caller,
-        one per block of the model, head first; factors already at n are kept."""
-        if self._cache[0] == n:
+    def share_units(self, n, units) -> None:
+        """Build the factors at n from unit parts U_j(n) formed by the caller
+        (stacks of them for an array n), one per block of the model, head
+        first; the factors of this very n object are kept."""
+        if self._cache[0] is n:
             return
         head, *tail = units
         unit_tail = block_diag(*tail)
-        scale = np.exp(np.minimum(n * self._rel, _LOG_CAP))
+        rel = n[:, None] * self._rel if isinstance(n, np.ndarray) else n * self._rel
+        scale = np.exp(np.minimum(rel, _LOG_CAP))
         # the inverse of a rotation or a sign is its transpose
-        self._cache = (n, scale[:, None] * unit_tail, unit_tail * scale[None, :], head.T)
+        self._cache = (n, scale[..., :, None] * unit_tail, unit_tail * scale[..., None, :],
+                       head.swapaxes(-1, -2))
 
-    def _factors(self, n: int):
+    def _factors(self, n):
         """(n, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and H
         are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale."""
-        if self._cache[0] != n:
-            self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
+        key = self._cache[0]
+        if key is not n and not (isinstance(n, int) and isinstance(key, int) and key == n):
+            blocks = self.model.diag_blocks
+            self.share_units(n, [np.array([b.unit_power(m) for m in n.tolist()]) for b in blocks]
+                             if isinstance(n, np.ndarray) else [b.unit_power(n) for b in blocks])
         return self._cache
 
-    def dvn_u_avmn(self, u: np.ndarray, n: int) -> np.ndarray:
+    def dvn_u_avmn(self, u: np.ndarray, n) -> np.ndarray:
         """D(V)^n u A(V)^{-n}; contracting, never overflows."""
         _, left, _, head_inv = self._factors(n)
         return left @ u @ head_inv
 
-    def avmn_u_dvn(self, u: np.ndarray, n: int) -> np.ndarray:
+    def avmn_u_dvn(self, u: np.ndarray, n) -> np.ndarray:
         """A(V)^{-n} u D(V)^n; contracting, never overflows."""
         _, _, right, head_inv = self._factors(n)
         return head_inv @ u @ right
-

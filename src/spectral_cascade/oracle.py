@@ -82,10 +82,10 @@ class ScaledSpectrum:
     def from_values(cls, values, log_scale: float = 0.0) -> "ScaledSpectrum":
         values = np.asarray(values, dtype=complex)
         mods = np.abs(values)
+        if mods.min(initial=math.inf) >= 1e-300:  # the same values as below, without the masks
+            return cls(unit=values / mods, log_mod=np.log(mods) + log_scale)
         positive = mods > 0
         safe = np.maximum(mods, 1e-300)
-        if positive.all():  # the same values as below, without the masks
-            return cls(unit=values / safe, log_mod=np.log(safe) + log_scale)
         unit = np.where(positive, values / safe, 0.0)
         log_mod = np.where(positive, np.log(safe) + log_scale, -np.inf)
         return cls(unit=unit, log_mod=np.asarray(log_mod, dtype=float))

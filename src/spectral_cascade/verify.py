@@ -7,7 +7,8 @@ split's own admission check, decomposition results by rerunning the
 decomposition and comparing against the independent oracle, and
 subsequence reports by applying the search's own hit rule
 (``cascade.examine``) at every stored exponent, whose indices must strictly
-increase.  ``_agree`` compares every stored number that can be recomputed.
+increase, after one stacked decomposition of them all.  ``_agree``
+compares every stored number that can be recomputed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from . import serialize
-from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine
+from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine_stack
 from .errors import SpectralCascadeError, VerificationFailure
 from .graph_transform import admit, derive_constants, verify_certificate
 from .linalg import norm_below, op_norm, signed_fraction
@@ -125,12 +126,11 @@ def _verify_prove_report(obj) -> dict:
     for prev, n in zip(ns, ns[1:]):
         if n <= prev:
             _fail(f"hit indices must be strictly increasing: n={n} follows n={prev}")
-    checked = []
-    for hit in obj["hits"]:
-        n, N = int(hit["n"]), int(hit["exponent"])
+    checked = [int(hit["exponent"]) for hit in obj["hits"]]
+    for n, N in zip(ns, checked):
         if N != spec.a * n + spec.b:
             _fail(f"exponent {N} is off the progression at index {n}")
-        fresh, _, miss = examine(n, spec, cascade)
+    for hit, n, (fresh, _, miss) in zip(obj["hits"], ns, examine_stack(ns, spec, cascade)):
         if fresh is None:
             _fail(f"hit n={n} is no hit on recompute: {miss[1]}")
         _agree(f"hit n={n} min_gap", hit["min_gap"], fresh.min_gap, 1e-6)
@@ -142,7 +142,6 @@ def _verify_prove_report(obj) -> dict:
         mism = match_scaled(fresh.spectrum, serialize.spectrum_from_json(hit["spectrum"]))
         if mism > _MATCH_TOL:
             _fail(f"hit n={n}: stored spectrum mismatch {mism:.3g}")
-        checked.append(N)
     return {"kind": obj["kind"], "passed": True, "exponents": checked}
 
 
@@ -157,7 +156,7 @@ _DISPATCH = {
 def verify_artifact(obj: dict) -> dict:
     """Dispatch on the artifact kind; raises VerificationFailure on any defect."""
     kind = obj.get("kind")
-    if kind not in _DISPATCH:
+    if not isinstance(kind, str) or kind not in _DISPATCH:  # a list or dict does not hash
         _fail(f"unknown artifact kind {kind!r}")
     try:
         return _DISPATCH[kind](obj)

@@ -5,7 +5,6 @@ carries exactly one pass/fail line per criterion.
 """
 
 import json
-import math
 import os
 import struct
 import subprocess
@@ -14,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks

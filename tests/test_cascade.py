@@ -645,3 +645,164 @@ def test_search_memory_is_bounded_by_one_range(demo_instance, demo_cascade):
         tracemalloc.stop()
     assert [h.exponent for h in res.hits] == DEMO_HITS[:3]
     assert peak < 2 * 2 ** 20, peak
+
+
+def _decomposition_bits(outcome):
+    """Every field of a decomposition, bit for bit, or its error's type, text and stage."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome), getattr(outcome, "stage", None)
+    bits = [outcome.n, outcome.limits_ok, outcome.domination_ok, outcome.domination_margin]
+    for lv in outcome.levels:
+        bits += [lv.j, lv.X.shape, lv.X.tobytes(), lv.spectrum.unit.dtype,
+                 lv.spectrum.unit.tobytes(), lv.spectrum.log_mod.tobytes(), lv.det, lv.drift,
+                 None if lv.P is None else lv.P.tobytes(),
+                 None if lv.window is None else (lv.window.alpha, lv.window.eps_hat)]
+    return bits
+
+
+def _alone(L_k, n, model, casc):
+    try:
+        return cascade_decompose(L_k, n, model, casc)
+    except Exception as exc:  # the error is part of the outcome
+        return exc
+
+
+def _stack_case(pattern, seed):
+    """A stack over n0 - 2 .. n0 + 20 and three far exponents, at k0 .. k0 + 3, with
+    two items below a stage's threshold and item 4 outside the first beta ball."""
+    spec = sc.generate_instance(pattern, seed=seed)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    ns = [*range(casc.n0 - 2, casc.n0 + 21), 1_000, 10_001, 100_000]
+    L_ks = np.array([spec.L_n(casc.k0 + i % 4) for i in range(len(ns))])
+    L_ks[4] += 2.0 * casc.stages[0].constants.beta
+    return spec, casc, L_ks, np.array(ns)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_stack_decomposes_bit_for_bit_like_one_at_a_time(pattern):
+    """Every field of every item, and each failing item's error, text and stage
+    alike, as cascade_decompose gives them one at a time."""
+    for seed in range(4):
+        spec, casc, L_ks, ns = _stack_case(pattern, seed)
+        stacked = cascade_module._decompose(L_ks, ns, spec.model, casc)
+        alone = [_alone(L, int(n), spec.model, casc) for L, n in zip(L_ks, ns)]
+        assert [_decomposition_bits(o) for o in stacked] == \
+            [_decomposition_bits(o) for o in alone], seed
+        failed = [o for o in alone if isinstance(o, Exception)]
+        assert len(failed) == 3 and all(isinstance(o, StageFailure) for o in failed), seed
+        assert "outside the beta ball" in str(alone[4]) and "below threshold" in str(alone[0])
+
+
+def test_stack_survives_a_failing_stacked_inverse(monkeypatch):
+    """An item that makes the stacked LAPACK inverse fail goes through invert
+    alone and keeps the error it raises alone; the other items are unchanged."""
+    spec, casc, L_ks, ns = _stack_case((1, 2, 2), 3)
+    L_ks[7] += 1e-13  # alone among the items
+    poisoned = L_ks[7].copy()
+    inv = linalg._inv_gufunc
+
+    def failing(M, **kwargs):
+        if any(np.array_equal(item, poisoned) for item in M.reshape((-1,) + M.shape[-2:])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(M, **kwargs)
+
+    monkeypatch.setattr(linalg, "_inv_gufunc", failing)
+    stacked = cascade_module._decompose(L_ks, ns, spec.model, casc)
+    alone = [_alone(L, int(n), spec.model, casc) for L, n in zip(L_ks, ns)]
+    assert isinstance(alone[7], np.linalg.LinAlgError)
+    assert [_decomposition_bits(o) for o in stacked] == [_decomposition_bits(o) for o in alone]
+    monkeypatch.setattr(linalg, "_inv_gufunc", inv)
+    assert [_decomposition_bits(o) for i, o in enumerate(stacked) if i != 7] == \
+        [_decomposition_bits(_alone(L, int(n), spec.model, casc))
+         for i, (L, n) in enumerate(zip(L_ks, ns)) if i != 7]
+
+
+@pytest.mark.parametrize("pattern", list(LAPACK_BUDGET), ids=["122", "222"])
+def test_stacked_decomposition_budget(pattern, monkeypatch):
+    """A stack of 21 makes the LAPACK calls of one decomposition, and its
+    sandwich calls stay within the most that one item needs alone."""
+    counts = dict.fromkeys([*LAPACK_BUDGET[pattern], "sandwich"], 0)
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key in LAPACK_BUDGET[pattern]:
+        name = f"_{key}_gufunc"
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name), key))
+    for name in ("dvn_u_avmn", "avmn_u_dvn"):
+        monkeypatch.setattr(DiagonalPowers, name, counted(getattr(DiagonalPowers, name), "sandwich"))
+    spec = sc.generate_instance(pattern, seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    ns = np.arange(casc.n0, casc.n0 + 21)
+    most = 0
+    for n in ns.tolist():
+        counts.update(dict.fromkeys(counts, 0), sandwich=0)
+        cascade_decompose(L_k, n, spec.model, casc)
+        most = max(most, counts.pop("sandwich"))
+        assert counts == LAPACK_BUDGET[pattern], n
+    counts.update(dict.fromkeys(counts, 0), sandwich=0)
+    results = cascade_module._decompose(np.array([L_k] * len(ns)), ns, spec.model, casc)
+    assert all(isinstance(r, cascade_module.CascadeResult) for r in results)
+    assert 0 < counts.pop("sandwich") <= most
+    assert counts == LAPACK_BUDGET[pattern]
+
+
+def _near_miss_setup(monkeypatch):
+    """(1,1,2) seed 0 scanned from k0, below the first stage's threshold, with
+    the oracle refusing every third exponent it is asked to certify."""
+    spec = sc.generate_instance((1, 1, 2), seed=0)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    casc.n0 = casc.k0
+    asked = []
+
+    def certified(L, model, n):
+        asked.append(n)
+        if len(asked) % 3 == 0:
+            raise ConvergenceFailure("inclusion disks of roots 0 and 1 meet")
+        return certified_spectrum(L, model, n)
+
+    monkeypatch.setattr(cascade_module, "certified_spectrum", certified)
+    return spec, casc, asked
+
+
+@pytest.mark.parametrize("case", ["122", "222", "near-misses"])
+def test_search_decomposes_exactly_the_examined_candidates(case, monkeypatch, tmp_path):
+    """The stacks hold each examined candidate once, in order, and none past the
+    count-th hit; hits, examined, near misses and CSV bytes are those of the
+    search that decomposes one candidate at a time."""
+    if case == "near-misses":
+        spec, casc, asked = _near_miss_setup(monkeypatch)
+        count = 12
+    else:
+        pattern, count = {"122": ((1, 2, 2), 40), "222": ((2, 2, 2), 10)}[case]
+        spec = sc.generate_instance(pattern, seed=3)
+        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    stacks = []
+    decompose = cascade_module._decompose
+
+    def recorded(L_ks, ns, model, cascade):
+        stacks.append(np.atleast_1d(ns).tolist())
+        return decompose(L_ks, ns, model, cascade)
+
+    with monkeypatch.context() as m:
+        m.setattr(cascade_module, "_decompose", recorded)
+        outcome, csv_bytes = _search_outcome(find_subsequence, spec, casc, tmp_path / "s.csv",
+                                             count=count)
+    if case == "near-misses":
+        asked.clear()
+    assert (outcome, csv_bytes) == _search_outcome(_reference_search, spec, casc,
+                                                   tmp_path / "r.csv", count=count)
+    _, hits, examined, near_misses = outcome
+    decomposed = [N for stack in stacks for N in stack]
+    rows = [int(row["n"]) for row in csv.DictReader((tmp_path / "s.csv").open())]
+    assert len(decomposed) == examined == len(rows)
+    assert decomposed == [spec.a * n + spec.b for n in rows]
+    assert decomposed[-1] == hits[-1][1]
+    if case == "near-misses":
+        assert len(stacks) > 2 and max(map(len, stacks)) > 1
+        assert any(reason.startswith("stage") for _, reason in near_misses)
+        assert any(reason.startswith("oracle does not isolate") for _, reason in near_misses)

@@ -163,6 +163,16 @@ def test_verify_rejects_nan_perturbation_amplitude(tmp_path, instance_file, caps
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "dict"])
+def test_verify_rejects_unhashable_kind(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": kind}))
+    assert run(["verify", "--artifact", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown artifact kind")
+    assert "Traceback" not in err
+
+
 def _drop_progression(obj):
     del obj["progression"]
 

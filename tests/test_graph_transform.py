@@ -6,11 +6,17 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade.blocks import block_diag, split_blocks
 from spectral_cascade.cascade import stage_input
-from spectral_cascade.errors import CertificateFailure, ConvergenceFailure, HypothesisFailure
+from spectral_cascade.errors import (
+    CertificateFailure,
+    ConvergenceFailure,
+    HypothesisFailure,
+    ItemFailures,
+)
 from spectral_cascade.graph_transform import (
     FIXED_POINT_MAX_ITER,
     FIXED_POINT_STEP_TOL,
     SplitProblem,
+    _converged,
     _fixed_point,
     derive_constants,
     invariant_pair,
@@ -286,3 +292,39 @@ def test_fixed_point_matches_the_loop_from_zero(k1, k2):
     with pytest.raises(ConvergenceFailure):
         _fixed_point(*flip, counted(lambda u, n: u), 0, "u")
     assert calls[0] == FIXED_POINT_MAX_ITER - 1
+
+
+def test_fixed_point_stack_fails_per_item():
+    """On a stack, an item that never converges raises its own error, with its
+    own exponent, in ItemFailures; the item that converges leaves the stack
+    with its own iterate when run alone."""
+    first = np.array([np.ones((2, 2)), np.ones((2, 2))])
+    left = np.zeros((2, 2, 2))
+    right = np.array([0.5 * np.eye(2), -np.eye(2)])  # u <- first + u / 2, u <- first - u
+    n = np.array([7, 9])
+    with pytest.raises(ItemFailures) as exc:
+        _fixed_point(first, left, right, np.eye(2), lambda u, n: u, n, "u")
+    (i, error), = exc.value.failures.items()
+    assert i == 1 and isinstance(error, ConvergenceFailure)
+    with pytest.raises(ConvergenceFailure) as alone:
+        _fixed_point(first[1], left[1], right[1], np.eye(2), lambda u, n: u, 9, "u")
+    assert str(error) == str(alone.value)
+    kept = _fixed_point(first[:1], left[:1], right[:1], np.eye(2), lambda u, n: u, n[:1], "u")
+    lone = _fixed_point(first[0], left[0], right[0], np.eye(2), lambda u, n: u, 7, "u")
+    assert kept[0].tobytes() == lone.tobytes()
+
+
+def test_stopping_test_on_a_stack_is_each_item_alone(rng):
+    """Steps at the tolerance and a few ulp around it, where numpy's norms and
+    math.hypot's may part, stop an item of a stack exactly when they stop it
+    alone."""
+    for shape in [(2, 1), (1, 2), (2, 2), (4, 2)]:
+        u = rng.standard_normal((40,) + shape) * 10.0 ** rng.uniform(-3, 3, (40, 1, 1))
+        steps = rng.standard_normal((40,) + shape)
+        for i in range(40):
+            scale = max(1.0, math.hypot(*u[i].flat) / math.sqrt(min(shape)))
+            steps[i] *= FIXED_POINT_STEP_TOL * scale / math.hypot(*steps[i].flat)
+            steps[i] *= 1.0 + (i - 20) * 2.0 ** -52
+        alone = [_converged(ui, si)[0] for ui, si in zip(u, steps)]
+        assert _converged(u, steps) == alone
+        assert 0 < sum(alone) < 40

@@ -1,4 +1,5 @@
-"""Every module-level import of the package's modules is used by that module."""
+"""Every module-level import of the package's modules, its tests and its scripts
+is used by that module."""
 
 import ast
 import os
@@ -13,6 +14,9 @@ import spectral_cascade as sc
 
 PACKAGE = Path(sc.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parents[1]
+# bench/ is left out: its files change only together with the benchmark
+SCANNED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 # (module, name) pairs imported on purpose without a use
 ALLOWED = {
@@ -36,7 +40,8 @@ def _unused_imports(path: Path) -> list:
                   if name not in used and (path.stem, name) not in ALLOWED)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", SCANNED, ids=lambda p: p.stem if p.parent == PACKAGE else f"{p.parent.name}/{p.stem}")
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
 
@@ -79,8 +84,6 @@ def test_cli_import_loads_no_scipy():
                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert out.stdout.strip() == "[]"
 
-
-ROOT = PACKAGE.parents[1]
 
 # dataclass fields that no code reads by attribute on purpose
 UNREAD_ALLOWED = {

@@ -17,6 +17,7 @@ from spectral_cascade.errors import (
     ConvergenceFailure,
     DegeneratePolar,
     IllConditioned,
+    ItemFailures,
     NegativeDeterminant,
     SingularMatrix,
 )
@@ -584,9 +585,44 @@ def test_norm_below_is_the_op_norm_comparison(rng):
                   edge * (1.0 + 1e-15)):
             assert norm_below(M, b) == (s < b), (M, b)
             settled += fro < b * (1.0 - 1e-12)
+            # a stack answers per item as each item alone, settled or not
+            stack = np.array([M, M * (1.0 + 2e-12), M * (1.0 - 2e-12), M * (1.0 - 4e-12)])
+            assert norm_below(stack, b) == [norm_below(Mi, b) for Mi in stack], (M, b)
     assert settled > 2_000
     with pytest.raises(np.linalg.LinAlgError):
         norm_below(np.array([[1.0, math.nan]]), 10.0)
+
+
+def _invert_outcome(J):
+    try:
+        return invert(J).tobytes()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_invert_stack_is_each_item_alone(d):
+    """Every item of a stack inverts bit for bit, or fails with the error, as it
+    does alone: well conditioned at any scale, at both sides of the singular
+    threshold and of the condition cap, exactly singular (the stacked LAPACK
+    call fails), and not finite."""
+    items = [scale * _mixed([3.0, 2.0, 1.0, 0.5, 0.25][:d]) for scale in (1.0, 1e-150, 1e150)]
+    if d >= 2:
+        items += [_mixed([1.0, *[1.0 / (f * CONDITION_CAP)] * (d - 1)]) for f in (0.99, 1.01)]
+        items += [_mixed([1.0, *[s0] * (d - 1)]) for s0 in (1e-7, 1e-9)]
+    items += [np.zeros((d, d)), np.full((d, d), math.nan), np.full((d, d), 1e-300)]
+    stack = np.array(items)
+    alone = [_invert_outcome(M) for M in items]
+    try:
+        got = [Ji.tobytes() for Ji in invert(stack)]
+    except ItemFailures as exc:
+        failures = exc.failures
+        ok = [i for i in range(len(items)) if i not in failures]
+        inverses = invert(stack[ok])
+        got = [(type(failures[i]), str(failures[i])) if i in failures
+               else inverses[ok.index(i)].tobytes() for i in range(len(items))]
+    assert got == alone
+    assert sum(isinstance(o, tuple) for o in alone) >= 2
 
 
 def _guard_outcome(J):

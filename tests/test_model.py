@@ -129,3 +129,21 @@ def test_sandwich_cache_survives_a_failed_exponent():
     with pytest.raises(ValueError):  # the head's phase fails past phase_mod1's range
         powers.dvn_u_avmn(u, 2 ** 26)
     np.testing.assert_array_equal(powers.dvn_u_avmn(u, 5), before)
+
+
+def test_sandwich_on_a_stack_is_each_item_alone():
+    """A stack of u at an array of exponents gives every item's products bit
+    for bit as that item alone, whether the caller shares the units or not."""
+    model = make_model()
+    rng = np.random.default_rng(7)
+    ns = np.array([0, 5, 37, 1_000, 100_000])
+    u, v = rng.standard_normal((5, 4, 1)), rng.standard_normal((5, 1, 4))
+    alone = DiagonalPowers(model)
+    want = [(alone.dvn_u_avmn(ui, n), alone.avmn_u_dvn(vi, n)) for ui, vi, n in zip(u, v, ns.tolist())]
+    shared = DiagonalPowers(model)
+    shared.share_units(ns, [np.array([b.unit_power(n) for n in ns.tolist()])
+                            for b in model.diag_blocks])
+    for powers in (DiagonalPowers(model), shared):
+        got = zip(powers.dvn_u_avmn(u, ns), powers.avmn_u_dvn(v, ns))
+        assert [(a.tobytes(), b.tobytes()) for a, b in got] == \
+            [(a.tobytes(), b.tobytes()) for a, b in want]

@@ -11,11 +11,7 @@ import lattice_reference
 from spectral_cascade import scenario
 from spectral_cascade.blocks import BlockStructure
 from spectral_cascade.cascade import choose_parameters
-from spectral_cascade.errors import (
-    ConditionFailure,
-    IndependenceFailure,
-    PerturbationExhausted,
-)
+from spectral_cascade.errors import IndependenceFailure, PerturbationExhausted
 from spectral_cascade.linalg import lll_reduce, op_norm, singular_values
 from spectral_cascade.scenario import (
     _ANGLE_PRIMES,

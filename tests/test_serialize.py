@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import spectral_cascade as sc
 from spectral_cascade import serialize
 from spectral_cascade.cascade import cascade_decompose, choose_parameters
 from spectral_cascade.errors import VerificationFailure
@@ -151,3 +150,10 @@ def test_stored_cascade_result_recomputes():
             assert abs(new_p["alpha"] - old_p["alpha"]) <= 1e-14
             assert math.isclose(new_p["eps_hat"], old_p["eps_hat"], rel_tol=1e-14)
     assert fresh == stored
+
+
+@pytest.mark.parametrize("kind", [[], {}, {"kind": "instance"}], ids=["list", "dict", "nested"])
+def test_unhashable_kind_is_an_unknown_kind(kind):
+    """A kind that cannot be looked up is refused like any unknown kind."""
+    with pytest.raises(VerificationFailure, match="unknown artifact kind"):
+        verify_artifact({"kind": kind})
