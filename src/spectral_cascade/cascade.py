@@ -39,7 +39,6 @@ from .errors import (
     ConvergenceFailure,
     DegeneratePolar,
     EpsilonTooLarge,
-    ItemFailures,
     NegativeDeterminant,
     NumericError,
     SearchExhausted,
@@ -229,30 +228,36 @@ def _level_data(j: int, X: np.ndarray, values: np.ndarray, n: int, model: Diagon
                      P=P, window=window)
 
 
+def _split(stage: CascadeStage, current: np.ndarray, ns, units: list):
+    """Admit ``current`` at exponents ns, with its blocks' U_j(n) in ``units``,
+    to one stage and split it: its X and the remainder that enters the next."""
+    stage.problem.powers.share_units(ns, units[stage.j - 1:])
+    admit(stage.problem, stage.constants, current, ns)
+    cert, _ = dominated_split(stage.problem, current, ns)
+    return cert.X, invert(cert.Y_inv)
+
+
 def _chain(current: np.ndarray, ns, stages, units: list, failures: dict):
     """Admit and split a stack (N, d, d) at exponents ns (N,) stage by stage; a
     lone matrix at one exponent is the stack of one without its axis.
 
-    ``units`` holds each block's U_j(n), head first.  A stage drops the items
-    it refuses, puts the error each raises alone in ``failures`` under its
-    index, and reruns on the rest.  Returns the indices of the items that
-    pass, their X per stage, their last remainder and their units.
+    ``units`` holds each block's U_j(n), head first.  When a stage raises on
+    a stack, each item runs it alone, and the items that fail leave the stack
+    with their own errors, which go in ``failures`` under their indices; the
+    stage then runs once more on the rest.  Returns the indices of the items
+    that pass, their X per stage, their last remainder and their units.
     """
     alive, Xs = list(range(len(current) if current.ndim == 3 else 1)), []
     for stage in stages:
-        while True:
-            stage.problem.powers.share_units(ns, units[stage.j - 1:])
-            try:
-                admit(stage.problem, stage.constants, current, ns)
-                cert, _ = dominated_split(stage.problem, current, ns)
-                current = invert(cert.Y_inv)
-                break
-            except ItemFailures as exc:
-                errors = exc.failures
-            except (NumericError, ConditionError) as exc:
-                if current.ndim == 3:
-                    raise
-                errors = {0: exc}  # a lone matrix raises its own error
+        try:
+            X, current = _split(stage, current, ns, units)
+        except Exception as exc:
+            errors = {0: exc} if current.ndim == 2 else {}
+            for i, n in enumerate(ns.tolist() if current.ndim == 3 else []):
+                try:
+                    _split(stage, current[i], n, [u[i] for u in units])
+                except Exception as item_exc:  # the item's own error, whatever it is
+                    errors[i] = item_exc
             for i, e in errors.items():
                 failures[alive[i]] = (StageFailure(f"stage {stage.j}: {e}", stage=stage.j, cause=e)
                                       if isinstance(e, (NumericError, ConditionError)) else e)
@@ -261,7 +266,8 @@ def _chain(current: np.ndarray, ns, stages, units: list, failures: dict):
                 return [], [], current, units
             alive, current, ns = [alive[i] for i in keep], current[keep], ns[keep]
             units, Xs = [u[keep] for u in units], [X[keep] for X in Xs]
-        Xs.append(cert.X)
+            X, current = _split(stage, current, ns, units)  # raises if every item passed alone
+        Xs.append(X)
     return alive, Xs, current, units
 
 
@@ -368,22 +374,21 @@ def _spectrum_row(spec: ScaledSpectrum) -> list:
     return out
 
 
-def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decomposed=None):
+def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decomposed):
     """The hit rule at index n; returns (hit_or_none, csv_row, miss_or_none).
 
     A hit needs limits and domination, a real simple spectrum at GAP_TOL, an
     oracle mismatch of at most ORACLE_TOL, and inclusion disks of the
     certified graded oracle that prove the spectrum real simple.
-    ``decomposed`` is the decomposition at n, or its error, when a stack has
-    run it already (``examine_stack``).
+    ``decomposed`` is the decomposition at n, or its error, from a stack
+    (``examine_stack``).
     """
     model = instance.model
     N = instance.a * n + instance.b
     structure = model.structure
     L_n = instance.L_n(n)
     try:
-        result = _outcome(cascade_decompose(L_n, N, model, cascade) if decomposed is None
-                          else decomposed)
+        result = _outcome(decomposed)
     except StageFailure as exc:
         row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
         return None, row, (n, str(exc))

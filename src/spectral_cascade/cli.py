@@ -58,7 +58,7 @@ def _load_instance(path: str):
         raise ConditionFailure(f"{path}: expected an instance artifact, got {obj['kind']}")
     try:
         return serialize.instance_from_json(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConditionFailure(f"{path}: malformed instance artifact: {exc!r}") from exc
 
 

@@ -98,11 +98,3 @@ class SearchExhausted(SpectralCascadeError):
 class VerificationFailure(ConditionError):
     """Independent re-validation of an artifact found a violated bound."""
 
-
-class ItemFailures(Exception):
-    """Items of a stack that failed a stacked call: ``failures`` maps the index
-    of each to the error it raises alone."""
-
-    def __init__(self, failures):
-        super().__init__(failures)
-        self.failures = failures

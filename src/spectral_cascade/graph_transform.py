@@ -58,7 +58,6 @@ from .errors import (
     ConvergenceFailure,
     HypothesisFailure,
     IllConditioned,
-    ItemFailures,
     SingularMatrix,
 )
 from .linalg import _det, invert, norm_below, op_norm
@@ -263,23 +262,13 @@ def _converged(u_new: np.ndarray, step: np.ndarray) -> list:
     return [s or m and _converged(u, st)[0] for s, m, u, st in zip(stop, maybe, u_new, step)]
 
 
-def _raise(failures: dict, stacked: bool) -> None:
-    """Raise ItemFailures on a stack, a lone matrix's own error otherwise."""
-    if failures:
-        raise ItemFailures(failures) if stacked else failures[0]
-
-
-def _items(stacked: bool, *values):
-    """Enumerate the values per item; a lone matrix's are its one item."""
-    return enumerate(zip(*values) if stacked else [values])
-
-
 def _fixed_point(first, left, right, outer, sandwich, n, name: str) -> np.ndarray:
     """Iterate u <- first + (right - u left) sandwich(u, n) outer from u = first.
 
     ``first`` is exactly the step from u = 0, which FIXED_POINT_MAX_ITER counts.
     On a stack (N, r, c) at exponents n (N,), each item keeps the iterate at
-    which its own test first passed, until every item has stopped.
+    which its own test first passed, until every item has stopped; the first
+    item that never stops raises.
     """
     u = out = first
     done = _converged(u, u)
@@ -293,11 +282,11 @@ def _fixed_point(first, left, right, outer, sandwich, n, name: str) -> np.ndarra
         else:
             out, done = u_new, _converged(u_new, u_new - u)
         u = u_new
-    if all(done):
-        return out
-    stacked = first.ndim == 3
-    _raise({i: ConvergenceFailure(f"{name} iteration did not converge at n={m}; constants violated")
-            for i, (ok, m) in _items(stacked, done if stacked else done[0], n) if not ok}, stacked)
+    for ok, m in zip(done, np.atleast_1d(n).tolist()):
+        if not ok:
+            raise ConvergenceFailure(f"{name} iteration did not converge at n={m}; "
+                                     "constants violated")
+    return out
 
 
 def solve_xi(problem: SplitProblem, J: np.ndarray, n) -> np.ndarray:
@@ -321,16 +310,18 @@ def solve_eta(problem: SplitProblem, Ji: np.ndarray, n) -> np.ndarray:
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
           n) -> None:
     """Raise HypothesisFailure unless ||J - J0|| < beta and n >= n0; on a stack
-    (N, d, d) at exponents n (N,), ItemFailures with each failing item's."""
+    (N, d, d) at exponents n (N,), the first failing item's."""
     offset = J - problem.J0
-    stacked, inside = offset.ndim == 3, norm_below(offset, constants.beta)
+    inside = norm_below(offset, constants.beta)
     if inside is True and n >= constants.n0:  # a lone matrix, admitted
         return
-    _raise({i: HypothesisFailure(
-        f"exponent {m} below threshold {constants.n0}" if ok else
-        f"input outside the beta ball ({op_norm(M):.3g} >= {constants.beta:.3g})")
-        for i, (ok, m, M) in _items(stacked, inside, n, offset) if not ok or m < constants.n0},
-        stacked)
+    for ok, m, M in zip(np.atleast_1d(inside).tolist(), np.atleast_1d(n).tolist(),
+                        offset.reshape(-1, *offset.shape[-2:])):
+        if not ok:
+            raise HypothesisFailure(
+                f"input outside the beta ball ({op_norm(M):.3g} >= {constants.beta:.3g})")
+        if m < constants.n0:
+            raise HypothesisFailure(f"exponent {m} below threshold {constants.n0}")
 
 
 def dominated_split(problem: SplitProblem, J: np.ndarray, n):
@@ -339,7 +330,7 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n):
     Returns the unchecked certificate and J^{-1}, which it computes once.
     Raises CertificateFailure (item 3 or 4) when X drifts delta away from
     A(J0) or Y^{-1} from D(J0^{-1}).  On a stack J (N, d, d) at exponents n
-    (N,) the certificate holds stacks, and ItemFailures the items' errors.
+    (N,) the certificate holds stacks, and the first failing item raises.
     """
     J = np.asarray(J, dtype=float)
     Ji = invert(J)
@@ -352,12 +343,14 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n):
     dX, dY, delta = X - problem.A0, Y_inv - problem.D0i, problem.delta
     okX, okY = norm_below(dX, delta), norm_below(dY, delta)
     if okX is not True or okY is not True:  # on a stack, lists
-        stacked = J.ndim == 3
-        _raise({i: CertificateFailure(f"top block drifts {op_norm(x):.3g} >= delta {delta:.3g}",
-                                      item=3) if not ok3 else CertificateFailure(
-            f"inverse bottom block drifts {op_norm(y):.3g} >= delta {delta:.3g}", item=4)
-            for i, (ok3, ok4, x, y) in _items(stacked, okX, okY, dX, dY) if not (ok3 and ok4)},
-            stacked)
+        for ok3, ok4, x, y in zip(np.atleast_1d(okX).tolist(), np.atleast_1d(okY).tolist(),
+                                  dX.reshape(-1, *dX.shape[-2:]), dY.reshape(-1, *dY.shape[-2:])):
+            if not ok3:
+                raise CertificateFailure(f"top block drifts {op_norm(x):.3g} >= delta {delta:.3g}",
+                                         item=3)
+            if not ok4:
+                raise CertificateFailure(
+                    f"inverse bottom block drifts {op_norm(y):.3g} >= delta {delta:.3g}", item=4)
     return SplitCertificate(n=n, J=J, xi=xi, eta_hat=eta_hat, X=X, Y_inv=Y_inv), Ji
 
 

@@ -43,7 +43,6 @@ from .errors import (
     ConvergenceFailure,
     DegeneratePolar,
     IllConditioned,
-    ItemFailures,
     NegativeDeterminant,
     SingularMatrix,
 )
@@ -224,10 +223,10 @@ def _certificate_limit(d: int) -> float:
 
 
 def _invert_stack(J: np.ndarray) -> np.ndarray:
-    """invert over a stack (N, d, d), raising ItemFailures with the error of each
-    item that invert refuses.  For d >= 2 one LAPACK call inverts the stack
-    and the Frobenius certificate passes an item with a 1e-12 slack; the other
-    items, all of them when the stacked call fails, and 1x1 items go one by one."""
+    """invert over a stack (N, d, d), raising the error of the first item that
+    invert refuses.  For d >= 2 one LAPACK call inverts the stack and the
+    Frobenius certificate passes an item with a 1e-12 slack; the other items,
+    all of them when the stacked call fails, and 1x1 items go one by one."""
     d = J.shape[-1]
     certified, Ji = [False] * len(J), np.empty_like(J)
     if d > 1:
@@ -239,14 +238,8 @@ def _invert_stack(J: np.ndarray) -> np.ndarray:
                                    <= _certificate_limit(d) * (1.0 - 1e-12))).tolist()
         except np.linalg.LinAlgError:  # an exact zero pivot
             pass
-    failures = {}
     for i in [i for i, ok in enumerate(certified) if not ok]:
-        try:
-            Ji[i] = invert(J[i])
-        except Exception as exc:  # the item's own error, whatever it is
-            failures[i] = exc
-    if failures:
-        raise ItemFailures(failures)
+        Ji[i] = invert(J[i])
     return Ji
 
 

@@ -67,7 +67,10 @@ def model_to_json(model: DiagonalModel) -> dict:
 
 
 def model_from_json(obj) -> DiagonalModel:
-    structure = BlockStructure(tuple(int(s) for s in obj["structure"]))
+    sizes = tuple(obj["structure"])
+    if not all(type(s) is int for s in sizes):  # not a float, not a bool
+        raise ValueError(f"block sizes must be JSON integers, got {list(sizes)}")
+    structure = BlockStructure(sizes)
     blocks = tuple(_block_from_json(b) for b in obj["T_blocks"])
     return DiagonalModel(structure, blocks)
 
@@ -103,12 +106,11 @@ def spectrum_to_json(spec: ScaledSpectrum) -> dict:
 
 
 def spectrum_from_json(obj) -> ScaledSpectrum:
-    unit = np.asarray(obj["unit_re"], dtype=float) + 1j * np.asarray(
-        obj["unit_im"], dtype=float
-    )
-    return ScaledSpectrum(
-        unit=unit, log_mod=np.asarray(obj["log10_mod"], dtype=float) * _LN10
-    )
+    re, im, log10 = (np.asarray(obj[k], dtype=float) for k in ("unit_re", "unit_im", "log10_mod"))
+    if not re.ndim == im.ndim == log10.ndim == 1 or not len(re) == len(im) == len(log10):
+        raise ValueError(f"a spectrum is three lists of one length, got shapes "
+                         f"{re.shape}, {im.shape} and {log10.shape}")
+    return ScaledSpectrum(unit=re + 1j * im, log_mod=log10 * _LN10)
 
 
 def certificate_to_json(cert: SplitCertificate, problem: SplitProblem) -> dict:

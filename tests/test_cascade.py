@@ -1,6 +1,8 @@
 import csv
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,7 +147,7 @@ def test_stage_input_admits_like_cascade_decompose(demo_instance, demo_cascade):
 
 def test_near_miss_names_its_stage_once(demo_instance, demo_cascade):
     """A stage failure reads "stage 1: ...", not "stage 1: stage 1: ..."."""
-    hit, _, miss = cascade_module.examine(3, demo_instance, demo_cascade)
+    (hit, _, miss), = cascade_module.examine_stack([3], demo_instance, demo_cascade)
     assert hit is None
     assert miss[1].startswith("stage 1: input outside the beta ball")
     assert miss[1].count("stage") == 1
@@ -560,7 +562,7 @@ def _reference_search(instance, cascade, count=3, n_max=100_000, csv_path=None):
         writer = csv.writer(fh)
         writer.writerow(cascade_module._csv_rows_header(model.structure))
         for n in candidates:
-            hit, row, miss = cascade_module.examine(int(n), instance, cascade)
+            (hit, row, miss), = cascade_module.examine_stack([int(n)], instance, cascade)
             writer.writerow(row)
             if miss is not None:
                 near_misses.append(miss)
@@ -715,6 +717,26 @@ def test_stack_survives_a_failing_stacked_inverse(monkeypatch):
     assert [_decomposition_bits(o) for i, o in enumerate(stacked) if i != 7] == \
         [_decomposition_bits(_alone(L, int(n), spec.model, casc))
          for i, (L, n) in enumerate(zip(L_ks, ns)) if i != 7]
+
+
+@pytest.mark.parametrize("pattern, count", [((1, 2, 2), 40), ((2, 2, 2), 10)], ids=["122", "222"])
+def test_stack_of_passing_items_runs_no_item_alone(pattern, count, monkeypatch):
+    """The bench's seed-3 searches decompose their count candidates, all hits, as
+    one stack whose stages never fall back to running an item alone."""
+    split, alone = cascade_module._split, []
+
+    def stacked_only(stage, current, ns, units):
+        if current.ndim == 2:
+            alone.append((stage.j, ns))
+            raise AssertionError("an item of the stack ran alone")
+        return split(stage, current, ns, units)
+
+    monkeypatch.setattr(cascade_module, "_split", stacked_only)
+    spec = sc.generate_instance(pattern, seed=3)
+    search = prove_instance(spec, count=count).search
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+    assert [h.n for h in search.hits] == reference[f"{','.join(map(str, pattern))}@3"]
+    assert search.near_misses == [] and alone == []
 
 
 @pytest.mark.parametrize("pattern", list(LAPACK_BUDGET), ids=["122", "222"])

@@ -181,14 +181,32 @@ def _untyped_amplitude(obj):
     obj["law"]["c"] = None
 
 
-@pytest.mark.parametrize("defect", [lambda obj: {"kind": "instance"}, _drop_progression,
-                                    _untyped_amplitude],
-                         ids=["kind-only", "no-progression", "null-amplitude"])
+def _set(*path, value):
+    """A defect that sets the value at the JSON path of an instance."""
+    def defect(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return defect
+
+
+@pytest.mark.parametrize("defect", [
+    lambda obj: {"kind": "instance"},
+    _drop_progression,
+    _untyped_amplitude,
+    _set("structure", 0, value=math.inf),
+    _set("law", "rho", value=2),
+    _set("structure", value=[1, 2, 3]),
+    _set("L", "rows", value=4),
+    _set("T_blocks", 0, "type", value="blob"),
+], ids=["kind-only", "no-progression", "null-amplitude", "inf-size", "rho-2", "size-3",
+        "L-header", "blob-block"])
 @pytest.mark.parametrize("command", [["check"], ["split", "--n", "100", "--out", "{out}"],
                                      ["cascade", "--n", "60", "--out", "{out}"], ["find-n"],
                                      ["prove"]], ids=lambda c: c[0])
 def test_malformed_instance_exits_1(tmp_path, instance_file, capsys, defect, command):
-    """A missing or wrong-typed field is a bad artifact (exit 1), not a traceback."""
+    """A missing, wrong-typed or out-of-range field is a bad artifact (exit 1), as
+    for verify, not a usage error (64) or a traceback."""
     obj = json.loads(instance_file.read_text())
     obj = defect(obj) or obj
     bad, out = tmp_path / "bad.json", tmp_path / "out.json"

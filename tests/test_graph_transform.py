@@ -10,7 +10,6 @@ from spectral_cascade.errors import (
     CertificateFailure,
     ConvergenceFailure,
     HypothesisFailure,
-    ItemFailures,
 )
 from spectral_cascade.graph_transform import (
     FIXED_POINT_MAX_ITER,
@@ -295,22 +294,20 @@ def test_fixed_point_matches_the_loop_from_zero(k1, k2):
 
 
 def test_fixed_point_stack_fails_per_item():
-    """On a stack, an item that never converges raises its own error, with its
-    own exponent, in ItemFailures; the item that converges leaves the stack
-    with its own iterate when run alone."""
-    first = np.array([np.ones((2, 2)), np.ones((2, 2))])
-    left = np.zeros((2, 2, 2))
-    right = np.array([0.5 * np.eye(2), -np.eye(2)])  # u <- first + u / 2, u <- first - u
-    n = np.array([7, 9])
-    with pytest.raises(ItemFailures) as exc:
+    """A stack raises the error of its first item that never converges, with
+    that item's own exponent, as the item raises alone; the items that
+    converge give, as a stack, each item's own iterate alone."""
+    first = np.ones((3, 2, 2))
+    left = np.zeros((3, 2, 2))
+    right = np.array([-np.eye(2), 0.5 * np.eye(2), -np.eye(2)])  # u <- first - u, first + u / 2
+    n = np.array([9, 7, 11])
+    with pytest.raises(ConvergenceFailure) as stacked:
         _fixed_point(first, left, right, np.eye(2), lambda u, n: u, n, "u")
-    (i, error), = exc.value.failures.items()
-    assert i == 1 and isinstance(error, ConvergenceFailure)
     with pytest.raises(ConvergenceFailure) as alone:
-        _fixed_point(first[1], left[1], right[1], np.eye(2), lambda u, n: u, 9, "u")
-    assert str(error) == str(alone.value)
-    kept = _fixed_point(first[:1], left[:1], right[:1], np.eye(2), lambda u, n: u, n[:1], "u")
-    lone = _fixed_point(first[0], left[0], right[0], np.eye(2), lambda u, n: u, 7, "u")
+        _fixed_point(first[0], left[0], right[0], np.eye(2), lambda u, n: u, 9, "u")
+    assert str(stacked.value) == str(alone.value) and "n=9" in str(alone.value)
+    kept = _fixed_point(first[1:2], left[1:2], right[1:2], np.eye(2), lambda u, n: u, n[1:2], "u")
+    lone = _fixed_point(first[1], left[1], right[1], np.eye(2), lambda u, n: u, 7, "u")
     assert kept[0].tobytes() == lone.tobytes()
 
 

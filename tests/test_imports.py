@@ -140,3 +140,29 @@ def test_every_public_method_is_called():
     read = _attribute_loads(("src", "bench", "scripts"))
     uncalled = sorted(m for m in methods if m[1] not in read and m not in UNCALLED_ALLOWED)
     assert uncalled == []
+
+
+def _name_loads(tops) -> set:
+    """Every name and attribute name loaded anywhere under the given top-level folders."""
+    read = set()
+    for top in tops:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_public_function_is_used():
+    """A module-level public function or class of the package is used by name in
+    src/, bench/ or scripts/: none has its own unit test as its only caller
+    (an import alone, such as a re-export in __init__.py, is no use)."""
+    defined = set()
+    for path in MODULES:
+        defined |= {(path.stem, node.name) for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+    read = _name_loads(("src", "bench", "scripts"))
+    assert sorted(d for d in defined if d[1] not in read) == []

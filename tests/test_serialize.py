@@ -157,3 +157,52 @@ def test_unhashable_kind_is_an_unknown_kind(kind):
     """A kind that cannot be looked up is refused like any unknown kind."""
     with pytest.raises(VerificationFailure, match="unknown artifact kind"):
         verify_artifact({"kind": kind})
+
+
+def _artifact(kind, instance, cascade):
+    """An artifact of the kind that verifies: a fresh instance or split
+    certificate, or a stored cascade result or prove report."""
+    if kind == "instance":
+        return serialize.instance_to_json(instance)
+    if kind == "split-certificate":
+        stage = cascade.stages[0]
+        cert = invariant_pair(stage.problem, instance.L, cascade.n0 + 1, stage.constants)
+        return serialize.certificate_to_json(cert, stage.problem)
+    return serialize.load_artifact(str(DATA / STORED[kind == "prove-report"]))
+
+
+# the object that holds the model of each kind of artifact
+MODEL_KEY = {"instance": None, "split-certificate": "model", "cascade-result": "instance",
+             "prove-report": "instance"}
+
+
+@pytest.mark.parametrize("value", [math.inf, 1.5, True], ids=["inf", "fraction", "bool"])
+@pytest.mark.parametrize("kind", list(MODEL_KEY))
+def test_block_sizes_must_be_json_integers(kind, value, demo_instance, demo_cascade):
+    """A block size that is not a JSON integer makes any artifact malformed; int()
+    would raise OverflowError on inf and read 1.5 or true as 1."""
+    obj = _artifact(kind, demo_instance, demo_cascade)
+    assert verify_artifact(obj)["passed"]
+    model = obj if MODEL_KEY[kind] is None else obj[MODEL_KEY[kind]]
+    model["structure"][0] = value
+    with pytest.raises(VerificationFailure, match=f"malformed {kind} artifact"):
+        verify_artifact(obj)
+
+
+def _first_spectrum(obj):
+    """The first stored spectrum of a cascade result or prove report."""
+    return (obj["levels"] if obj["kind"] == "cascade-result" else obj["hits"])[0]["spectrum"]
+
+
+@pytest.mark.parametrize("field", ["unit_re", "unit_im", "log10_mod"])
+@pytest.mark.parametrize("kind", ["cascade-result", "prove-report"])
+def test_stored_spectrum_is_three_lists_of_one_length(kind, field):
+    """A stored spectrum whose part is null, a number, nested or one entry short
+    makes the artifact malformed; a null log10_mod used to escape as IndexError."""
+    path = str(DATA / STORED[kind == "prove-report"])
+    part = _first_spectrum(serialize.load_artifact(path))[field]
+    for value in (None, 0.5, "x", [part], part[:-1]):
+        bad = serialize.load_artifact(path)
+        _first_spectrum(bad)[field] = value
+        with pytest.raises(VerificationFailure, match=f"malformed {kind} artifact"):
+            verify_artifact(bad)
