@@ -23,7 +23,7 @@ from .errors import ConditionFailure, SpectralCascadeError, VerificationFailure
 from .graph_transform import invariant_pair
 from .linalg import PHASE_EXPONENT_LIMIT
 from .scenario import check_angle_independence, check_L_conditions, generate_instance
-from .verify import verify_artifact
+from .verify import instance_of, verify_artifact
 
 USAGE_EXIT = 64
 
@@ -53,13 +53,13 @@ def _exponent(text: str) -> int:
 
 
 def _load_instance(path: str):
-    obj = serialize.load_artifact(path)
-    if obj["kind"] != serialize.KIND_INSTANCE:
-        raise ConditionFailure(f"{path}: expected an instance artifact, got {obj['kind']}")
     try:
-        return serialize.instance_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+        obj = serialize.load_artifact(path)
+        if obj["kind"] == serialize.KIND_INSTANCE:
+            return instance_of(obj)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # as verify_artifact does
         raise ConditionFailure(f"{path}: malformed instance artifact: {exc!r}") from exc
+    raise ConditionFailure(f"{path}: expected an instance artifact, got {obj['kind']}")
 
 
 def _cmd_gen(args) -> int:

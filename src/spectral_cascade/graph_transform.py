@@ -389,6 +389,13 @@ def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray) -> dic
     return report
 
 
+def report_values(report: dict) -> tuple:
+    """The residuals and the bounds that a check report measured."""
+    values = {k: v["value"] for k, v in report.items() if isinstance(v, dict)}
+    values["eta_norm"] = report["eta_norm"]
+    return {k: values.pop(k) for k in _RESIDUALS}, values
+
+
 def invariant_pair(problem: SplitProblem, J: np.ndarray, n: int,
                    constants: TransformConstants) -> SplitCertificate:
     """Admit (J, n) against n0, split and certify.
@@ -400,13 +407,10 @@ def invariant_pair(problem: SplitProblem, J: np.ndarray, n: int,
     cert, Ji = dominated_split(problem, J, n)
     cert.constants = constants
     report = _check(problem, cert, Ji)
-    entries = {k: v for k, v in report.items() if isinstance(v, dict)}
-    for name, entry in entries.items():
-        if not entry["passed"]:
+    for name, entry in report.items():
+        if isinstance(entry, dict) and not entry["passed"]:
             raise CertificateFailure(f"{name} = {entry['value']:.3g} fails", item=entry["item"])
-    cert.residuals = {k: entries[k]["value"] for k in _RESIDUALS}
-    cert.bounds = {k: v["value"] for k, v in entries.items() if k not in _RESIDUALS}
-    cert.bounds["eta_norm"] = report["eta_norm"]
+    cert.residuals, cert.bounds = report_values(report)
     return cert
 
 

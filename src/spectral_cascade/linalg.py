@@ -225,16 +225,16 @@ def _certificate_limit(d: int) -> float:
 def _invert_stack(J: np.ndarray) -> np.ndarray:
     """invert over a stack (N, d, d), raising the error of the first item that
     invert refuses.  For d >= 2 one LAPACK call inverts the stack and the
-    Frobenius certificate passes an item with a 1e-12 slack; the other items,
-    all of them when the stacked call fails, and 1x1 items go one by one."""
+    Frobenius certificate passes an item with a 1e-12 slack; the others (a norm
+    0 or not finite, all when the stacked call fails) and 1x1 items go alone."""
     d = J.shape[-1]
     certified, Ji = [False] * len(J), np.empty_like(J)
     if d > 1:
         fro2 = np.einsum("nij,nij->n", J, J)
-        finite = np.isfinite(fro2)
+        usable = (0.0 < fro2) & (fro2 < math.inf)  # so that 0 x inf never runs
         try:
-            Ji = _inv(np.where(finite[:, None, None], J, np.eye(d)))
-            certified = (finite & (fro2 * np.einsum("nij,nij->n", Ji, Ji)
+            Ji = _inv(np.where(usable[:, None, None], J, np.eye(d)))
+            certified = (usable & (fro2 * np.einsum("nij,nij->n", Ji, Ji)
                                    <= _certificate_limit(d) * (1.0 - 1e-12))).tolist()
         except np.linalg.LinAlgError:  # an exact zero pivot
             pass

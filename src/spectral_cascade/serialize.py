@@ -30,14 +30,39 @@ SPLIT_CERT_FORMAT = 2
 _LN10 = math.log(10.0)
 
 
+def integer(obj, key) -> int:
+    """obj[key], which must be a JSON integer: not a float, a bool or inf."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def number(obj, key) -> float:
+    """obj[key], which must be a JSON number: not a string, a bool or null."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key!r} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def numbers(obj, key) -> np.ndarray:
+    """obj[key] as a float array, which must hold JSON numbers only
+    (``np.asarray`` reads "0.5" and upcasts a true among floats)."""
+    array = np.array(obj[key], dtype=object)
+    if not all(type(x) in (int, float) for x in array.flat):
+        raise ValueError(f"{key!r} must be an array of JSON numbers, got {obj[key]!r}")
+    return array.astype(float)
+
+
 def matrix_to_json(M) -> dict:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": M.tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    M = np.asarray(obj["data"], dtype=float)
-    if M.shape != (int(obj["rows"]), int(obj["cols"])):
+    M = numbers(obj, "data")
+    if M.shape != (integer(obj, "rows"), integer(obj, "cols")):
         raise ValueError(
             f"matrix data shape {M.shape} disagrees with header "
             f"({obj['rows']}, {obj['cols']})"
@@ -53,9 +78,9 @@ def _block_to_json(blk) -> dict:
 
 def _block_from_json(obj):
     if obj["type"] == "scalar":
-        return ScalarBlock(float(obj["value"]))
+        return ScalarBlock(number(obj, "value"))
     if obj["type"] == "rotation":
-        return RotationBlock(float(obj["modulus"]), float(obj["theta"]))
+        return RotationBlock(number(obj, "modulus"), number(obj, "theta"))
     raise ValueError(f"unknown block type {obj['type']!r}")
 
 
@@ -67,10 +92,8 @@ def model_to_json(model: DiagonalModel) -> dict:
 
 
 def model_from_json(obj) -> DiagonalModel:
-    sizes = tuple(obj["structure"])
-    if not all(type(s) is int for s in sizes):  # not a float, not a bool
-        raise ValueError(f"block sizes must be JSON integers, got {list(sizes)}")
-    structure = BlockStructure(sizes)
+    sizes = obj["structure"]
+    structure = BlockStructure(tuple(integer(sizes, i) for i in range(len(sizes))))
     blocks = tuple(_block_from_json(b) for b in obj["T_blocks"])
     return DiagonalModel(structure, blocks)
 
@@ -91,9 +114,9 @@ def instance_from_json(obj) -> InstanceSpec:
     return InstanceSpec(
         model=model,
         L=matrix_from_json(obj["L"]),
-        law=PerturbationLaw(float(law["c"]), float(law["rho"]), int(law["seed"])),
-        a=int(prog["a"]),
-        b=int(prog["b"]),
+        law=PerturbationLaw(number(law, "c"), number(law, "rho"), integer(law, "seed")),
+        a=integer(prog, "a"),
+        b=integer(prog, "b"),
     )
 
 
@@ -106,7 +129,7 @@ def spectrum_to_json(spec: ScaledSpectrum) -> dict:
 
 
 def spectrum_from_json(obj) -> ScaledSpectrum:
-    re, im, log10 = (np.asarray(obj[k], dtype=float) for k in ("unit_re", "unit_im", "log10_mod"))
+    re, im, log10 = (numbers(obj, k) for k in ("unit_re", "unit_im", "log10_mod"))
     if not re.ndim == im.ndim == log10.ndim == 1 or not len(re) == len(im) == len(log10):
         raise ValueError(f"a spectrum is three lists of one length, got shapes "
                          f"{re.shape}, {im.shape} and {log10.shape}")
@@ -139,20 +162,21 @@ def certificate_from_json(obj):
         raise ValueError(f"split-certificate format {obj.get('format')!r} is not "
                          f"{SPLIT_CERT_FORMAT}")
     model = model_from_json(obj["model"])
-    k1 = int(obj["k1"])
+    k1 = integer(obj, "k1")
     if k1 != model.structure.sizes[0]:
         raise ValueError(f"k1 = {k1} does not split off the model's first block")
-    problem = SplitProblem(model, matrix_from_json(obj["J0"]), float(obj["delta"]))
+    problem = SplitProblem(model, matrix_from_json(obj["J0"]), number(obj, "delta"))
     cert = SplitCertificate(
-        n=int(obj["n"]),
+        n=integer(obj, "n"),
         J=matrix_from_json(obj["J"]),
         xi=matrix_from_json(obj["xi"]),
         eta_hat=matrix_from_json(obj["eta_hat"]),
         X=matrix_from_json(obj["X"]),
         Y_inv=matrix_from_json(obj["Y_inv"]),
-        constants=TransformConstants(**obj["constants"]),
-        residuals=dict(obj["residuals"]),
-        bounds=dict(obj["bounds"]),
+        constants=TransformConstants(**{f.name: (integer if f.type == "int" else number)(
+            obj["constants"], f.name) for f in dataclasses.fields(TransformConstants)}),
+        residuals={k: number(obj["residuals"], k) for k in obj["residuals"]},
+        bounds={k: number(obj["bounds"], k) for k in obj["bounds"]},
     )
     return cert, problem
 

@@ -1,59 +1,93 @@
 """Independent re-validation of saved artifacts.
 
-Each artifact kind is checked from scratch: instances against the
-genericity and independence conditions, split certificates against
-recomputed residuals and rederived constants, admitted through the
-split's own admission check, decomposition results by rerunning the
-decomposition and comparing against the independent oracle, and
-subsequence reports by applying the search's own hit rule
-(``cascade.examine``) at every stored exponent, whose indices must strictly
-increase, after one stacked decomposition of them all.  ``_agree``
-compares every stored number that can be recomputed.
+Each artifact is recomputed from scratch: instances by their genericity
+conditions, split certificates by their admission and check items,
+decomposition results against the oracle, and subsequence reports by the
+search's own hit rule (``cascade.examine``) at every stored index.  ``_agree``
+then compares the stored artifact whole with the one ``serialize`` writes
+from the recomputation: the writers state the format once.
 """
-
 from __future__ import annotations
 
-import dataclasses
 import math
 
-import numpy as np
-
 from . import serialize
-from .cascade import ORACLE_TOL, cascade_decompose, choose_parameters, examine_stack
+from .cascade import (ORACLE_TOL, ProveReport, SearchResult, cascade_decompose,
+                      choose_parameters, examine_stack)
 from .errors import SpectralCascadeError, VerificationFailure
-from .graph_transform import admit, derive_constants, verify_certificate
+from .graph_transform import admit, derive_constants, report_values, verify_certificate
 from .linalg import norm_below, op_norm, signed_fraction
 from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
 
+_TOL = 1e-9
 _MATCH_TOL = 1e-8
+_LEAVES = (int, float, str, bool)
 
 
 def _fail(msg: str):
     raise VerificationFailure(msg)
 
 
-def _agree(what: str, stored, fresh, tol: float) -> None:
-    """Fail unless |stored - fresh| <= tol max(1, |fresh|) entrywise.
+def _agree(where: str, stored, fresh, rules: dict, tol=_TOL) -> None:
+    """Fail unless ``stored`` is ``fresh``, the artifact as its writer writes it.
 
-    A NaN agrees with a NaN only (a det < 0 level's phase is NaN).  A dict
-    ``fresh`` needs a ``stored`` with the same keys, compared key by key.
-    """
-    if isinstance(fresh, dict):
-        if not isinstance(stored, dict) or stored.keys() != fresh.keys():
-            _fail(f"{what}: stored {sorted(stored)}, recomputed {sorted(fresh)}")
+    Another key, list length or JSON type is malformed (ValueError), but a float
+    may be stored as an integer.  A float agrees within tol max(1, |fresh|), a
+    NaN with a NaN only, any other leaf when equal.  ``rules`` maps a key at any
+    depth to its own tol or to a test of the stored and fresh values; below a
+    test only the types are compared."""
+    kind = float if isinstance(fresh, float) else type(fresh)  # numpy's float64 too
+    if type(stored) is not kind and (type(stored), kind) != (int, float):
+        raise ValueError(f"{where}: stored {type(stored).__name__} for {kind.__name__}")
+    if kind is dict:
+        if stored.keys() != fresh.keys():
+            raise ValueError(f"{where}: stored keys {sorted(stored)}, written {sorted(fresh)}")
         for key, value in fresh.items():
-            _agree(f"{what} {key}", stored[key], value, tol)
-        return
-    s, f = np.asarray(stored, dtype=float), np.asarray(fresh, dtype=float)
-    close = s.shape == f.shape and np.all(
-        (np.abs(s - f) <= tol * np.maximum(1.0, np.abs(f))) | (np.isnan(s) & np.isnan(f)))
-    if not close:
-        _fail(f"{what} does not recompute: stored {stored}, recomputed {fresh}")
+            if type(stored[key]) is type(value) in _LEAVES and stored[key] == value:
+                continue  # an equal leaf agrees under every rule
+            rule = None if tol is None else rules.get(key, tol)
+            _agree(f"{where} {key}", stored[key], value, rules, None if callable(rule) else rule)
+            if callable(rule) and not rule(stored[key], value):
+                _fail(f"{where} {key} does not recompute")
+    elif kind is list:
+        if len(stored) != len(fresh):
+            raise ValueError(f"{where}: stored {len(stored)} entries, written {len(fresh)}")
+        for i, (s, f) in enumerate(zip(stored, fresh)):
+            if not (type(s) is type(f) in _LEAVES and s == f):
+                _agree(f"{where}[{i}]", s, f, rules, tol)
+    elif tol is not None and stored != fresh and not (kind is float and (
+            abs(stored - fresh) <= tol * max(1.0, abs(fresh))
+            or math.isnan(stored) and math.isnan(fresh))):
+        _fail(f"{where} does not recompute: stored {stored!r}, recomputed {fresh!r}")
+
+
+def _same_block(stored, fresh) -> bool:  # in norm, at 1e-8 of the stored block
+    S = serialize.matrix_from_json(stored)
+    tol = _MATCH_TOL * max(1.0, op_norm(S))
+    return norm_below(serialize.matrix_from_json(fresh) - S, math.nextafter(tol, math.inf))
+
+
+def _same_spectrum(stored, fresh) -> bool:
+    return match_scaled(serialize.spectrum_from_json(fresh),
+                        serialize.spectrum_from_json(stored)) <= _MATCH_TOL
+
+
+# each kind's exceptions to _agree's default
+_CASCADE_RULES = {"X": _same_block, "spectrum": _same_spectrum,
+                  "alpha": lambda s, f: abs(signed_fraction(s - f)) <= _TOL}  # modulo 1
+_PROVE_RULES = {"spectrum": _same_spectrum, "min_gap": 1e-6}
+
+
+def instance_of(obj: dict):
+    """The instance of an instance artifact that ``serialize`` would write as is."""
+    spec = serialize.instance_from_json(obj)
+    _agree(obj["kind"], obj, serialize.instance_to_json(spec), {})
+    return spec
 
 
 def _verify_instance(obj) -> dict:
-    spec = serialize.instance_from_json(obj)
+    spec = instance_of(obj)
     report = check_L_conditions(spec.L, spec.model.structure)
     if not report.passed:
         _fail(f"instance violates conditions: {report.failures()}")
@@ -66,49 +100,25 @@ def _verify_instance(obj) -> dict:
 
 def _verify_split_certificate(obj) -> dict:
     cert, problem = serialize.certificate_from_json(obj)
-    fresh = derive_constants(problem)
-    _agree("constant", obj["constants"], dataclasses.asdict(fresh), 1e-9)  # exact for integers
-    admit(problem, fresh, cert.J, cert.n)
+    cert.constants = derive_constants(problem)
+    admit(problem, cert.constants, cert.J, cert.n)
     report = verify_certificate(cert, problem)
     if not report["passed"]:
         bad = [k for k, v in report.items() if isinstance(v, dict) and not v["passed"]]
         _fail(f"certificate bounds fail: {bad}")
-    values = {k: v["value"] if isinstance(v, dict) else v
-              for k, v in report.items() if k != "passed"}
-    _agree("certificate", {**cert.residuals, **cert.bounds}, values, 1e-9)
+    cert.residuals, cert.bounds = report_values(report)
+    _agree(obj["kind"], obj, serialize.certificate_to_json(cert, problem), {})
     return {"kind": obj["kind"], "passed": True, "report": report}
 
 
 def _verify_cascade_result(obj) -> dict:
     spec = serialize.instance_from_json(obj["instance"])
-    cascade = choose_parameters(spec.model, spec.L, float(obj["eps0"]), law=spec.law)
-    k, n = int(obj["k"]), int(obj["n"])
+    eps0, k = serialize.number(obj, "eps0"), serialize.integer(obj, "k")
+    n = serialize.integer(obj, "n")
+    cascade = choose_parameters(spec.model, spec.L, eps0, law=spec.law)
     result = cascade_decompose(spec.L_n(k), n, spec.model, cascade)
-    if len(result.levels) != len(obj["levels"]):
-        _fail("level count mismatch")
-    for lv, stored in zip(result.levels, obj["levels"]):
-        if int(stored["j"]) != lv.j:
-            _fail(f"level {lv.j} is stored as level {stored['j']}")
-        X0 = serialize.matrix_from_json(stored["X"])
-        tol = _MATCH_TOL * max(1.0, op_norm(X0))
-        if not norm_below(lv.X - X0, math.nextafter(tol, math.inf)):  # <= tol passes
-            _fail(f"level {lv.j} block does not recompute")
-        mism = match_scaled(lv.spectrum, serialize.spectrum_from_json(stored["spectrum"]))
-        if mism > _MATCH_TOL:
-            _fail(f"level {lv.j} spectrum mismatch {mism:.3g}")
-        _agree(f"level {lv.j} det", stored["det"], lv.det, 1e-9)
-        _agree(f"level {lv.j} drift", stored["drift"], lv.drift, 1e-9)
-        if ("polar" in stored) != (lv.window is not None):
-            _fail(f"level {lv.j} must store a polar form exactly when it has a window")
-        if lv.window is not None:
-            polar = stored["polar"]
-            _agree(f"level {lv.j} polar P", serialize.matrix_from_json(polar["P"]), lv.P, 1e-9)
-            _agree(f"level {lv.j} polar alpha mod 1",
-                   signed_fraction(float(polar["alpha"]) - lv.window.alpha), 0.0, 1e-9)
-            _agree(f"level {lv.j} polar eps_hat", polar["eps_hat"], lv.window.eps_hat, 1e-9)
-    _agree("result", {k: obj[k] for k in ("limits_ok", "domination_ok", "domination_margin")},
-           {"limits_ok": result.limits_ok, "domination_ok": result.domination_ok,
-            "domination_margin": result.domination_margin}, 1e-9)
+    fresh = serialize.cascade_result_to_json(result, spec, eps0, k)
+    _agree(obj["kind"], obj, fresh, _CASCADE_RULES)
     oracle_mismatch = match_scaled(result.spectrum, product_spectrum(spec.L_n(k), spec.model, n))
     if oracle_mismatch > ORACLE_TOL:
         _fail(f"decomposed spectrum disagrees with the oracle ({oracle_mismatch:.3g})")
@@ -117,32 +127,21 @@ def _verify_cascade_result(obj) -> dict:
 
 def _verify_prove_report(obj) -> dict:
     spec = serialize.instance_from_json(obj["instance"])
-    cascade = choose_parameters(spec.model, spec.L, float(obj["eps0"]), law=spec.law)
-    if cascade.n0 != int(obj["n0"]) or cascade.k0 != int(obj["k0"]):
-        _fail("scan thresholds n0/k0 do not rederive")
-    if not obj["hits"]:
+    eps0, examined = serialize.number(obj, "eps0"), serialize.integer(obj, "examined")
+    cascade = choose_parameters(spec.model, spec.L, eps0, law=spec.law)
+    ns = [serialize.integer(hit, "n") for hit in obj["hits"]]
+    if not ns:
         _fail("report carries no exponents")
-    ns = [int(hit["n"]) for hit in obj["hits"]]
     for prev, n in zip(ns, ns[1:]):
         if n <= prev:
             _fail(f"hit indices must be strictly increasing: n={n} follows n={prev}")
-    checked = [int(hit["exponent"]) for hit in obj["hits"]]
-    for n, N in zip(ns, checked):
-        if N != spec.a * n + spec.b:
-            _fail(f"exponent {N} is off the progression at index {n}")
-    for hit, n, (fresh, _, miss) in zip(obj["hits"], ns, examine_stack(ns, spec, cascade)):
-        if fresh is None:
-            _fail(f"hit n={n} is no hit on recompute: {miss[1]}")
-        _agree(f"hit n={n} min_gap", hit["min_gap"], fresh.min_gap, 1e-6)
-        _agree(f"hit n={n} phase", hit["phases"],
-               {str(j): p for j, p in fresh.phases.items()}, 1e-9)
-        _agree(f"hit n={n} oracle_mismatch", hit["oracle_mismatch"], fresh.oracle_mismatch, 1e-9)
-        if hit["oracle_checked"] is not True:
-            _fail(f"hit n={n} is not marked oracle-checked")
-        mism = match_scaled(fresh.spectrum, serialize.spectrum_from_json(hit["spectrum"]))
-        if mism > _MATCH_TOL:
-            _fail(f"hit n={n}: stored spectrum mismatch {mism:.3g}")
-    return {"kind": obj["kind"], "passed": True, "exponents": checked}
+    if examined < len(ns):  # examine returns a hit or a miss per candidate
+        _fail(f"examined {examined} candidates, fewer than the {len(ns)} hits")
+    hits = [hit or _fail(f"hit n={n} is no hit on recompute: {miss[1]}")
+            for n, (hit, _, miss) in zip(ns, examine_stack(ns, spec, cascade))]
+    report = ProveReport(spec, cascade, SearchResult(hits, examined, near_misses=[]))
+    _agree(obj["kind"], obj, serialize.prove_report_to_json(report, eps0), _PROVE_RULES)
+    return {"kind": obj["kind"], "passed": True, "exponents": [h["exponent"] for h in obj["hits"]]}
 
 
 _DISPATCH = {
@@ -162,7 +161,7 @@ def verify_artifact(obj: dict) -> dict:
         return _DISPATCH[kind](obj)
     except VerificationFailure:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer past float range
         raise VerificationFailure(f"malformed {kind} artifact: {exc}") from exc
     except SpectralCascadeError as exc:
         raise VerificationFailure(f"{kind} artifact fails revalidation: {exc}") from exc

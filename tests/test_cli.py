@@ -199,24 +199,30 @@ def _set(*path, value):
     _set("structure", value=[1, 2, 3]),
     _set("L", "rows", value=4),
     _set("T_blocks", 0, "type", value="blob"),
+    _set("progression", "a", value=1.0),
+    _set("note", value="hand-edited"),
+    lambda obj: {key: value for key, value in obj.items() if key != "kind"},
+    lambda obj: "{]",
 ], ids=["kind-only", "no-progression", "null-amplitude", "inf-size", "rho-2", "size-3",
-        "L-header", "blob-block"])
+        "L-header", "blob-block", "float-a", "extra-key", "no-kind", "not-json"])
 @pytest.mark.parametrize("command", [["check"], ["split", "--n", "100", "--out", "{out}"],
                                      ["cascade", "--n", "60", "--out", "{out}"], ["find-n"],
                                      ["prove"]], ids=lambda c: c[0])
 def test_malformed_instance_exits_1(tmp_path, instance_file, capsys, defect, command):
-    """A missing, wrong-typed or out-of-range field is a bad artifact (exit 1), as
-    for verify, not a usage error (64) or a traceback."""
+    """A file that is not JSON, has no kind, or a missing, extra, wrong-typed or
+    out-of-range field is a bad artifact (exit 1), as for verify, not a usage
+    error (64) or a traceback."""
     obj = json.loads(instance_file.read_text())
     obj = defect(obj) or obj
     bad, out = tmp_path / "bad.json", tmp_path / "out.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     args = [out if a == "{out}" else a for a in command]
     assert run([args[0], "--instance", bad, *args[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed instance artifact: ")
     assert "Traceback" not in err
     assert not out.exists()
+    assert run(["verify", "--artifact", bad]) == 1
 
 
 def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
@@ -421,6 +427,35 @@ def test_verify_rejects_nan_in_stored_hit_spectrum(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     assert run(["verify", "--artifact", bad]) == 1
     assert "malformed" in capsys.readouterr().err
+
+
+# a field of each kind that int() read before the readers took JSON integers
+# only, so that an infinite value escaped verify as OverflowError
+@pytest.mark.parametrize("artifact,path", [
+    ("instance", ("L", "rows")), ("instance", ("L", "cols")), ("instance", ("law", "seed")),
+    ("instance", ("progression", "a")), ("instance", ("progression", "b")),
+    ("split", ("k1",)), ("split", ("n",)),
+    ("cascade", ("k",)), ("cascade", ("n",)), ("cascade", ("levels", 0, "j")),
+    ("prove", ("n0",)), ("prove", ("k0",)), ("prove", ("hits", 0, "n")),
+    ("prove", ("hits", 0, "exponent")),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_verify_refuses_an_infinite_integer(tmp_path, seed3_file, capsys, artifact, path,
+                                            value):
+    source = tmp_path / "artifact.json"
+    if artifact == "split":
+        assert _split(seed3_file, source, 1, 100) == 0
+    else:
+        source = {"instance": seed3_file, "cascade": DATA / "cascade_122_seed3_k21_n1000.json",
+                  "prove": DATA / "prove_122_seed3_count3.json"}[artifact]
+    obj = json.loads(source.read_text())
+    _set(*path, value=value)(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "--artifact", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # S L with S = diag(1, ..., 1, -1) keeps every genericity condition, since S is

@@ -1,0 +1,142 @@
+"""verify compares a stored artifact whole with the one the writers produce
+from the recomputation: the same keys, list lengths and JSON types, and
+numbers within each field's tolerance."""
+
+import contextlib
+import copy
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from spectral_cascade import cli
+from spectral_cascade.errors import VerificationFailure
+from spectral_cascade.verify import verify_artifact
+
+DATA = Path(__file__).parent / "data"
+FIXTURES = ["cascade_122_seed3_k21_n1000.json", "prove_122_seed3_count3.json"]
+FRESH = [f"{kind}{tag}" for tag in ("122", "222") for kind in ("inst", "prove", "casc", "split")]
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in argv]) == 0
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Each kind of artifact fresh from the command line for the (1,2,2) and
+    (2,2,2) seed-3 instances, and the two stored fixtures, by name."""
+    out = tmp_path_factory.mktemp("artifacts")
+    for structure in ("1,2,2", "2,2,2"):
+        tag = structure.replace(",", "")
+        inst = out / f"inst{tag}.json"
+        _run(["gen", "--structure", structure, "--seed", 3, "--out", inst])
+        _run(["prove", "--instance", inst, "--count", 3, "--out", out / f"prove{tag}.json"])
+        _run(["cascade", "--instance", inst, "--n", 1000, "--out", out / f"casc{tag}.json"])
+        _run(["split", "--instance", inst, "--level", 1, "--n", 100,
+              "--out", out / f"split{tag}.json"])
+    objs = {name: json.loads((out / f"{name}.json").read_text()) for name in FRESH}
+    return {**objs, **{name: json.loads((DATA / name).read_text()) for name in FIXTURES}}
+
+
+def _leaves(obj, path=()):
+    """(path, value) of every number in a JSON object."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    elif type(obj) in (int, float):
+        yield path, obj
+
+
+def _mutations(value):
+    """Values of another JSON type, or a fraction, where ``value`` was stored."""
+    if type(value) is int:
+        return [value + 0.5, float(value), str(value), True, math.inf]
+    return [str(value), [value], None]
+
+
+@pytest.mark.parametrize("name", FRESH + FIXTURES)
+def test_every_type_change_is_refused(artifacts, name):
+    """An integer stored as a fraction, a float, a string, true or inf, and a
+    number stored as a string, a list or null: each is refused with
+    VerificationFailure, and none verifies or escapes as another exception."""
+    obj = artifacts[name]
+    assert verify_artifact(copy.deepcopy(obj))["passed"]
+    verified, escaped, count = [], [], 0
+    for path, value in _leaves(obj):
+        for bad in _mutations(value):
+            mutated = copy.deepcopy(obj)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = bad
+            count += 1
+            try:
+                verify_artifact(mutated)
+                verified.append((path, bad))
+            except VerificationFailure:
+                pass
+            except Exception as exc:  # any other exception escapes the CLI as a traceback
+                escaped.append((path, bad, repr(exc)))
+    assert count > 30
+    assert (verified, escaped) == ([], [])
+
+
+# (artifact, object holding the key, key) for a key added or removed
+@pytest.mark.parametrize("name,where,key", [
+    ("inst122", lambda o: o, "law"),
+    ("inst122", lambda o: o["law"], "seed"),
+    ("split122", lambda o: o, "residuals"),
+    ("split122", lambda o: o["bounds"], "eta_norm"),
+    ("casc122", lambda o: o, "domination_margin"),
+    ("casc122", lambda o: o["levels"][1], "polar"),
+    ("prove122", lambda o: o, "k0"),
+    ("prove122", lambda o: o["hits"][0], "oracle_mismatch"),
+], ids=["instance", "instance-law", "split", "split-bounds", "cascade", "cascade-level",
+        "prove", "prove-hit"])
+def test_extra_and_missing_keys_are_malformed(artifacts, name, where, key):
+    """The stored artifact carries the keys its writer writes, no more, no fewer;
+    a key the readers skip is refused where the writer's artifact is compared."""
+    extra = copy.deepcopy(artifacts[name])
+    where(extra)["note"] = "hand-edited"
+    missing = copy.deepcopy(artifacts[name])
+    del where(missing)[key]
+    for obj in (extra, missing):
+        with pytest.raises(VerificationFailure, match=f"malformed {obj['kind']} artifact: "):
+            verify_artifact(obj)
+
+
+def test_a_float_field_may_hold_a_json_integer(artifacts):
+    obj = copy.deepcopy(artifacts["inst122"])
+    obj["law"]["c"] = 0
+    assert verify_artifact(obj)["passed"]
+    obj["progression"]["b"] = 0.0  # but an integer field holds no float
+    with pytest.raises(VerificationFailure, match="malformed instance artifact"):
+        verify_artifact(obj)
+
+
+@pytest.mark.parametrize("examined", [-1, 0, 2])
+def test_examined_counts_at_least_the_hits(artifacts, examined):
+    """examine returns a hit or a miss per candidate, so a report with 3 hits
+    examined at least 3 candidates."""
+    obj = copy.deepcopy(artifacts["prove122"])
+    assert len(obj["hits"]) == 3 and obj["examined"] >= 3
+    obj["examined"] = 3
+    assert verify_artifact(copy.deepcopy(obj))["passed"]
+    obj["examined"] = examined
+    with pytest.raises(VerificationFailure, match="fewer than the 3 hits"):
+        verify_artifact(obj)
+
+
+@pytest.mark.parametrize("key", ["n0", "k0"])
+def test_scan_floor_must_recompute(artifacts, key):
+    obj = copy.deepcopy(artifacts["prove122"])
+    obj[key] += 1
+    with pytest.raises(VerificationFailure, match=f"^prove-report {key} does not recompute: "):
+        verify_artifact(obj)
