@@ -113,10 +113,6 @@ class ParameterCascade:
     n0: int
     k0: int
 
-    @property
-    def m(self) -> int:
-        return len(self.limits)
-
 
 @dataclass(eq=False)
 class LevelData:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -247,19 +248,17 @@ def derive_constants(problem: SplitProblem) -> TransformConstants:
 
 def _converged(u_new: np.ndarray, step: np.ndarray) -> list:
     """Stopping test on Frobenius norms, per item; it implies the 2-norm test,
-    by ||M||_2 <= ||M||_F <= sqrt(min(M.shape)) ||M||_2.  On a stack numpy's
-    norms settle the items outside a relative band of 1e-12 around the
-    tolerance, and the others take math.hypot's, as a lone matrix does."""
+    by ||M||_2 <= ||M||_F <= sqrt(min(M.shape)) ||M||_2.  A stack item takes
+    the math.hypot norms of a lone matrix."""
     if u_new.ndim == 2:
         fro = math.hypot(*u_new.ravel().tolist())
         step_fro = fro if step is u_new else math.hypot(*step.ravel().tolist())
         return [step_fro < FIXED_POINT_STEP_TOL * max(1.0, fro / math.sqrt(min(u_new.shape)))]
-    fro = np.sqrt(np.einsum("nij,nij->n", u_new, u_new))
-    tol = FIXED_POINT_STEP_TOL * np.maximum(1.0, fro / math.sqrt(min(u_new.shape[1:])))
-    step_fro = np.sqrt(np.einsum("nij,nij->n", step, step))
-    stop = (step_fro < tol * (1.0 - 1e-12)).tolist()
-    maybe = (step_fro <= tol * (1.0 + 1e-12)).tolist()
-    return [s or m and _converged(u, st)[0] for s, m, u, st in zip(stop, maybe, u_new, step)]
+    r, c = u_new.shape[1:]
+    fro = list(starmap(math.hypot, u_new.reshape(-1, r * c).tolist()))
+    step_fro = fro if step is u_new else starmap(math.hypot, step.reshape(-1, r * c).tolist())
+    scale = math.sqrt(min(r, c))
+    return [s < FIXED_POINT_STEP_TOL * max(1.0, f / scale) for f, s in zip(fro, step_fro)]
 
 
 def _fixed_point(first, left, right, outer, sandwich, n, name: str) -> np.ndarray:

@@ -17,7 +17,7 @@ a real eigvals result when every imaginary part is 0.
 
 Norms that are only compared, never stored, skip the SVD when a Frobenius
 bound settles them (||M||_2 <= ||M||_F).  ``norm_below(M, bound)`` is True
-when sqrt(vdot(M, M)) < bound (1 - 1e-12); for matrices of this size the
+when hypot(*M.flat) < bound (1 - 1e-12); for matrices of this size the
 computed Frobenius norm and LAPACK's sigma_max each err by a few hundred
 eps at most, far below the 1e-12 slack, so the answer is op_norm's, which
 decides when the bound does not.  ``invert`` of a d x d matrix, d >= 3,
@@ -28,14 +28,15 @@ and Hadamard's inequality the product of the row norms is then at most
 the guards pass with a factor 4 and 2 to spare, which covers the rounding
 of f, of the inverse (cond_2 J < 1e5 under this limit) and of the guards.
 A larger f runs the guards on the LU determinant and the SVD.  The same
-bounds hold for d = 2 (cond_2 J < 1e7), where a stack uses them too.  Every
-value that is stored or printed still comes from the SVD.
+bounds hold for d = 2 (cond_2 J < 1e7), where a stack uses them too, per
+item on Python floats.  Every value stored or printed comes from the SVD.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import starmap
 
 import numpy as np
 
@@ -105,9 +106,9 @@ def _svd(M: np.ndarray) -> np.ndarray:
 
 
 def _inv(M: np.ndarray) -> np.ndarray:
-    """numpy.linalg.inv(M) of a finite square float array: its callers have
-    checked M (the 2x2 closed form holds only for finite entries, _svd tests
-    them, and _certified_inverse needs a finite sum of squares)."""
+    """numpy.linalg.inv(M) of a square float array, whose entries its callers
+    check (the 2x2 closed form and _svd) or whose inverse they keep only under
+    a finite certificate (_certified_inverse and _invert_stack)."""
     return _lapack(_inv_gufunc, M, "d->d", _INV_FAILS)
 
 
@@ -151,13 +152,12 @@ def op_norm(M: np.ndarray) -> float:
 def norm_below(M: np.ndarray, bound: float):
     """op_norm(M) < bound, without an SVD when ||M||_F settles it (see the
     module docstring for the 1e-12 slack).  On a stack (N, r, c) it answers
-    in a list, numpy's norms settling the items below the bound less twice
-    the slack, the other items one by one."""
+    in a list, item by item."""
     M = np.asarray(M, dtype=float)
     if M.ndim == 3:
-        below = np.einsum("nij,nij->n", M, M) < (bound * (1.0 - 2e-12)) ** 2
-        return [ok or norm_below(Mi, bound) for ok, Mi in zip(below.tolist(), M)]
-    return math.sqrt(np.vdot(M, M)) < bound * (1.0 - 1e-12) or op_norm(M) < bound
+        fro = starmap(math.hypot, M.reshape(len(M), M.shape[1] * M.shape[2]).tolist())
+        return [f < bound * (1.0 - 1e-12) or op_norm(M[i]) < bound for i, f in enumerate(fro)]
+    return math.hypot(*M.ravel().tolist()) < bound * (1.0 - 1e-12) or op_norm(M) < bound
 
 
 def singular_values_2x2(M: np.ndarray) -> tuple[float, float]:
@@ -224,19 +224,20 @@ def _certificate_limit(d: int) -> float:
 
 def _invert_stack(J: np.ndarray) -> np.ndarray:
     """invert over a stack (N, d, d), raising the error of the first item that
-    invert refuses.  For d >= 2 one LAPACK call inverts the stack and the
-    Frobenius certificate passes an item with a 1e-12 slack; the others (a norm
-    0 or not finite, all when the stacked call fails) and 1x1 items go alone."""
+    invert refuses.  For d >= 2 one LAPACK call inverts the stack.  An item keeps
+    the bits LAPACK gives it alone when its Frobenius certificate passes on
+    Python floats (a NaN fails): the limit leaves invert's guards a factor 2 to
+    4, so invert returns them too.  Every other item, every item when the
+    stacked call raises, and 1x1 items go to invert alone."""
     d = J.shape[-1]
     certified, Ji = [False] * len(J), np.empty_like(J)
     if d > 1:
-        fro2 = np.einsum("nij,nij->n", J, J)
-        usable = (0.0 < fro2) & (fro2 < math.inf)  # so that 0 x inf never runs
         try:
-            Ji = _inv(np.where(usable[:, None, None], J, np.eye(d)))
-            certified = (usable & (fro2 * np.einsum("nij,nij->n", Ji, Ji)
-                                   <= _certificate_limit(d) * (1.0 - 1e-12))).tolist()
-        except np.linalg.LinAlgError:  # an exact zero pivot
+            Ji = _inv(J)
+            fro, fro_inv = (starmap(math.hypot, M.reshape(-1, d * d).tolist()) for M in (J, Ji))
+            limit = _certificate_limit(d)
+            certified = [(f := a * b) * f <= limit for a, b in zip(fro, fro_inv)]
+        except np.linalg.LinAlgError:
             pass
     for i in [i for i, ok in enumerate(certified) if not ok]:
         Ji[i] = invert(J[i])

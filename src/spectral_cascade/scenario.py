@@ -110,7 +110,10 @@ class InstanceSpec:
             raise ValueError(f"progression needs a >= 1, b >= 0, got ({self.a}, {self.b})")
 
     def L_n(self, n: int) -> np.ndarray:
-        E = self.law.c * self.law.rho ** n * self.law.direction(self.model.d)
+        try:
+            E = self.law.c * self.law.rho ** n * self.law.direction(self.model.d)
+        except OverflowError:  # k past float range, or rho^k above it
+            raise ValueError(f"rho^k = {self.law.rho}^k leaves the float range") from None
         return self.L @ (np.eye(self.model.d) + E)
 
 

@@ -47,11 +47,11 @@ def number(obj, key) -> float:
 
 
 def numbers(obj, key) -> np.ndarray:
-    """obj[key] as a float array, which must hold JSON numbers only
-    (``np.asarray`` reads "0.5" and upcasts a true among floats)."""
+    """obj[key] as a float array, which must hold finite JSON numbers only, as
+    the writers store (``np.asarray`` reads "0.5" and upcasts a true among floats)."""
     array = np.array(obj[key], dtype=object)
-    if not all(type(x) in (int, float) for x in array.flat):
-        raise ValueError(f"{key!r} must be an array of JSON numbers, got {obj[key]!r}")
+    if not all(type(x) in (int, float) and math.isfinite(x) for x in array.flat):
+        raise ValueError(f"{key!r} must be an array of finite JSON numbers, got {obj[key]!r}")
     return array.astype(float)
 
 

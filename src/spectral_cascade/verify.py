@@ -16,7 +16,7 @@ from .cascade import (ORACLE_TOL, ProveReport, SearchResult, cascade_decompose,
                       choose_parameters, examine_stack)
 from .errors import SpectralCascadeError, VerificationFailure
 from .graph_transform import admit, derive_constants, report_values, verify_certificate
-from .linalg import norm_below, op_norm, signed_fraction
+from .linalg import norm_below, op_norm
 from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
 
@@ -75,7 +75,7 @@ def _same_spectrum(stored, fresh) -> bool:
 
 # each kind's exceptions to _agree's default
 _CASCADE_RULES = {"X": _same_block, "spectrum": _same_spectrum,
-                  "alpha": lambda s, f: abs(signed_fraction(s - f)) <= _TOL}  # modulo 1
+                  "alpha": lambda s, f: abs(math.remainder(s - f, 1.0)) <= _TOL}  # modulo 1
 _PROVE_RULES = {"spectrum": _same_spectrum, "min_gap": 1e-6}
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -151,6 +152,48 @@ def test_near_miss_names_its_stage_once(demo_instance, demo_cascade):
     assert hit is None
     assert miss[1].startswith("stage 1: input outside the beta ball")
     assert miss[1].count("stage") == 1
+
+
+def test_admitted_index_outside_its_windows_is_no_hit(demo_instance, demo_cascade):
+    """At n0 every stage admits, but the limit phases lie outside their windows:
+    the hit rule refuses the spectrum, not the limits."""
+    spec, n = demo_instance, demo_cascade.n0
+    result = cascade_decompose(spec.L_n(n), n, spec.model, demo_cascade)
+    assert result.limits_ok and result.domination_ok
+    windows = [(lv.window, spec.model.block(lv.j).theta) for lv in result.levels if lv.window]
+    assert windows and all(abs(float(w.phase(theta, n))) >= w.eps_hat for w, theta in windows)
+    (hit, row, miss), = cascade_module.examine_stack([n], spec, demo_cascade)
+    assert hit is None and row[-1] == 0
+    assert miss == (n, "spectrum not real simple (min_gap 0)")
+
+
+def test_drift_past_eps0_is_no_hit(demo_instance, demo_cascade):
+    """The first (1,2,2) seed-3 hit, examined with eps0 below its largest level
+    drift, violates the limits."""
+    spec, n = demo_instance, 65
+    result = cascade_decompose(spec.L_n(n), n, spec.model, demo_cascade)
+    casc = dataclasses.replace(demo_cascade, eps0=max(lv.drift for lv in result.levels) / 2)
+    (hit, row, miss), = cascade_module.examine_stack([n], spec, casc)
+    assert hit is None and row[-1] == 0
+    assert miss[1].startswith("limits or domination violated (min_gap ")
+
+
+@pytest.mark.parametrize("shift, certified, reason", [
+    (0.1, True, "oracle disagrees"),
+    (0.0, False, "oracle does not certify real simple"),
+], ids=["moved", "uncertified"])
+def test_oracle_refusal_is_no_hit(demo_instance, demo_cascade, monkeypatch, shift, certified,
+                                  reason):
+    """The first (1,2,2) seed-3 hit is refused when the oracle's spectrum moves
+    by a factor e^0.1 in modulus, or when its inclusion disks certify nothing."""
+    def oracle(L, model, n):
+        spectrum, _ = certified_spectrum(L, model, n)
+        return ScaledSpectrum(unit=spectrum.unit, log_mod=spectrum.log_mod + shift), certified
+
+    monkeypatch.setattr(cascade_module, "certified_spectrum", oracle)
+    (hit, row, miss), = cascade_module.examine_stack([65], demo_instance, demo_cascade)
+    assert hit is None and row[-1] == 0
+    assert miss[1].startswith(f"{reason} (mismatch ")
 
 
 def test_polar_forms_and_window_phase(demo_instance, demo_cascade):

@@ -241,6 +241,19 @@ def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cascade", "split"])
+@pytest.mark.parametrize("k", ["1" + "0" * 400, "-1" + "0" * 400, "-2000"],
+                         ids=["400-digits", "neg-400-digits", "neg-2000"])
+def test_k_past_float_range_exits_64(tmp_path, instance_file, capsys, command, k):
+    """rho^k leaves the float range: k itself does not convert to a float, or
+    rho^-2000 overflows; an error line, not a traceback."""
+    out = tmp_path / "out.json"
+    assert run([command, "--instance", instance_file, "--k", k, "--n", 100, "--out", out]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def seed3_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("seed3") / "inst.json"

@@ -128,8 +128,22 @@ def test_every_dataclass_field_is_read():
 # or scripts/ reads by attribute on purpose, each with its reason; none so far
 UNCALLED_ALLOWED = set()
 
+# a public method or property name that more than one class defines: a read of
+# the name does not say whose member it reads, so each is listed with its
+# readers, one per defining class
+SHARED_NAME_READERS = {
+    "d": "BlockStructure.d in DiagonalModel.d, DiagonalModel.d in InstanceSpec.L_n, "
+         "SplitProblem.d in SplitProblem.__post_init__",
+    "power": "Block.power in DiagonalModel.power, DiagonalModel.power in DiagonalModel.matrix",
+    "unit_power": "RotationBlock.unit_power and ScalarBlock.unit_power in Block.power, "
+                  "DiagonalPowers._factors and cascade's stage loop",
+}
+
 
 def test_every_public_method_is_called():
+    """A public method or property is read by attribute somewhere in src/,
+    bench/ or scripts/; one whose name another class shares counts as read
+    only when SHARED_NAME_READERS lists its readers."""
     methods = set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -137,6 +151,9 @@ def test_every_public_method_is_called():
                 methods |= {(node.name, stmt.name) for stmt in node.body
                             if isinstance(stmt, ast.FunctionDef)
                             and not stmt.name.startswith("_")}
+    names = [name for _, name in methods]
+    shared = {name for name in names if names.count(name) > 1}
+    assert shared == SHARED_NAME_READERS.keys()
     read = _attribute_loads(("src", "bench", "scripts"))
     uncalled = sorted(m for m in methods if m[1] not in read and m not in UNCALLED_ALLOWED)
     assert uncalled == []

@@ -599,13 +599,18 @@ def _invert_outcome(J):
         return type(exc), str(exc)
 
 
+# exactly singular matrices on which LAPACK's LU meets a zero pivot
+ZERO_PIVOT = {2: [[1.0, 2.0], [2.0, 4.0]], 3: [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]]}
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_invert_stack_is_each_item_alone(d):
+def test_invert_stack_is_each_item_alone(d, monkeypatch):
     """A stack raises the error of its first item that invert refuses, type and
     text as the item raises alone, and the other items invert bit for bit as
     they do alone: well conditioned at any scale, at both sides of the singular
     threshold and of the condition cap, exactly singular (the stacked LAPACK
-    call fails), and not finite."""
+    call fails), and not finite; no RuntimeWarning escapes."""
     items = [scale * _mixed([3.0, 2.0, 1.0, 0.5, 0.25][:d]) for scale in (1.0, 1e-150, 1e150)]
     if d >= 2:
         items += [_mixed([1.0, *[1.0 / (f * CONDITION_CAP)] * (d - 1)]) for f in (0.99, 1.01)]
@@ -618,6 +623,20 @@ def test_invert_stack_is_each_item_alone(d):
         assert _invert_outcome(np.array(items[i:])) == alone[i], i
     ok = [i for i in range(len(items)) if i not in failing]
     assert [Ji.tobytes() for Ji in invert(np.array(items)[ok])] == [alone[i] for i in ok]
+    if d not in ZERO_PIVOT:
+        return
+    # a zero pivot fails the stacked call: every item goes alone, in order, and
+    # the first singular item raises its own error
+    singular = [np.array(ZERO_PIVOT[d]), np.zeros((d, d))]
+    for M in singular:
+        with pytest.raises(np.linalg.LinAlgError):
+            _inv(M)
+    stack = np.array([*(items[i] for i in ok), *singular])
+    ran = []
+    monkeypatch.setattr(linalg, "invert", lambda J: ran.append((J.tobytes(), _invert_outcome(J)))
+                        or invert(J))
+    assert _invert_outcome(stack) == _invert_outcome(singular[0])
+    assert ran == [(M.tobytes(), _invert_outcome(M)) for M in stack[:len(ok) + 1]]
 
 
 def _guard_outcome(J):

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from spectral_cascade import cli
+from spectral_cascade import cli, verify
 from spectral_cascade.errors import VerificationFailure
+from spectral_cascade.oracle import ScaledSpectrum, product_spectrum
 from spectral_cascade.verify import verify_artifact
 
 DATA = Path(__file__).parent / "data"
@@ -139,4 +140,41 @@ def test_scan_floor_must_recompute(artifacts, key):
     obj = copy.deepcopy(artifacts["prove122"])
     obj[key] += 1
     with pytest.raises(VerificationFailure, match=f"^prove-report {key} does not recompute: "):
+        verify_artifact(obj)
+
+
+# a non-finite number where every writer stores a finite one; numpy warned on
+# each before verify refused it, and the package's error::RuntimeWarning
+# filter turns any such warning into a failure here
+@pytest.mark.parametrize("name,path", [
+    ("casc122", ("levels", 0, "spectrum", "unit_im", 0)),
+    ("casc122", ("levels", 1, "polar", "alpha")),
+    ("split122", ("xi", "data", 0, 0)),
+], ids=["spectrum", "alpha", "xi"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_an_infinite_float_is_refused_quietly(artifacts, name, path, value):
+    obj = copy.deepcopy(artifacts[name])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(VerificationFailure):
+        verify_artifact(obj)
+
+
+def test_cascade_result_must_match_the_oracle(artifacts, monkeypatch):
+    def moved(L, model, n):
+        spectrum = product_spectrum(L, model, n)
+        return ScaledSpectrum(unit=spectrum.unit, log_mod=spectrum.log_mod + 0.1)
+
+    monkeypatch.setattr(verify, "product_spectrum", moved)
+    with pytest.raises(VerificationFailure,
+                       match=r"^decomposed spectrum disagrees with the oracle \("):
+        verify_artifact(copy.deepcopy(artifacts["casc122"]))
+
+
+def test_prove_report_without_hits_is_refused(artifacts):
+    obj = copy.deepcopy(artifacts["prove122"])
+    obj["hits"] = []
+    with pytest.raises(VerificationFailure, match="^report carries no exponents$"):
         verify_artifact(obj)
