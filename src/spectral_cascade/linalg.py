@@ -247,7 +247,8 @@ def _invert_stack(J: np.ndarray) -> np.ndarray:
 def invert(J: np.ndarray) -> np.ndarray:
     """Matrix inverse with scale-invariant singularity / conditioning guards.
 
-    SingularMatrix when |det J| is below the scale threshold, IllConditioned
+    SingularMatrix when |det J| is below the scale threshold or a singular
+    value is 0 (the zero matrix, whose threshold underflows), IllConditioned
     when sigma_max / sigma_min passes CONDITION_CAP.  A 1x1 inverse is 1/x,
     at once for an entry of modulus 1e-290 or more; a 2x2 matrix is guarded
     by its closed-form singular values; a larger one is returned at once when
@@ -280,7 +281,7 @@ def invert(J: np.ndarray) -> np.ndarray:
         else:
             sv = [abs(_finite(J).item())]
         abs_det = math.prod(sv)
-    if abs_det < _singular_threshold(rows):
+    if abs_det < _singular_threshold(rows) or sv[-1] == 0:
         raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / max(sv[-1], 1e-300):.3g} above cap")

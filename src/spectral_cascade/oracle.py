@@ -30,13 +30,16 @@ d_i = modulus^n comes from binary powering of the exact dyadic modulus,
 rounded down and up.  Among the enclosures, mpmath (at libmp level)
 serves the cosines and sines of the phases only: a phase turn
 n*theta mod 1 is an exact dyadic rational, so its cosine and sine come
-from one evaluation at that turn, widened outward as libmp's own interval
-cosine widens its evaluations.  Terms that are negligible against the
-largest of their coefficient are not formed.  Each block of the ladder is
-one segment of the Newton polygon, so a linear or quadratic in consecutive
-coefficients seeds that block's roots.  One loop then evaluates p at every
-centre as a ball and forms the Weierstrass corrections W_i, stepping
-z_i <- z_i - mid W_i (Durand-Kerner) until they are small; the last
+from one evaluation at that turn, (p n mod q) / q for theta = p / q in
+integers, widened outward as libmp's own interval cosine widens its
+evaluations.  Terms that are negligible against the largest of their
+coefficient are not formed.  Each block of the ladder is one segment of
+the Newton polygon, so a linear or quadratic in consecutive coefficients
+seeds that block's roots.  One loop per exact centre then evaluates p by
+Horner as a ball and multiplies the differences of the centres, with the
+roundings of the ball sum and product written out, and forms the
+Weierstrass corrections W_i, stepping z_i <- z_i - mid W_i (Durand-Kerner)
+until they are small; the last
 corrections give Weierstrass inclusion disks (Braess and Hadeler 1973;
 Bini and Fiorentino 2000), bounded over the coefficient balls.  Pairwise
 disjoint disks hold one root each, or ConvergenceFailure is raised.  The
@@ -340,7 +343,8 @@ def _charpoly_coeffs(L: np.ndarray, model: DiagonalModel, n: int) -> list:
     phase = {}  # rotation block -> (cos, sin) as (mid, rad), units 2^-(_PREC+1)
     for b, blk in enumerate(model.diag_blocks):
         if blk.size == 2:
-            phase[b] = [(lo + hi, hi - lo) for lo, hi in _cos_sin(Fraction(blk.theta) * n % 1)]
+            num, den = blk.theta.as_integer_ratio()  # the turn n theta mod 1, exactly
+            phase[b] = [(lo + hi, hi - lo) for lo, hi in _cos_sin(Fraction(num * n % den, den))]
     monomials = {(): [(1, 0)]}  # halves -> per eps, prod (cos or sin) as (mid, rad)
 
     def monomials_of(halves):
@@ -502,22 +506,78 @@ def _refine(coeffs: list, centres: list) -> tuple:
 
 
 def _corrections(coeffs: list, centres: list) -> list:
-    poly = [c if k % 2 == 0 else _neg(c) for k, c in enumerate(coeffs)]  # monic p
+    """The balls W_i at the exact centres z_i, None where the divisor holds 0.
+
+    One loop per centre evaluates p(z_i) by Horner and multiplies the
+    differences z_i - z_j.  It applies the roundings of _sum(_mul(p, z_i), a)
+    and _mul(q, z_i - z_j), written out for an exact centre and real
+    coefficients: at a real centre no imaginary part is formed, as _mul forms
+    none for real factors.  m is the bound |x| | |y| that _trim and _sum read.
+    """
+    poly = [c if k % 2 == 0 else _neg(c) for k, c in enumerate(coeffs)]  # monic p, real
     diff = {}
     for i, j in combinations(range(len(centres)), 2):
         diff[i, j] = _sum(centres[i], _neg(centres[j]))
         diff[j, i] = _neg(diff[i, j])
     out = []
-    for i, z in enumerate(centres):
-        p = poly[0]
-        for a in poly[1:]:
-            p = _sum(_mul(p, z), a)
-        q = _ONE
+    for i, (zx, zy, _, ze) in enumerate(centres):
+        px, py, pr, pe = poly[0]
+        zm = abs(zx) + abs(zy)
+        for ax, _, ar, ae in poly[1:]:
+            if py or zy:  # p z
+                x, y = px * zx - py * zy, px * zy + py * zx
+                m = abs(x) | abs(y)
+            else:
+                x = px * zx
+                y, m = 0, abs(x)
+            r, e = pr * zm, pe + ze
+            s = (m if m > r else r).bit_length() - _PREC
+            if s > 0:
+                v = x | y
+                x, y, e = x >> s, y >> s, e + s
+                r = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)  # _floor_error
+                m = abs(x) | abs(y)
+            top = e + (m if m > r else r).bit_length() if m or r else None
+            if ax or ar:  # + a
+                t = ae + (ar if ar > abs(ax) else abs(ax)).bit_length()
+                top = t if top is None or t > top else top
+            elif top is None:
+                px, py, pr, pe = _ZERO
+                continue
+            pe = top - _PREC
+            s = pe - e
+            if s <= 0:
+                px, py, pr = x << -s, y << -s, r << -s
+            else:
+                v = x | y
+                px, py = x >> s, y >> s
+                pr = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)
+            s = pe - ae
+            if s <= 0:
+                px, pr = px + (ax << -s), pr + (ar << -s)
+            else:
+                px, pr = px + (ax >> s), pr - (-ar >> s) + (2 if 0 < (ax & -ax).bit_length() <= s else 0)
+        qx, qy, qr, qe = _ONE
         for j in range(len(centres)):
-            if j != i:
-                q = _mul(q, diff[i, j])
+            if j == i:
+                continue
+            bx, by, br, be = diff[i, j]
+            if qy or by:  # q (z_i - z_j)
+                x, y = qx * bx - qy * by, qx * by + qy * bx
+                m = abs(x) | abs(y)
+                r = qr * (abs(bx) + abs(by) + br) + br * (abs(qx) + abs(qy))
+            else:
+                x, y = qx * bx, 0
+                m, r = abs(x), qr * (abs(bx) + br) + br * abs(qx)
+            e = qe + be
+            s = (m if m > r else r).bit_length() - _PREC
+            if s > 0:
+                v = x | y
+                x, y, e = x >> s, y >> s, e + s
+                r = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)
+            qx, qy, qr, qe = x, y, r, e
         try:
-            out.append(_div(p, q))
+            out.append(_div((px, py, pr, pe), (qx, qy, qr, qe)))
         except ZeroDivisionError:
             out.append(None)
     return out

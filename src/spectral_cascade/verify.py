@@ -23,43 +23,57 @@ from .scenario import check_angle_independence, check_L_conditions
 _TOL = 1e-9
 _MATCH_TOL = 1e-8
 _LEAVES = (int, float, str, bool)
+_INFINITE = (math.inf, -math.inf)
 
 
 def _fail(msg: str):
     raise VerificationFailure(msg)
 
 
-def _agree(where: str, stored, fresh, rules: dict, tol=_TOL) -> None:
+def _agree(where: str, stored, fresh, rules: dict, tol=_TOL) -> bool:
     """Fail unless ``stored`` is ``fresh``, the artifact as its writer writes it.
 
     Another key, list length or JSON type is malformed (ValueError), but a float
     may be stored as an integer.  A float agrees within tol max(1, |fresh|), a
     NaN with a NaN only, any other leaf when equal.  ``rules`` maps a key at any
     depth to its own tol or to a test of the stored and fresh values; below a
-    test only the types are compared."""
+    test only the types are compared.  Returns whether ``stored`` is identical
+    to ``fresh``: the same JSON types and equal values, every float finite.  An
+    identical subtree agrees under every rule, so a test runs only on a subtree
+    that differs; a non-finite float still reaches it, and its readers refuse."""
     kind = float if isinstance(fresh, float) else type(fresh)  # numpy's float64 too
     if type(stored) is not kind and (type(stored), kind) != (int, float):
         raise ValueError(f"{where}: stored {type(stored).__name__} for {kind.__name__}")
+    same = True
     if kind is dict:
         if stored.keys() != fresh.keys():
             raise ValueError(f"{where}: stored keys {sorted(stored)}, written {sorted(fresh)}")
         for key, value in fresh.items():
-            if type(stored[key]) is type(value) in _LEAVES and stored[key] == value:
-                continue  # an equal leaf agrees under every rule
+            s = stored[key]
+            if type(s) is type(value) in _LEAVES and s == value:
+                same = same and s not in _INFINITE  # an equal leaf agrees under every rule
+                continue
             rule = None if tol is None else rules.get(key, tol)
-            _agree(f"{where} {key}", stored[key], value, rules, None if callable(rule) else rule)
-            if callable(rule) and not rule(stored[key], value):
+            if _agree(f"{where} {key}", s, value, rules, None if callable(rule) else rule):
+                continue
+            same = False
+            if callable(rule) and not rule(s, value):
                 _fail(f"{where} {key} does not recompute")
     elif kind is list:
         if len(stored) != len(fresh):
             raise ValueError(f"{where}: stored {len(stored)} entries, written {len(fresh)}")
         for i, (s, f) in enumerate(zip(stored, fresh)):
-            if not (type(s) is type(f) in _LEAVES and s == f):
-                _agree(f"{where}[{i}]", s, f, rules, tol)
-    elif tol is not None and stored != fresh and not (kind is float and (
-            abs(stored - fresh) <= tol * max(1.0, abs(fresh))
-            or math.isnan(stored) and math.isnan(fresh))):
-        _fail(f"{where} does not recompute: stored {stored!r}, recomputed {fresh!r}")
+            if type(s) is type(f) in _LEAVES and s == f:
+                same = same and s not in _INFINITE
+            elif not _agree(f"{where}[{i}]", s, f, rules, tol):
+                same = False
+    else:  # a leaf that is unequal, of another type or no JSON leaf type (None, numpy)
+        if tol is not None and stored != fresh and not (kind is float and (
+                abs(stored - fresh) <= tol * max(1.0, abs(fresh))
+                or math.isnan(stored) and math.isnan(fresh))):
+            _fail(f"{where} does not recompute: stored {stored!r}, recomputed {fresh!r}")
+        same = False
+    return same
 
 
 def _same_block(stored, fresh) -> bool:  # in norm, at 1e-8 of the stored block

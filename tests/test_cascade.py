@@ -863,7 +863,8 @@ def test_search_decomposes_exactly_the_examined_candidates(case, monkeypatch, tm
                                                    tmp_path / "r.csv", count=count)
     _, hits, examined, near_misses = outcome
     decomposed = [N for stack in stacks for N in stack]
-    rows = [int(row["n"]) for row in csv.DictReader((tmp_path / "s.csv").open())]
+    with (tmp_path / "s.csv").open() as f:
+        rows = [int(row["n"]) for row in csv.DictReader(f)]
     assert len(decomposed) == examined == len(rows)
     assert decomposed == [spec.a * n + spec.b for n in rows]
     assert decomposed[-1] == hits[-1][1]

@@ -73,6 +73,19 @@ def test_invert_guards():
     np.testing.assert_allclose(invert(M) @ M, np.eye(2), atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zero_matrix_is_singular(d):
+    """The zero matrix is singular, alone and in a stack, although the
+    threshold, the row norm product, underflows to 0 from d = 2 on.  A
+    well-conditioned matrix whose determinant underflows to 0 still inverts."""
+    M = np.zeros((d, d))
+    for J in (M, np.array([np.eye(d), M])):
+        with pytest.raises(SingularMatrix, match=r"^\|determinant\| 0 below scale threshold$"):
+            invert(J)
+    tiny = np.diag([1e-200] * d)
+    np.testing.assert_array_equal(invert(tiny), np.linalg.inv(tiny))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_charpoly_eigensolver_matches_qr(d, seed):
@@ -420,7 +433,7 @@ def _numpy_invert(J):
     sv = np.linalg.svd(J, compute_uv=False)
     with np.errstate(all="ignore"):  # det saturates at 0 or inf as the product does
         abs_det = abs(np.linalg.det(J)) if len(J) >= 3 else np.prod(sv)
-    if abs_det < _numpy_singular_threshold(J):
+    if abs_det < _numpy_singular_threshold(J) or sv[-1] == 0:  # the zero matrix too
         raise SingularMatrix("reference")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned("reference")

@@ -178,3 +178,60 @@ def test_prove_report_without_hits_is_refused(artifacts):
     obj["hits"] = []
     with pytest.raises(VerificationFailure, match="^report carries no exponents$"):
         verify_artifact(obj)
+
+
+def _spied_rules(monkeypatch):
+    """Replace every callable rule of both kinds by a spy; returns its calls."""
+    calls = []
+    for rules in (verify._CASCADE_RULES, verify._PROVE_RULES):
+        for key, rule in list(rules.items()):
+            if callable(rule):
+                monkeypatch.setitem(rules, key, lambda s, f, key=key, rule=rule:
+                                    calls.append(key) or rule(s, f))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["prove122", "casc122", "prove222", "casc222"])
+def test_no_rule_runs_on_an_unchanged_artifact(artifacts, monkeypatch, name):
+    """Where the stored artifact is the writer's own, every subtree under a
+    rule is identical to the recomputed one, and no rule runs."""
+    calls = _spied_rules(monkeypatch)
+    assert verify_artifact(copy.deepcopy(artifacts[name]))["passed"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta,passes", [(1e-9, True), (1e-6, False)])
+def test_a_changed_spectrum_reaches_its_rule(artifacts, monkeypatch, delta, passes):
+    """One float of a stored spectrum moved by delta: the spectrum rule runs
+    for that hit alone, and holds within 1e-8 of the recomputed spectrum."""
+    obj = copy.deepcopy(artifacts["prove122"])
+    obj["hits"][1]["spectrum"]["unit_re"][0] += delta
+    calls = _spied_rules(monkeypatch)
+    if passes:
+        assert verify_artifact(obj)["passed"]
+    else:
+        with pytest.raises(VerificationFailure,
+                           match=r"^prove-report hits\[1\] spectrum does not recompute$"):
+            verify_artifact(obj)
+    assert calls == ["spectrum"]
+
+
+def test_identical_infinite_spectra_still_reach_the_rule(artifacts, monkeypatch):
+    """-Infinity stored where the writer also wrote it is no identical
+    subtree: the spectrum rule's reader refuses it, as a malformed artifact."""
+    spectrum = {"unit_re": [1.0, 1.0], "unit_im": [0.0, 0.0], "log10_mod": [0.5, -math.inf]}
+    with pytest.raises(ValueError, match="finite JSON numbers"):
+        verify._agree("prove-report", {"spectrum": spectrum}, copy.deepcopy({"spectrum": spectrum}),
+                      verify._PROVE_RULES)
+    writer = verify.serialize.prove_report_to_json
+
+    def infinite(report, eps0):
+        fresh = writer(report, eps0)
+        fresh["hits"][0]["spectrum"]["log10_mod"][-1] = -math.inf
+        return fresh
+
+    obj = copy.deepcopy(artifacts["prove122"])
+    obj["hits"][0]["spectrum"]["log10_mod"][-1] = -math.inf
+    monkeypatch.setattr(verify.serialize, "prove_report_to_json", infinite)
+    with pytest.raises(VerificationFailure, match="^malformed prove-report artifact: "):
+        verify_artifact(obj)
