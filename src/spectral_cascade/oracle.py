@@ -512,7 +512,8 @@ def _corrections(coeffs: list, centres: list) -> list:
     differences z_i - z_j.  It applies the roundings of _sum(_mul(p, z_i), a)
     and _mul(q, z_i - z_j), written out for an exact centre and real
     coefficients: at a real centre no imaginary part is formed, as _mul forms
-    none for real factors.  m is the bound |x| | |y| that _trim and _sum read.
+    none for real factors.  m is the bound |x| | |y| that _trim and _sum read,
+    and each (2 if ... else 0) is _floor_error.
     """
     poly = [c if k % 2 == 0 else _neg(c) for k, c in enumerate(coeffs)]  # monic p, real
     diff = {}
@@ -535,7 +536,7 @@ def _corrections(coeffs: list, centres: list) -> list:
             if s > 0:
                 v = x | y
                 x, y, e = x >> s, y >> s, e + s
-                r = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)  # _floor_error
+                r = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)
                 m = abs(x) | abs(y)
             top = e + (m if m > r else r).bit_length() if m or r else None
             if ax or ar:  # + a
@@ -556,7 +557,8 @@ def _corrections(coeffs: list, centres: list) -> list:
             if s <= 0:
                 px, pr = px + (ax << -s), pr + (ar << -s)
             else:
-                px, pr = px + (ax >> s), pr - (-ar >> s) + (2 if 0 < (ax & -ax).bit_length() <= s else 0)
+                px = px + (ax >> s)
+                pr = pr - (-ar >> s) + (2 if 0 < (ax & -ax).bit_length() <= s else 0)
         qx, qy, qr, qe = _ONE
         for j in range(len(centres)):
             if j == i:

@@ -59,7 +59,8 @@ def _agree(where: str, stored, fresh, rules: dict, tol=_TOL) -> bool:
             same = False
             if callable(rule) and not rule(s, value):
                 _fail(f"{where} {key} does not recompute")
-    elif kind is list:
+        return same
+    if kind is list:
         if len(stored) != len(fresh):
             raise ValueError(f"{where}: stored {len(stored)} entries, written {len(fresh)}")
         for i, (s, f) in enumerate(zip(stored, fresh)):
@@ -67,13 +68,12 @@ def _agree(where: str, stored, fresh, rules: dict, tol=_TOL) -> bool:
                 same = same and s not in _INFINITE
             elif not _agree(f"{where}[{i}]", s, f, rules, tol):
                 same = False
-    else:  # a leaf that is unequal, of another type or no JSON leaf type (None, numpy)
-        if tol is not None and stored != fresh and not (kind is float and (
-                abs(stored - fresh) <= tol * max(1.0, abs(fresh))
-                or math.isnan(stored) and math.isnan(fresh))):
-            _fail(f"{where} does not recompute: stored {stored!r}, recomputed {fresh!r}")
-        same = False
-    return same
+        return same
+    if tol is not None and stored != fresh and not (kind is float and (
+            abs(stored - fresh) <= tol * max(1.0, abs(fresh))
+            or math.isnan(stored) and math.isnan(fresh))):
+        _fail(f"{where} does not recompute: stored {stored!r}, recomputed {fresh!r}")
+    return False  # a leaf unequal, of another type or of no JSON leaf type (None, numpy)
 
 
 def _same_block(stored, fresh) -> bool:  # in norm, at 1e-8 of the stored block
