@@ -283,8 +283,8 @@ def invert(J: np.ndarray) -> np.ndarray:
         abs_det = math.prod(sv)
     if abs_det < _singular_threshold(rows) or sv[-1] == 0:
         raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
-    if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
-        raise IllConditioned(f"condition number {sv[0] / max(sv[-1], 1e-300):.3g} above cap")
+    if sv[0] / sv[-1] > CONDITION_CAP:
+        raise IllConditioned(f"condition number {sv[0] / sv[-1]:.3g} above cap")
     return np.array([[1.0 / rows[0][0]]]) if d == 1 else _inv(J)
 
 

@@ -35,15 +35,14 @@ integers, widened outward as libmp's own interval cosine widens its
 evaluations.  Terms that are negligible against the largest of their
 coefficient are not formed.  Each block of the ladder is one segment of
 the Newton polygon, so a linear or quadratic in consecutive coefficients
-seeds that block's roots.  One loop per exact centre then evaluates p by
-Horner as a ball and multiplies the differences of the centres, with the
-roundings of the ball sum and product written out, and forms the
-Weierstrass corrections W_i, stepping z_i <- z_i - mid W_i (Durand-Kerner)
-until they are small; the last
-corrections give Weierstrass inclusion disks (Braess and Hadeler 1973;
-Bini and Fiorentino 2000), bounded over the coefficient balls.  Pairwise
-disjoint disks hold one root each, or ConvergenceFailure is raised.  The
-same disks prove a spectrum real with distinct moduli.  The route shares no
+seeds that block's roots.  One loop then evaluates p by Horner at every
+exact centre as a ball, multiplies the differences of the centres, and
+forms the Weierstrass corrections W_i, stepping z_i <- z_i - mid W_i
+(Durand-Kerner) until they are small; a product of real balls forms no
+imaginary part and no radius term of one.  The last corrections give
+Weierstrass inclusion disks (Braess and Hadeler 1973; Bini and Fiorentino
+2000), bounded over the coefficient balls.  Pairwise disjoint disks hold
+one root each, or ConvergenceFailure is raised.  The same disks prove a spectrum real with distinct moduli.  The route shares no
 numerics with the cascade and has no digit cap.
 """
 
@@ -242,7 +241,8 @@ def _inclusion_disks(L: np.ndarray, model: DiagonalModel, n: int) -> tuple:
 # bits, adding the rounding error to the radius.  A bound (m, e) is m 2^e.
 
 def _trim(x, y, r, e) -> tuple:
-    s = max(abs(x) | abs(y), r).bit_length() - _PREC
+    m = abs(x) | abs(y)
+    s = (m if m > r else r).bit_length() - _PREC
     if s <= 0:
         return x, y, r, e
     return x >> s, y >> s, -(-r >> s) + _floor_error(x | y, s), e + s
@@ -258,7 +258,8 @@ def _sum(*balls) -> tuple:
     e = None
     for x, y, r, f in balls:
         if x or y or r:
-            top = f + max(abs(x) | abs(y), r).bit_length()
+            m = abs(x) | abs(y)
+            top = f + (m if m > r else r).bit_length()
             e = top if e is None or top > e else e
     if e is None:
         return _ZERO
@@ -280,10 +281,10 @@ def _neg(b: tuple) -> tuple:
 def _mul(a: tuple, b: tuple) -> tuple:
     ax, ay, ar, ae = a
     bx, by, br, be = b
-    r = ar * (abs(bx) + abs(by) + br) + br * (abs(ax) + abs(ay))
     if ay or by:
+        r = ar * (abs(bx) + abs(by) + br) + br * (abs(ax) + abs(ay))
         return _trim(ax * bx - ay * by, ax * by + ay * bx, r, ae + be)
-    return _trim(ax * bx, 0, r, ae + be)
+    return _trim(ax * bx, 0, ar * (abs(bx) + br) + br * abs(ax), ae + be)  # real factors
 
 
 def _div(a: tuple, b: tuple) -> tuple:
@@ -506,80 +507,22 @@ def _refine(coeffs: list, centres: list) -> tuple:
 
 
 def _corrections(coeffs: list, centres: list) -> list:
-    """The balls W_i at the exact centres z_i, None where the divisor holds 0.
-
-    One loop per centre evaluates p(z_i) by Horner and multiplies the
-    differences z_i - z_j.  It applies the roundings of _sum(_mul(p, z_i), a)
-    and _mul(q, z_i - z_j), written out for an exact centre and real
-    coefficients: at a real centre no imaginary part is formed, as _mul forms
-    none for real factors.  m is the bound |x| | |y| that _trim and _sum read,
-    and each (2 if ... else 0) is _floor_error.
-    """
-    poly = [c if k % 2 == 0 else _neg(c) for k, c in enumerate(coeffs)]  # monic p, real
+    poly = [c if k % 2 == 0 else _neg(c) for k, c in enumerate(coeffs)]  # monic p
     diff = {}
     for i, j in combinations(range(len(centres)), 2):
         diff[i, j] = _sum(centres[i], _neg(centres[j]))
         diff[j, i] = _neg(diff[i, j])
     out = []
-    for i, (zx, zy, _, ze) in enumerate(centres):
-        px, py, pr, pe = poly[0]
-        zm = abs(zx) + abs(zy)
-        for ax, _, ar, ae in poly[1:]:
-            if py or zy:  # p z
-                x, y = px * zx - py * zy, px * zy + py * zx
-                m = abs(x) | abs(y)
-            else:
-                x = px * zx
-                y, m = 0, abs(x)
-            r, e = pr * zm, pe + ze
-            s = (m if m > r else r).bit_length() - _PREC
-            if s > 0:
-                v = x | y
-                x, y, e = x >> s, y >> s, e + s
-                r = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)
-                m = abs(x) | abs(y)
-            top = e + (m if m > r else r).bit_length() if m or r else None
-            if ax or ar:  # + a
-                t = ae + (ar if ar > abs(ax) else abs(ax)).bit_length()
-                top = t if top is None or t > top else top
-            elif top is None:
-                px, py, pr, pe = _ZERO
-                continue
-            pe = top - _PREC
-            s = pe - e
-            if s <= 0:
-                px, py, pr = x << -s, y << -s, r << -s
-            else:
-                v = x | y
-                px, py = x >> s, y >> s
-                pr = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)
-            s = pe - ae
-            if s <= 0:
-                px, pr = px + (ax << -s), pr + (ar << -s)
-            else:
-                px = px + (ax >> s)
-                pr = pr - (-ar >> s) + (2 if 0 < (ax & -ax).bit_length() <= s else 0)
-        qx, qy, qr, qe = _ONE
+    for i, z in enumerate(centres):
+        p = poly[0]
+        for a in poly[1:]:
+            p = _sum(_mul(p, z), a)
+        q = _ONE
         for j in range(len(centres)):
-            if j == i:
-                continue
-            bx, by, br, be = diff[i, j]
-            if qy or by:  # q (z_i - z_j)
-                x, y = qx * bx - qy * by, qx * by + qy * bx
-                m = abs(x) | abs(y)
-                r = qr * (abs(bx) + abs(by) + br) + br * (abs(qx) + abs(qy))
-            else:
-                x, y = qx * bx, 0
-                m, r = abs(x), qr * (abs(bx) + br) + br * abs(qx)
-            e = qe + be
-            s = (m if m > r else r).bit_length() - _PREC
-            if s > 0:
-                v = x | y
-                x, y, e = x >> s, y >> s, e + s
-                r = -(-r >> s) + (2 if 0 < (v & -v).bit_length() <= s else 0)
-            qx, qy, qr, qe = x, y, r, e
+            if j != i:
+                q = _mul(q, diff[i, j])
         try:
-            out.append(_div((px, py, pr, pe), (qx, qy, qr, qe)))
+            out.append(_div(p, q))
         except ZeroDivisionError:
             out.append(None)
     return out

@@ -654,49 +654,28 @@ def test_ball_moduli_bound_every_point(a, u):
     assert g >= 0 and (g * Fraction(2) ** f) ** 2 <= square
 
 
-def _chained_corrections(coeffs, centres):
-    """The reference for _corrections: p(z_i) by Horner through
-    _sum(_mul(p, z_i), a), the differences z_i - z_j (i < j, negated for
-    i > j) multiplied through _mul, then _div; None where the divisor ball
-    holds 0."""
-    poly = [c if k % 2 == 0 else oracle._neg(c) for k, c in enumerate(coeffs)]
-    out = []
-    for i, z in enumerate(centres):
-        p = poly[0]
-        for a in poly[1:]:
-            p = oracle._sum(oracle._mul(p, z), a)
-        q = oracle._ONE
-        for j, w in enumerate(centres):
-            if j > i:
-                q = oracle._mul(q, oracle._sum(z, oracle._neg(w)))
-            elif j < i:
-                q = oracle._mul(q, oracle._neg(oracle._sum(w, oracle._neg(z))))
-        try:
-            out.append(oracle._div(p, q))
-        except ZeroDivisionError:
-            out.append(None)
-    return out
-
-
-_exact_centres = st.builds(lambda x, y, e, real: (x, 0 if real else y, 0, e),
-                           _mantissas, _mantissas, st.integers(-400, 400), st.booleans())
-_real_balls = st.builds(lambda x, r, e: (x, 0, r, e), _mantissas | st.just(0),
-                        st.integers(0, 2**150) | st.just(0), st.integers(-1500, 1500))
+def _general_product(a, b):
+    """The reference for _mul: the complex centre product, the radius
+    |a| rb + ra |b| + ra rb with |.| as |x| + |y|, trimmed to _PREC bits
+    with the floor error of the dropped bits."""
+    (ax, ay, ar, ae), (bx, by, br, be) = a, b
+    x, y = ax * bx - ay * by, ax * by + ay * bx
+    r = ar * (abs(bx) + abs(by) + br) + br * (abs(ax) + abs(ay))
+    s = max(abs(x) | abs(y), r).bit_length() - oracle._PREC
+    if s <= 0:
+        return x, y, r, ae + be
+    dropped = any(v % (1 << s) for v in (x, y))
+    return x >> s, y >> s, -(-r >> s) + (2 if dropped else 0), ae + be + s
 
 
 @settings(max_examples=300, deadline=None)
-@given(_real_balls, st.lists(st.tuples(_exact_centres, _real_balls), min_size=1, max_size=6))
-@example((1, 0, 0, 0), [((3, 0, 0, 0), (2**140 + 1, 0, 9, -150)),  # a centre twice:
-                        ((-5, 7, 0, -2), (0, 0, 0, 0)),  # its divisor holds 0
-                        ((3, 0, 0, 0), (-1, 0, 1, 600))])
-def test_corrections_are_the_chained_ball_operations(lead, pairs):
-    """_corrections gives the chained operations' balls bit for bit, at real
-    and complex exact centres and real coefficient balls with radii."""
-    centres, coeffs = [z for z, _ in pairs], [lead] + [a for _, a in pairs]
-    got = oracle._corrections(coeffs, centres)
-    assert got == _chained_corrections(coeffs, centres)
-    if len(set(centres)) < len(centres):
-        assert None in got
+@given(_balls, _balls)
+@example((3, 0, 0, 0), (5, 0, 0, 7))
+@example((2**200, 0, 2**150, -3), (-(2**200) + 1, 0, 1, 9))
+def test_ball_product_is_the_general_product(a, b):
+    """The real-factor path of _mul gives the general product's ball bit for
+    bit: no imaginary part and no radius term of one."""
+    assert oracle._mul(a, b) == _general_product(a, b)
 
 
 def _minors_by_bareiss(B) -> dict:
