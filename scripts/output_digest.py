@@ -6,7 +6,7 @@ command line in-process:
 
     gen, then check --instance              (its output holds the margins)
     prove --count C --csv --out             (C = 40 and 10 by default)
-    cascade --n N at k = k0                 (N = 1e2, 1e3, 1e4, 1e5)
+    cascade --n N at k = k0                 (N = 1e2, 1e3, 1e4, 1e5, 1e9)
     split --level l --n N at k = k0         (every level l = 1..m-1)
 
 and prints one sha256 per file written to --out.  Each JSON artifact it
@@ -36,7 +36,7 @@ from pathlib import Path
 from spectral_cascade import cli
 
 INSTANCES = (("1,2,2", 3, 40), ("2,2,2", 3, 10))  # structure, seed, prove count
-CASCADE_NS = (100, 1_000, 10_000, 100_000)
+CASCADE_NS = (100, 1_000, 10_000, 100_000, 1_000_000_000)
 
 
 def _run(argv) -> str:

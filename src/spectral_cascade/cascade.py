@@ -68,7 +68,15 @@ from .scenario import InstanceSpec, check_L_conditions
 
 MARGIN_FACTOR = 0.05
 ORACLE_TOL = 1e-6  # largest relative mismatch against the oracle in a hit
+# below it, one ulp of a float log modulus n ln|lambda| is under ORACLE_TOL / 16
+LOG_MODULUS_CAP = 2.0 ** (53 + math.floor(math.log2(ORACLE_TOL / 16)))
 SCAN_RANGE = 4096  # exponents per prefilter range; one range bounds the scan's memory
+
+
+def exponent_limit(model: DiagonalModel) -> int:
+    """The least exponent whose n ln|lambda| reaches LOG_MODULUS_CAP in a block, or 2**63."""
+    top = max(abs(math.log(blk.modulus)) for blk in model.diag_blocks)
+    return math.ceil(LOG_MODULUS_CAP / max(top, LOG_MODULUS_CAP / 2 ** 63))
 
 
 def _signed_phase(alpha: float, theta: float, n) -> np.ndarray:

@@ -16,12 +16,12 @@ from . import serialize
 from .cascade import (
     cascade_decompose,
     choose_parameters,
+    exponent_limit,
     prove_instance,
     stage_input,
 )
 from .errors import ConditionFailure, SpectralCascadeError, VerificationFailure
 from .graph_transform import invariant_pair
-from .linalg import PHASE_EXPONENT_LIMIT
 from .scenario import check_angle_independence, check_L_conditions, generate_instance
 from .verify import instance_of, verify_artifact
 
@@ -42,16 +42,6 @@ def _parse_structure(text: str):
         raise argparse.ArgumentTypeError(f"bad structure {text!r}; expected e.g. 1,2,2")
 
 
-def _exponent(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if abs(value) >= PHASE_EXPONENT_LIMIT:
-        raise argparse.ArgumentTypeError(f"{value} is not below 2**26, the exact phase range")
-    return value
-
-
 def _load_instance(path: str):
     try:
         obj = serialize.load_artifact(path)
@@ -60,6 +50,12 @@ def _load_instance(path: str):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # as verify_artifact does
         raise ConditionFailure(f"{path}: malformed instance artifact: {exc!r}") from exc
     raise ConditionFailure(f"{path}: expected an instance artifact, got {obj['kind']}")
+
+
+def _check_exponent(spec, exponent: int) -> None:
+    """A usage error (exit 64) past the instance's exponent_limit."""
+    if abs(exponent) >= (limit := exponent_limit(spec.model)):
+        raise ValueError(f"exponent {exponent} is not below {limit}, the float log-modulus limit")
 
 
 def _cmd_gen(args) -> int:
@@ -95,6 +91,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_split(args) -> int:
     spec = _load_instance(args.instance)
+    _check_exponent(spec, args.n)
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
     k = cascade.k0 if args.k is None else args.k
     J = stage_input(spec.L_n(k), args.n, cascade, args.level)
@@ -109,6 +106,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_cascade(args) -> int:
     spec = _load_instance(args.instance)
+    _check_exponent(spec, args.n)
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
     k = cascade.k0 if args.k is None else args.k
     result = cascade_decompose(spec.L_n(k), args.n, spec.model, cascade)
@@ -126,11 +124,7 @@ def _cmd_cascade(args) -> int:
 
 def _cmd_search(args) -> int:
     spec = _load_instance(args.instance)
-    top = spec.a * args.n_max + spec.b
-    if top >= PHASE_EXPONENT_LIMIT:
-        print(f"error: largest exponent a*n_max+b = {top} is not below 2**26, "
-              "the exact phase range", file=sys.stderr)
-        return USAGE_EXIT
+    _check_exponent(spec, spec.a * args.n_max + spec.b)
     report = prove_instance(spec, eps0=args.eps0, count=args.count,
                             n_max=args.n_max, csv_path=args.csv)
     if args.out:
@@ -185,7 +179,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--k", type=int, default=None)  # None: the scan floor k0
-    p.add_argument("--n", type=_exponent, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
@@ -193,7 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--eps0", type=float, default=1e-3)
     p.add_argument("--k", type=int, default=None)  # None: the scan floor k0
-    p.add_argument("--n", type=_exponent, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cascade)
 
@@ -203,7 +197,7 @@ def build_parser() -> _Parser:
         p.add_argument("--instance", required=True)
         p.add_argument("--eps0", type=float, default=1e-3)
         p.add_argument("--count", type=int, default=3)
-        p.add_argument("--n-max", type=_exponent, default=100_000)
+        p.add_argument("--n-max", type=int, default=100_000)
         p.add_argument("--csv", default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=_cmd_search)

@@ -61,7 +61,6 @@ except ImportError as exc:
 
 SINGULAR_SCALE_TOL = 1e-14
 CONDITION_CAP = 1e12
-PHASE_EXPONENT_LIMIT = 2 ** 26  # phase_mod1's exact range
 _FLOAT_MIN = 2.0 ** -1022  # the least normal float
 
 
@@ -175,18 +174,18 @@ def _singular_values_2x2(rows: list) -> tuple[float, float]:
     return smax, (abs(a * d - b * c) / smax if smax else 0.0)
 
 
-def _singular_threshold(rows: list) -> float:
-    """SINGULAR_SCALE_TOL times the product of the row norms of a matrix,
-    given as its rows (``J.tolist()``).
+def _row_norm_product(rows: list) -> tuple[float, int]:
+    """The product of the row norms of a matrix, given as its rows
+    (``J.tolist()``), each floored at 1e-300, as a mantissa and a binary
+    exponent (``math.frexp``).
 
     The explicit left-to-right sums equal numpy's row norms bit for bit up to
     7 columns (numpy sums 8 or more terms pairwise; builtin ``sum``
     compensates from Python 3.12 on).  A sum that overflows or leaves the
     normal range, for a row norm above ~1.3e154 or below ~1.5e-154, is
-    replaced by the row's norm from ``math.hypot``.  The product is carried
-    as a mantissa and a binary exponent (``math.frexp``), so only its end
-    value can leave the float range; wherever the plain running product
-    stays normal the result is that product's, bit for bit.
+    replaced by the row's norm from ``math.hypot``.  The product never leaves
+    the float range; wherever the plain running product stays normal, mant
+    2^exp is that product, bit for bit.
     """
     mant, exp = 1.0, 0
     for row in rows:
@@ -196,12 +195,28 @@ def _singular_threshold(rows: list) -> float:
         norm = math.sqrt(s) if _FLOAT_MIN <= s < math.inf else math.hypot(*row)
         mant, e = math.frexp(mant * max(norm, 1e-300))
         exp += e
+    return mant, exp
+
+
+def _singular_threshold(rows: list) -> float:
+    """SINGULAR_SCALE_TOL times the product of the row norms, as a float: the
+    product's own bits wherever it stays normal, 0 or inf past the float range."""
+    mant, exp = _row_norm_product(rows)
     if -1021 <= exp <= 1024:  # the product mant 2^exp is a normal float
         return SINGULAR_SCALE_TOL * math.ldexp(mant, exp)
     try:
         return math.ldexp(SINGULAR_SCALE_TOL * mant, exp)
     except OverflowError:
         return math.inf
+
+
+def _below_threshold(det: tuple, rows: list) -> bool:
+    """|det J| = mant 2^exp below _singular_threshold(rows), in mantissa-exponent
+    form: the plain comparison wherever both sides are normal floats."""
+    mant, exp = _row_norm_product(rows)
+    m, e = det
+    # from e > exp on, |det J| >= 2^exp passes the threshold, below 1e-14 2^exp
+    return math.ldexp(m, min(e - exp, 0)) < SINGULAR_SCALE_TOL * mant
 
 
 def _certified_inverse(J: np.ndarray):
@@ -247,13 +262,14 @@ def _invert_stack(J: np.ndarray) -> np.ndarray:
 def invert(J: np.ndarray) -> np.ndarray:
     """Matrix inverse with scale-invariant singularity / conditioning guards.
 
-    SingularMatrix when |det J| is below the scale threshold or a singular
-    value is 0 (the zero matrix, whose threshold underflows), IllConditioned
-    when sigma_max / sigma_min passes CONDITION_CAP.  A 1x1 inverse is 1/x,
-    at once for an entry of modulus 1e-290 or more; a 2x2 matrix is guarded
-    by its closed-form singular values; a larger one is returned at once when
-    its Frobenius norms certify both guards, and is guarded by its LU
-    determinant and its SVD otherwise.  A stack (N, d, d) is inverted item by
+    SingularMatrix when |det J| is below the scale threshold, compared in
+    mantissa-exponent form so that a tiny singular matrix is one too, or a
+    singular value is 0; IllConditioned when sigma_max / sigma_min passes
+    CONDITION_CAP.  A 1x1 inverse is 1/x, at once for an entry of modulus
+    1e-290 or more; a 2x2 matrix is guarded by its closed-form singular
+    values; a larger one is returned at once when its Frobenius norms
+    certify both guards, and is guarded by its LU determinant and its SVD
+    otherwise.  A stack (N, d, d) is inverted item by
     item, with one LAPACK call (see ``_invert_stack``).
     """
     J = np.asarray(J, dtype=float)
@@ -269,8 +285,11 @@ def invert(J: np.ndarray) -> np.ndarray:
         if Ji is not None:
             return Ji
         sv = _svd(J).tolist()
-        # the LU determinant, quiet where it saturates at 0 or inf as the product would
-        abs_det = abs(float(_lapack(_det_gufunc, J, "d->d", _QUIET)))
+        # the LU determinant of J 2^-k, whose entries are at most 1, is
+        # |det J| 2^(-d k) in the float range; quiet where it leaves it
+        k = math.frexp(sv[0])[1]
+        m, e = math.frexp(abs(float(_lapack(_det_gufunc, np.ldexp(J, -k), "d->d", _QUIET))))
+        det = m, (e + d * k if m else 0)
         rows = J.tolist()
     else:
         rows = J.tolist()
@@ -280,8 +299,11 @@ def invert(J: np.ndarray) -> np.ndarray:
                 sv = _svd(J).tolist()
         else:
             sv = [abs(_finite(J).item())]
-        abs_det = math.prod(sv)
-    if abs_det < _singular_threshold(rows) or sv[-1] == 0:
+        m, e = math.frexp(sv[0])
+        m, f = math.frexp(m * sv[1]) if d == 2 else (m, 0)
+        det = m, e + f
+    if _below_threshold(det, rows) or sv[-1] == 0:
+        abs_det = math.ldexp(*det) if det[1] <= 1024 else math.inf
         raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
     if sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / sv[-1]:.3g} above cap")
@@ -342,24 +364,22 @@ def signed_fraction(x) -> np.ndarray:
 
 
 def phase_mod1(theta: float, n, offset: float = 0.0) -> np.ndarray:
-    """(n * theta + offset) mod 1 with compensated reduction.
+    """(n * theta + offset) mod 1, in [0, 1), for an integer or integer array n.
 
-    ``n`` may be a scalar or an integer array.  For theta in [0, 1) and
-    |n| < 2**26, n * hi is exact (hi keeps theta's leading 26 fractional
-    bits), and n * lo, the two additions and the reduction of a negative
-    offset round once each, so the result lies within 4 * 2**-53 of the
-    exact (n theta + offset) mod 1, measured around the circle (3.5 * 2**-53
-    for an offset in [0, 1)).  The ranged search may therefore scan every
-    exponent below PHASE_EXPONENT_LIMIT.  Raises ValueError for any |n| >=
-    PHASE_EXPONENT_LIMIT.
+    theta = p / 2**q exactly, so n theta mod 1 is n p mod 2**q over 2**q,
+    rounded once, for any |n| < 2**63: by numpy's uint64 product, which wraps
+    mod 2**64, on an array with q <= 64 (theta >= 2**-12), else by Python
+    integers, with the same bits.  The offset adds in floating point, within
+    2 * 2**-53 of the exact phase around the circle.  An array past int64
+    raises OverflowError.
     """
-    n = np.asarray(n, dtype=float)
-    top = abs(float(n)) if n.ndim == 0 else float(np.abs(n).max(initial=0.0))
-    if top >= PHASE_EXPONENT_LIMIT:
-        raise ValueError(f"phase_mod1 is exact only for |n| < 2**26, got {top:.0f}")
-    hi = math.floor(theta * 2.0 ** 26) / 2.0 ** 26
-    lo = theta - hi
-    return ((n * hi) % 1.0 + n * lo + offset % 1.0) % 1.0
+    p, den = theta.as_integer_ratio()
+    if np.ndim(n) == 0:
+        return np.float64((int(n) * p % den / den + offset % 1.0) % 1.0)
+    n = np.asarray(n, dtype=np.int64)
+    turn = ((n.astype(object) * p % den / den).astype(float) if den > 2 ** 64 else
+            (n.view(np.uint64) * np.uint64(p) & np.uint64(den - 1)) / float(den))
+    return (turn + offset % 1.0) % 1.0
 
 
 def lll_reduce(b: list) -> tuple[list, list]:

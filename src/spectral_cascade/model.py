@@ -3,7 +3,7 @@
 The diagonal model diag[T_1 : ... : T_m] has per-block data: a nonzero real
 scalar for 1x1 blocks, or (modulus, angle-in-turns) for 2x2 scaled-rotation
 blocks.  Powers are evaluated in closed form, |lambda|^n * R_{n theta mod 1},
-with the modulus handled in log space so exponents up to ~1e5 stay exact.
+with exact phase residues (``linalg.phase_mod1``) and the modulus in log space.
 Each block's ``unit_power`` is the one place that forms the unit part
 U_j(n) of T_j^n; the sandwich factors, the cascade's level spectra and the
 oracle's numpy route all read it from there.  A decomposition forms each

@@ -321,9 +321,25 @@ def _minus(bound: tuple) -> tuple:
 
 
 def _sign(*bounds) -> int:
-    """Sign of the exact sum of the bounds (m, e)."""
-    e = min(f for _, f in bounds)
-    total = sum(m << (f - e) for m, f in bounds)
+    """Sign of the exact sum of the bounds (m, e).
+
+    The terms are added largest first, by their top bit t (|m| 2^e < 2^t),
+    into an exact partial sum, which stops once it exceeds the count of the
+    terms left times 2^t of the next: these cannot change its sign.  A term
+    far below the sum is thus never aligned to it; with every term added the
+    sum is exact, exact cancellations included.
+    """
+    terms = sorted([(f + abs(m).bit_length(), m, f) for m, f in bounds if m], reverse=True)
+    total = e = 0
+    for i, (t, m, f) in enumerate(terms):
+        if not total:
+            total, e = m, f
+        elif abs(total).bit_length() + e > (len(terms) - i).bit_length() + t:
+            break
+        elif f < e:
+            total, e = (total << (e - f)) + m, f
+        else:
+            total += m << (f - e)
     return (total > 0) - (total < 0)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from spectral_cascade import cli, serialize
-from spectral_cascade.cascade import choose_parameters
+from spectral_cascade.cascade import choose_parameters, exponent_limit
 from spectral_cascade.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -225,19 +225,27 @@ def test_malformed_instance_exits_1(tmp_path, instance_file, capsys, defect, com
     assert run(["verify", "--artifact", bad]) == 1
 
 
-def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file):
+def _exponent_limit(path):
+    return exponent_limit(serialize.instance_from_json(json.loads(Path(path).read_text())).model)
+
+
+def test_exponents_beyond_exact_phase_range_exit_64(tmp_path, instance_file, capsys):
+    """An exponent at the instance's exponent_limit, where n |ln|lambda||
+    reaches the float log-modulus cap, is a usage error before any work."""
     out = tmp_path / "out.json"
-    limit = 2 ** 26
-    assert run(["cascade", "--instance", instance_file, "--n", limit, "--out", out]) == 64
-    assert run(["split", "--instance", instance_file, "--n", limit, "--out", out]) == 64
+    limit = _exponent_limit(instance_file)
+    for n in (limit, -limit):
+        assert run(["cascade", "--instance", instance_file, "--n", n, "--out", out]) == 64
+        assert run(["split", "--instance", instance_file, "--n", n, "--out", out]) == 64
+    assert "float log-modulus limit" in capsys.readouterr().err
     assert run(["find-n", "--instance", instance_file, "--n-max", limit,
                 "--out", out]) == 64
     # a * n_max + b reaches the limit although n_max alone stays below it
     progression = tmp_path / "ab.json"
     assert run(["gen", "--structure", "1,2", "--seed", "5", "--a", "2", "--b", "1",
                 "--out", progression]) == 0
-    assert run(["prove", "--instance", progression, "--n-max", limit // 2,
-                "--out", out]) == 64
+    assert run(["prove", "--instance", progression,
+                "--n-max", _exponent_limit(progression) // 2, "--out", out]) == 64
     assert not out.exists()
 
 
@@ -285,6 +293,22 @@ def test_split_at_large_n_verifies(tmp_path, seed3_file, level, n):
     out = tmp_path / "cert.json"
     assert _split(seed3_file, out, level, n) == 0
     assert run(["verify", "--artifact", out]) == 0
+
+
+def test_cascade_and_split_verify_at_a_billion(tmp_path, seed3_file):
+    """At n = 1e9 cascade and split write artifacts that verify; at the
+    instance's exponent_limit (about 1.46e9 here) both exit 64 and write
+    nothing."""
+    limit = _exponent_limit(seed3_file)
+    assert 10 ** 9 < limit < 2 * 10 ** 9
+    for command, level in (("cascade", []), ("split", ["--level", 1])):
+        out, past = tmp_path / f"{command}.json", tmp_path / f"{command}_past.json"
+        assert run([command, "--instance", seed3_file, *level, "--k", 21, "--n", 10 ** 9,
+                    "--out", out]) == 0
+        assert run(["verify", "--artifact", out]) == 0
+        assert run([command, "--instance", seed3_file, *level, "--k", 21, "--n", limit,
+                    "--out", past]) == 64
+        assert not past.exists()
 
 
 @pytest.mark.parametrize("command,args", [("split", ["--level", 1, "--n", 100]),

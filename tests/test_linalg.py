@@ -86,6 +86,19 @@ def test_zero_matrix_is_singular(d):
     np.testing.assert_array_equal(invert(tiny), np.linalg.inv(tiny))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tiny_rank_one_matrix_is_singular(d, scale):
+    """A rank-one matrix of tiny entries is singular, alone and in a stack:
+    |det| and the threshold both leave the float range below ~1e-154, and
+    LAPACK's smallest singular value of such a matrix is a rounding residue,
+    not 0, so only a comparison in mantissa-exponent form tells."""
+    M = np.full((d, d), scale)
+    for J in (M, np.array([np.eye(d), M])):
+        with pytest.raises(SingularMatrix, match="below scale threshold"):
+            invert(J)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_charpoly_eigensolver_matches_qr(d, seed):
@@ -204,40 +217,70 @@ def test_phase_mod1_vectorized_offset():
 
 
 def test_phase_mod1_rejects_exponents_beyond_exact_range():
+    """The residue is exact up to the end of int64, where an array of
+    exponents ends: an array beyond it raises OverflowError."""
     theta = math.sqrt(2) % 1.0
-    last = 2 ** 26 - 1
-    got = float(phase_mod1(theta, last))
-    assert abs(got - float(last * Fraction(theta) % 1)) < 1e-10
-    for n in (2 ** 26, -(2 ** 26), np.array([1, 2 ** 26 + 5])):
-        with pytest.raises(ValueError):
+    last = 2 ** 63 - 1
+    for n in (last, -last):
+        want = float(n * Fraction(theta) % 1)
+        assert float(phase_mod1(theta, n)) == want
+        assert float(phase_mod1(theta, np.array([1, n]))[1]) == want
+    for n in (np.array([1, 2 ** 64]), [-(2 ** 63) - 1]):
+        with pytest.raises(OverflowError):
             phase_mod1(theta, n)
 
 
+# angles with up to 64 fractional bits take the uint64 product, finer ones Python integers
+_FINE_ANGLES = (2.0 ** -12, 2.0 ** -12 + 2.0 ** -64, math.pi * 2.0 ** -13, 3e-5, 2.0 ** -70, 5e-324)
+
+
+def _phase_error(got, theta, n, offset):
+    """|got - (n theta + offset) mod 1| around the circle, exactly."""
+    d = abs(Fraction(float(got)) - (n * Fraction(theta) + Fraction(offset)) % 1)
+    return min(d, 1 - d)
+
+
 def test_phase_mod1_error_bound():
-    """Within 4 * 2**-53 of the exact phase around the circle, for scalar and
-    array n up to 2**26 - 1 in size, with and without an offset."""
+    """Within 2 * 2**-53 of the exact phase around the circle, for scalar and
+    array n of either sign up to 2**62 in size, with and without an offset;
+    without one, the correctly rounded residue (1 reads 0).  Fine angles
+    (theta < 2**-11) are drawn explicitly: rng.random() draws multiples of
+    2**-53, which never need more than 64 fractional bits."""
     rng = np.random.default_rng(26)
-    ulp = Fraction(1, 2 ** 53)
-
-    def error(got, theta, n, offset):
-        d = abs(Fraction(float(got)) - (n * Fraction(theta) + Fraction(offset)) % 1)
-        return min(d, 1 - d)
-
     worst = 0
     for i in range(3000):
-        theta = float(rng.random())
-        n = 2 ** 26 - 1 - int(rng.integers(100)) if i % 3 == 0 else int(rng.integers(1, 2 ** 26))
+        theta = float(rng.random()) if i % 4 else _FINE_ANGLES[i // 4 % len(_FINE_ANGLES)]
+        n = int(rng.integers(1, 2 ** 62)) >> int(rng.integers(62)) if i % 7 else 2 ** 62 - 1
         n = -n if i % 5 == 0 else n
         offset = (0.0, float(rng.random()), float(rng.uniform(-3, 3)))[i % 3]
         got = phase_mod1(theta, n, offset=offset) if offset else phase_mod1(theta, n)
-        worst = max(worst, error(got, theta, n, offset))
+        if not offset:
+            assert float(got) == float(n * Fraction(theta) % 1) % 1.0, (theta, n)
+        worst = max(worst, _phase_error(got, theta, n, offset))
     for i in range(60):
-        theta, offset = float(rng.random()), (0.0, float(rng.uniform(-3, 3)))[i % 2]
-        ns = rng.integers(-(2 ** 26) + 1, 2 ** 26, size=50)
-        ns[0] = 2 ** 26 - 1
+        theta = float(rng.random()) if i % 3 else _FINE_ANGLES[i // 3 % len(_FINE_ANGLES)]
+        offset = (0.0, float(rng.uniform(-3, 3)))[i % 2]
+        ns = rng.integers(-(2 ** 62) + 1, 2 ** 62, size=50)
+        ns[0], ns[1] = 2 ** 62 - 1, -(2 ** 62) + 1
         for got, n in zip(phase_mod1(theta, ns, offset=offset), ns.tolist()):
-            worst = max(worst, error(got, theta, n, offset))
-    assert worst <= 4 * ulp, float(worst / ulp)
+            worst = max(worst, _phase_error(got, theta, n, offset))
+    assert worst <= Fraction(2, 2 ** 53), float(worst * 2 ** 53)
+
+
+def test_phase_mod1_scalar_and_array_agree_bit_for_bit():
+    """The scalar path (Python integers) and both array paths (the uint64
+    product for theta >= 2**-12, Python integers below) give the same bits."""
+    rng = np.random.default_rng(63)
+    ns = np.concatenate([rng.integers(-(2 ** 63), 2 ** 63 - 1, size=200, endpoint=True),
+                         np.arange(-5, 6), [2 ** 63 - 1, -(2 ** 63)]])
+    for theta in (*(float(x) for x in rng.random(20)), *_FINE_ANGLES, 0.0, 0.5):
+        for offset in (0.0, 0.25, -1.7, float(rng.random())):
+            arr = phase_mod1(theta, ns, offset=offset)
+            assert arr.dtype == np.float64 and arr.shape == ns.shape
+            one = [float(phase_mod1(theta, n, offset=offset)) for n in ns.tolist()]
+            assert arr.tobytes() == np.array(one).tobytes(), (theta, offset)
+    grid = np.arange(12).reshape(3, 4)
+    assert phase_mod1(0.1, grid).tobytes() == phase_mod1(0.1, grid.ravel()).tobytes()
 
 
 def _gram_schmidt(rows):
@@ -428,12 +471,24 @@ def _numpy_singular_threshold(J):
 
 
 def _numpy_invert(J):
-    """The guards on |det J| (the LU determinant from d = 3 on) and the SVD."""
+    """The guards on |det J| (the LU determinant from d = 3 on) and the SVD.
+
+    The determinant guard compares in rationals, so neither side leaves the
+    float range.  The LU determinant and the row norms are taken of J 2^-k,
+    whose largest entry lies in [0.5, 1), and scaled back exactly."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     sv = np.linalg.svd(J, compute_uv=False)
-    with np.errstate(all="ignore"):  # det saturates at 0 or inf as the product does
-        abs_det = abs(np.linalg.det(J)) if len(J) >= 3 else np.prod(sv)
-    if abs_det < _numpy_singular_threshold(J) or sv[-1] == 0:  # the zero matrix too
+    k = math.frexp(float(np.abs(J).max()))[1]
+    unit, scale = np.ldexp(J, -k), Fraction(2) ** k
+    if len(J) >= 3:
+        with np.errstate(all="ignore"):  # a det of J 2^-k may still underflow to 0
+            abs_det = Fraction(abs(float(np.linalg.det(unit)))) * scale ** len(J)
+    else:
+        abs_det = math.prod(map(Fraction, sv.tolist()))
+    norms = np.sqrt((unit * unit).sum(axis=1)).tolist()
+    threshold = Fraction(SINGULAR_SCALE_TOL) * math.prod(
+        max(Fraction(x) * scale, Fraction(1e-300)) for x in norms)
+    if abs_det < threshold or sv[-1] == 0:  # the zero matrix too
         raise SingularMatrix("reference")
     if sv[-1] <= 0 or sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned("reference")

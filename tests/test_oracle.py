@@ -507,6 +507,43 @@ def test_certificate_rejects_a_double_root():
         oracle._certify(centres, oracle._corrections(coeffs, centres))
 
 
+def _aligned_sign(*bounds) -> int:
+    """The sign of the sum of the bounds (m, e), all aligned to the smallest
+    exponent: the reference for oracle._sign."""
+    e = min(f for _, f in bounds)
+    total = sum(m << (f - e) for m, f in bounds)
+    return (total > 0) - (total < 0)
+
+
+_BOUNDS = st.lists(st.tuples(st.integers(-(2 ** 140), 2 ** 140), st.integers(-300, 300)),
+                   min_size=1, max_size=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BOUNDS, st.data())
+@example([(5, 0), (-5, 0)], None)
+@example([(1, 1000), (-1, 1000), (3, -1000), (-1, -999)], None)
+@example([(2 ** 136, -136), (-1, 0), (1, -5_000_000)], None)
+def test_sign_by_top_bits_is_the_aligned_sum(bounds, data):
+    """_sign, which adds terms largest first and stops once the rest cannot
+    change the sign, agrees with the fully aligned sum; exact cancellations
+    are drawn on purpose: a term restated with a shifted exponent, negated."""
+    if data is not None and data.draw(st.booleans()):
+        m, f = bounds[data.draw(st.integers(0, len(bounds) - 1))]
+        shift = data.draw(st.integers(0, 80))
+        bounds = bounds + [(-m << shift, f - shift)]
+        bounds = data.draw(st.permutations(bounds))
+    assert oracle._sign(*bounds) == _aligned_sign(*bounds)
+
+
+def test_sign_aligns_no_term_far_below_the_sum():
+    """Moduli some 5e7 bits apart, as at n ~ 6e7, are ordered by their top
+    bits; the aligned sum would shift a term by 50 million bits."""
+    far = [(3, 0), (-(2 ** 100), -50_000_000), (1, -60_000_000)]
+    assert oracle._sign(*far) == 1
+    assert oracle._sign(*[(-m, e) for m, e in far]) == -1
+
+
 def _pairwise_certify(centres, corrections):
     """oracle._certify with every pair of disks and of modulus ranges compared."""
     d = len(centres)
