@@ -20,16 +20,19 @@ bound settles them (||M||_2 <= ||M||_F).  ``norm_below(M, bound)`` is True
 when hypot(*M.flat) < bound (1 - 1e-12); for matrices of this size the
 computed Frobenius norm and LAPACK's sigma_max each err by a few hundred
 eps at most, far below the 1e-12 slack, so the answer is op_norm's, which
-decides when the bound does not.  ``invert`` of a d x d matrix, d >= 3,
-returns LAPACK's inverse at once when f^2 = ||J||_F^2 ||J^-1||_F^2 <=
-min(d^2 (1 / (4 SINGULAR_SCALE_TOL))^(2/d), CONDITION_CAP^2 / 4).  By AM-GM
-and Hadamard's inequality the product of the row norms is then at most
+decides when the bound does not.  ``invert`` of a d x d matrix, or of a
+stack (N, d, d), returns LAPACK's inverse at once when f^2 =
+||J||_F^2 ||J^-1||_F^2 <= min(d^2 (1 / (4 SINGULAR_SCALE_TOL))^(2/d),
+CONDITION_CAP^2 / 4), both norms taken over the whole array.  By AM-GM and
+Hadamard's inequality the product of the row norms is then at most
 |det J| / (4 SINGULAR_SCALE_TOL), and cond_2 J <= f <= CONDITION_CAP / 2:
 the guards pass with a factor 4 and 2 to spare, which covers the rounding
-of f, of the inverse (cond_2 J < 1e5 under this limit) and of the guards.
-A larger f runs the guards on the LU determinant and the SVD.  The same
-bounds hold for d = 2 (cond_2 J < 1e7), where a stack uses them too, per
-item on Python floats.  Every value stored or printed comes from the SVD.
+of f, of the inverse (cond_2 J < 1e7 under this limit) and of the guards.
+On a stack f^2 bounds each item's own product, so it only ever passes
+items, and LAPACK gives each item the bits it gives the item alone.  A
+larger f runs the guards, item by item on a stack: the SVD, and the LU
+determinant against the row norms by ``_below_threshold``, the singularity
+test that ``polar_2x2`` shares.
 """
 
 from __future__ import annotations
@@ -105,9 +108,9 @@ def _svd(M: np.ndarray) -> np.ndarray:
 
 
 def _inv(M: np.ndarray) -> np.ndarray:
-    """numpy.linalg.inv(M) of a square float array, whose entries its callers
-    check (the 2x2 closed form and _svd) or whose inverse they keep only under
-    a finite certificate (_certified_inverse and _invert_stack)."""
+    """numpy.linalg.inv(M) of a square float array or stack, whose entries its
+    callers check (invert's guards, through _svd) or whose inverse they keep
+    only under a finite certificate (_certified_inverse)."""
     return _lapack(_inv_gufunc, M, "d->d", _INV_FAILS)
 
 
@@ -165,11 +168,7 @@ def singular_values_2x2(M: np.ndarray) -> tuple[float, float]:
     For M = [[a, b], [c, d]], sigma_max = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2,
     exact in real arithmetic, and sigma_min = |ad - bc| / sigma_max (0 for M = 0).
     """
-    return _singular_values_2x2(M.tolist())
-
-
-def _singular_values_2x2(rows: list) -> tuple[float, float]:
-    (a, b), (c, d) = rows
+    (a, b), (c, d) = M.tolist()
     smax = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, b + c))
     return smax, (abs(a * d - b * c) / smax if smax else 0.0)
 
@@ -198,30 +197,28 @@ def _row_norm_product(rows: list) -> tuple[float, int]:
     return mant, exp
 
 
-def _singular_threshold(rows: list) -> float:
-    """SINGULAR_SCALE_TOL times the product of the row norms, as a float: the
-    product's own bits wherever it stays normal, 0 or inf past the float range."""
+def _below_threshold(det: float, e: int, rows: list) -> bool:
+    """|det| 2^e below SINGULAR_SCALE_TOL times the row-norm product of a
+    matrix given as its rows, in mantissa-exponent form: the plain comparison
+    wherever both sides are normal floats, and scale-free beyond them."""
     mant, exp = _row_norm_product(rows)
-    if -1021 <= exp <= 1024:  # the product mant 2^exp is a normal float
-        return SINGULAR_SCALE_TOL * math.ldexp(mant, exp)
+    m, f = math.frexp(abs(det))
+    # from f + e > exp on, |det| 2^e >= 2^exp passes the threshold, below 1e-14 2^exp
+    return math.ldexp(m, min(f + e - exp, 0)) < SINGULAR_SCALE_TOL * mant
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, or +-inf past the float range: the value an error message prints."""
     try:
-        return math.ldexp(SINGULAR_SCALE_TOL * mant, exp)
+        return math.ldexp(x, e)
     except OverflowError:
-        return math.inf
-
-
-def _below_threshold(det: tuple, rows: list) -> bool:
-    """|det J| = mant 2^exp below _singular_threshold(rows), in mantissa-exponent
-    form: the plain comparison wherever both sides are normal floats."""
-    mant, exp = _row_norm_product(rows)
-    m, e = det
-    # from e > exp on, |det J| >= 2^exp passes the threshold, below 1e-14 2^exp
-    return math.ldexp(m, min(e - exp, 0)) < SINGULAR_SCALE_TOL * mant
+        return math.copysign(math.inf, x)
 
 
 def _certified_inverse(J: np.ndarray):
-    """LAPACK's inverse of a d x d matrix J, d >= 3, when ||J||_F ||J^-1||_F
-    proves that invert's guards pass (see the module docstring); else None."""
+    """LAPACK's inverse of a d x d matrix J, or of a stack (N, d, d), when
+    ||J||_F ||J^-1||_F over the whole array proves that invert's guards pass
+    on every item (see the module docstring); else None."""
     fro2 = float(np.vdot(J, J))
     if not math.isfinite(fro2):
         return None
@@ -229,7 +226,7 @@ def _certified_inverse(J: np.ndarray):
         Ji = _inv(J)
     except np.linalg.LinAlgError:  # an exact zero pivot: the guards decide
         return None
-    return Ji if fro2 * float(np.vdot(Ji, Ji)) <= _certificate_limit(J.shape[0]) else None
+    return Ji if fro2 * float(np.vdot(Ji, Ji)) <= _certificate_limit(J.shape[-1]) else None
 
 
 @functools.cache
@@ -237,77 +234,39 @@ def _certificate_limit(d: int) -> float:
     return min(d * d * (0.25 / SINGULAR_SCALE_TOL) ** (2.0 / d), 0.25 * CONDITION_CAP ** 2)
 
 
-def _invert_stack(J: np.ndarray) -> np.ndarray:
-    """invert over a stack (N, d, d), raising the error of the first item that
-    invert refuses.  For d >= 2 one LAPACK call inverts the stack.  An item keeps
-    the bits LAPACK gives it alone when its Frobenius certificate passes on
-    Python floats (a NaN fails): the limit leaves invert's guards a factor 2 to
-    4, so invert returns them too.  Every other item, every item when the
-    stacked call raises, and 1x1 items go to invert alone."""
-    d = J.shape[-1]
-    certified, Ji = [False] * len(J), np.empty_like(J)
-    if d > 1:
-        try:
-            Ji = _inv(J)
-            fro, fro_inv = (starmap(math.hypot, M.reshape(-1, d * d).tolist()) for M in (J, Ji))
-            limit = _certificate_limit(d)
-            certified = [(f := a * b) * f <= limit for a, b in zip(fro, fro_inv)]
-        except np.linalg.LinAlgError:
-            pass
-    for i in [i for i, ok in enumerate(certified) if not ok]:
-        Ji[i] = invert(J[i])
-    return Ji
-
-
 def invert(J: np.ndarray) -> np.ndarray:
     """Matrix inverse with scale-invariant singularity / conditioning guards.
 
-    SingularMatrix when |det J| is below the scale threshold, compared in
-    mantissa-exponent form so that a tiny singular matrix is one too, or a
-    singular value is 0; IllConditioned when sigma_max / sigma_min passes
-    CONDITION_CAP.  A 1x1 inverse is 1/x, at once for an entry of modulus
-    1e-290 or more; a 2x2 matrix is guarded by its closed-form singular
-    values; a larger one is returned at once when its Frobenius norms
-    certify both guards, and is guarded by its LU determinant and its SVD
-    otherwise.  A stack (N, d, d) is inverted item by
-    item, with one LAPACK call (see ``_invert_stack``).
+    SingularMatrix when |det J| is below the scale threshold (see
+    ``_below_threshold``) or a singular value is 0; IllConditioned when
+    sigma_max / sigma_min passes CONDITION_CAP.  1x1 matrices are inverted
+    as 1/x at once when every entry has modulus 1e-290 or more.  Otherwise
+    the inverse is LAPACK's, returned at once when the Frobenius certificate
+    passes and after the guards on the SVD and the LU determinant of J 2^-k
+    if not.  A stack (N, d, d) that the certificate does not pass whole goes
+    item by item, raising the error of the first item refused.
     """
     J = np.asarray(J, dtype=float)
     d = J.shape[-1]
     if d != J.shape[-2]:
         raise ValueError(f"invert: matrix not square: {J.shape}")
+    if d == 1 and all(1e-290 <= abs(x) < math.inf for x in J.ravel().tolist()):  # guards pass
+        return 1.0 / J
+    Ji = _certified_inverse(J)
+    if Ji is not None:
+        return Ji
     if J.ndim == 3:
-        return _invert_stack(J)
-    if d == 1 and 1e-290 <= abs(J.item()) < math.inf:  # the guards pass
-        return np.array([[1.0 / J.item()]])
-    if d >= 3:
-        Ji = _certified_inverse(J)
-        if Ji is not None:
-            return Ji
-        sv = _svd(J).tolist()
-        # the LU determinant of J 2^-k, whose entries are at most 1, is
-        # |det J| 2^(-d k) in the float range; quiet where it leaves it
-        k = math.frexp(sv[0])[1]
-        m, e = math.frexp(abs(float(_lapack(_det_gufunc, np.ldexp(J, -k), "d->d", _QUIET))))
-        det = m, (e + d * k if m else 0)
-        rows = J.tolist()
-    else:
-        rows = J.tolist()
-        if d == 2:
-            sv = _singular_values_2x2(rows)
-            if not 0.0 < sv[1] < math.inf:  # SVD where ad - bc is 0 or out of range
-                sv = _svd(J).tolist()
-        else:
-            sv = [abs(_finite(J).item())]
-        m, e = math.frexp(sv[0])
-        m, f = math.frexp(m * sv[1]) if d == 2 else (m, 0)
-        det = m, e + f
-    if _below_threshold(det, rows) or sv[-1] == 0:
-        abs_det = math.ldexp(*det) if det[1] <= 1024 else math.inf
-        raise SingularMatrix(f"|determinant| {abs_det:g} below scale threshold")
+        return np.array([invert(M) for M in J])
+    sv = _svd(J).tolist()
+    # the LU determinant of J 2^-k, whose entries are at most 1, is
+    # |det J| 2^(-d k) in the float range; quiet where it leaves it
+    k = math.frexp(sv[0])[1]
+    det = float(_lapack(_det_gufunc, np.ldexp(J, -k), "d->d", _QUIET))
+    if _below_threshold(det, d * k, J.tolist()) or sv[-1] == 0:
+        raise SingularMatrix(f"|determinant| {_ldexp(abs(det), d * k):g} below scale threshold")
     if sv[0] / sv[-1] > CONDITION_CAP:
         raise IllConditioned(f"condition number {sv[0] / sv[-1]:.3g} above cap")
-    return np.array([[1.0 / rows[0][0]]]) if d == 1 else _inv(J)
+    return _inv(J)
 
 
 def singular_values(J: np.ndarray) -> np.ndarray:
@@ -334,21 +293,26 @@ def polar_2x2(M: np.ndarray):
     tr P) / (2 pi) of P, so every |eps| < eps_hat gives tr(P R_eps)^2 >
     4 det(P R_eps), hence real simple eigenvalues.  For M = [[a, b], [c, d]]
     the rotation has cos = (a+d)/s and sin = (c-b)/s with s = hypot(a+d, c-b);
-    then P = M R^T is symmetric with tr P = s and det P = det M.
+    then P = M R^T is symmetric with tr P = s and det P = det M.  det, tr,
+    skew and s are formed on M 2^-k, k the binary exponent of M's largest
+    entry, which scales them exactly, so neither overflows or underflows and
+    M is singular by ``_below_threshold``, as in ``invert``.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"polar decomposition needs a 2x2 matrix, got {M.shape}")
     rows = M.tolist()
     (a, b), (c, d) = rows
-    det = a * d - b * c
-    if abs(det) < _singular_threshold(rows) or det == 0:  # the threshold underflows at M = 0
-        raise SingularMatrix(f"determinant {det:g} below scale threshold")
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    sa, sb, sc, sd = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k)
+    det = sa * sd - sb * sc  # det M 2^-2k
+    if _below_threshold(det, 2 * k, rows):
+        raise SingularMatrix(f"determinant {_ldexp(det, 2 * k):g} below scale threshold")
     if det < 0:
-        raise NegativeDeterminant(f"determinant {det:g} < 0: reflection case")
-    tr, skew = a + d, c - b
+        raise NegativeDeterminant(f"determinant {_ldexp(det, 2 * k):g} < 0: reflection case")
+    tr, skew = sa + sd, sc - sb
     s = math.hypot(tr, skew)
-    ratio = 2.0 * math.sqrt(det) / s  # s^2 - 4 det = (a-d)^2 + (b+c)^2 >= 0
+    ratio = 2.0 * math.sqrt(det) / s  # s^2 - 4 det = (sa-sd)^2 + (sb+sc)^2 >= 0
     if ratio >= 1.0 - 1e-12:
         raise DegeneratePolar("equal eigenvalues: zero rotation margin")
     co, si = tr / s, skew / s

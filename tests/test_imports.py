@@ -183,3 +183,30 @@ def test_every_public_function_is_used():
                     and not node.name.startswith("_")}
     read = _name_loads(("src", "bench", "scripts"))
     assert sorted(d for d in defined if d[1] not in read) == []
+
+
+def _readers(path: Path, name: str) -> set:
+    """The functions of a module (innermost, as "module.function") that load
+    ``name`` as a name or an attribute; "module.<module>" for a top-level read."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            if getattr(node, "id", getattr(node, "attr", None)) == name:
+                found.add(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_one_singularity_rule():
+    """SINGULAR_SCALE_TOL is read only by linalg._below_threshold, the one
+    singularity test (of invert and polar_2x2 alike), and by
+    linalg._certificate_limit, whose Frobenius bound proves that test passes:
+    no third singularity rule creeps back."""
+    readers = set().union(*(_readers(path, "SINGULAR_SCALE_TOL") for path in MODULES))
+    assert readers == {"linalg._below_threshold", "linalg._certificate_limit"}

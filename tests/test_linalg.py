@@ -24,9 +24,10 @@ from spectral_cascade import linalg
 from spectral_cascade.linalg import (
     CONDITION_CAP,
     SINGULAR_SCALE_TOL,
+    _below_threshold,
     _det,
     _inv,
-    _singular_threshold,
+    _row_norm_product,
     eigenvalues,
     invert,
     lll_reduce,
@@ -167,7 +168,7 @@ def test_polar_singular_threshold_edge():
     for e, singular in ((1.8e-14, True), (2.2e-14, False)):
         M = np.array([[1.0, 1.0], [1.0, 1.0 + e]])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        assert (det < _singular_threshold(M.tolist())) == singular
+        assert _below_threshold(det, 0, M.tolist()) == singular
         if singular:
             with pytest.raises(SingularMatrix):
                 polar_2x2(M)
@@ -176,6 +177,61 @@ def test_polar_singular_threshold_edge():
             assert np.linalg.eigvalsh(P).min() > 0
     with pytest.raises(SingularMatrix):
         polar_2x2(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_polar_is_scale_free(k):
+    """polar_2x2(M 2^k) is (P 2^k, alpha, eps_hat) of polar_2x2(M), bit for
+    bit, on the matrices of test_polar_matches_sqrtm_route: det, tr and s are
+    formed on M scaled to unit size, so they neither overflow nor underflow."""
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        M = rng.standard_normal((2, 2))
+        if np.linalg.det(M) < 0:
+            M[0] = -M[0]
+        P, alpha, eps_hat = polar_2x2(M)
+        Pk, alpha_k, eps_k = polar_2x2(np.ldexp(M, k))
+        assert Pk.tobytes() == np.ldexp(P, k).tobytes()
+        assert (alpha_k, eps_k) == (alpha, eps_hat)
+
+
+def test_polar_of_tiny_entries():
+    """A matrix of entries near 1e-300 whose ad - bc underflows to 0, but
+    whose |det| / prod(row norms) is about 3e-8, has a polar form, that of
+    its copy scaled to unit size, and an inverse; a rank-one one is singular
+    for both polar_2x2 and invert."""
+    M = np.array([[3e-300, 1e-300], [3e-300, 1.0000001e-300]])
+    P, alpha, eps_hat = polar_2x2(M)
+    unit = np.ldexp(M, 997)
+    P_unit, alpha_unit, eps_unit = polar_2x2(unit)
+    assert np.ldexp(P, 997).tobytes() == P_unit.tobytes()
+    assert (alpha, eps_hat) == (alpha_unit, eps_unit) and eps_hat > 0
+    np.testing.assert_allclose(P_unit @ rotation_matrix(alpha), unit, rtol=0, atol=1e-13)
+    assert np.linalg.eigvalsh(P_unit).min() > 0
+    np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
+    for fn in (polar_2x2, invert):
+        with pytest.raises(SingularMatrix):
+            fn(np.full((2, 2), 1e-300))
+
+
+@pytest.mark.parametrize("e", [-1000, -600, 0, 600, 1000])
+def test_polar_is_singular_where_invert_is(e):
+    """On 2x2 matrices with det > 0 whose |det| / prod(row norms) lies a
+    decade below or above SINGULAR_SCALE_TOL (measured exactly), scaled by
+    2^e, polar_2x2 raises SingularMatrix exactly when invert does."""
+    rng = np.random.default_rng(32)
+    tol2, seen = Fraction(SINGULAR_SCALE_TOL) ** 2, set()
+    for M in _random_2x2(rng, 10.0 ** rng.uniform(12.5, 15.5, 3_000)):
+        (a, b), (c, d) = [[Fraction(x) for x in row] for row in M.tolist()]
+        det = a * d - b * c
+        ratio2 = det * det / ((a * a + b * b) * (c * c + d * d)) / tol2
+        if not (Fraction(1, 400) < ratio2 < Fraction(1, 25) or 25 < ratio2 < 400):
+            continue
+        M = np.ldexp(M if det > 0 else M[::-1], e)
+        singular = _outcome(invert, M) is SingularMatrix
+        assert (_outcome(polar_2x2, M) is SingularMatrix) == singular, M
+        seen.add(singular)
+    assert seen == {True, False}
 
 
 def test_max_real_simple_angle_is_sharp():
@@ -418,22 +474,32 @@ def test_invert_is_scale_free(scale):
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
 def test_singular_threshold_is_numpy_row_norm_product(rng, scale):
-    """The threshold's row norms are np.linalg.norm(J, axis=1), bit for bit."""
+    """The threshold's row norms are np.linalg.norm(J, axis=1), bit for bit:
+    where numpy's product of them is a normal float, _row_norm_product is
+    that product, and beyond the float range (at 1e+-150 from d = 3 on) its
+    exponent carries the product there, to within rounding."""
     shapes = [(1, 1)] + [(d, d) for d in range(2, 7)] * 20
     for shape in shapes:
         J = scale * rng.standard_normal(shape)
-        norms = np.linalg.norm(J, axis=1)
-        with np.errstate(over="ignore"):  # the product is inf at 1e150 from d = 3 on
-            expected = SINGULAR_SCALE_TOL * float(np.prod(np.maximum(norms, 1e-300)))
-            assert _singular_threshold(J.tolist()) == expected
+        norms = np.maximum(np.linalg.norm(J, axis=1), 1e-300)
+        with np.errstate(over="ignore", under="ignore"):
+            expected = float(np.prod(norms))
+        mant, exp = _row_norm_product(J.tolist())
+        if 2.0 ** -1022 <= expected < math.inf:
+            assert math.ldexp(mant, exp) == expected
+        else:
+            assert not -1021 <= exp <= 1024
+            exact = math.prod(map(Fraction, norms.tolist()))
+            assert abs(Fraction(mant) * Fraction(2) ** exp / exact - 1) < 1e-14
 
 
 @pytest.mark.parametrize("M", [np.array([[1e300]]), np.diag([1e155, 1e145])],
                          ids=["1x1-1e300", "2x2-1e155"])
 def test_invert_rows_beyond_the_squared_float_range(M):
-    """A row norm above ~1.3e154 squares past the float range; the threshold
-    still holds its norm, so a well-conditioned matrix inverts."""
-    assert _singular_threshold(M.tolist()) == SINGULAR_SCALE_TOL * math.prod(M.max(axis=1))
+    """A row norm above ~1.3e154 squares past the float range; the row-norm
+    product still holds its norm, so a well-conditioned matrix inverts."""
+    assert math.ldexp(*_row_norm_product(M.tolist())) == math.prod(M.max(axis=1))
+    assert not _below_threshold(math.prod(np.diag(M)), 0, M.tolist())
     np.testing.assert_array_equal(invert(M), np.linalg.inv(M))
 
 
@@ -444,30 +510,35 @@ def test_threshold_product_leaves_the_float_range_only_at_its_end():
     with rows near 2^-664 and 2^664 is as singular as its twin with rows
     scaled to 1."""
     wide = np.diag([1e200, 1e200, 1e-100])
-    assert _singular_threshold(wide.tolist()) == pytest.approx(SINGULAR_SCALE_TOL * 1e300,
-                                                               rel=1e-15)
+    assert math.ldexp(*_row_norm_product(wide.tolist())) == pytest.approx(1e300, rel=1e-15)
     with pytest.raises(IllConditioned):
         invert(wide)
     t = 2.0 ** -664
     rank_two = np.array([[t, t, 0.0], [t, t, 0.0], [0.0, 0.0, 1.0 / t]])
     # its row norms square below the float range, and are taken by hypot
-    assert _singular_threshold(rank_two.tolist()) == pytest.approx(
-        SINGULAR_SCALE_TOL * 2.0 ** -663, rel=1e-15)
+    assert math.ldexp(*_row_norm_product(rank_two.tolist())) == pytest.approx(
+        2.0 ** -663, rel=1e-15)
     for M in (rank_two, rank_two / np.abs(rank_two).max(axis=1, keepdims=True)):
         with pytest.raises(SingularMatrix):
             invert(M)
-    # past the float range at the end the threshold is inf or 0, as before
-    assert _singular_threshold(np.diag([1e200, 1e200, 1e100]).tolist()) == math.inf
-    assert _singular_threshold(np.diag([1e-200, 1e-200, 1e-100]).tolist()) == 0.0
+    # past the float range at the end the product keeps its exponent: a
+    # diagonal matrix's |det| is its row-norm product, and 1e-15 of it is
+    # below the threshold
+    for M, power in ((np.diag([1e200, 1e200, 1e100]), 500),
+                     (np.diag([1e-200, 1e-200, 1e-100]), -500)):
+        mant, exp = _row_norm_product(M.tolist())
+        assert abs(Fraction(mant) * Fraction(2) ** exp / Fraction(10) ** power - 1) < 1e-15
+        assert not _below_threshold(mant, exp, M.tolist())
+        assert _below_threshold(mant * 1e-15, exp, M.tolist())
 
 
 # The plain numpy expressions the lean kernels replace, kept as the reference.
-def _numpy_singular_threshold(J):
+def _numpy_row_norm_product(J):
     with np.errstate(over="ignore"):
         row_norms = np.sqrt((J * J).sum(axis=1))
     # a row norm above ~1.3e154, whose squares overflow, by repeated hypot
     row_norms = np.where(row_norms == np.inf, np.hypot.reduce(np.abs(J), axis=1), row_norms)
-    return SINGULAR_SCALE_TOL * float(np.prod(np.maximum(row_norms, 1e-300)))
+    return float(np.prod(np.maximum(row_norms, 1e-300)))
 
 
 def _numpy_invert(J):
@@ -496,10 +567,12 @@ def _numpy_invert(J):
 
 
 def _outcome(fn, J):
-    """The inverse's bytes, or the type of the guard error raised."""
+    """The result's bytes (an inverse's, or a polar form's P), or the type of
+    the guard error raised."""
     try:
-        return fn(J).tobytes()
-    except (SingularMatrix, IllConditioned) as exc:
+        J = fn(J)
+        return (J[0] if isinstance(J, tuple) else J).tobytes()
+    except (SingularMatrix, IllConditioned, DegeneratePolar) as exc:
         return type(exc)
 
 
@@ -509,7 +582,7 @@ def _scaled_rows(rng, d):
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_lean_guards_match_numpy(rng, d):
-    """_singular_threshold and invert equal the numpy expressions bit for bit,
+    """_row_norm_product and invert equal the numpy expressions bit for bit,
     raised errors included, on rows scaled by 1e-5..1e5.
 
     Besides generic matrices, the last row is made a combination of the
@@ -529,7 +602,7 @@ def test_lean_guards_match_numpy(rng, d):
             mats.append(K)
     outcomes = set()
     for J in mats:
-        assert _singular_threshold(J.tolist()) == _numpy_singular_threshold(J)
+        assert math.ldexp(*_row_norm_product(J.tolist())) == _numpy_row_norm_product(J)
         got = _outcome(invert, J)
         assert got == _outcome(_numpy_invert, J)
         outcomes.add(got if isinstance(got, type) else bytes)
@@ -584,8 +657,9 @@ def test_singular_values_2x2_match_lapack(rng):
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
 def test_2x2_condition_guard_matches_lapack(rng, factor):
-    """At condition numbers 1% below and above CONDITION_CAP the closed-form
-    guard decides as the SVD one, over random rotations, reflections and scales."""
+    """At condition numbers 1% below and above CONDITION_CAP, far past the
+    Frobenius certificate, invert's guards decide a 2x2 matrix as the numpy
+    reference does, over random rotations, reflections and scales."""
     for M in _random_2x2(rng, np.full(2_000, factor * CONDITION_CAP)):
         assert _outcome(invert, M) == _outcome(_numpy_invert, M)
 
@@ -723,7 +797,9 @@ def _orthogonal(rng, d):
 def test_certified_inverse_changes_no_outcome(rng, d, monkeypatch):
     """invert returns the same inverse bytes, or raises the same error with the
     same message, with and without its Frobenius shortcut: on near-singular
-    and condition-cap sweeps and at f^2 within 1e-9 of the shortcut's limit."""
+    and condition-cap sweeps and at f^2 within 1e-9 of the shortcut's limit,
+    alone and in stacks of three neighbours and of J with -J (f^2 four times
+    J's own), of which the shortcut passes some whole."""
     limit = min(d * d * (0.25 / SINGULAR_SCALE_TOL) ** (2.0 / d), 0.25 * CONDITION_CAP ** 2)
     mats = []
     for _ in range(100):
@@ -739,20 +815,48 @@ def test_certified_inverse_changes_no_outcome(rng, d, monkeypatch):
         b = a * a + 1.0 - target
         t = math.sqrt(2.0 * a / (-b + math.sqrt(b * b - 4.0 * a * a)))
         mats.append(_orthogonal(rng, d) @ np.diag([1.0] * a + [t]) @ _orthogonal(rng, d).T)
-    taken = [0]
+    stacks = [np.array(mats[i:i + 3]) for i in range(0, len(mats), 3)]
+    stacks += [np.array([J, -J]) for J in mats]
+    taken = {2: [], 3: []}
 
     def counted(J):
         Ji = certified(J)
-        taken[0] += Ji is not None
+        taken[J.ndim].append(Ji is not None)
         return Ji
 
     certified = linalg._certified_inverse
     monkeypatch.setattr(linalg, "_certified_inverse", counted)
-    fast = [_guard_outcome(J) for J in mats]
+    fast = [_guard_outcome(J) for J in mats + stacks]
     monkeypatch.setattr(linalg, "_certified_inverse", lambda J: None)
-    assert fast == [_guard_outcome(J) for J in mats]
+    assert fast == [_guard_outcome(J) for J in mats + stacks]
     assert {o[0] for o in fast if not isinstance(o, bytes)} == {SingularMatrix, IllConditioned}
-    assert 0 < taken[0] < len(mats)
+    for passed in taken.values():
+        assert 0 < sum(passed) < len(passed)
+    assert len(taken[3]) == len(stacks)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stack_certificate_fails_whole_yet_items_keep_their_bits(d):
+    """A stack of items at 1e150 and 1e-150 fails the whole-array certificate
+    (its f^2 passes 1e600) although each item passes its own; item by item,
+    each gets the bits LAPACK gives it alone."""
+    items = [scale * _mixed([3.0, 2.0, 1.0, 0.5, 0.25][:d]) for scale in (1e150, 1e-150, 1.0)]
+    stack = np.array(items)
+    assert linalg._certified_inverse(stack) is None
+    assert all(linalg._certified_inverse(M) is not None for M in items)
+    assert [Ji.tobytes() for Ji in invert(stack)] == [np.linalg.inv(M).tobytes() for M in items]
+
+
+def test_1x1_stack_makes_no_lapack_call(monkeypatch):
+    """A stack of 1x1 matrices with entries of modulus 1e-290 or more is
+    inverted as 1/x at once, LAPACK's bits, with no LAPACK call."""
+    J = np.array([[[2.0]], [[-3.0]], [[1e-290]], [[-1e300]], [[1.0 / 3.0]]])
+    want = np.linalg.inv(J).tobytes()
+    calls = []
+    for name in ("_svd_gufunc", "_inv_gufunc", "_det_gufunc", "_eigvals_gufunc"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name, **kwargs: calls.append(name))
+    assert invert(J).tobytes() == want
+    assert calls == []
 
 
 def test_1x1_inverse_is_lapacks():
