@@ -76,9 +76,10 @@ def test_invert_guards():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_zero_matrix_is_singular(d):
-    """The zero matrix is singular, alone and in a stack, although the
-    threshold, the row norm product, underflows to 0 from d = 2 on.  A
-    well-conditioned matrix whose determinant underflows to 0 still inverts."""
+    """The zero matrix is singular, alone and in a stack, although its row
+    norm product (each norm floored at 1e-300) leaves the float range from
+    d = 2 on.  A well-conditioned matrix whose determinant underflows to 0
+    still inverts."""
     M = np.zeros((d, d))
     for J in (M, np.array([np.eye(d), M])):
         with pytest.raises(SingularMatrix, match=r"^\|determinant\| 0 below scale threshold$"):
