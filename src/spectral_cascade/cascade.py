@@ -211,16 +211,10 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                             windows=windows, n0=n0, k0=k0)
 
 
-def _level_data(j: int, X: np.ndarray, values: np.ndarray, n: int, model: DiagonalModel,
-                limit: np.ndarray) -> LevelData:
-    """Level j's record; ``values`` are the eigenvalues of X U_j(n), with U_j(n)
-    the unit part of T_j^n, real when every imaginary part is 0."""
-    blk = model.block(j)
-    spec = ScaledSpectrum.from_values(values, log_scale=n * math.log(blk.modulus))
-    if blk.size == 1:
-        return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]),
-                         drift=abs(float(X[0, 0] - limit[0, 0])))
-    drift = singular_values_2x2(X - limit)[0]
+def _level_data(j: int, X: np.ndarray, spec: ScaledSpectrum, diff: np.ndarray) -> LevelData:
+    """Level j's record from its X, the spectrum of X T_j^n and X minus the limit."""
+    if X.shape[-1] == 1:
+        return LevelData(j=j, X=X, spectrum=spec, det=float(X[0, 0]), drift=abs(float(diff[0, 0])))
     (a, b), (c, d) = X.tolist()
     P = window = None
     try:
@@ -228,8 +222,8 @@ def _level_data(j: int, X: np.ndarray, values: np.ndarray, n: int, model: Diagon
         window = PhaseWindow(alpha=alpha, eps_hat=eps_hat)
     except (SingularMatrix, NegativeDeterminant, DegeneratePolar):
         pass
-    return LevelData(j=j, X=X, spectrum=spec, det=a * d - b * c, drift=drift,
-                     P=P, window=window)
+    return LevelData(j=j, X=X, spectrum=spec, det=a * d - b * c,
+                     drift=singular_values_2x2(diff)[0], P=P, window=window)
 
 
 def _split(stage: CascadeStage, current: np.ndarray, ns, units: list):
@@ -277,33 +271,44 @@ def _chain(current: np.ndarray, ns, stages, units: list, failures: dict):
 
 def _decompose(L_ks: np.ndarray, ns, model: DiagonalModel, cascade: ParameterCascade) -> list:
     """cascade_decompose over a stack (N, d, d) at exponents ns (N,), or over one
-    matrix at one exponent: per item, its CascadeResult or the error it raises."""
+    matrix at one exponent: per item, its CascadeResult or the error it raises.
+
+    A stack forms each block's U_j(n), each level's spectrum and the log
+    moduli that the domination margins compare in one pass over its items,
+    elementwise, so that every item gets the bits it gets alone; the 2x2
+    closed forms (polar form, drift) and the records run item by item."""
     if isinstance(ns, np.ndarray) and len(ns) == 1:  # a stack of one runs as its lone matrix
         L_ks, ns = L_ks[0], int(ns[0])
     stacked = isinstance(ns, np.ndarray)
     exponents = ns.tolist() if stacked else [ns]
-    units = [np.array([blk.unit_power(n) for n in exponents]) if stacked else blk.unit_power(ns)
-             for blk in model.diag_blocks]  # each U_j(n) formed once
+    units = [blk.unit_power(ns) for blk in model.diag_blocks]  # each U_j(n) formed once
     outcomes = {}
     alive, Xs, last, units = _chain(L_ks, ns, cascade.stages, units, outcomes)
-    levels = [[] for _ in alive]
+    scale = ns[alive][:, None] if stacked else ns  # n, a column on a stack
+    levels, logs = [[] for _ in alive], []
     for j, X in enumerate([*Xs, last] if alive else [], start=1):
         XU = X @ units[j - 1]  # the spectrum of X T_j^n, up to |lambda_j|^n
         values = XU[..., 0] if X.shape[-1] == 1 else eigenvalues(XU)
-        for item, i, Xi, w in zip(levels, alive, *((X, values) if stacked else ([X], [values]))):
-            item.append(_level_data(j, Xi, w if not stacked or np.count_nonzero(w.imag) else w.real,
-                                    exponents[i], model, cascade.limits[j - 1]))
-    for i, item in zip(alive, levels):
-        outcomes[i] = _result(exponents[i], item, cascade.eps0)
+        if stacked and values.dtype.kind == "c":  # real where an item has no imaginary part
+            values = np.where(values.imag.any(axis=-1, keepdims=True), values, values.real)
+        spec = ScaledSpectrum.from_values(values,
+                                          log_scale=scale * math.log(model.block(j).modulus))
+        logs.append(spec.log_mod)
+        diffs = X - cascade.limits[j - 1]
+        for item, args in zip(levels, zip(X, map(ScaledSpectrum, spec.unit, spec.log_mod), diffs)
+                              if stacked else [(X, spec, diffs)]):
+            item.append(_level_data(j, *args))
+    # per pair of consecutive levels, per item: the least log modulus above the largest below
+    gaps = [(a.min(axis=-1) - b.max(axis=-1)).tolist() for a, b in zip(logs, logs[1:])]
+    for i, item, gap in zip(alive, levels, zip(*gaps) if stacked else [gaps]):
+        outcomes[i] = _result(exponents[i], item, cascade.eps0, min(math.inf, *gap))
     return [outcomes[i] for i in range(len(exponents))]
 
 
-def _result(n: int, levels: list, eps0: float) -> CascadeResult:
-    """One item's result, its limits and domination certified from its levels."""
+def _result(n: int, levels: list, eps0: float, margin: float) -> CascadeResult:
+    """One item's result, its limits and domination certified from its levels and
+    its least gap between the log moduli of consecutive levels."""
     # each drift is within a few ulp (relative) of the exact sigma_max(X - limit)
-    margin = math.inf
-    for a, b in zip(levels, levels[1:]):
-        margin = min(margin, float(a.spectrum.log_mod.min() - b.spectrum.log_mod.max()))
     return CascadeResult(n=n, levels=levels, limits_ok=all(lv.drift < eps0 for lv in levels),
                          domination_ok=margin > 0, domination_margin=margin)
 
@@ -378,27 +383,25 @@ def _spectrum_row(spec: ScaledSpectrum) -> list:
     return out
 
 
-def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decomposed):
+def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decomposed,
+            L_n: np.ndarray, phases: dict):
     """The hit rule at index n; returns (hit_or_none, csv_row, miss_or_none).
 
     A hit needs limits and domination, a real simple spectrum at GAP_TOL, an
     oracle mismatch of at most ORACLE_TOL, and inclusion disks of the
     certified graded oracle that prove the spectrum real simple.
-    ``decomposed`` is the decomposition at n, or its error, from a stack
-    (``examine_stack``).
+    ``decomposed`` is the decomposition of L_n at n, or its error, and
+    ``phases`` its signed phase per rotation level (NaN where the level has
+    no window), all from a stack (``examine_stack``).
     """
     model = instance.model
     N = instance.a * n + instance.b
     structure = model.structure
-    L_n = instance.L_n(n)
     try:
         result = _outcome(decomposed)
     except StageFailure as exc:
         row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
         return None, row, (n, str(exc))
-    windows = {j: result.levels[j - 1].window for j in structure.rotation_indices}
-    phases = {j: math.nan if w is None else float(w.phase(model.block(j).theta, N))
-              for j, w in windows.items()}  # NaN: no window, real at every n
     spec = result.spectrum
     ok, min_gap = spec.real_simple()
     ok = ok and result.limits_ok and result.domination_ok
@@ -428,11 +431,18 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decompose
 
 def examine_stack(ns: list, instance: InstanceSpec, cascade: ParameterCascade):
     """``examine`` at each index of ns in turn, after one stacked decomposition
-    of them all; yields examine's triples."""
-    outcomes = _decompose(np.array([instance.L_n(n) for n in ns]),
-                          instance.a * np.array(ns) + instance.b, instance.model, cascade)
-    for n, decomposed in zip(ns, outcomes):
-        yield examine(n, instance, cascade, decomposed)
+    of them all and one phase call per rotation level; yields examine's
+    triples.  An item whose decomposition raised raises at its own turn."""
+    L_ns = np.array([instance.L_n(n) for n in ns])
+    exponents = instance.a * np.array(ns) + instance.b
+    outcomes = _decompose(L_ns, exponents, instance.model, cascade)
+    phases = {}
+    for j in instance.model.structure.rotation_indices:  # NaN: no window, real at every n
+        windows = [None if isinstance(o, Exception) else o.levels[j - 1].window for o in outcomes]
+        alphas = np.array([math.nan if w is None else w.alpha for w in windows])
+        phases[j] = _signed_phase(alphas, instance.model.block(j).theta, exponents).tolist()
+    for i, (n, L_n, decomposed) in enumerate(zip(ns, L_ns, outcomes)):
+        yield examine(n, instance, cascade, decomposed, L_n, {j: ph[i] for j, ph in phases.items()})
 
 
 def _window_candidates(instance: InstanceSpec, cascade: ParameterCascade,

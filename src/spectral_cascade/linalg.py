@@ -135,8 +135,12 @@ def _cos_sin_turns(theta: float) -> tuple[float, float]:
     return math.cos(2.0 * math.pi * r), math.sin(2.0 * math.pi * r)
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    """2x2 rigid rotation by the angle ``theta`` in turns."""
+def rotation_matrix(theta) -> np.ndarray:
+    """2x2 rigid rotation by the angle ``theta`` in turns; for an array of
+    angles, the stack of their rotations, each formed as alone."""
+    if isinstance(theta, np.ndarray) and theta.ndim:
+        stack = [rotation_matrix(t) for t in theta.ravel().tolist()]
+        return np.array(stack).reshape(theta.shape + (2, 2))
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
     c, s = _cos_sin_turns(theta)
@@ -334,11 +338,12 @@ def phase_mod1(theta: float, n, offset: float = 0.0) -> np.ndarray:
     rounded once, for any |n| < 2**63: by numpy's uint64 product, which wraps
     mod 2**64, on an array with q <= 64 (theta >= 2**-12), else by Python
     integers, with the same bits.  The offset adds in floating point, within
-    2 * 2**-53 of the exact phase around the circle.  An array past int64
-    raises OverflowError.
+    2 * 2**-53 of the exact phase around the circle; beside an array n it may
+    be an array of the same shape, one offset per exponent.  An array past
+    int64 raises OverflowError.
     """
     p, den = theta.as_integer_ratio()
-    if np.ndim(n) == 0:
+    if isinstance(n, int) or np.ndim(n) == 0:  # a Python int skips np.ndim's microsecond
         return np.float64((int(n) * p % den / den + offset % 1.0) % 1.0)
     n = np.asarray(n, dtype=np.int64)
     turn = ((n.astype(object) * p % den / den).astype(float) if den > 2 ** 64 else

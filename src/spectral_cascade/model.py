@@ -5,9 +5,10 @@ scalar for 1x1 blocks, or (modulus, angle-in-turns) for 2x2 scaled-rotation
 blocks.  Powers are evaluated in closed form, |lambda|^n * R_{n theta mod 1},
 with exact phase residues (``linalg.phase_mod1``) and the modulus in log space.
 Each block's ``unit_power`` is the one place that forms the unit part
-U_j(n) of T_j^n; the sandwich factors, the cascade's level spectra and the
-oracle's numpy route all read it from there.  A decomposition forms each
-item's U_j(n) once and shares it with every stage (``DiagonalPowers.share_units``).
+U_j(n) of T_j^n, or the stack of them at an array of exponents; the sandwich
+factors, the cascade's level spectra and the oracle's numpy route all read it
+from there.  A decomposition forms each block's U_j(n) once, for the whole
+stack in one call, and shares it with every stage (``DiagonalPowers.share_units``).
 """
 
 from __future__ import annotations
@@ -48,8 +49,10 @@ class ScalarBlock(Block):
     def modulus(self) -> float:
         return abs(self.value)
 
-    def unit_power(self, n: int) -> np.ndarray:
-        """The sign of value^n, as a 1x1 matrix."""
+    def unit_power(self, n) -> np.ndarray:
+        """The sign of value^n, as a 1x1 matrix; for an array n, the stack of them."""
+        if isinstance(n, np.ndarray):
+            return np.where((self.value < 0) & (n % 2 == 1), -1.0, 1.0)[..., None, None]
         return np.array([[-1.0 if (self.value < 0 and n % 2 == 1) else 1.0]])
 
 
@@ -65,9 +68,11 @@ class RotationBlock(Block):
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"angle must lie in [0, 1) turns, got {self.theta}")
 
-    def unit_power(self, n: int) -> np.ndarray:
-        """The rotation through n theta mod 1 turns."""
-        return rotation_matrix(float(phase_mod1(self.theta, n)))
+    def unit_power(self, n) -> np.ndarray:
+        """The rotation through n theta mod 1 turns; for an array n, the stack of
+        them from one ``phase_mod1`` call."""
+        turn = phase_mod1(self.theta, n)
+        return rotation_matrix(turn if isinstance(n, np.ndarray) else float(turn))
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,7 @@ class DiagonalPowers:
         are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale."""
         key = self._cache[0]
         if key is not n and not (isinstance(n, int) and isinstance(key, int) and key == n):
-            blocks = self.model.diag_blocks
-            self.share_units(n, [np.array([b.unit_power(m) for m in n.tolist()]) for b in blocks]
-                             if isinstance(n, np.ndarray) else [b.unit_power(n) for b in blocks])
+            self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
         return self._cache
 
     def dvn_u_avmn(self, u: np.ndarray, n) -> np.ndarray:

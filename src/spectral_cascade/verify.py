@@ -130,10 +130,11 @@ def _verify_cascade_result(obj) -> dict:
     eps0, k = serialize.number(obj, "eps0"), serialize.integer(obj, "k")
     n = serialize.integer(obj, "n")
     cascade = choose_parameters(spec.model, spec.L, eps0, law=spec.law)
-    result = cascade_decompose(spec.L_n(k), n, spec.model, cascade)
+    L_k = spec.L_n(k)
+    result = cascade_decompose(L_k, n, spec.model, cascade)
     fresh = serialize.cascade_result_to_json(result, spec, eps0, k)
     _agree(obj["kind"], obj, fresh, _CASCADE_RULES)
-    oracle_mismatch = match_scaled(result.spectrum, product_spectrum(spec.L_n(k), spec.model, n))
+    oracle_mismatch = match_scaled(result.spectrum, product_spectrum(L_k, spec.model, n))
     if oracle_mismatch > ORACLE_TOL:
         _fail(f"decomposed spectrum disagrees with the oracle ({oracle_mismatch:.3g})")
     return {"kind": obj["kind"], "passed": True, "oracle_mismatch": oracle_mismatch}

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import spectral_cascade as sc
 from spectral_cascade import cascade as cascade_module
 from spectral_cascade import graph_transform, linalg, scenario, serialize
+from spectral_cascade import model as model_module
 from spectral_cascade.blocks import block_diag
 from spectral_cascade.cascade import (
     cascade_decompose,
@@ -762,6 +764,63 @@ def test_stack_survives_a_failing_stacked_inverse(monkeypatch):
          for i, (L, n) in enumerate(zip(L_ks, ns)) if i != 7]
 
 
+def _triple_bits(triple):
+    """examine's (hit, row, miss) with every float as its bytes, so that NaN matches NaN."""
+    def bits(x):
+        return struct.pack("<d", x) if isinstance(x, float) else x
+    hit, row, miss = triple
+    if hit is not None:
+        hit = [hit.n, hit.exponent, {j: bits(p) for j, p in hit.phases.items()},
+               hit.spectrum.unit.tobytes(), hit.spectrum.log_mod.tobytes(), bits(hit.min_gap),
+               hit.oracle_checked, bits(hit.oracle_mismatch)]
+    return hit, [bits(x) for x in row], miss
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_examine_stack_is_each_candidate_alone(pattern):
+    """examine_stack over the _stack_case exponents, the items below n0 failing,
+    yields for every candidate the triple that examine_stack([n]) yields:
+    hit fields and rows bit for bit (NaN phases alike), miss texts exactly;
+    each phase is the window's own phase of the item decomposed alone."""
+    hits = 0
+    for seed in range(4):
+        spec, casc, _, ns = _stack_case(pattern, seed)
+        rotations = spec.model.structure.rotation_indices
+        stacked = list(cascade_module.examine_stack(ns.tolist(), spec, casc))
+        alone = [next(cascade_module.examine_stack([n], spec, casc)) for n in ns.tolist()]
+        assert [_triple_bits(t) for t in stacked] == [_triple_bits(t) for t in alone], seed
+        assert all("below threshold" in miss[1] for _, _, miss in stacked[:2]), seed
+        hits += sum(hit is not None for hit, _, _ in stacked)
+        for n, (_, row, _) in zip(ns.tolist()[2:], stacked[2:]):
+            N = spec.a * n + spec.b
+            levels = cascade_decompose(spec.L_n(n), N, spec.model, casc).levels
+            want = [math.nan if levels[j - 1].window is None else
+                    float(levels[j - 1].window.phase(spec.model.block(j).theta, N)) for j in rotations]
+            assert _triple_bits((None, row[1:1 + len(rotations)], None)) == \
+                _triple_bits((None, want, None)), (seed, n)
+    assert hits > 0
+
+
+def test_stack_item_with_signed_zero_imaginary_parts_is_real_as_alone(monkeypatch):
+    """An item whose eigenvalues come back with imaginary parts of -0.0, in a
+    stack whose other items have complex ones, gets the real spectrum that
+    eigenvalues gives it alone, bit for bit."""
+    eigvals = linalg._eigvals_gufunc
+
+    def signed_zeros(M, **kwargs):
+        w = eigvals(M, **kwargs)
+        w.imag[w.imag == 0.0] = -0.0
+        return w
+
+    monkeypatch.setattr(linalg, "_eigvals_gufunc", signed_zeros)
+    spec, casc, L_ks, ns = _stack_case((1, 2, 2), 3)
+    stacked = cascade_module._decompose(L_ks, ns, spec.model, casc)
+    alone = [_alone(L, int(n), spec.model, casc) for L, n in zip(L_ks, ns)]
+    assert [_decomposition_bits(o) for o in stacked] == [_decomposition_bits(o) for o in alone]
+    units = [o.levels[1].spectrum.unit for o in stacked if not isinstance(o, Exception)]
+    assert any(u.imag.any() for u in units) and any(not u.imag.any() for u in units)
+
+
 @pytest.mark.parametrize("pattern, count", [((1, 2, 2), 40), ((2, 2, 2), 10)], ids=["122", "222"])
 def test_stack_of_passing_items_runs_no_item_alone(pattern, count, monkeypatch):
     """The bench's seed-3 searches decompose their count candidates, all hits, as
@@ -814,6 +873,37 @@ def test_stacked_decomposition_budget(pattern, monkeypatch):
     assert all(isinstance(r, cascade_module.CascadeResult) for r in results)
     assert 0 < counts.pop("sandwich") <= most
     assert counts == LAPACK_BUDGET[pattern]
+
+
+@pytest.mark.parametrize("pattern", list(LAPACK_BUDGET), ids=["122", "222"])
+def test_stack_forms_spectra_and_phases_per_level(pattern, monkeypatch):
+    """A stacked decomposition of 21 items makes one ScaledSpectrum.from_values
+    call per level and one phase_mod1 call per rotation block, and
+    examine_stack one phase call per rotation level, not one per item."""
+    counts = dict.fromkeys(["from_values", "phase_mod1", "phase"], 0)
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spec = sc.generate_instance(pattern, seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    ns = np.arange(casc.n0, casc.n0 + 21)
+    monkeypatch.setattr(ScaledSpectrum, "from_values",
+                        classmethod(counted(ScaledSpectrum.from_values.__func__, "from_values")))
+    monkeypatch.setattr(model_module, "phase_mod1", counted(model_module.phase_mod1, "phase_mod1"))
+    monkeypatch.setattr(cascade_module, "_signed_phase",
+                        counted(cascade_module._signed_phase, "phase"))
+    results = cascade_module._decompose(np.array([spec.L_n(casc.k0)] * len(ns)), ns,
+                                        spec.model, casc)
+    assert all(isinstance(r, cascade_module.CascadeResult) for r in results)
+    rotations = pattern.count(2)
+    assert counts == {"from_values": len(pattern), "phase_mod1": rotations, "phase": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    triples = list(cascade_module.examine_stack(ns.tolist(), spec, casc))
+    assert len(triples) == len(ns) and counts["phase"] == rotations
 
 
 def _near_miss_setup(monkeypatch):

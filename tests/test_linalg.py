@@ -162,6 +162,9 @@ def test_polar_matches_sqrtm_route(scale, polar_reference):
         P, alpha, eps_hat = polar_2x2(scale * M)
         assert 0.0 <= alpha < 1.0
         polar_reference(scale * M, P, alpha, eps_hat)
+    # cond ~ 1e8 at entries near 1e-300, where M M^T underflows in floats
+    M = np.array([[3e-300, 1e-300], [3e-300, 1.0000001e-300]])
+    polar_reference(M, *polar_2x2(M))
 
 
 def test_polar_singular_threshold_edge():
@@ -326,16 +329,23 @@ def test_phase_mod1_error_bound():
 
 def test_phase_mod1_scalar_and_array_agree_bit_for_bit():
     """The scalar path (Python integers) and both array paths (the uint64
-    product for theta >= 2**-12, Python integers below) give the same bits."""
+    product for theta >= 2**-12, Python integers below) give the same bits,
+    with one offset for all exponents or an array of one offset per exponent."""
     rng = np.random.default_rng(63)
     ns = np.concatenate([rng.integers(-(2 ** 63), 2 ** 63 - 1, size=200, endpoint=True),
                          np.arange(-5, 6), [2 ** 63 - 1, -(2 ** 63)]])
+    offsets = rng.uniform(-3.0, 3.0, size=len(ns))
+    offsets[:4] = 0.0, 0.25, -1.7, math.nan
     for theta in (*(float(x) for x in rng.random(20)), *_FINE_ANGLES, 0.0, 0.5):
         for offset in (0.0, 0.25, -1.7, float(rng.random())):
             arr = phase_mod1(theta, ns, offset=offset)
             assert arr.dtype == np.float64 and arr.shape == ns.shape
             one = [float(phase_mod1(theta, n, offset=offset)) for n in ns.tolist()]
             assert arr.tobytes() == np.array(one).tobytes(), (theta, offset)
+        arr = phase_mod1(theta, ns, offset=offsets)
+        assert arr.dtype == np.float64 and arr.shape == ns.shape
+        one = [float(phase_mod1(theta, n, offset=o)) for n, o in zip(ns.tolist(), offsets.tolist())]
+        assert arr.tobytes() == np.array(one).tobytes(), theta
     grid = np.arange(12).reshape(3, 4)
     assert phase_mod1(0.1, grid).tobytes() == phase_mod1(0.1, grid.ravel()).tobytes()
 
