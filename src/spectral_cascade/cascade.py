@@ -4,8 +4,9 @@ The spectrum of L_k T^n factors through a chain of dominated splits: stage j
 splits the current matrix, the size of the corner from block j on, against
 the tail model diag[T_j : ... : T_m] into a conjugated top block X^(j) and a
 remainder that feeds stage j+1.  Parameters (per-stage closeness radii, ball
-radii, index thresholds) are chosen once per instance by backward induction
-from the target accuracy eps0; decomposition at a concrete (k, n) then certifies
+radii, index thresholds) are chosen once per instance, and kept per process,
+by backward induction from the target accuracy eps0 (``choose_parameters``);
+decomposition at a concrete (k, n) then certifies
 
     spectrum(L_k T^n) = union_j spectrum(X^(j) T_j^n)
 
@@ -27,6 +28,8 @@ import contextlib
 import csv
 import itertools
 import math
+import struct
+import types
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +65,7 @@ from .linalg import (
     signed_fraction,
     singular_values_2x2,
 )
+from .minors import RecentMemo
 from .model import DiagonalModel
 from .oracle import ScaledSpectrum, certified_spectrum, match_scaled
 from .scenario import InstanceSpec, check_L_conditions
@@ -71,6 +75,8 @@ ORACLE_TOL = 1e-6  # largest relative mismatch against the oracle in a hit
 # below it, one ulp of a float log modulus n ln|lambda| is under ORACLE_TOL / 16
 LOG_MODULUS_CAP = 2.0 ** (53 + math.floor(math.log2(ORACLE_TOL / 16)))
 SCAN_RANGE = 4096  # exponents per prefilter range; one range bounds the scan's memory
+PARAMETER_CAP = 16
+_parameters = RecentMemo(PARAMETER_CAP)  # exact bits of the inputs -> ParameterCascade
 
 
 def exponent_limit(model: DiagonalModel) -> int:
@@ -101,7 +107,7 @@ class PhaseWindow:
         return _signed_phase(self.alpha, theta, n)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CascadeStage:
     """One prepared dominated split of the chain."""
 
@@ -110,14 +116,14 @@ class CascadeStage:
     constants: TransformConstants
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ParameterCascade:
     """All per-instance parameters fixed before any (k, n) is touched."""
 
     eps0: float
     stages: tuple
-    limits: tuple  # per level 1..m
-    windows: dict  # rotation level -> its limit's PhaseWindow, where det > 0
+    limits: tuple  # per level 1..m, read-only arrays
+    windows: types.MappingProxyType  # rotation level -> its limit's PhaseWindow, where det > 0
     n0: int
     k0: int
 
@@ -158,12 +164,31 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
     ||W'^-1 - W^-1|| <= 2 ||W^-1||^2 ||W' - W|| on the half-margin ball, so
     delta_j = min(upper, 1/(2r), target/(2 r^2)) / 2 with r the norm of the
     next limit's defining inverse.
+
+    The result is memoized per process, as ``minors.minor_table`` keeps its
+    tables, by the exact bits of every input: L and its shape, the block
+    sizes, each block's value or (modulus, theta), eps0 and the law's
+    (c, rho, seed).  Floats are keyed by their bits, so -0.0 and 0.0 never
+    share an entry.  The PARAMETER_CAP most recently used are kept, frozen,
+    with read-only limits and windows; an instance that fails raises on
+    every call and is never stored.
     """
-    structure = model.structure
-    m = structure.m
     if not 0 < eps0 < math.inf:  # False for NaN as well
         raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     L = np.asarray(L, dtype=float)
+    floats = [eps0, law.c, law.rho]
+    for blk in model.diag_blocks:
+        floats += [blk.value] if blk.size == 1 else [blk.modulus, blk.theta]
+    key = (L.tobytes(), L.shape, model.structure.sizes, law.seed,
+           struct.pack(f"{len(floats)}d", *floats))
+    return _parameters.get_or_make(key, lambda: _derive_parameters(model, L, eps0, law))
+
+
+def _derive_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
+                       law) -> ParameterCascade:
+    """choose_parameters on a miss: the backward induction itself."""
+    structure = model.structure
+    m = structure.m
     report = check_L_conditions(L, structure)
     if not report.passed:
         raise ConditionFailure(f"L fails genericity conditions: {report.failures()}")
@@ -207,8 +232,10 @@ def choose_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "
                 f"{drift_cap:.3g} turns against a window of {eps_hat:.3g}; shrink eps0")
 
+    for lam in limits:  # the memo hands one cascade to every caller
+        lam.flags.writeable = False
     return ParameterCascade(eps0=eps0, stages=stages, limits=tuple(limits),
-                            windows=windows, n0=n0, k0=k0)
+                            windows=types.MappingProxyType(windows), n0=n0, k0=k0)
 
 
 def _level_data(j: int, X: np.ndarray, spec: ScaledSpectrum, diff: np.ndarray) -> LevelData:

@@ -9,7 +9,9 @@ L Q_b), Q_b the quarter turn.  So a key's minor sum is
 sum_eps C_eps prod (c_b or s_b) over its halves, with integers C_eps that
 depend on the bits of L only.  A MinorTable holds them, formed on first
 use, with one Hadamard bound per key; minor_table keeps the TABLE_CAP most
-recently used tables.  Everything is exact, on Python integers.
+recently used tables in a RecentMemo, the memo that also keeps
+``cascade.choose_parameters``'s results.  Everything is exact, on Python
+integers.
 """
 
 from __future__ import annotations
@@ -23,26 +25,43 @@ from itertools import combinations, permutations
 import numpy as np
 
 TABLE_CAP = 16
-_tables = collections.OrderedDict()  # (bytes of L, block sizes) -> MinorTable
-_tables_lock = threading.Lock()
+
+
+class RecentMemo(collections.OrderedDict):
+    """The ``cap`` most recently used values of a function, by exact key.
+
+    ``get_or_make`` makes a missing value outside the lock, so a slow make
+    blocks no other key; when two threads make one key, both return the
+    value stored first.  A make that raises stores nothing.
+    """
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+        self._lock = threading.Lock()
+
+    def get_or_make(self, key, make):
+        with self._lock:
+            value = self.get(key)
+            if value is not None:
+                self.move_to_end(key)
+                return value
+        value = make()
+        with self._lock:
+            value = self.setdefault(key, value)
+            self.move_to_end(key)
+            while len(self) > self.cap:
+                self.popitem(last=False)
+        return value
+
+
+_tables = RecentMemo(TABLE_CAP)  # (bytes of L, block sizes) -> MinorTable
 
 
 def minor_table(L: np.ndarray, sizes: tuple) -> MinorTable:
     """The table of L (a float array) and the block sizes, from a memo of
     the TABLE_CAP most recently used."""
-    memo_key = (L.tobytes(), sizes)
-    with _tables_lock:
-        table = _tables.get(memo_key)
-        if table is not None:
-            _tables.move_to_end(memo_key)
-            return table
-    table = MinorTable(L, sizes)
-    with _tables_lock:
-        table = _tables.setdefault(memo_key, table)
-        _tables.move_to_end(memo_key)
-        while len(_tables) > TABLE_CAP:
-            _tables.popitem(last=False)
-    return table
+    return _tables.get_or_make((L.tobytes(), sizes), lambda: MinorTable(L, sizes))
 
 
 class MinorTable:

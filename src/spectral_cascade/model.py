@@ -156,27 +156,32 @@ class DiagonalPowers:
         self._rel = model.tail(2).coordinate_log_moduli() - math.log(model.block(1).modulus)
         self._cache = (None,)
 
-    def share_units(self, n, units) -> None:
+    def share_units(self, n, units) -> tuple:
         """Build the factors at n from unit parts U_j(n) formed by the caller
         (stacks of them for an array n), one per block of the model, head
-        first; the factors of this very n object are kept."""
-        if self._cache[0] is n:
-            return
+        first; the factors of this very n object are kept.  Returns them."""
+        cache = self._cache
+        if cache[0] is n:
+            return cache
         head, *tail = units
         unit_tail = block_diag(*tail)
         rel = n[:, None] * self._rel if isinstance(n, np.ndarray) else n * self._rel
         scale = np.exp(np.minimum(rel, _LOG_CAP))
         # the inverse of a rotation or a sign is its transpose
-        self._cache = (n, scale[..., :, None] * unit_tail, unit_tail * scale[..., None, :],
-                       head.swapaxes(-1, -2))
+        self._cache = cache = (n, scale[..., :, None] * unit_tail,
+                               unit_tail * scale[..., None, :], head.swapaxes(-1, -2))
+        return cache
 
     def _factors(self, n):
         """(n, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and H
-        are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale."""
-        key = self._cache[0]
-        if key is not n and not (isinstance(n, int) and isinstance(key, int) and key == n):
-            self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
-        return self._cache
+        are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale.
+        Returns the tuple it checked or built: another thread sharing this
+        object may replace the cache in between."""
+        cache = self._cache
+        key = cache[0]
+        if key is n or (isinstance(n, int) and isinstance(key, int) and key == n):
+            return cache
+        return self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
 
     def dvn_u_avmn(self, u: np.ndarray, n) -> np.ndarray:
         """D(V)^n u A(V)^{-n}; contracting, never overflows."""

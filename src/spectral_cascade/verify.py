@@ -6,6 +6,11 @@ decomposition results against the oracle, and subsequence reports by the
 search's own hit rule (``cascade.examine``) at every stored index.  ``_agree``
 then compares the stored artifact whole with the one ``serialize`` writes
 from the recomputation: the writers state the format once.
+
+A recomputation may reuse parameters that ``cascade.choose_parameters``
+memoized earlier in this process: they are the same function of the same
+bits of the stored instance and eps0, and a caller cannot change their
+fields, limits or windows.
 """
 from __future__ import annotations
 

@@ -3,7 +3,10 @@ import dataclasses
 import json
 import math
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,143 @@ def test_choose_parameters_rejects_bad_inputs(demo_instance):
 def test_choose_parameters_rejects_non_finite_eps0(demo_instance, eps0):
     with pytest.raises(ValueError, match="eps0"):
         choose_parameters(demo_instance.model, demo_instance.L, eps0, law=demo_instance.law)
+
+
+def _with_block(model, j, blk):
+    """``model`` with its 0-based block j replaced by ``blk``."""
+    blocks = list(model.diag_blocks)
+    blocks[j] = blk
+    return DiagonalModel(model.structure, blocks)
+
+
+def test_parameter_memo_keys_every_input_by_its_bits():
+    """Equal bits give the one memoized object; one ulp of any input, or
+    theta = -0.0 against 0.0, gives an entry of its own."""
+    spec = sc.generate_instance((1, 2, 2), seed=3)
+    model, L, law = spec.model, spec.L, spec.law
+    scalar, rotation = model.diag_blocks[:2]
+    L_up = L.copy()
+    L_up[1, 2] = np.nextafter(L[1, 2], math.inf)
+
+    def up(x):
+        return float(np.nextafter(x, math.inf))
+
+    variants = {
+        "L": (model, L_up, 1e-3, law),
+        "eps0": (model, L, up(1e-3), law),
+        "c": (model, L, 1e-3, dataclasses.replace(law, c=up(law.c))),
+        "rho": (model, L, 1e-3, dataclasses.replace(law, rho=up(law.rho))),
+        "value": (_with_block(model, 0, ScalarBlock(up(scalar.value))), L, 1e-3, law),
+        "modulus": (_with_block(model, 1, RotationBlock(up(rotation.modulus), rotation.theta)),
+                    L, 1e-3, law),
+        "theta": (_with_block(model, 1, RotationBlock(rotation.modulus, up(rotation.theta))),
+                  L, 1e-3, law),
+        "theta 0.0": (_with_block(model, 1, RotationBlock(rotation.modulus, 0.0)), L, 1e-3, law),
+        "theta -0.0": (_with_block(model, 1, RotationBlock(rotation.modulus, -0.0)), L, 1e-3, law),
+    }
+    cascade_module._parameters.clear()
+    base = choose_parameters(model, L, 1e-3, law=law)
+    equal = (DiagonalModel(model.structure, model.diag_blocks), L.copy(), 1e-3,
+             dataclasses.replace(law))
+    assert choose_parameters(*equal[:3], law=equal[3]) is base
+    made = [base]
+    for name, (m, L_v, eps0, law_v) in variants.items():
+        casc = choose_parameters(m, L_v, eps0, law=law_v)
+        assert casc not in made and len(cascade_module._parameters) == len(made) + 1, name
+        assert choose_parameters(m, L_v.copy(), eps0, law=law_v) is casc, name
+        made.append(casc)
+    assert choose_parameters(model, L, 1e-3, law=law) is base
+    cascade_module._parameters.clear()
+
+
+def test_memoized_parameters_cannot_be_changed(demo_instance):
+    """The memo hands one cascade to every caller: its fields, its limits and
+    its windows refuse a write."""
+    spec = demo_instance
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        casc.n0 = casc.k0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        casc.stages[0].j = 2
+    with pytest.raises(TypeError):
+        casc.windows[1] = casc.windows[2]
+    with pytest.raises(ValueError, match="read-only"):
+        casc.limits[1][0, 0] = 0.0
+    assert choose_parameters(spec.model, spec.L, 1e-3, law=spec.law) is casc
+
+
+@pytest.mark.parametrize("case", ["condition", "epsilon"])
+def test_parameter_memo_stores_no_failure(demo_instance, case, monkeypatch):
+    """An instance that fails raises on every call, and nothing is stored."""
+    spec = demo_instance
+    L, eps0, error = {"condition": (np.zeros((5, 5)), 1e-3, ConditionFailure),
+                      "epsilon": (spec.L, 0.5, EpsilonTooLarge)}[case]
+    derived = []
+    derive = cascade_module._derive_parameters
+    monkeypatch.setattr(cascade_module, "_derive_parameters",
+                        lambda *args: derived.append(args) or derive(*args))
+    cascade_module._parameters.clear()
+    for _ in range(3):
+        with pytest.raises(error):
+            choose_parameters(spec.model, L, eps0, law=spec.law)
+    assert len(derived) == 3 and len(cascade_module._parameters) == 0
+
+
+def test_parameter_memo_holds_at_most_its_cap(demo_instance):
+    """The memo keeps the PARAMETER_CAP most recently used cascades: the next
+    distinct instance evicts the least recently used one."""
+    spec, cap = demo_instance, cascade_module.PARAMETER_CAP
+    eps = [1e-3 * (1.0 - j * 2.0 ** -20) for j in range(cap + 1)]
+
+    def params(eps0):
+        return choose_parameters(spec.model, spec.L, eps0, law=spec.law)
+
+    cascade_module._parameters.clear()
+    first = [params(e) for e in eps[:cap]]
+    assert len(cascade_module._parameters) == cap
+    assert params(eps[0]) is first[0]  # used again: kept, now the newest
+    newest = params(eps[cap])  # the next distinct instance: eps[1]'s goes
+    kept = list(cascade_module._parameters.values())
+    assert len(kept) == cap and kept[-2:] == [first[0], newest]
+    assert first[1] not in kept and all(c in kept for c in first[2:])
+    assert params(eps[1]) is not first[1]
+    cascade_module._parameters.clear()
+
+
+def test_threads_decompose_from_one_memoized_cascade():
+    """Threads that fetch one memoized cascade and decompose through its
+    shared sandwich factors, alone and in stacks, get the bits of serial calls."""
+    spec = sc.generate_instance((2, 2, 2), seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    starts = [casc.n0 + i for i in range(4)]  # more threads than a small box has cores
+
+    def run(n):
+        got = []
+        for _ in range(10):
+            shared = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+            got.append(_decomposition_bits(cascade_decompose(L_k, n, spec.model, shared)))
+            ns = np.array([n, n + 100, n + 10_000])
+            got += map(_decomposition_bits,
+                       cascade_module._decompose(np.array([L_k] * 3), ns, spec.model, shared))
+        return got
+
+    serial = [run(n) for n in starts]
+    barrier = threading.Barrier(len(starts))
+
+    def call(n):
+        barrier.wait(timeout=60)
+        return run(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            threaded = list(pool.map(call, starts, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert choose_parameters(spec.model, spec.L, 1e-3, law=spec.law) is casc
+    assert threaded == serial
 
 
 def test_cascade_matches_oracle(demo_instance, demo_cascade):
@@ -401,7 +541,8 @@ CONSTANTS_222 = [
 def test_choose_parameters_inverts_each_matrix_once(pattern, calls, monkeypatch):
     """The checks' inverses of L, of the corners of L^-1 and of the hypothesis
     blocks are reused, not recomputed, and no limit is inverted for its drift
-    cap (||lambda^-1|| = 1/sigma_min); the parameters stay bit for bit."""
+    cap (||lambda^-1|| = 1/sigma_min); the parameters stay bit for bit.  A
+    second call is a memo hit: the same object, and no inverse."""
     spec = sc.generate_instance(pattern, seed=3)
     count = [0]
 
@@ -411,7 +552,10 @@ def test_choose_parameters_inverts_each_matrix_once(pattern, calls, monkeypatch)
 
     for mod in (cascade_module, graph_transform, scenario):
         monkeypatch.setattr(mod, "invert", counted)
+    cascade_module._parameters.clear()
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    assert count[0] == calls
+    assert choose_parameters(spec.model, spec.L, 1e-3, law=spec.law) is casc
     assert count[0] == calls
     Li = invert(spec.L)
     for stage in casc.stages:
@@ -911,7 +1055,7 @@ def _near_miss_setup(monkeypatch):
     the oracle refusing every third exponent it is asked to certify."""
     spec = sc.generate_instance((1, 1, 2), seed=0)
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
-    casc.n0 = casc.k0
+    casc = dataclasses.replace(casc, n0=casc.k0)  # a copy: the memo's cascade is frozen
     asked = []
 
     def certified(L, model, n):

@@ -131,6 +131,26 @@ def test_sandwich_cache_survives_a_failed_exponent():
     np.testing.assert_array_equal(powers.dvn_u_avmn(u, 5), before)
 
 
+def test_sandwich_uses_the_factors_it_built(monkeypatch):
+    """Another thread sharing the object may install its exponent's factors
+    between this call's build and its product; the product still uses the
+    factors of its own exponent."""
+    model = make_model()
+    u = np.random.default_rng(3).standard_normal((4, 1))
+    want = DiagonalPowers(model).dvn_u_avmn(u, 37)
+    other = DiagonalPowers(model)
+    other.dvn_u_avmn(u, 5)
+    build = DiagonalPowers.share_units
+
+    def interleaved(self, n, units):
+        built = build(self, n, units)
+        self._cache = other._cache  # another thread's share_units at n = 5
+        return built
+
+    monkeypatch.setattr(DiagonalPowers, "share_units", interleaved)
+    np.testing.assert_array_equal(DiagonalPowers(model).dvn_u_avmn(u, 37), want)
+
+
 def test_sandwich_on_a_stack_is_each_item_alone():
     """A stack of u at an array of exponents gives every item's products bit
     for bit as that item alone, whether the caller shares the units or not."""
