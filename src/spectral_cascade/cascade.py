@@ -194,6 +194,8 @@ def _derive_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
         raise ConditionFailure(f"L fails genericity conditions: {report.failures()}")
     # the checks inverted L and each corner of L^-1 from block 2 on already
     J0s = [invert(report.L_inv), *report.corner_inverses]
+    for J0 in J0s:  # the memo hands one cascade, its stages' J0 and limits, to every caller
+        J0.flags.writeable = False
     limits = [J0[:s, :s] for J0, s in zip(J0s, structure.sizes)]
 
     stages_rev = []
@@ -232,8 +234,6 @@ def _derive_parameters(model: DiagonalModel, L: np.ndarray, eps0: float,
                 f"level {j}: eps0 = {eps0:g} drifts the phase by up to "
                 f"{drift_cap:.3g} turns against a window of {eps_hat:.3g}; shrink eps0")
 
-    for lam in limits:  # the memo hands one cascade to every caller
-        lam.flags.writeable = False
     return ParameterCascade(eps0=eps0, stages=stages, limits=tuple(limits),
                             windows=types.MappingProxyType(windows), n0=n0, k0=k0)
 

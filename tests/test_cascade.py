@@ -126,8 +126,8 @@ def test_parameter_memo_keys_every_input_by_its_bits():
 
 
 def test_memoized_parameters_cannot_be_changed(demo_instance):
-    """The memo hands one cascade to every caller: its fields, its limits and
-    its windows refuse a write."""
+    """The memo hands one cascade to every caller: its fields, its limits, its
+    windows and its stages' J0, whose corners the limits are, refuse a write."""
     spec = demo_instance
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -138,6 +138,12 @@ def test_memoized_parameters_cannot_be_changed(demo_instance):
         casc.windows[1] = casc.windows[2]
     with pytest.raises(ValueError, match="read-only"):
         casc.limits[1][0, 0] = 0.0
+    for stage in casc.stages:  # each limit but the last is a corner of a stage's J0
+        with pytest.raises(ValueError, match="read-only"):
+            stage.problem.J0[0, 0] = 0.0
+    for lam in casc.limits:  # nor through the array whose corner it is
+        with pytest.raises(ValueError, match="read-only"):
+            lam.base[0, 0] = 0.0
     assert choose_parameters(spec.model, spec.L, 1e-3, law=spec.law) is casc
 
 
@@ -711,7 +717,9 @@ def test_decomposition_forms_each_unit_power_once(pattern, monkeypatch):
 
     spec = sc.generate_instance(pattern, seed=3)
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
-    alone = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)  # forms its own
+    # derived past the memo, so each stage forms its factors on its own
+    alone = cascade_module._derive_parameters(spec.model, spec.L, 1e-3, spec.law)
+    assert alone is not casc
     L_k = spec.L_n(casc.k0)
     for n in range(1_000, 1_010):
         calls.clear()
