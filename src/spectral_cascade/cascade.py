@@ -85,6 +85,12 @@ def exponent_limit(model: DiagonalModel) -> int:
     return math.ceil(LOG_MODULUS_CAP / max(top, LOG_MODULUS_CAP / 2 ** 63))
 
 
+def check_exponent(model: DiagonalModel, exponent: int) -> None:
+    """Raise ValueError unless |exponent| is below the model's exponent_limit."""
+    if abs(exponent) >= (limit := exponent_limit(model)):
+        raise ValueError(f"exponent {exponent} is not below {limit}, the float log-modulus limit")
+
+
 def _signed_phase(alpha: float, theta: float, n) -> np.ndarray:
     # private, so that a span trace of the public methods books the
     # prefilter's phase_mod1 and signed_fraction calls to find_subsequence
@@ -375,14 +381,20 @@ def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> n
 
 
 @dataclass(eq=False)
-class HitRecord:
+class Candidate:
+    """The hit rule's record of one examined index: a hit when ``reason`` is None."""
+
     n: int
     exponent: int
     phases: dict
-    spectrum: ScaledSpectrum
+    spectrum: Optional[ScaledSpectrum]  # None where a stage refused the index
     min_gap: float
-    oracle_checked: bool
-    oracle_mismatch: float
+    oracle_mismatch: float  # NaN where the oracle was not compared
+    reason: Optional[str]  # the near miss's text
+
+    @property
+    def oracle_checked(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(eq=False)
@@ -392,27 +404,23 @@ class SearchResult:
     near_misses: list
 
 
-def _csv_rows_header(structure: BlockStructure) -> list:
-    header = ["n"]
-    header += [f"phase_{j}" for j in structure.rotation_indices]
-    for i in range(structure.d):
-        header += [f"eig{i}_unit_re", f"eig{i}_unit_im", f"eig{i}_log10_mod"]
-    header += ["min_gap", "accepted"]
-    return header
-
-
-def _spectrum_row(spec: ScaledSpectrum) -> list:
-    """Eigenvalues by decreasing modulus, in the artifacts' split form."""
-    out = []
+def _csv_row(candidate: Candidate, structure: BlockStructure) -> list:
+    """The scan log's row: n, the phases, the eigenvalues by decreasing modulus
+    in the artifacts' split form, min_gap and whether n is a hit; n alone where
+    a stage refused it."""
+    spec = candidate.spectrum
+    if spec is None:
+        return [candidate.n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
+    row = [candidate.n] + [candidate.phases[j] for j in structure.rotation_indices]
     for i in np.argsort(spec.log_mod)[::-1]:
-        out += [float(spec.unit[i].real), float(spec.unit[i].imag),
+        row += [float(spec.unit[i].real), float(spec.unit[i].imag),
                 float(spec.log_mod[i]) / math.log(10.0)]
-    return out
+    return row + [candidate.min_gap, int(candidate.oracle_checked)]
 
 
 def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decomposed,
-            L_n: np.ndarray, phases: dict):
-    """The hit rule at index n; returns (hit_or_none, csv_row, miss_or_none).
+            L_n: np.ndarray, phases: dict) -> Candidate:
+    """The hit rule at index n; returns its Candidate.
 
     A hit needs limits and domination, a real simple spectrum at GAP_TOL, an
     oracle mismatch of at most ORACLE_TOL, and inclusion disks of the
@@ -421,45 +429,34 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decompose
     ``phases`` its signed phase per rotation level (NaN where the level has
     no window), all from a stack (``examine_stack``).
     """
-    model = instance.model
     N = instance.a * n + instance.b
-    structure = model.structure
     try:
         result = _outcome(decomposed)
     except StageFailure as exc:
-        row = [n] + [""] * (len(structure.rotation_indices) + 3 * structure.d + 1) + [0]
-        return None, row, (n, str(exc))
+        return Candidate(n, N, phases, None, math.nan, math.nan, str(exc))
     spec = result.spectrum
     ok, min_gap = spec.real_simple()
-    ok = ok and result.limits_ok and result.domination_ok
-    row = ([n] + [phases[j] for j in structure.rotation_indices]
-           + _spectrum_row(spec) + [min_gap, int(ok)])
-    if not ok:
+    if not (ok and result.limits_ok and result.domination_ok):
         reason = ("spectrum not real simple" if result.limits_ok and result.domination_ok
                   else "limits or domination violated")
-        return None, row, (n, f"{reason} (min_gap {min_gap:.3g})")
-
+        return Candidate(n, N, phases, spec, min_gap, math.nan, f"{reason} (min_gap {min_gap:.3g})")
     try:
-        reference, certified = certified_spectrum(L_n, model, N)
+        reference, certified = certified_spectrum(L_n, instance.model, N)
     except ConvergenceFailure as exc:
-        row[-1] = 0
-        return None, row, (n, f"oracle does not isolate the roots ({exc})")
+        return Candidate(n, N, phases, spec, min_gap, math.nan,
+                         f"oracle does not isolate the roots ({exc})")
     mismatch = match_scaled(spec, reference)
+    reason = None
     if mismatch > ORACLE_TOL or not certified:
-        row[-1] = 0
         reason = ("oracle disagrees" if mismatch > ORACLE_TOL
-                  else "oracle does not certify real simple")
-        return None, row, (n, f"{reason} (mismatch {mismatch:.3g})")
-    hit = HitRecord(n=n, exponent=N, phases=phases, spectrum=spec,
-                    min_gap=min_gap, oracle_checked=True,
-                    oracle_mismatch=mismatch)
-    return hit, row, None
+                  else "oracle does not certify real simple") + f" (mismatch {mismatch:.3g})"
+    return Candidate(n, N, phases, spec, min_gap, mismatch, reason)
 
 
 def examine_stack(ns: list, instance: InstanceSpec, cascade: ParameterCascade):
     """``examine`` at each index of ns in turn, after one stacked decomposition
     of them all and one phase call per rotation level; yields examine's
-    triples.  An item whose decomposition raised raises at its own turn."""
+    Candidates.  An item whose decomposition raised raises at its own turn."""
     L_ns = np.array([instance.L_n(n) for n in ns])
     exponents = instance.a * np.array(ns) + instance.b
     outcomes = _decompose(L_ns, exponents, instance.model, cascade)
@@ -521,19 +518,22 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
         writer = None
         if csv_path is not None:
             writer = csv.writer(stack.enter_context(open(csv_path, "w", newline="")))
-            writer.writerow(_csv_rows_header(structure))
-        candidates = _window_candidates(instance, cascade, n_start, n_max)
+            writer.writerow(["n", *(f"phase_{j}" for j in structure.rotation_indices),
+                             *(f"eig{i}_{part}" for i in range(structure.d)
+                               for part in ("unit_re", "unit_im", "log10_mod")),
+                             "min_gap", "accepted"])
+        window_ns = _window_candidates(instance, cascade, n_start, n_max)
         # a stack of count - len(hits) candidates ends at the count-th hit at the latest
-        while batch := list(itertools.islice(candidates, count - len(hits))):
-            for hit, row, miss in examine_stack(batch, instance, cascade):
+        while batch := list(itertools.islice(window_ns, count - len(hits))):
+            for candidate in examine_stack(batch, instance, cascade):
                 if writer is not None:
-                    writer.writerow(row)
-                if miss is not None:
-                    near_misses.append(miss)
-                if hit is not None:
-                    hits.append(hit)
+                    writer.writerow(_csv_row(candidate, structure))
+                if candidate.reason is None:
+                    hits.append(candidate)
+                else:
+                    near_misses.append((candidate.n, candidate.reason))
 
-    examined = len(hits) + len(near_misses)  # examine returns a hit or a miss
+    examined = len(hits) + len(near_misses)  # one Candidate per examined index
     if len(hits) < count:
         # short of count hits, the loop examined every candidate of every range
         raise SearchExhausted(

@@ -15,8 +15,8 @@ import sys
 from . import serialize
 from .cascade import (
     cascade_decompose,
+    check_exponent,
     choose_parameters,
-    exponent_limit,
     prove_instance,
     stage_input,
 )
@@ -52,12 +52,6 @@ def _load_instance(path: str):
     raise ConditionFailure(f"{path}: expected an instance artifact, got {obj['kind']}")
 
 
-def _check_exponent(spec, exponent: int) -> None:
-    """A usage error (exit 64) past the instance's exponent_limit."""
-    if abs(exponent) >= (limit := exponent_limit(spec.model)):
-        raise ValueError(f"exponent {exponent} is not below {limit}, the float log-modulus limit")
-
-
 def _cmd_gen(args) -> int:
     spec = generate_instance(
         args.structure, seed=args.seed, ratio=args.ratio, coupling=args.coupling,
@@ -91,7 +85,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_split(args) -> int:
     spec = _load_instance(args.instance)
-    _check_exponent(spec, args.n)
+    check_exponent(spec.model, args.n)
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
     k = cascade.k0 if args.k is None else args.k
     J = stage_input(spec.L_n(k), args.n, cascade, args.level)
@@ -106,7 +100,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_cascade(args) -> int:
     spec = _load_instance(args.instance)
-    _check_exponent(spec, args.n)
+    check_exponent(spec.model, args.n)
     cascade = choose_parameters(spec.model, spec.L, args.eps0, law=spec.law)
     k = cascade.k0 if args.k is None else args.k
     result = cascade_decompose(spec.L_n(k), args.n, spec.model, cascade)
@@ -124,7 +118,7 @@ def _cmd_cascade(args) -> int:
 
 def _cmd_search(args) -> int:
     spec = _load_instance(args.instance)
-    _check_exponent(spec, spec.a * args.n_max + spec.b)
+    check_exponent(spec.model, spec.a * args.n_max + spec.b)
     report = prove_instance(spec, eps0=args.eps0, count=args.count,
                             n_max=args.n_max, csv_path=args.csv)
     if args.out:

@@ -72,13 +72,14 @@ _RESIDUALS = ("forward_invariance", "backward_invariance")
 _SCAN_CAP = 200_000
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SplitProblem:
     """A dominated split (model, J0, delta): the first block of ``model`` off the rest.
 
     V is the model's matrix, split k1 | k2 after its first block, and its
     sandwich products come from ``DiagonalPowers``.  J0^{-1} and the
-    reference blocks A(J0) and D(J0^{-1}) are computed once, here.
+    reference blocks A(J0) and D(J0^{-1}) are computed once, here; V,
+    J0^{-1} and D(J0^{-1}) are read-only.
     """
 
     model: DiagonalModel
@@ -93,19 +94,19 @@ class SplitProblem:
     D0i: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.V = self.model.matrix()
-        self.powers = DiagonalPowers(self.model)
-        self.k1 = self.model.structure.sizes[0]
-        self.k2 = self.model.d - self.k1
-        self.J0 = np.asarray(self.J0, dtype=float)
-        if self.J0.shape != self.V.shape:
-            raise ValueError(f"J0 must be {self.d}x{self.d} for split {self.k1}|{self.k2}, "
-                             f"got {self.J0.shape}")
+        V, J0 = self.model.matrix(), np.asarray(self.J0, dtype=float)
+        k1 = self.model.structure.sizes[0]
+        if J0.shape != V.shape:
+            raise ValueError(f"J0 must be {self.d}x{self.d} for split {k1}|{self.d - k1}, "
+                             f"got {J0.shape}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        self.J0i = invert(self.J0)
-        self.A0 = split_blocks(self.J0, self.k1)[0]
-        self.D0i = split_blocks(self.J0i, self.k1)[3]
+        J0i = invert(J0)
+        V.flags.writeable = J0i.flags.writeable = False  # D(J0^{-1}) is a view of J0^{-1}
+        fields = dict(V=V, powers=DiagonalPowers(self.model), k1=k1, k2=self.d - k1, J0=J0,
+                      J0i=J0i, A0=split_blocks(J0, k1)[0], D0i=split_blocks(J0i, k1)[3])
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:

@@ -136,6 +136,11 @@ class DiagonalModel:
         }
 
 
+def _key(n):
+    """An exponent as the sandwich factors' cache key: an array by its values."""
+    return (n.dtype.str, n.shape, n.tobytes()) if isinstance(n, np.ndarray) else n
+
+
 class DiagonalPowers:
     """Sandwich products for a dominated split whose V is a diagonal model.
 
@@ -145,7 +150,8 @@ class DiagonalPowers:
     bounded for arbitrarily large n (every tail modulus is below the head
     modulus).  The exponent is an int, or an array of them for a stack u
     (N, r, c).  The unit-modulus and scale factors are built once and kept
-    until another exponent (for an array, another object) is asked for.
+    until another exponent is asked for; an array is compared by its values,
+    so one changed in place is another exponent.
     """
 
     def __init__(self, model: DiagonalModel):
@@ -159,27 +165,26 @@ class DiagonalPowers:
     def share_units(self, n, units) -> tuple:
         """Build the factors at n from unit parts U_j(n) formed by the caller
         (stacks of them for an array n), one per block of the model, head
-        first; the factors of this very n object are kept.  Returns them."""
-        cache = self._cache
-        if cache[0] is n:
+        first, unless those of n are kept.  Returns them."""
+        cache, key = self._cache, _key(n)
+        if cache[0] == key:
             return cache
         head, *tail = units
         unit_tail = block_diag(*tail)
         rel = n[:, None] * self._rel if isinstance(n, np.ndarray) else n * self._rel
         scale = np.exp(np.minimum(rel, _LOG_CAP))
         # the inverse of a rotation or a sign is its transpose
-        self._cache = cache = (n, scale[..., :, None] * unit_tail,
+        self._cache = cache = (key, scale[..., :, None] * unit_tail,
                                unit_tail * scale[..., None, :], head.swapaxes(-1, -2))
         return cache
 
     def _factors(self, n):
-        """(n, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and H
-        are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale.
+        """(key, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and
+        H are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale.
         Returns the tuple it checked or built: another thread sharing this
         object may replace the cache in between."""
         cache = self._cache
-        key = cache[0]
-        if key is n or (isinstance(n, int) and isinstance(key, int) and key == n):
+        if cache[0] == _key(n):
             return cache
         return self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
 

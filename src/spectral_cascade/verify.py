@@ -18,7 +18,7 @@ import math
 
 from . import serialize
 from .cascade import (ORACLE_TOL, ProveReport, SearchResult, cascade_decompose,
-                      choose_parameters, examine_stack)
+                      check_exponent, choose_parameters, examine_stack)
 from .errors import SpectralCascadeError, VerificationFailure
 from .graph_transform import admit, derive_constants, report_values, verify_certificate
 from .linalg import norm_below, op_norm
@@ -119,6 +119,7 @@ def _verify_instance(obj) -> dict:
 
 def _verify_split_certificate(obj) -> dict:
     cert, problem = serialize.certificate_from_json(obj)
+    check_exponent(problem.model, cert.n)
     cert.constants = derive_constants(problem)
     admit(problem, cert.constants, cert.J, cert.n)
     report = verify_certificate(cert, problem)
@@ -134,6 +135,7 @@ def _verify_cascade_result(obj) -> dict:
     spec = serialize.instance_from_json(obj["instance"])
     eps0, k = serialize.number(obj, "eps0"), serialize.integer(obj, "k")
     n = serialize.integer(obj, "n")
+    check_exponent(spec.model, n)
     cascade = choose_parameters(spec.model, spec.L, eps0, law=spec.law)
     L_k = spec.L_n(k)
     result = cascade_decompose(L_k, n, spec.model, cascade)
@@ -155,10 +157,12 @@ def _verify_prove_report(obj) -> dict:
     for prev, n in zip(ns, ns[1:]):
         if n <= prev:
             _fail(f"hit indices must be strictly increasing: n={n} follows n={prev}")
-    if examined < len(ns):  # examine returns a hit or a miss per candidate
+    for n in ns:
+        check_exponent(spec.model, spec.a * n + spec.b)
+    if examined < len(ns):  # examine returns one record per candidate
         _fail(f"examined {examined} candidates, fewer than the {len(ns)} hits")
-    hits = [hit or _fail(f"hit n={n} is no hit on recompute: {miss[1]}")
-            for n, (hit, _, miss) in zip(ns, examine_stack(ns, spec, cascade))]
+    hits = [c if c.reason is None else _fail(f"hit n={c.n} is no hit on recompute: {c.reason}")
+            for c in examine_stack(ns, spec, cascade)]
     report = ProveReport(spec, cascade, SearchResult(hits, examined, near_misses=[]))
     _agree(obj["kind"], obj, serialize.prove_report_to_json(report, eps0), _PROVE_RULES)
     return {"kind": obj["kind"], "passed": True, "exponents": [h["exponent"] for h in obj["hits"]]}

@@ -50,6 +50,7 @@ from spectral_cascade.oracle import (
     product_spectrum,
     spread_digits,
 )
+from spectral_cascade.verify import verify_artifact
 
 
 def test_choose_parameters_orders_radii(demo_cascade):
@@ -127,7 +128,8 @@ def test_parameter_memo_keys_every_input_by_its_bits():
 
 def test_memoized_parameters_cannot_be_changed(demo_instance):
     """The memo hands one cascade to every caller: its fields, its limits, its
-    windows and its stages' J0, whose corners the limits are, refuse a write."""
+    windows, its stages' J0, whose corners the limits are, and their split
+    problems' fields, V, J0^-1 and D(J0^-1) refuse a write."""
     spec = demo_instance
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -144,6 +146,12 @@ def test_memoized_parameters_cannot_be_changed(demo_instance):
     for lam in casc.limits:  # nor through the array whose corner it is
         with pytest.raises(ValueError, match="read-only"):
             lam.base[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        casc.stages[0].problem.delta = 1.0
+    for stage in casc.stages:  # nor the arrays that the split's checks read
+        for array in (stage.problem.J0i, stage.problem.D0i, stage.problem.V):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1, -1] = 0.0
     assert choose_parameters(spec.model, spec.L, 1e-3, law=spec.law) is casc
 
 
@@ -296,10 +304,10 @@ def test_stage_input_admits_like_cascade_decompose(demo_instance, demo_cascade):
 
 def test_near_miss_names_its_stage_once(demo_instance, demo_cascade):
     """A stage failure reads "stage 1: ...", not "stage 1: stage 1: ..."."""
-    (hit, _, miss), = cascade_module.examine_stack([3], demo_instance, demo_cascade)
-    assert hit is None
-    assert miss[1].startswith("stage 1: input outside the beta ball")
-    assert miss[1].count("stage") == 1
+    candidate, = cascade_module.examine_stack([3], demo_instance, demo_cascade)
+    assert candidate.reason is not None and candidate.spectrum is None
+    assert candidate.reason.startswith("stage 1: input outside the beta ball")
+    assert candidate.reason.count("stage") == 1
 
 
 def test_admitted_index_outside_its_windows_is_no_hit(demo_instance, demo_cascade):
@@ -310,9 +318,10 @@ def test_admitted_index_outside_its_windows_is_no_hit(demo_instance, demo_cascad
     assert result.limits_ok and result.domination_ok
     windows = [(lv.window, spec.model.block(lv.j).theta) for lv in result.levels if lv.window]
     assert windows and all(abs(float(w.phase(theta, n))) >= w.eps_hat for w, theta in windows)
-    (hit, row, miss), = cascade_module.examine_stack([n], spec, demo_cascade)
-    assert hit is None and row[-1] == 0
-    assert miss == (n, "spectrum not real simple (min_gap 0)")
+    candidate, = cascade_module.examine_stack([n], spec, demo_cascade)
+    assert candidate.reason is not None
+    assert cascade_module._csv_row(candidate, spec.model.structure)[-1] == 0
+    assert (candidate.n, candidate.reason) == (n, "spectrum not real simple (min_gap 0)")
 
 
 def test_drift_past_eps0_is_no_hit(demo_instance, demo_cascade):
@@ -321,9 +330,10 @@ def test_drift_past_eps0_is_no_hit(demo_instance, demo_cascade):
     spec, n = demo_instance, 65
     result = cascade_decompose(spec.L_n(n), n, spec.model, demo_cascade)
     casc = dataclasses.replace(demo_cascade, eps0=max(lv.drift for lv in result.levels) / 2)
-    (hit, row, miss), = cascade_module.examine_stack([n], spec, casc)
-    assert hit is None and row[-1] == 0
-    assert miss[1].startswith("limits or domination violated (min_gap ")
+    candidate, = cascade_module.examine_stack([n], spec, casc)
+    assert candidate.reason is not None
+    assert cascade_module._csv_row(candidate, spec.model.structure)[-1] == 0
+    assert candidate.reason.startswith("limits or domination violated (min_gap ")
 
 
 @pytest.mark.parametrize("shift, certified, reason", [
@@ -339,9 +349,10 @@ def test_oracle_refusal_is_no_hit(demo_instance, demo_cascade, monkeypatch, shif
         return ScaledSpectrum(unit=spectrum.unit, log_mod=spectrum.log_mod + shift), certified
 
     monkeypatch.setattr(cascade_module, "certified_spectrum", oracle)
-    (hit, row, miss), = cascade_module.examine_stack([65], demo_instance, demo_cascade)
-    assert hit is None and row[-1] == 0
-    assert miss[1].startswith(f"{reason} (mismatch ")
+    candidate, = cascade_module.examine_stack([65], demo_instance, demo_cascade)
+    assert candidate.reason is not None
+    assert cascade_module._csv_row(candidate, demo_instance.model.structure)[-1] == 0
+    assert candidate.reason.startswith(f"{reason} (mismatch ")
 
 
 def test_polar_forms_and_window_phase(demo_instance, demo_cascade):
@@ -752,19 +763,22 @@ def _reference_candidates(instance, cascade, n_start, n_max):
 def _reference_search(instance, cascade, count=3, n_max=100_000, csv_path=None):
     """The search with one prefilter over the whole range, as it ran before the
     ranges; the reference for the ranged search's results."""
-    model = instance.model
+    structure = instance.model.structure
     candidates = _reference_candidates(instance, cascade, max(cascade.n0, cascade.k0, 1), n_max)
     hits, near_misses = [], []
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cascade_module._csv_rows_header(model.structure))
+        writer.writerow(["n"] + [f"phase_{j}" for j in structure.rotation_indices]
+                        + [f"eig{i}_{part}" for i in range(structure.d)
+                           for part in ("unit_re", "unit_im", "log10_mod")]
+                        + ["min_gap", "accepted"])
         for n in candidates:
-            (hit, row, miss), = cascade_module.examine_stack([int(n)], instance, cascade)
-            writer.writerow(row)
-            if miss is not None:
-                near_misses.append(miss)
-            if hit is not None:
-                hits.append(hit)
+            candidate, = cascade_module.examine_stack([int(n)], instance, cascade)
+            writer.writerow(cascade_module._csv_row(candidate, structure))
+            if candidate.reason is not None:
+                near_misses.append((candidate.n, candidate.reason))
+            else:
+                hits.append(candidate)
                 if len(hits) >= count:
                     break
     examined = len(hits) + len(near_misses)
@@ -892,6 +906,20 @@ def test_stack_decomposes_bit_for_bit_like_one_at_a_time(pattern):
         assert "outside the beta ball" in str(alone[4]) and "below threshold" in str(alone[0])
 
 
+def test_exponents_changed_in_place_are_new_exponents(demo_instance, demo_cascade):
+    """An exponent array changed in place between two decompositions gets the
+    sandwich factors of its new values: bit for bit what a fresh copy of it
+    got before."""
+    spec, casc = demo_instance, demo_cascade
+    L_ks = np.array([spec.L_n(casc.k0)] * 3)
+    ns = np.arange(casc.n0, casc.n0 + 3)
+    fresh = cascade_module._decompose(L_ks, ns + 3, spec.model, casc)
+    cascade_module._decompose(L_ks, ns, spec.model, casc)
+    ns += 3
+    again = cascade_module._decompose(L_ks, ns, spec.model, casc)
+    assert [_decomposition_bits(o) for o in again] == [_decomposition_bits(o) for o in fresh]
+
+
 def test_stack_survives_a_failing_stacked_inverse(monkeypatch):
     """An item that makes the stacked LAPACK inverse fail goes through invert
     alone and keeps the error it raises alone; the other items are unchanged."""
@@ -916,40 +944,45 @@ def test_stack_survives_a_failing_stacked_inverse(monkeypatch):
          for i, (L, n) in enumerate(zip(L_ks, ns)) if i != 7]
 
 
-def _triple_bits(triple):
-    """examine's (hit, row, miss) with every float as its bytes, so that NaN matches NaN."""
-    def bits(x):
-        return struct.pack("<d", x) if isinstance(x, float) else x
-    hit, row, miss = triple
-    if hit is not None:
-        hit = [hit.n, hit.exponent, {j: bits(p) for j, p in hit.phases.items()},
-               hit.spectrum.unit.tobytes(), hit.spectrum.log_mod.tobytes(), bits(hit.min_gap),
-               hit.oracle_checked, bits(hit.oracle_mismatch)]
-    return hit, [bits(x) for x in row], miss
+def _bits(x):
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def _candidate_bits(c, structure):
+    """examine's Candidate and its scan-log row with every float as its bytes,
+    so that NaN matches NaN."""
+    spectrum = None if c.spectrum is None else (c.spectrum.unit.tobytes(),
+                                                c.spectrum.log_mod.tobytes())
+    return [c.n, c.exponent, {j: _bits(p) for j, p in c.phases.items()}, spectrum,
+            _bits(c.min_gap), c.oracle_checked, _bits(c.oracle_mismatch), c.reason,
+            [_bits(x) for x in cascade_module._csv_row(c, structure)]]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
 def test_examine_stack_is_each_candidate_alone(pattern):
     """examine_stack over the _stack_case exponents, the items below n0 failing,
-    yields for every candidate the triple that examine_stack([n]) yields:
-    hit fields and rows bit for bit (NaN phases alike), miss texts exactly;
-    each phase is the window's own phase of the item decomposed alone."""
+    yields for every candidate the Candidate that examine_stack([n]) yields:
+    its fields and scan-log rows bit for bit (NaN phases alike), reasons
+    exactly; each phase is the window's own phase of the item decomposed alone."""
     hits = 0
     for seed in range(4):
         spec, casc, _, ns = _stack_case(pattern, seed)
-        rotations = spec.model.structure.rotation_indices
+        structure = spec.model.structure
+        rotations = structure.rotation_indices
         stacked = list(cascade_module.examine_stack(ns.tolist(), spec, casc))
         alone = [next(cascade_module.examine_stack([n], spec, casc)) for n in ns.tolist()]
-        assert [_triple_bits(t) for t in stacked] == [_triple_bits(t) for t in alone], seed
-        assert all("below threshold" in miss[1] for _, _, miss in stacked[:2]), seed
-        hits += sum(hit is not None for hit, _, _ in stacked)
-        for n, (_, row, _) in zip(ns.tolist()[2:], stacked[2:]):
+        assert [_candidate_bits(c, structure) for c in stacked] == \
+            [_candidate_bits(c, structure) for c in alone], seed
+        assert all("below threshold" in c.reason for c in stacked[:2]), seed
+        hits += sum(c.reason is None for c in stacked)
+        for n, c in zip(ns.tolist()[2:], stacked[2:]):
             N = spec.a * n + spec.b
             levels = cascade_decompose(spec.L_n(n), N, spec.model, casc).levels
             want = [math.nan if levels[j - 1].window is None else
                     float(levels[j - 1].window.phase(spec.model.block(j).theta, N)) for j in rotations]
-            assert _triple_bits((None, row[1:1 + len(rotations)], None)) == \
-                _triple_bits((None, want, None)), (seed, n)
+            row = cascade_module._csv_row(c, structure)
+            assert [_bits(x) for x in row[1:1 + len(rotations)]] == [_bits(x) for x in want], \
+                (seed, n)
     assert hits > 0
 
 
@@ -1054,8 +1087,8 @@ def test_stack_forms_spectra_and_phases_per_level(pattern, monkeypatch):
     rotations = pattern.count(2)
     assert counts == {"from_values": len(pattern), "phase_mod1": rotations, "phase": 0}
     counts.update(dict.fromkeys(counts, 0))
-    triples = list(cascade_module.examine_stack(ns.tolist(), spec, casc))
-    assert len(triples) == len(ns) and counts["phase"] == rotations
+    candidates = list(cascade_module.examine_stack(ns.tolist(), spec, casc))
+    assert len(candidates) == len(ns) and counts["phase"] == rotations
 
 
 def _near_miss_setup(monkeypatch):
@@ -1114,3 +1147,29 @@ def test_search_decomposes_exactly_the_examined_candidates(case, monkeypatch, tm
         assert len(stacks) > 2 and max(map(len, stacks)) > 1
         assert any(reason.startswith("stage") for _, reason in near_misses)
         assert any(reason.startswith("oracle does not isolate") for _, reason in near_misses)
+
+
+def test_scan_log_rows_are_formed_only_for_a_csv(demo_instance, monkeypatch, tmp_path):
+    """examine forms no scan-log row: verify of a prove report and a search
+    without csv_path call _csv_row never, a search with one once per examined
+    index, near misses included, in the order the log holds them."""
+    spec = demo_instance
+    calls = []
+    csv_row = cascade_module._csv_row
+
+    def counted(candidate, structure):
+        calls.append(candidate.n)
+        return csv_row(candidate, structure)
+
+    monkeypatch.setattr(cascade_module, "_csv_row", counted)
+    report = prove_instance(spec, count=3)
+    assert report.search.examined == 3 and calls == []
+    assert verify_artifact(serialize.prove_report_to_json(report, 1e-3))["passed"]
+    assert calls == []
+    spec, casc, _ = _near_miss_setup(monkeypatch)
+    res = find_subsequence(spec, casc, count=12)
+    assert len(res.near_misses) > 0 and calls == []
+    res = find_subsequence(spec, casc, count=12, csv_path=str(tmp_path / "scan.csv"))
+    with (tmp_path / "scan.csv").open() as f:
+        logged = [int(row["n"]) for row in csv.DictReader(f)]
+    assert len(calls) == res.examined and calls == logged

@@ -120,6 +120,22 @@ def test_sandwich_cache_follows_the_exponent():
             np.testing.assert_array_equal(getattr(powers, name)(w, n), expected)
 
 
+def test_sandwich_cache_compares_an_array_by_value():
+    """An exponent array changed in place is a new exponent: the products are
+    those of a fresh instance at its new values, not the kept factors."""
+    model = make_model()
+    powers = DiagonalPowers(model)
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal((2, 4, 1)), rng.standard_normal((2, 1, 4))
+    ns = np.array([5, 37])
+    powers.dvn_u_avmn(u, ns)
+    ns += 3
+    np.testing.assert_array_equal(powers.dvn_u_avmn(u, ns), DiagonalPowers(model).dvn_u_avmn(u, ns))
+    powers.share_units(ns, [b.unit_power(ns) for b in model.diag_blocks])
+    ns += 3
+    np.testing.assert_array_equal(powers.avmn_u_dvn(v, ns), DiagonalPowers(model).avmn_u_dvn(v, ns))
+
+
 def test_sandwich_cache_survives_a_failed_exponent():
     """An exponent whose factors raise leaves the cached ones of the last n intact."""
     model = DiagonalModel(BlockStructure((2, 1)), (RotationBlock(1.6, 0.3), ScalarBlock(-0.5)))

@@ -4,6 +4,7 @@ numbers within each field's tolerance."""
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -11,8 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from spectral_cascade import cli, verify
+import spectral_cascade as sc
+from spectral_cascade import cli, serialize, verify
+from spectral_cascade.cascade import (cascade_decompose, choose_parameters, exponent_limit,
+                                      prove_instance, stage_input)
 from spectral_cascade.errors import VerificationFailure
+from spectral_cascade.graph_transform import invariant_pair
 from spectral_cascade.oracle import ScaledSpectrum, product_spectrum
 from spectral_cascade.verify import verify_artifact
 
@@ -124,7 +129,7 @@ def test_a_float_field_may_hold_a_json_integer(artifacts):
 
 @pytest.mark.parametrize("examined", [-1, 0, 2])
 def test_examined_counts_at_least_the_hits(artifacts, examined):
-    """examine returns a hit or a miss per candidate, so a report with 3 hits
+    """examine returns one record per candidate, so a report with 3 hits
     examined at least 3 candidates."""
     obj = copy.deepcopy(artifacts["prove122"])
     assert len(obj["hits"]) == 3 and obj["examined"] >= 3
@@ -235,3 +240,51 @@ def test_identical_infinite_spectra_still_reach_the_rule(artifacts, monkeypatch)
     monkeypatch.setattr(verify.serialize, "prove_report_to_json", infinite)
     with pytest.raises(VerificationFailure, match="^malformed prove-report artifact: "):
         verify_artifact(obj)
+
+
+def _written_below_limit(kind, below):
+    """kind's artifact as the library writes it at the exponent limit - below of
+    the model verify checks it against, and that limit; a prove report at
+    limit - 1 only."""
+    if kind == "prove":
+        # the first window candidate of (1,2) seed 0, at its scan floor, is a hit
+        # when the progression puts it at the limit - 1
+        spec = sc.generate_instance((1, 2), seed=0)
+        casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        limit, n = exponent_limit(spec.model), max(casc.n0, casc.k0, 1)
+        report = prove_instance(dataclasses.replace(spec, b=limit - below - n), count=1, n_max=n)
+        return serialize.prove_report_to_json(report, 1e-3), limit
+    spec = sc.generate_instance((1, 2, 2), seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    if kind == "casc":
+        limit = exponent_limit(spec.model)
+        result = cascade_decompose(L_k, limit - below, spec.model, casc)
+        return serialize.cascade_result_to_json(result, spec, 1e-3, casc.k0), limit
+    stage = casc.stages[int(kind[-1]) - 1]
+    limit = exponent_limit(stage.problem.model)  # a split's own stage model
+    n = limit - below
+    cert = invariant_pair(stage.problem, stage_input(L_k, n, casc, stage.j), n, stage.constants)
+    return serialize.certificate_to_json(cert, stage.problem), limit
+
+
+@pytest.mark.parametrize("kind", ["casc", "split1", "split2", "prove"])
+def test_exponent_at_the_limit_is_refused(kind, tmp_path):
+    """verify refuses an exponent that the command line refuses to write: a
+    cascade result's n, a split's n against its stage model, a prove report's
+    hit exponent a n + b, each at the exponent limit; at the limit - 1 each
+    verifies."""
+    below, limit = _written_below_limit(kind, 1)
+    assert verify_artifact(copy.deepcopy(below))["passed"]
+    if kind == "prove":
+        at = copy.deepcopy(below)
+        at["instance"]["progression"]["b"] += 1
+        at["hits"][0]["exponent"] += 1
+        assert at["hits"][0]["exponent"] == limit
+    else:
+        at, _ = _written_below_limit(kind, 0)
+        assert at["n"] == limit
+    with pytest.raises(VerificationFailure, match=f"exponent {limit} is not below {limit}, "):
+        verify_artifact(copy.deepcopy(at))
+    serialize.save_artifact(tmp_path / "at.json", at)
+    assert cli.main(["verify", "--artifact", str(tmp_path / "at.json")]) == 1
