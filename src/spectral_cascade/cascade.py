@@ -262,9 +262,9 @@ def _level_data(j: int, X: np.ndarray, spec: ScaledSpectrum, diff: np.ndarray) -
 def _split(stage: CascadeStage, current: np.ndarray, ns, units: list):
     """Admit ``current`` at exponents ns, with its blocks' U_j(n) in ``units``,
     to one stage and split it: its X and the remainder that enters the next."""
-    stage.problem.powers.share_units(ns, units[stage.j - 1:])
     admit(stage.problem, stage.constants, current, ns)
-    cert, _ = dominated_split(stage.problem, current, ns)
+    s = stage.problem.powers.from_units(ns, units[stage.j - 1:])
+    cert, _ = dominated_split(stage.problem, current, s)
     return cert.X, invert(cert.Y_inv)
 
 

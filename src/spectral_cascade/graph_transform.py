@@ -18,11 +18,11 @@ whose conjugated corner blocks
 
 carry the spectrum: spectrum(J V^n) = spectrum(X A(V)^n) + spectrum(Y D(V)^n).
 
-``dominated_split`` is the one kernel that computes xi, eta_hat, X and
-Y^{-1} at a (J, n); the cascade, ``invariant_pair`` and ``verify`` all use it
-or its check.  ``admit`` is the one admission check: the split's hypotheses
-hold only for J in the beta ball around J0 and n from the threshold n0 on,
-for the cascade's stage loop, ``invariant_pair`` and ``verify`` alike.
+``dominated_split`` is the one kernel that computes xi, eta_hat, X and Y^{-1}
+at a (J, n), n given with its factors as a ``model.Sandwich``; the cascade,
+``invariant_pair`` and ``verify`` all use it or its check.  ``admit`` is the
+one admission check: the split's hypotheses hold only for J in the beta ball
+around J0 and n from the threshold n0 on, for every caller alike.
 
 The certificate check is scale-free.  The invariance equations of the two
 graphs, J V^n G_xi = G_xi X A(V)^n and V^{-n} J^{-1} G_eta = G_eta D(V)^{-n}
@@ -62,7 +62,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import _det, invert, norm_below, op_norm
-from .model import DiagonalModel, DiagonalPowers
+from .model import DiagonalModel, DiagonalPowers, Sandwich
 
 FIXED_POINT_STEP_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 500
@@ -262,11 +262,11 @@ def _converged(u_new: np.ndarray, step: np.ndarray) -> list:
     return [s < FIXED_POINT_STEP_TOL * max(1.0, f / scale) for f, s in zip(fro, step_fro)]
 
 
-def _fixed_point(first, left, right, outer, sandwich, n, name: str) -> np.ndarray:
-    """Iterate u <- first + (right - u left) sandwich(u, n) outer from u = first.
+def _fixed_point(first, left, right, outer, product, s: Sandwich, name: str) -> np.ndarray:
+    """Iterate u <- first + (right - u left) product(u, s) outer from u = first.
 
     ``first`` is exactly the step from u = 0, which FIXED_POINT_MAX_ITER counts.
-    On a stack (N, r, c) at exponents n (N,), each item keeps the iterate at
+    On a stack (N, r, c) at exponents s.n (N,), each item keeps the iterate at
     which its own test first passed, until every item has stopped; the first
     item that never stops raises.
     """
@@ -275,28 +275,28 @@ def _fixed_point(first, left, right, outer, sandwich, n, name: str) -> np.ndarra
     for _ in range(FIXED_POINT_MAX_ITER - 1):
         if all(done):
             return out
-        u_new = first + (right - u @ left) @ sandwich(u, n) @ outer
+        u_new = first + (right - u @ left) @ product(u, s) @ outer
         if any(done):  # the items still running take u_new, kept once they stop
             out = np.where(np.array(done)[:, None, None], out, u_new)
             done = np.logical_or(done, _converged(u_new, u_new - u)).tolist()
         else:
             out, done = u_new, _converged(u_new, u_new - u)
         u = u_new
-    for ok, m in zip(done, np.atleast_1d(n).tolist()):
+    for ok, m in zip(done, np.atleast_1d(s.n).tolist()):
         if not ok:
             raise ConvergenceFailure(f"{name} iteration did not converge at n={m}; "
                                      "constants violated")
     return out
 
 
-def solve_xi(problem: SplitProblem, J: np.ndarray, n) -> np.ndarray:
-    """Fixed point of the forward operator."""
+def solve_xi(problem: SplitProblem, J: np.ndarray, s: Sandwich) -> np.ndarray:
+    """Fixed point of the forward operator at the sandwich's exponent."""
     A, B, C, D = split_blocks(np.asarray(J, dtype=float), problem.k1)
     Ainv = invert(A)
-    return _fixed_point(C @ Ainv, B, D, Ainv, problem.powers.dvn_u_avmn, n, "xi")
+    return _fixed_point(C @ Ainv, B, D, Ainv, problem.powers.dvn_u_avmn, s, "xi")
 
 
-def solve_eta(problem: SplitProblem, Ji: np.ndarray, n) -> np.ndarray:
+def solve_eta(problem: SplitProblem, Ji: np.ndarray, s: Sandwich) -> np.ndarray:
     """Fixed point eta_hat of the inverse-side operator, given Ji = J^{-1}.
 
     The graph itself is eta = A(V)^{-n} eta_hat D(V)^n, which decays like
@@ -304,7 +304,7 @@ def solve_eta(problem: SplitProblem, Ji: np.ndarray, n) -> np.ndarray:
     """
     Ai, Bi, Ci, Di = split_blocks(Ji, problem.k1)
     Dinv = invert(Di)
-    return _fixed_point(Bi @ Dinv, Ci, Ai, Dinv, problem.powers.avmn_u_dvn, n, "eta")
+    return _fixed_point(Bi @ Dinv, Ci, Ai, Dinv, problem.powers.avmn_u_dvn, s, "eta")
 
 
 def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
@@ -324,8 +324,8 @@ def admit(problem: SplitProblem, constants: TransformConstants, J: np.ndarray,
             raise HypothesisFailure(f"exponent {m} below threshold {constants.n0}")
 
 
-def dominated_split(problem: SplitProblem, J: np.ndarray, n):
-    """The split kernel: xi, eta_hat, X and Y^{-1} at one (J, n).
+def dominated_split(problem: SplitProblem, J: np.ndarray, s: Sandwich):
+    """The split kernel: xi, eta_hat, X and Y^{-1} at one (J, n), n = s.n.
 
     Returns the unchecked certificate and J^{-1}, which it computes once.
     Raises CertificateFailure (item 3 or 4) when X drifts delta away from
@@ -334,12 +334,12 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n):
     """
     J = np.asarray(J, dtype=float)
     Ji = invert(J)
-    xi = solve_xi(problem, J, n)
-    eta_hat = solve_eta(problem, Ji, n)
+    xi = solve_xi(problem, J, s)
+    eta_hat = solve_eta(problem, Ji, s)
     A, B, _, _ = split_blocks(J, problem.k1)
     _, _, Ci, Di = split_blocks(Ji, problem.k1)
-    X = A + B @ problem.powers.dvn_u_avmn(xi, n)
-    Y_inv = Ci @ problem.powers.avmn_u_dvn(eta_hat, n) + Di
+    X = A + B @ problem.powers.dvn_u_avmn(xi, s)
+    Y_inv = Ci @ problem.powers.avmn_u_dvn(eta_hat, s) + Di
     dX, dY, delta = X - problem.A0, Y_inv - problem.D0i, problem.delta
     okX, okY = norm_below(dX, delta), norm_below(dY, delta)
     if okX is not True or okY is not True:  # on a stack, lists
@@ -351,18 +351,18 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, n):
             if not ok4:
                 raise CertificateFailure(
                     f"inverse bottom block drifts {op_norm(y):.3g} >= delta {delta:.3g}", item=4)
-    return SplitCertificate(n=n, J=J, xi=xi, eta_hat=eta_hat, X=X, Y_inv=Y_inv), Ji
+    return SplitCertificate(n=s.n, J=J, xi=xi, eta_hat=eta_hat, X=X, Y_inv=Y_inv), Ji
 
 
-def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray) -> dict:
+def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray, s: Sandwich) -> dict:
     """Recompute every item of ``cert`` in scale-free form (see the module doc).
 
     Returns {name: {"value", "passed", "item"}}, the informative "eta_norm"
     and the overall "passed".
     """
-    n, I1, I2 = cert.n, np.eye(problem.k1), np.eye(problem.k2)
-    S = problem.powers.dvn_u_avmn(cert.xi, n)
-    eta = problem.powers.avmn_u_dvn(cert.eta_hat, n)
+    I1, I2 = np.eye(problem.k1), np.eye(problem.k2)
+    S = problem.powers.dvn_u_avmn(cert.xi, s)
+    eta = problem.powers.avmn_u_dvn(cert.eta_hat, s)
     fwd = op_norm(cert.J @ np.vstack([I1, S]) - np.vstack([I1, cert.xi]) @ cert.X)
     back = op_norm(Ji @ np.vstack([eta, I2]) - np.vstack([cert.eta_hat, I2]) @ cert.Y_inv)
     fwd /= op_norm(cert.J)
@@ -404,9 +404,10 @@ def invariant_pair(problem: SplitProblem, J: np.ndarray, n: int,
     CertificateFailure on a failed item.
     """
     admit(problem, constants, J, n)
-    cert, Ji = dominated_split(problem, J, n)
+    s = problem.powers.at(n)
+    cert, Ji = dominated_split(problem, J, s)
     cert.constants = constants
-    report = _check(problem, cert, Ji)
+    report = _check(problem, cert, Ji, s)
     for name, entry in report.items():
         if isinstance(entry, dict) and not entry["passed"]:
             raise CertificateFailure(f"{name} = {entry['value']:.3g} fails", item=entry["item"])
@@ -420,4 +421,4 @@ def verify_certificate(cert: SplitCertificate, problem: SplitProblem) -> dict:
     Returns the per-item report of ``invariant_pair``'s check; never raises
     on a failed item.
     """
-    return _check(problem, cert, invert(cert.J))
+    return _check(problem, cert, invert(cert.J), problem.powers.at(cert.n))

@@ -10,8 +10,8 @@ sum_eps C_eps prod (c_b or s_b) over its halves, with integers C_eps that
 depend on the bits of L only.  A MinorTable holds them, formed on first
 use, with one Hadamard bound per key; minor_table keeps the TABLE_CAP most
 recently used tables in a RecentMemo, the memo that also keeps
-``cascade.choose_parameters``'s results.  Everything is exact, on Python
-integers.
+``cascade.choose_parameters``'s results and ``DiagonalPowers.at``'s
+sandwiches.  Everything is exact, on Python integers.
 """
 
 from __future__ import annotations

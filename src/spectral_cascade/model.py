@@ -8,21 +8,24 @@ Each block's ``unit_power`` is the one place that forms the unit part
 U_j(n) of T_j^n, or the stack of them at an array of exponents; the sandwich
 factors, the cascade's level spectra and the oracle's numpy route all read it
 from there.  A decomposition forms each block's U_j(n) once, for the whole
-stack in one call, and shares it with every stage (``DiagonalPowers.share_units``).
+stack in one call, and every stage forms its ``Sandwich`` value from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .blocks import BlockStructure, block_diag
 from .errors import PowerOverflow
 from .linalg import phase_mod1, rotation_matrix
+from .minors import RecentMemo
 
 _LOG_CAP = 300.0 * math.log(10.0)
+_sandwiches = RecentMemo(16)  # (DiagonalPowers, int n) -> Sandwich, the 16 last used
 
 
 class Block:
@@ -136,64 +139,60 @@ class DiagonalModel:
         }
 
 
-def _key(n):
-    """An exponent as the sandwich factors' cache key: an array by its values."""
-    return (n.dtype.str, n.shape, n.tobytes()) if isinstance(n, np.ndarray) else n
+class Sandwich(NamedTuple):
+    """The read-only factors of the sandwich products at n (``DiagonalPowers.from_units``)."""
+
+    n: object
+    left: np.ndarray
+    right: np.ndarray
+    head_inv: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class DiagonalPowers:
     """Sandwich products for a dominated split whose V is a diagonal model.
 
-    The split is i_1 | (d - i_1) of ``model``; A(V) is the first block and
-    D(V) the tail.  The sandwich products D(V)^n u A(V)^{-n} and
-    A(V)^{-n} u D(V)^n are evaluated with combined log-scales so they stay
-    bounded for arbitrarily large n (every tail modulus is below the head
-    modulus).  The exponent is an int, or an array of them for a stack u
-    (N, r, c).  The unit-modulus and scale factors are built once and kept
-    until another exponent is asked for; an array is compared by its values,
-    so one changed in place is another exponent.
+    The split is i_1 | (d - i_1) of ``model``; A(V) is the first block and D(V)
+    the tail.  The sandwich products D(V)^n u A(V)^{-n} and A(V)^{-n} u D(V)^n
+    are evaluated with combined log-scales so they stay bounded for any n (every
+    tail modulus is below the head modulus).  They read n and their factors from
+    a ``Sandwich``, at an int or an array of exponents for a stack u (N, r, c).
     """
 
-    def __init__(self, model: DiagonalModel):
-        if model.structure.m < 2:
-            raise ValueError("need at least two blocks to split")
-        self.model = model
-        # log-modulus per tail coordinate, relative to the head modulus
-        self._rel = model.tail(2).coordinate_log_moduli() - math.log(model.block(1).modulus)
-        self._cache = (None,)
+    model: DiagonalModel
+    _rel: np.ndarray = field(init=False, repr=False)
 
-    def share_units(self, n, units) -> tuple:
-        """Build the factors at n from unit parts U_j(n) formed by the caller
-        (stacks of them for an array n), one per block of the model, head
-        first, unless those of n are kept.  Returns them."""
-        cache, key = self._cache, _key(n)
-        if cache[0] == key:
-            return cache
+    def __post_init__(self):
+        if self.model.structure.m < 2:
+            raise ValueError("need at least two blocks to split")
+        # log-modulus per tail coordinate, relative to the head modulus
+        rel = self.model.tail(2).coordinate_log_moduli() - math.log(self.model.block(1).modulus)
+        rel.flags.writeable = False
+        object.__setattr__(self, "_rel", rel)
+
+    def from_units(self, n, units) -> Sandwich:
+        """The sandwich at n from the unit parts U_j(n) the caller formed, head
+        first (stacks for an array n): diag(s) U_t, U_t diag(s) and H, with U_t
+        and H those of D(V)^n and A(V)^{-n} and s the tail's relative scale."""
         head, *tail = units
         unit_tail = block_diag(*tail)
         rel = n[:, None] * self._rel if isinstance(n, np.ndarray) else n * self._rel
         scale = np.exp(np.minimum(rel, _LOG_CAP))
-        # the inverse of a rotation or a sign is its transpose
-        self._cache = cache = (key, scale[..., :, None] * unit_tail,
-                               unit_tail * scale[..., None, :], head.swapaxes(-1, -2))
-        return cache
+        left, right = scale[..., :, None] * unit_tail, unit_tail * scale[..., None, :]
+        head_inv = head.swapaxes(-1, -2).copy()  # a rotation or sign inverts by its transpose
+        left.flags.writeable = right.flags.writeable = head_inv.flags.writeable = False
+        return Sandwich(n, left, right, head_inv)
 
-    def _factors(self, n):
-        """(key, diag(s) U_t, U_t diag(s), H), rebuilt only when n changes: U_t and
-        H are the unit parts of D(V)^n and A(V)^{-n}, s the tail's relative scale.
-        Returns the tuple it checked or built: another thread sharing this
-        object may replace the cache in between."""
-        cache = self._cache
-        if cache[0] == _key(n):
-            return cache
-        return self.share_units(n, [b.unit_power(n) for b in self.model.diag_blocks])
+    def at(self, n: int) -> Sandwich:
+        """The sandwich at one int n, memoized; an n that raises stores nothing."""
+        return _sandwiches.get_or_make((self, n), lambda: self.from_units(
+            n, [b.unit_power(n) for b in self.model.diag_blocks]))
 
-    def dvn_u_avmn(self, u: np.ndarray, n) -> np.ndarray:
+    def dvn_u_avmn(self, u: np.ndarray, s: Sandwich) -> np.ndarray:
         """D(V)^n u A(V)^{-n}; contracting, never overflows."""
-        _, left, _, head_inv = self._factors(n)
-        return left @ u @ head_inv
+        return s.left @ u @ s.head_inv
 
-    def avmn_u_dvn(self, u: np.ndarray, n) -> np.ndarray:
+    def avmn_u_dvn(self, u: np.ndarray, s: Sandwich) -> np.ndarray:
         """A(V)^{-n} u D(V)^n; contracting, never overflows."""
-        _, _, right, head_inv = self._factors(n)
-        return head_inv @ u @ right
+        return s.head_inv @ u @ s.right
+

@@ -144,13 +144,13 @@ def test_criterion_6_trivial_cases_are_exact():
                     np.eye(2) + 0.1 * rng.standard_normal((2, 2)))
     p = SplitProblem(model, J0, 0.05)
     c = derive_constants(p)
-    n = c.n0 + 1
-    xi = solve_xi(p, J0, n)
-    eta = p.powers.avmn_u_dvn(solve_eta(p, invert(J0), n), n)
+    s = p.powers.at(c.n0 + 1)
+    xi = solve_xi(p, J0, s)
+    eta = p.powers.avmn_u_dvn(solve_eta(p, invert(J0), s), s)
     assert op_norm(xi) == 0.0
     assert op_norm(eta) == 0.0
     AJ, B, C, DJ = split_blocks(J0, 2)
-    Xn = AJ + B @ p.powers.dvn_u_avmn(xi, n)
+    Xn = AJ + B @ p.powers.dvn_u_avmn(xi, s)
     np.testing.assert_array_equal(Xn, AJ)
     _, _, Ci, Di = split_blocks(np.linalg.inv(J0), 2)
     Yn = np.linalg.inv(Ci @ eta + Di)

@@ -129,7 +129,9 @@ def test_parameter_memo_keys_every_input_by_its_bits():
 def test_memoized_parameters_cannot_be_changed(demo_instance):
     """The memo hands one cascade to every caller: its fields, its limits, its
     windows, its stages' J0, whose corners the limits are, and their split
-    problems' fields, V, J0^-1 and D(J0^-1) refuse a write."""
+    problems' fields, V, J0^-1 and D(J0^-1) refuse a write; so do each split's
+    powers, their relative log moduli and the factors of a sandwich they
+    serve from their memo."""
     spec = demo_instance
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -152,6 +154,16 @@ def test_memoized_parameters_cannot_be_changed(demo_instance):
         for array in (stage.problem.J0i, stage.problem.D0i, stage.problem.V):
             with pytest.raises(ValueError, match="read-only"):
                 array[-1, -1] = 0.0
+    powers = casc.stages[0].problem.powers
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        powers.model = casc.stages[1].problem.model
+    for stage in casc.stages:  # nor the arrays that the sandwich products read
+        sandwich = stage.problem.powers.at(casc.n0)
+        for array in (stage.problem.powers._rel, sandwich.left, sandwich.right,
+                      sandwich.head_inv):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 0.0
+        assert stage.problem.powers.at(casc.n0) is sandwich
     assert choose_parameters(spec.model, spec.L, 1e-3, law=spec.law) is casc
 
 
@@ -229,6 +241,71 @@ def test_threads_decompose_from_one_memoized_cascade():
     assert threaded == serial
 
 
+def _certificate_bits(cert, report):
+    """A split certificate's arrays and its check's values, bit for bit."""
+    arrays = (cert.J, cert.xi, cert.eta_hat, cert.X, cert.Y_inv)
+    values = sorted((k, v["value"] if isinstance(v, dict) else v) for k, v in report.items())
+    return cert.n, [a.tobytes() for a in arrays], repr(values)
+
+
+def test_threads_certify_and_verify_through_one_memoized_stage():
+    """Threads that certify and verify through one memoized stage, each at its
+    own exponents, more of them than the sandwich memo keeps, get the bits of
+    serial calls."""
+    spec = sc.generate_instance((2, 2, 2), seed=3)
+    casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+    L_k = spec.L_n(casc.k0)
+    starts = [casc.n0 + i for i in range(4)]
+    steps = range(0, 4 * (model_module._sandwiches.cap // 2), 4)  # 2 x the cap over 4 threads
+
+    def run(n):
+        got = []
+        for _ in range(3):
+            stage = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law).stages[0]
+            for m in (n + step for step in steps):
+                cert = sc.invariant_pair(stage.problem, L_k, m, stage.constants)
+                got.append(_certificate_bits(cert, sc.verify_certificate(cert, stage.problem)))
+        return got
+
+    serial = [run(n) for n in starts]
+    barrier = threading.Barrier(len(starts))
+
+    def call(n):
+        barrier.wait(timeout=60)
+        return run(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            threaded = list(pool.map(call, starts, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(model_module._sandwiches) <= model_module._sandwiches.cap
+    assert threaded == serial
+
+
+def test_certify_then_verify_forms_each_unit_power_once(demo_instance, demo_cascade, monkeypatch):
+    """invariant_pair and then verify_certificate at one (stage, n) call each
+    rotation block's unit_power once: the verify reads the sandwich that the
+    certify formed."""
+    spec, casc = demo_instance, demo_cascade
+    calls = []
+    unit_power = RotationBlock.unit_power
+    monkeypatch.setattr(RotationBlock, "unit_power",
+                        lambda self, n: calls.append((self, n)) or unit_power(self, n))
+    L_k = spec.L_n(casc.k0)
+    model_module._sandwiches.clear()
+    for j, stage in enumerate(casc.stages, start=1):
+        n = casc.n0 + j
+        J = stage_input(L_k, n, casc, j)
+        calls.clear()
+        cert = sc.invariant_pair(stage.problem, J, n, stage.constants)
+        assert sc.verify_certificate(cert, stage.problem)["passed"]
+        rotations = [b for b in stage.problem.model.diag_blocks if isinstance(b, RotationBlock)]
+        assert calls == [(b, n) for b in rotations], j
+
+
 def test_cascade_matches_oracle(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     for n in (casc.n0, casc.n0 + 7):
@@ -261,7 +338,7 @@ def test_certified_split_halves_carry_spectrum(demo_instance, demo_cascade):
     spec, casc = demo_instance, demo_cascade
     stage = casc.stages[0]
     n = casc.n0 + 1
-    cert, _ = dominated_split(stage.problem, spec.L, n)
+    cert, _ = dominated_split(stage.problem, spec.L, stage.problem.powers.at(n))
     assert op_norm(cert.X - stage.problem.A0) < stage.problem.delta
     top = np.linalg.eigvals(cert.X @ spec.model.block(1).power(n))
     bottom = np.linalg.eigvals(np.linalg.inv(cert.Y_inv) @ spec.model.tail(2).power(n))
@@ -274,7 +351,8 @@ def test_certified_split_halves_carry_spectrum(demo_instance, demo_cascade):
 def test_certified_split_rejects_far_J(demo_instance, demo_cascade):
     stage = demo_cascade.stages[0]
     with pytest.raises(CertificateFailure) as exc:
-        dominated_split(stage.problem, demo_instance.L + 0.5, demo_cascade.n0 + 1)
+        dominated_split(stage.problem, demo_instance.L + 0.5,
+                        stage.problem.powers.at(demo_cascade.n0 + 1))
     assert exc.value.item in (3, 4)
 
 
@@ -739,7 +817,8 @@ def test_decomposition_forms_each_unit_power_once(pattern, monkeypatch):
             res = cascade_decompose(L_k, n, spec.model, casc)
         assert calls == [n] * pattern.count(2)
         for stage, level in zip(alone.stages, res.levels):
-            cert, _ = dominated_split(stage.problem, stage_input(L_k, n, alone, stage.j), n)
+            cert, _ = dominated_split(stage.problem, stage_input(L_k, n, alone, stage.j),
+                                     stage.problem.powers.at(n))
             np.testing.assert_array_equal(level.X, cert.X)
         np.testing.assert_array_equal(res.levels[-1].X, invert(cert.Y_inv))
         for level in res.levels:

@@ -24,7 +24,7 @@ from spectral_cascade.graph_transform import (
     verify_certificate,
 )
 from spectral_cascade.linalg import invert, op_norm
-from spectral_cascade.model import DiagonalModel, RotationBlock, ScalarBlock
+from spectral_cascade.model import DiagonalModel, RotationBlock, Sandwich, ScalarBlock
 
 from split_problems import random_split_problem
 
@@ -32,6 +32,11 @@ from split_problems import random_split_problem
 def make_problem(seed=0, k1=1, k2=2, delta=0.05, coupling=0.2):
     """The split of a random dominated diagonal model, with a generic J0 nearby."""
     return random_split_problem(np.random.default_rng(seed), k1, k2, delta, coupling)
+
+
+def exponent(n):
+    """A sandwich at n without factors, for a product that reads none."""
+    return Sandwich(n, None, None, None)
 
 
 def ball_sample(problem, constants, rng):
@@ -109,9 +114,10 @@ def test_xi_is_a_fixed_point():
     rng = np.random.default_rng(3)
     J = ball_sample(p, c, rng)
     n = c.n0 + 2
-    xi = solve_xi(p, J, n)
+    s = p.powers.at(n)
+    xi = solve_xi(p, J, s)
     A, B, C, D = split_blocks(J, p.k1)
-    S = p.powers.dvn_u_avmn(xi, n)
+    S = p.powers.dvn_u_avmn(xi, s)
     # xi = phi(xi) multiplied through by X = A(J) + B(J) S
     assert op_norm(C + D @ S - xi @ (A + B @ S)) < 1e-11 * max(1.0, op_norm(xi))
     assert invariant_pair(p, J, n, c).residuals["forward_invariance"] < 1e-11
@@ -123,8 +129,8 @@ def test_eta_decays_geometrically():
     rng = np.random.default_rng(6)
     J = ball_sample(p, c, rng)
     Ji = invert(J)
-    norms = [op_norm(p.powers.avmn_u_dvn(solve_eta(p, Ji, n), n))
-             for n in (c.n0, c.n0 + 4, c.n0 + 8)]
+    norms = [op_norm(p.powers.avmn_u_dvn(solve_eta(p, Ji, s), s))
+             for s in map(p.powers.at, (c.n0, c.n0 + 4, c.n0 + 8))]
     assert norms[0] < c.gamma * c.rho ** c.n0
     assert norms[2] < norms[1] < norms[0]
 
@@ -179,9 +185,9 @@ def test_block_diagonal_input_is_exact():
     # a block-diagonal J close to J0 in structure terms: zero off-blocks
     A0, _, _, D0 = split_blocks(p.J0, p.k1)
     J = block_diag(A0, D0)
-    n = c.n0 + 1
-    xi = solve_xi(p, J, n)
-    eta = p.powers.avmn_u_dvn(solve_eta(p, invert(J), n), n)
+    s = p.powers.at(c.n0 + 1)
+    xi = solve_xi(p, J, s)
+    eta = p.powers.avmn_u_dvn(solve_eta(p, invert(J), s), s)
     assert op_norm(xi) == 0.0
     assert op_norm(eta) == 0.0
 
@@ -229,20 +235,21 @@ def test_fixed_points_pass_the_two_norm_stopping_test(pattern):
             p, J = stage.problem, stage_input(L_k, n, casc, j)
             A, B, C, D = split_blocks(J, p.k1)
             Ai, Bi, Ci, Di = split_blocks(np.linalg.inv(J), p.k1)
-            xi = solve_xi(p, J, n)
-            eta_hat = solve_eta(p, invert(J), n)
+            s = p.powers.at(n)
+            xi = solve_xi(p, J, s)
+            eta_hat = solve_eta(p, invert(J), s)
             Ainv, Dinv = np.linalg.inv(A), np.linalg.inv(Di)
-            xi_next = C @ Ainv + (D - xi @ B) @ p.powers.dvn_u_avmn(xi, n) @ Ainv
-            eta_next = Bi @ Dinv + (Ai - eta_hat @ Ci) @ p.powers.avmn_u_dvn(eta_hat, n) @ Dinv
+            xi_next = C @ Ainv + (D - xi @ B) @ p.powers.dvn_u_avmn(xi, s) @ Ainv
+            eta_next = Bi @ Dinv + (Ai - eta_hat @ Ci) @ p.powers.avmn_u_dvn(eta_hat, s) @ Dinv
             for u, u_next in ((xi, xi_next), (eta_hat, eta_next)):
                 assert op_norm(u_next - u) < FIXED_POINT_STEP_TOL * max(1.0, op_norm(u)), (j, n)
 
 
-def _fixed_point_from_zero(first, left, right, outer, sandwich, n):
+def _fixed_point_from_zero(first, left, right, outer, product, s):
     """The fixed-point loop started from u = 0, with its stopping test written out."""
     u = np.zeros_like(first)
     for _ in range(FIXED_POINT_MAX_ITER):
-        u_new = first + (right - u @ left) @ sandwich(u, n) @ outer
+        u_new = first + (right - u @ left) @ product(u, s) @ outer
         scale = max(1.0, math.hypot(*u_new.flat) / math.sqrt(min(u.shape)))
         if math.hypot(*(u_new - u).flat) < FIXED_POINT_STEP_TOL * scale:
             return u_new
@@ -259,10 +266,10 @@ def test_fixed_point_matches_the_loop_from_zero(k1, k2):
     from u = 0 counted."""
     calls = [0]
 
-    def counted(sandwich):
-        def wrapper(u, n):
+    def counted(product):
+        def wrapper(u, s):
             calls[0] += 1
-            return sandwich(u, n)
+            return product(u, s)
         return wrapper
 
     for seed in range(4):
@@ -278,18 +285,19 @@ def test_fixed_point_matches_the_loop_from_zero(k1, k2):
                  (1e-15 * C @ Ainv, B, D, Ainv, p.powers.dvn_u_avmn),
                  (0.0 * C @ Ainv, B, D, Ainv, p.powers.dvn_u_avmn)]
         for n in (constants.n0, constants.n0 + 7, 1_000):
-            for first, left, right, outer, sandwich in cases:
+            s = p.powers.at(n)
+            for first, left, right, outer, product in cases:
                 calls[0] = 0
-                want = _fixed_point_from_zero(first, left, right, outer, counted(sandwich), n)
+                want = _fixed_point_from_zero(first, left, right, outer, counted(product), s)
                 ref_calls, calls[0] = calls[0], 0
-                got = _fixed_point(first, left, right, outer, counted(sandwich), n, "u")
+                got = _fixed_point(first, left, right, outer, counted(product), s, "u")
                 assert got.tobytes() == want.tobytes(), (seed, n)
                 assert calls[0] == ref_calls - 1, (seed, n)
 
     flip = (np.ones((2, 2)), np.zeros((2, 2)), -np.eye(2), np.eye(2))  # u <- first - u
     calls[0] = 0
     with pytest.raises(ConvergenceFailure):
-        _fixed_point(*flip, counted(lambda u, n: u), 0, "u")
+        _fixed_point(*flip, counted(lambda u, s: u), exponent(0), "u")
     assert calls[0] == FIXED_POINT_MAX_ITER - 1
 
 
@@ -302,12 +310,13 @@ def test_fixed_point_stack_fails_per_item():
     right = np.array([-np.eye(2), 0.5 * np.eye(2), -np.eye(2)])  # u <- first - u, first + u / 2
     n = np.array([9, 7, 11])
     with pytest.raises(ConvergenceFailure) as stacked:
-        _fixed_point(first, left, right, np.eye(2), lambda u, n: u, n, "u")
+        _fixed_point(first, left, right, np.eye(2), lambda u, s: u, exponent(n), "u")
     with pytest.raises(ConvergenceFailure) as alone:
-        _fixed_point(first[0], left[0], right[0], np.eye(2), lambda u, n: u, 9, "u")
+        _fixed_point(first[0], left[0], right[0], np.eye(2), lambda u, s: u, exponent(9), "u")
     assert str(stacked.value) == str(alone.value) and "n=9" in str(alone.value)
-    kept = _fixed_point(first[1:2], left[1:2], right[1:2], np.eye(2), lambda u, n: u, n[1:2], "u")
-    lone = _fixed_point(first[1], left[1], right[1], np.eye(2), lambda u, n: u, 7, "u")
+    kept = _fixed_point(first[1:2], left[1:2], right[1:2], np.eye(2), lambda u, s: u,
+                        exponent(n[1:2]), "u")
+    lone = _fixed_point(first[1], left[1], right[1], np.eye(2), lambda u, s: u, exponent(7), "u")
     assert kept[0].tobytes() == lone.tobytes()
 
 

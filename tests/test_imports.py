@@ -136,7 +136,7 @@ SHARED_NAME_READERS = {
          "SplitProblem.d in SplitProblem.__post_init__",
     "power": "Block.power in DiagonalModel.power, DiagonalModel.power in DiagonalModel.matrix",
     "unit_power": "RotationBlock.unit_power and ScalarBlock.unit_power in Block.power, "
-                  "DiagonalPowers._factors and cascade's stage loop",
+                  "DiagonalPowers.at and cascade's stage loop",
 }
 
 

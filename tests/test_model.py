@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectral_cascade import model as model_module
 from spectral_cascade.blocks import BlockStructure
 from spectral_cascade.errors import PowerOverflow
 from spectral_cascade.linalg import op_norm
@@ -82,17 +83,17 @@ def test_sandwich_products_match_dense(n, seed):
     tail = model.tail(2).power(n)
     u = rng.standard_normal((4, 1))
     dense = tail @ u @ head_inv
-    np.testing.assert_allclose(powers.dvn_u_avmn(u, n), dense, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(powers.dvn_u_avmn(u, powers.at(n)), dense, rtol=1e-10, atol=1e-12)
     v = rng.standard_normal((1, 4))
     dense2 = head_inv @ v @ tail
-    np.testing.assert_allclose(powers.avmn_u_dvn(v, n), dense2, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(powers.avmn_u_dvn(v, powers.at(n)), dense2, rtol=1e-10, atol=1e-12)
 
 
 def test_sandwich_contracts_at_huge_n():
     model = make_model()
     powers = DiagonalPowers(model)
     u = np.ones((4, 1))
-    out = powers.dvn_u_avmn(u, 100_000)
+    out = powers.dvn_u_avmn(u, powers.at(100_000))
     assert np.all(np.isfinite(out))
     assert op_norm(out) < 1e-300 * 1e280  # decays like (1.1/1.6)^n, far below tiny
 
@@ -104,82 +105,63 @@ def test_coordinate_log_moduli_and_det():
     assert logs[0] == pytest.approx(math.log(1.6))
 
 
-def test_sandwich_cache_follows_the_exponent():
-    """One instance queried at interleaved n equals a fresh instance at each n.
-
-    Odd steps ask for A(V)^-n u D(V)^n first, so both products refresh the cache.
-    """
+def test_sandwich_memo_follows_the_exponent():
+    """One instance asked at interleaved n gives, at each n, the products of a
+    fresh instance, bit for bit, and the memo serves a repeated n its value."""
     model = make_model()
     powers = DiagonalPowers(model)
     rng = np.random.default_rng(5)
-    for i, n in enumerate((37, 5, 37, 0, 100_000)):
+    for n in (37, 5, 37, 0, 100_000):
         u, v = rng.standard_normal((4, 1)), rng.standard_normal((1, 4))
-        calls = [("dvn_u_avmn", u), ("avmn_u_dvn", v)][:: 1 if i % 2 == 0 else -1]
-        for name, w in calls:
-            expected = getattr(DiagonalPowers(model), name)(w, n)
-            np.testing.assert_array_equal(getattr(powers, name)(w, n), expected)
+        s, fresh = powers.at(n), DiagonalPowers(model).at(n)
+        assert s.n == n and powers.at(n) is s
+        for name, w in [("dvn_u_avmn", u), ("avmn_u_dvn", v)]:
+            np.testing.assert_array_equal(getattr(powers, name)(w, s),
+                                          getattr(powers, name)(w, fresh))
 
 
-def test_sandwich_cache_compares_an_array_by_value():
-    """An exponent array changed in place is a new exponent: the products are
-    those of a fresh instance at its new values, not the kept factors."""
+def test_sandwich_keeps_its_factors_when_its_inputs_change():
+    """An exponent array or a unit part changed in place after from_units
+    leaves the sandwich's factors as they were: those of the old values."""
     model = make_model()
     powers = DiagonalPowers(model)
-    rng = np.random.default_rng(11)
-    u, v = rng.standard_normal((2, 4, 1)), rng.standard_normal((2, 1, 4))
     ns = np.array([5, 37])
-    powers.dvn_u_avmn(u, ns)
+    units = [b.unit_power(ns) for b in model.diag_blocks]
+    s = powers.from_units(ns, units)
+    want = powers.from_units(ns.copy(), [u.copy() for u in units])
     ns += 3
-    np.testing.assert_array_equal(powers.dvn_u_avmn(u, ns), DiagonalPowers(model).dvn_u_avmn(u, ns))
-    powers.share_units(ns, [b.unit_power(ns) for b in model.diag_blocks])
-    ns += 3
-    np.testing.assert_array_equal(powers.avmn_u_dvn(v, ns), DiagonalPowers(model).avmn_u_dvn(v, ns))
+    for u in units:
+        u *= -1.0
+    for got, kept in zip(s[1:], want[1:]):
+        np.testing.assert_array_equal(got, kept)
 
 
-def test_sandwich_cache_survives_a_failed_exponent():
-    """An exponent whose factors raise leaves the cached ones of the last n intact."""
+def test_sandwich_memo_stores_no_failed_exponent():
+    """An exponent whose factors raise stores nothing, and the memo keeps the
+    sandwich of the last n."""
     model = DiagonalModel(BlockStructure((2, 1)), (RotationBlock(1.6, 0.3), ScalarBlock(-0.5)))
     powers = DiagonalPowers(model)
-    u = np.ones((1, 2))
-    before = powers.dvn_u_avmn(u, 5)
+    before = powers.at(5)
     with pytest.raises(OverflowError):  # n ln(rho) of the tail's scale leaves the float range
-        powers.dvn_u_avmn(u, 10 ** 400)
-    np.testing.assert_array_equal(powers.dvn_u_avmn(u, 5), before)
-
-
-def test_sandwich_uses_the_factors_it_built(monkeypatch):
-    """Another thread sharing the object may install its exponent's factors
-    between this call's build and its product; the product still uses the
-    factors of its own exponent."""
-    model = make_model()
-    u = np.random.default_rng(3).standard_normal((4, 1))
-    want = DiagonalPowers(model).dvn_u_avmn(u, 37)
-    other = DiagonalPowers(model)
-    other.dvn_u_avmn(u, 5)
-    build = DiagonalPowers.share_units
-
-    def interleaved(self, n, units):
-        built = build(self, n, units)
-        self._cache = other._cache  # another thread's share_units at n = 5
-        return built
-
-    monkeypatch.setattr(DiagonalPowers, "share_units", interleaved)
-    np.testing.assert_array_equal(DiagonalPowers(model).dvn_u_avmn(u, 37), want)
+        powers.at(10 ** 400)
+    assert (powers, 10 ** 400) not in model_module._sandwiches
+    assert powers.at(5) is before
 
 
 def test_sandwich_on_a_stack_is_each_item_alone():
     """A stack of u at an array of exponents gives every item's products bit
-    for bit as that item alone, whether the caller shares the units or not."""
+    for bit as that item alone, whether the units are formed for the stack
+    in one call or item by item."""
     model = make_model()
     rng = np.random.default_rng(7)
     ns = np.array([0, 5, 37, 1_000, 100_000])
     u, v = rng.standard_normal((5, 4, 1)), rng.standard_normal((5, 1, 4))
-    alone = DiagonalPowers(model)
-    want = [(alone.dvn_u_avmn(ui, n), alone.avmn_u_dvn(vi, n)) for ui, vi, n in zip(u, v, ns.tolist())]
-    shared = DiagonalPowers(model)
-    shared.share_units(ns, [np.array([b.unit_power(n) for n in ns.tolist()])
-                            for b in model.diag_blocks])
-    for powers in (DiagonalPowers(model), shared):
-        got = zip(powers.dvn_u_avmn(u, ns), powers.avmn_u_dvn(v, ns))
+    powers = DiagonalPowers(model)
+    want = [(powers.dvn_u_avmn(ui, s), powers.avmn_u_dvn(vi, s))
+            for ui, vi, s in zip(u, v, map(powers.at, ns.tolist()))]
+    for units in ([b.unit_power(ns) for b in model.diag_blocks],
+                  [np.array([b.unit_power(n) for n in ns.tolist()]) for b in model.diag_blocks]):
+        s = powers.from_units(ns, units)
+        got = zip(powers.dvn_u_avmn(u, s), powers.avmn_u_dvn(v, s))
         assert [(a.tobytes(), b.tobytes()) for a, b in got] == \
             [(a.tobytes(), b.tobytes()) for a, b in want]
