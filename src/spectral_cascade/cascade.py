@@ -18,8 +18,10 @@ drive the search for exponents where the whole product has real simple spectrum.
 One private loop, ``_chain``, walks the stages over a stack of (L_k, n)
 items for ``cascade_decompose`` (the stack of one), ``stage_input``, the
 search and ``verify``; it admits each stage input through
-``graph_transform.admit`` before splitting it.  ``examine`` is the one hit
-rule: the search and ``verify`` both confirm a hit through it.
+``graph_transform.admit`` before splitting it, and raises as a lone matrix
+does.  A stack whose chain raises is decomposed item by item, so each item
+gets its lone outcome.  ``examine`` is the one hit rule: the search and
+``verify`` both confirm a hit through it.
 """
 
 from __future__ import annotations
@@ -268,58 +270,53 @@ def _split(stage: CascadeStage, current: np.ndarray, ns, units: list):
     return cert.X, invert(cert.Y_inv)
 
 
-def _chain(current: np.ndarray, ns, stages, units: list, failures: dict):
-    """Admit and split a stack (N, d, d) at exponents ns (N,) stage by stage; a
-    lone matrix at one exponent is the stack of one without its axis.
-
-    ``units`` holds each block's U_j(n), head first.  When a stage raises on
-    a stack, each item runs it alone, and the items that fail leave the stack
-    with their own errors, which go in ``failures`` under their indices; the
-    stage then runs once more on the rest.  Returns the indices of the items
-    that pass, their X per stage, their last remainder and their units.
-    """
-    alive, Xs = list(range(len(current) if current.ndim == 3 else 1)), []
+def _chain(current: np.ndarray, ns, stages, units: list):
+    """Admit and split a stack (N, d, d) at exponents ns (N,) stage by stage, with
+    each block's U_j(n) in ``units``, head first; a lone matrix at one exponent is
+    the stack of one without its axis.  Returns the X per stage and the last
+    remainder.  A numeric or condition error of stage j is raised as
+    StageFailure(stage=j), any other error as it is."""
+    Xs = []
     for stage in stages:
         try:
             X, current = _split(stage, current, ns, units)
-        except Exception as exc:
-            errors = {0: exc} if current.ndim == 2 else {}
-            for i, n in enumerate(ns.tolist() if current.ndim == 3 else []):
-                try:
-                    _split(stage, current[i], n, [u[i] for u in units])
-                except Exception as item_exc:  # the item's own error, whatever it is
-                    errors[i] = item_exc
-            for i, e in errors.items():
-                failures[alive[i]] = (StageFailure(f"stage {stage.j}: {e}", stage=stage.j, cause=e)
-                                      if isinstance(e, (NumericError, ConditionError)) else e)
-            keep = [i for i in range(len(alive)) if i not in errors]
-            if not keep:
-                return [], [], current, units
-            alive, current, ns = [alive[i] for i in keep], current[keep], ns[keep]
-            units, Xs = [u[keep] for u in units], [X[keep] for X in Xs]
-            X, current = _split(stage, current, ns, units)  # raises if every item passed alone
+        except (NumericError, ConditionError) as exc:
+            raise StageFailure(f"stage {stage.j}: {exc}", stage=stage.j, cause=exc)
         Xs.append(X)
-    return alive, Xs, current, units
+    return Xs, current
 
 
 def _decompose(L_ks: np.ndarray, ns, model: DiagonalModel, cascade: ParameterCascade) -> list:
     """cascade_decompose over a stack (N, d, d) at exponents ns (N,), or over one
     matrix at one exponent: per item, its CascadeResult or the error it raises.
-
-    A stack forms each block's U_j(n), each level's spectrum and the log
-    moduli that the domination margins compare in one pass over its items,
-    elementwise, so that every item gets the bits it gets alone; the 2x2
-    closed forms (polar form, drift) and the records run item by item."""
+    Each block's U_j(n) is formed once, for the whole stack; a stack whose
+    chain raises is decomposed item by item (``_outcomes``)."""
     if isinstance(ns, np.ndarray) and len(ns) == 1:  # a stack of one runs as its lone matrix
         L_ks, ns = L_ks[0], int(ns[0])
+    return _outcomes(L_ks, ns, [blk.unit_power(ns) for blk in model.diag_blocks], model, cascade)
+
+
+def _outcomes(L_ks: np.ndarray, ns, units: list, model: DiagonalModel,
+              cascade: ParameterCascade) -> list:
+    """_decompose with each block's U_j(n) in ``units``.
+
+    A stack forms each level's spectrum and the log moduli that the domination
+    margins compare in one pass over its items, elementwise, so that every item
+    gets the bits it gets alone; the 2x2 closed forms (polar form, drift) and
+    the records run item by item.  A stack whose chain raises is decomposed
+    item by item, each item with its own slice of ``units``."""
     stacked = isinstance(ns, np.ndarray)
+    try:
+        Xs, last = _chain(L_ks, ns, cascade.stages, units)
+    except Exception as exc:  # a lone matrix's error is its outcome
+        if not stacked:
+            return [exc]
+        return [_outcomes(L_ks[i], n, [u[i] for u in units], model, cascade)[0]
+                for i, n in enumerate(ns.tolist())]
     exponents = ns.tolist() if stacked else [ns]
-    units = [blk.unit_power(ns) for blk in model.diag_blocks]  # each U_j(n) formed once
-    outcomes = {}
-    alive, Xs, last, units = _chain(L_ks, ns, cascade.stages, units, outcomes)
-    scale = ns[alive][:, None] if stacked else ns  # n, a column on a stack
-    levels, logs = [[] for _ in alive], []
-    for j, X in enumerate([*Xs, last] if alive else [], start=1):
+    scale = ns[:, None] if stacked else ns  # n, a column on a stack
+    levels, logs = [[] for _ in exponents], []
+    for j, X in enumerate([*Xs, last], start=1):
         XU = X @ units[j - 1]  # the spectrum of X T_j^n, up to |lambda_j|^n
         values = XU[..., 0] if X.shape[-1] == 1 else eigenvalues(XU)
         if stacked and values.dtype.kind == "c":  # real where an item has no imaginary part
@@ -333,9 +330,8 @@ def _decompose(L_ks: np.ndarray, ns, model: DiagonalModel, cascade: ParameterCas
             item.append(_level_data(j, *args))
     # per pair of consecutive levels, per item: the least log modulus above the largest below
     gaps = [(a.min(axis=-1) - b.max(axis=-1)).tolist() for a, b in zip(logs, logs[1:])]
-    for i, item, gap in zip(alive, levels, zip(*gaps) if stacked else [gaps]):
-        outcomes[i] = _result(exponents[i], item, cascade.eps0, min(math.inf, *gap))
-    return [outcomes[i] for i in range(len(exponents))]
+    return [_result(n, item, cascade.eps0, min(math.inf, *gap))
+            for n, item, gap in zip(exponents, levels, zip(*gaps) if stacked else [gaps])]
 
 
 def _result(n: int, levels: list, eps0: float, margin: float) -> CascadeResult:
@@ -374,10 +370,8 @@ def stage_input(L_k: np.ndarray, n: int, cascade: ParameterCascade, j: int) -> n
     current = np.asarray(L_k, dtype=float)
     if j == 1:
         return current
-    failures = {}
-    _, _, current, _ = _chain(current, n, cascade.stages[: j - 1], [
-        b.unit_power(n) for b in cascade.stages[0].problem.model.diag_blocks], failures)
-    return _outcome(failures[0] if failures else current)
+    return _chain(current, n, cascade.stages[: j - 1], [
+        b.unit_power(n) for b in cascade.stages[0].problem.model.diag_blocks])[1]
 
 
 @dataclass(eq=False)
@@ -453,10 +447,11 @@ def examine(n: int, instance: InstanceSpec, cascade: ParameterCascade, decompose
     return Candidate(n, N, phases, spec, min_gap, mismatch, reason)
 
 
-def examine_stack(ns: list, instance: InstanceSpec, cascade: ParameterCascade):
+def examine_stack(ns: list, instance: InstanceSpec, cascade: ParameterCascade) -> list:
     """``examine`` at each index of ns in turn, after one stacked decomposition
-    of them all and one phase call per rotation level; yields examine's
-    Candidates.  An item whose decomposition raised raises at its own turn."""
+    of them all and one phase call per rotation level: examine's Candidates,
+    one per index.  An error that examine raises at one index (a decomposition
+    error other than StageFailure) is raised for the whole stack."""
     L_ns = np.array([instance.L_n(n) for n in ns])
     exponents = instance.a * np.array(ns) + instance.b
     outcomes = _decompose(L_ns, exponents, instance.model, cascade)
@@ -465,8 +460,8 @@ def examine_stack(ns: list, instance: InstanceSpec, cascade: ParameterCascade):
         windows = [None if isinstance(o, Exception) else o.levels[j - 1].window for o in outcomes]
         alphas = np.array([math.nan if w is None else w.alpha for w in windows])
         phases[j] = _signed_phase(alphas, instance.model.block(j).theta, exponents).tolist()
-    for i, (n, L_n, decomposed) in enumerate(zip(ns, L_ns, outcomes)):
-        yield examine(n, instance, cascade, decomposed, L_n, {j: ph[i] for j, ph in phases.items()})
+    return [examine(n, instance, cascade, decomposed, L_n, {j: ph[i] for j, ph in phases.items()})
+            for i, (n, L_n, decomposed) in enumerate(zip(ns, L_ns, outcomes))]
 
 
 def _window_candidates(instance: InstanceSpec, cascade: ParameterCascade,
@@ -498,8 +493,8 @@ def find_subsequence(instance: InstanceSpec, cascade: ParameterCascade,
     turn, so the search stops at the ``count``-th hit with no survivor past
     it decomposed: its cost follows the last hit, not ``n_max``, and one
     range bounds its memory.  With
-    ``csv_path``, one row per examined exponent is written as it is
-    examined.  Raises ValueError for ``count`` below 1 and
+    ``csv_path``, one row per examined exponent is written once its stack
+    is examined.  Raises ValueError for ``count`` below 1 and
     SearchExhausted (with the near misses) when fewer than ``count`` hits
     exist below ``n_max``.
     """

@@ -160,9 +160,6 @@ def _transversal_sums(G: list) -> list:
     the cycle, so the sum is sum_sigma sgn(sigma) prod_cycles tr(...).
     """
     h = len(G) // 2
-    if h == 1:  # the trace of G and of G turned
-        (x, y), (z, w) = G
-        return [x + w, y - z]
     blocks = {}  # (a, b) -> G's 2 x 2 block (x, y, z, w), row-major, plain and turned
     for a in range(h):
         for b in range(h):

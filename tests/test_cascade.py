@@ -30,6 +30,7 @@ from spectral_cascade.errors import (
     ConvergenceFailure,
     EpsilonTooLarge,
     SearchExhausted,
+    SingularMatrix,
     StageFailure,
 )
 from spectral_cascade.graph_transform import dominated_split
@@ -796,7 +797,8 @@ def test_closed_forms_match_their_former_formulas(pattern):
 def test_decomposition_forms_each_unit_power_once(pattern, monkeypatch):
     """One unit_power call per rotation block and decomposition, shared by every
     stage's sandwich factors and the level spectra, and bit for bit the factors
-    each stage forms on its own."""
+    each stage forms on its own; a failing stack's items decomposed alone
+    included."""
     calls = []
     unit_power = RotationBlock.unit_power
 
@@ -827,6 +829,14 @@ def test_decomposition_forms_each_unit_power_once(pattern, monkeypatch):
             _assert_same_spectrum(level.spectrum, ScaledSpectrum.from_values(
                 XU[0] if blk.size == 1 else eigenvalues(XU),
                 log_scale=n * math.log(blk.modulus)), (pattern, n, level.j))
+    # a stack that fails and is decomposed item by item reuses the stack's U_j(n)
+    _, _, L_ks, ns = _stack_case(pattern, 3)
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(RotationBlock, "unit_power", counted)
+        outcomes = cascade_module._decompose(L_ks, ns, spec.model, casc)
+    assert any(isinstance(o, StageFailure) for o in outcomes)
+    assert len(calls) == pattern.count(2) and all(c is ns for c in calls)
 
 
 def _reference_candidates(instance, cascade, n_start, n_max):
@@ -912,11 +922,15 @@ def test_ranged_search_matches_full_range_scan(pattern, tmp_path):
                 == _search_outcome(_reference_search, spec, casc, tmp_path / "full.csv")), seed
 
 
-@pytest.mark.parametrize("extra", [cascade_module.SCAN_RANGE - 1, cascade_module.SCAN_RANGE, 9_000],
-                         ids=["one-range", "one-past", "three-ranges"])
-def test_exhausted_ranged_search_counts_every_candidate(extra, tmp_path):
-    """An exhausted search reports the candidates of all its ranges."""
-    spec = sc.generate_instance((2, 2, 2), seed=3)
+@pytest.mark.parametrize("pattern, extra", [
+    ((2, 2, 2), cascade_module.SCAN_RANGE - 1), ((2, 2, 2), cascade_module.SCAN_RANGE),
+    ((2, 2, 2), 9_000), ((1,) * 12, 300)],
+    ids=["one-range", "one-past", "three-ranges", "all-failing"])
+def test_exhausted_ranged_search_counts_every_candidate(pattern, extra, tmp_path):
+    """An exhausted search reports the candidates of all its ranges.  Twelve
+    scalar blocks at seed 3 put every candidate outside the first beta ball,
+    so each of the search's stacks fails and is decomposed item by item."""
+    spec = sc.generate_instance(pattern, seed=3)
     casc = choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
     n_max = max(casc.n0, casc.k0, 1) + extra
     ranged = _search_outcome(find_subsequence, spec, casc, tmp_path / "ranged.csv",
@@ -924,6 +938,12 @@ def test_exhausted_ranged_search_counts_every_candidate(extra, tmp_path):
     assert ranged[0][0] == "exhausted"
     assert ranged == _search_outcome(_reference_search, spec, casc, tmp_path / "full.csv",
                                      count=10, n_max=n_max)
+    if len(pattern) == 12:
+        assert all(reason.startswith("stage 1: input outside the beta ball")
+                   for _, reason in ranged[0][2])
+        rows = list(csv.reader(ranged[1].decode().splitlines()))[1:]
+        assert len(rows) == extra + 1  # every exponent is a candidate, and a stage refused each
+        assert all(row[1:] == [""] * (len(row) - 2) + ["0"] for row in rows)
 
 
 def test_search_memory_is_bounded_by_one_range(demo_instance, demo_cascade):
@@ -1023,6 +1043,29 @@ def test_stack_survives_a_failing_stacked_inverse(monkeypatch):
          for i, (L, n) in enumerate(zip(L_ks, ns)) if i != 7]
 
 
+@pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+def test_stack_whose_stages_fail_is_decomposed_item_by_item(pattern, monkeypatch):
+    """A stack whose every stacked split raises, a numeric error or any other,
+    while each item's split passes alone, decomposes to every item's lone
+    outcome bit for bit: the _stack_case stack and its items that pass alone."""
+    split = cascade_module._split
+    spec, casc, L_ks, ns = _stack_case(pattern, 3)
+    alone = [_alone(L, int(n), spec.model, casc) for L, n in zip(L_ks, ns)]
+    passing = [i for i, o in enumerate(alone) if not isinstance(o, Exception)]
+    for error in (SingularMatrix, np.linalg.LinAlgError):
+        def lone_only(stage, current, ns, units):
+            if current.ndim == 3:
+                raise error("a stacked split")
+            return split(stage, current, ns, units)
+
+        with monkeypatch.context() as m:
+            m.setattr(cascade_module, "_split", lone_only)
+            for keep in (list(range(len(ns))), passing):
+                stacked = cascade_module._decompose(L_ks[keep], ns[keep], spec.model, casc)
+                assert [_decomposition_bits(o) for o in stacked] == \
+                    [_decomposition_bits(alone[i]) for i in keep], (error, len(keep))
+
+
 def _bits(x):
     return struct.pack("<d", x) if isinstance(x, float) else x
 
@@ -1049,7 +1092,7 @@ def test_examine_stack_is_each_candidate_alone(pattern):
         structure = spec.model.structure
         rotations = structure.rotation_indices
         stacked = list(cascade_module.examine_stack(ns.tolist(), spec, casc))
-        alone = [next(cascade_module.examine_stack([n], spec, casc)) for n in ns.tolist()]
+        alone = [cascade_module.examine_stack([n], spec, casc)[0] for n in ns.tolist()]
         assert [_candidate_bits(c, structure) for c in stacked] == \
             [_candidate_bits(c, structure) for c in alone], seed
         assert all("below threshold" in c.reason for c in stacked[:2]), seed
