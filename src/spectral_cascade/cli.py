@@ -21,7 +21,7 @@ from .cascade import (
     stage_input,
 )
 from .errors import ConditionFailure, SpectralCascadeError, VerificationFailure
-from .graph_transform import invariant_pair
+from .graph_transform import invariant_pair, item_text
 from .scenario import check_angle_independence, check_L_conditions, generate_instance
 from .verify import instance_of, verify_artifact
 
@@ -137,6 +137,11 @@ def _cmd_verify(args) -> int:
         raise VerificationFailure(f"{args.artifact}: unreadable artifact: {exc}")
     report = verify_artifact(obj)
     print(f"{args.artifact}: {report['kind']} artifact verifies")
+    if report["kind"] == serialize.KIND_SPLIT_CERT:  # each item with its bound
+        for name, entry in report["report"].items():
+            if isinstance(entry, dict):
+                print(f"  {item_text(name, entry)} {'ok' if entry['passed'] else 'FAIL'}")
+        print(f"  eta_norm = {report['report']['eta_norm']:.3g}")
     return 0
 
 

@@ -46,6 +46,7 @@ n1/n2/n3 by direct upward scan of the defining inequalities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import starmap
@@ -354,39 +355,54 @@ def dominated_split(problem: SplitProblem, J: np.ndarray, s: Sandwich):
     return SplitCertificate(n=s.n, J=J, xi=xi, eta_hat=eta_hat, X=X, Y_inv=Y_inv), Ji
 
 
+@functools.cache
+def _identity(k: int) -> np.ndarray:
+    """The k x k identity, formed once per size and read-only."""
+    I = np.eye(k)
+    I.flags.writeable = False
+    return I
+
+
 def _check(problem: SplitProblem, cert: SplitCertificate, Ji: np.ndarray, s: Sandwich) -> dict:
     """Recompute every item of ``cert`` in scale-free form (see the module doc).
 
-    Returns {name: {"value", "passed", "item"}}, the informative "eta_norm"
-    and the overall "passed".
+    Returns {name: {"value", "bound", "passed", "item"}}, the informative
+    "eta_norm" and the overall "passed".
     """
-    I1, I2 = np.eye(problem.k1), np.eye(problem.k2)
+    # np.concatenate, not np.block or np.vstack: np.block costs ~20 us at these sizes
+    I1, I2 = _identity(problem.k1), _identity(problem.k2)
     S = problem.powers.dvn_u_avmn(cert.xi, s)
     eta = problem.powers.avmn_u_dvn(cert.eta_hat, s)
-    fwd = op_norm(cert.J @ np.vstack([I1, S]) - np.vstack([I1, cert.xi]) @ cert.X)
-    back = op_norm(Ji @ np.vstack([eta, I2]) - np.vstack([cert.eta_hat, I2]) @ cert.Y_inv)
+    cat = np.concatenate
+    fwd = op_norm(cert.J @ cat((I1, S)) - cat((I1, cert.xi)) @ cert.X)
+    back = op_norm(Ji @ cat((eta, I2)) - cat((cert.eta_hat, I2)) @ cert.Y_inv)
     fwd /= op_norm(cert.J)
     back /= op_norm(Ji)
     xi_norm = op_norm(cert.xi)
     eta_hat_norm = op_norm(cert.eta_hat)
-    trans = abs(float(_det(np.block([[I1, eta], [cert.xi, I2]]))))
+    trans = abs(float(_det(cat((cat((I1, eta), axis=1), cat((cert.xi, I2), axis=1))))))
     item3 = op_norm(cert.X - problem.A0)
     item4 = op_norm(cert.Y_inv - problem.D0i)
     gamma, delta = cert.constants.gamma, problem.delta
     items = (
-        ("forward_invariance", fwd, fwd < RESIDUAL_TOL, 1),
-        ("backward_invariance", back, back < RESIDUAL_TOL, 1),
-        ("xi_norm", xi_norm, xi_norm <= gamma, 1),
-        ("eta_hat_norm", eta_hat_norm, eta_hat_norm <= gamma, 1),
-        ("transversality_det", trans, trans > TRANSVERSALITY_TOL, 2),
-        ("item3", item3, item3 < delta, 3),
-        ("item4", item4, item4 < delta, 4),
+        ("forward_invariance", fwd, RESIDUAL_TOL, fwd < RESIDUAL_TOL, 1),
+        ("backward_invariance", back, RESIDUAL_TOL, back < RESIDUAL_TOL, 1),
+        ("xi_norm", xi_norm, gamma, xi_norm <= gamma, 1),
+        ("eta_hat_norm", eta_hat_norm, gamma, eta_hat_norm <= gamma, 1),
+        ("transversality_det", trans, TRANSVERSALITY_TOL, trans > TRANSVERSALITY_TOL, 2),
+        ("item3", item3, delta, item3 < delta, 3),
+        ("item4", item4, delta, item4 < delta, 4),
     )
-    report = {name: {"value": value, "passed": bool(ok), "item": item}
-              for name, value, ok, item in items}
+    report = {name: {"value": value, "bound": bound, "passed": bool(ok), "item": item}
+              for name, value, bound, ok, item in items}
     report["eta_norm"] = op_norm(eta)
-    report["passed"] = all(ok for _, _, ok, _ in items)
+    report["passed"] = all(ok for _, _, _, ok, _ in items)
     return report
+
+
+def item_text(name: str, entry: dict) -> str:
+    """One item of a check report with its bound, as errors and ``verify`` print it."""
+    return f"{name} = {entry['value']:.3g} (bound {entry['bound']:.3g})"
 
 
 def report_values(report: dict) -> tuple:
@@ -410,7 +426,7 @@ def invariant_pair(problem: SplitProblem, J: np.ndarray, n: int,
     report = _check(problem, cert, Ji, s)
     for name, entry in report.items():
         if isinstance(entry, dict) and not entry["passed"]:
-            raise CertificateFailure(f"{name} = {entry['value']:.3g} fails", item=entry["item"])
+            raise CertificateFailure(f"{item_text(name, entry)} fails", item=entry["item"])
     cert.residuals, cert.bounds = report_values(report)
     return cert
 

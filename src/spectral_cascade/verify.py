@@ -20,7 +20,8 @@ from . import serialize
 from .cascade import (ORACLE_TOL, ProveReport, SearchResult, cascade_decompose,
                       check_exponent, choose_parameters, examine_stack)
 from .errors import SpectralCascadeError, VerificationFailure
-from .graph_transform import admit, derive_constants, report_values, verify_certificate
+from .graph_transform import (admit, derive_constants, item_text, report_values,
+                              verify_certificate)
 from .linalg import norm_below, op_norm
 from .oracle import match_scaled, product_spectrum
 from .scenario import check_angle_independence, check_L_conditions
@@ -124,8 +125,9 @@ def _verify_split_certificate(obj) -> dict:
     admit(problem, cert.constants, cert.J, cert.n)
     report = verify_certificate(cert, problem)
     if not report["passed"]:
-        bad = [k for k, v in report.items() if isinstance(v, dict) and not v["passed"]]
-        _fail(f"certificate bounds fail: {bad}")
+        bad = [item_text(k, v) for k, v in report.items()
+               if isinstance(v, dict) and not v["passed"]]
+        _fail(f"certificate bounds fail: {', '.join(bad)}")
     cert.residuals, cert.bounds = report_values(report)
     _agree(obj["kind"], obj, serialize.certificate_to_json(cert, problem), {})
     return {"kind": obj["kind"], "passed": True, "report": report}

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -293,6 +294,39 @@ def test_split_at_large_n_verifies(tmp_path, seed3_file, level, n):
     out = tmp_path / "cert.json"
     assert _split(seed3_file, out, level, n) == 0
     assert run(["verify", "--artifact", out]) == 0
+
+
+def test_verify_prints_each_split_item(tmp_path, seed3_file, capsys):
+    """verify of a split certificate prints one line per check item after its
+    first line: the value, the bound and ok, then eta_norm, which has no bound."""
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, 2, 1000) == 0
+    capsys.readouterr()
+    assert run(["verify", "--artifact", out]) == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first == f"{out}: split-certificate artifact verifies"
+    assert [line.split()[0] for line in lines] == [
+        "forward_invariance", "backward_invariance", "xi_norm", "eta_hat_norm",
+        "transversality_det", "item3", "item4", "eta_norm"]
+    for line in lines[:-1]:
+        assert re.fullmatch(r"  \w+ = \S+ \(bound \S+\) ok", line), line
+    assert lines[0].endswith("(bound 1e-08) ok")
+    assert re.fullmatch(r"  eta_norm = \S+", lines[-1])
+
+
+def test_verify_refusal_names_the_bound(tmp_path, seed3_file, capsys):
+    """A stored X off its graph fails forward invariance, and the refusal
+    gives the residual next to its bound."""
+    out = tmp_path / "cert.json"
+    assert _split(seed3_file, out, 1, 100) == 0
+    obj = json.loads(out.read_text())
+    obj["X"]["data"][0][0] += 1e-6
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "--artifact", out]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"certificate bounds fail: forward_invariance = \S+ \(bound 1e-08\)$",
+                     err.strip()), err
 
 
 def test_cascade_and_split_verify_at_a_billion(tmp_path, seed3_file):

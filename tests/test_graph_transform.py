@@ -17,8 +17,10 @@ from spectral_cascade.graph_transform import (
     SplitProblem,
     _converged,
     _fixed_point,
+    _identity,
     derive_constants,
     invariant_pair,
+    report_values,
     solve_eta,
     solve_xi,
     verify_certificate,
@@ -26,6 +28,7 @@ from spectral_cascade.graph_transform import (
 from spectral_cascade.linalg import invert, op_norm
 from spectral_cascade.model import DiagonalModel, RotationBlock, Sandwich, ScalarBlock
 
+from check_reference import reference_check
 from split_problems import random_split_problem
 
 
@@ -161,6 +164,57 @@ def test_verify_detects_tampering():
         report = verify_certificate(cert, p)
         assert not report["passed"], name
         setattr(cert, name, original)
+    # X or Y^{-1} moved inside the delta-ball, off the graph of xi or eta_hat:
+    # its invariance residual is the one item that fails
+    for name, item in (("X", "forward_invariance"), ("Y_inv", "backward_invariance")):
+        original = getattr(cert, name)
+        setattr(cert, name, original + 1e-6)
+        report = verify_certificate(cert, p)
+        assert [k for k, v in report.items() if isinstance(v, dict) and not v["passed"]] == [item]
+        setattr(cert, name, original)
+
+
+def test_check_identities_are_read_only():
+    """The identities the check shares across calls are formed once per size
+    and cannot be written to."""
+    for k in (1, 2, 4):
+        I = _identity(k)
+        assert I is _identity(k)
+        np.testing.assert_array_equal(I, np.eye(k))
+        with pytest.raises(ValueError):
+            I[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            I += 1.0
+
+
+def _bits(report):
+    """A check report, or its values, with every float as its hex form."""
+    return {k: _bits(v) if isinstance(v, dict) else v.hex() if isinstance(v, float) else v
+            for k, v in report.items()}
+
+
+BENCH_PATTERNS = [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("pattern", BENCH_PATTERNS, ids=lambda p: "".join(map(str, p)))
+def test_check_matches_its_block_reference_bit_for_bit(pattern):
+    """verify_certificate's report and invariant_pair's residuals and bounds
+    are those of the np.block form of the check, bit for bit: seeds 0-3, every
+    stage, n from the threshold n0 to 1e9."""
+    for seed in range(4):
+        spec = sc.generate_instance(pattern, seed=seed)
+        casc = sc.choose_parameters(spec.model, spec.L, 1e-3, law=spec.law)
+        L_k = spec.L_n(casc.k0)
+        for j, stage in enumerate(casc.stages, start=1):
+            p = stage.problem
+            for n in (casc.n0, 100, 1_000, 10**5, 10**9):
+                cert = invariant_pair(p, stage_input(L_k, n, casc, j), n, stage.constants)
+                ref = reference_check(p, cert, invert(cert.J), p.powers.at(n))
+                assert ref["passed"], (seed, j, n)
+                assert _bits(verify_certificate(cert, p)) == _bits(ref), (seed, j, n)
+                residuals, bounds = report_values(ref)
+                assert _bits(cert.residuals) == _bits(residuals), (seed, j, n)
+                assert _bits(cert.bounds) == _bits(bounds), (seed, j, n)
 
 
 def test_conjugated_blocks_carry_the_spectrum():
@@ -219,8 +273,7 @@ def test_split_certificates_hold_at_large_n(seed3, n):
         assert verify_certificate(cert, stage.problem)["passed"], (j, n)
 
 
-@pytest.mark.parametrize("pattern", [(1, 2), (2, 1), (1, 1, 2), (2, 2), (1, 2, 2), (2, 2, 2)],
-                         ids=lambda p: "".join(map(str, p)))
+@pytest.mark.parametrize("pattern", BENCH_PATTERNS, ids=lambda p: "".join(map(str, p)))
 def test_fixed_points_pass_the_two_norm_stopping_test(pattern):
     """The Frobenius stopping test is conservative against the 2-norm one.
 

@@ -111,8 +111,10 @@ def test_load_rejects_kindless(tmp_path):
 
 # (1,2,2) seed 3: `cascade --k 21 --n 1000` and `prove --count 3`, written by
 # the release that took level polar forms through sqrtm of M M^T and level
-# drifts through an SVD
-STORED = ["cascade_122_seed3_k21_n1000.json", "prove_122_seed3_count3.json"]
+# drifts through an SVD; `split --level 2 --n 1000`, written by commit 3b840bb,
+# whose check assembled its matrices with np.block and np.vstack
+STORED = ["cascade_122_seed3_k21_n1000.json", "prove_122_seed3_count3.json",
+          "split_122_seed3_level2_n1000.json"]
 
 
 @pytest.mark.parametrize("name", STORED)
